@@ -1,6 +1,5 @@
 #include "adversary/dos_attacker.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <unordered_set>
@@ -76,39 +75,12 @@ const char* flood_frame_kind_name(FloodFrameKind kind) noexcept {
   return "?";
 }
 
-namespace {
-
-crypto::VerifyWire flood_verify_wire(const core::WireConfig& wire) noexcept {
-  crypto::VerifyWire out;
-  out.l_t = wire.l_t;
-  out.l_id = wire.l_id;
-  out.l_n = wire.l_n;
-  out.l_mac = wire.l_mac;
-  out.auth_type = static_cast<std::uint32_t>(core::MessageType::Auth);
-  return out;
-}
-
-}  // namespace
-
-std::uint64_t HandshakeFloodSource::ReceiverKeySource::cache_key(
-    std::uint32_t sender) const noexcept {
-  const std::uint32_t self = raw(receiver->id());
-  const std::uint32_t lo = std::min(self, sender);
-  const std::uint32_t hi = std::max(self, sender);
-  return (std::uint64_t{lo} << 32) | hi;
-}
-
-crypto::SymmetricKey HandshakeFloodSource::ReceiverKeySource::key_for(
-    std::uint32_t sender) const {
-  return receiver->shared_key(node_id(sender));
-}
-
 HandshakeFloodSource::HandshakeFloodSource(const core::WireConfig& wire,
                                            std::uint64_t authority_seed,
                                            std::uint32_t peer_count,
                                            std::uint64_t rng_seed)
     : wire_(wire),
-      verify_wire_(flood_verify_wire(wire)),
+      verify_wire_(core::verify_wire_from(wire)),
       receiver_(crypto::IbcAuthority(authority_seed).issue(node_id(0))),
       rng_(rng_seed) {
   assert(peer_count > 0);

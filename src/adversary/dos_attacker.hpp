@@ -20,6 +20,7 @@
 #include "common/bit_vector.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "core/handshake.hpp"
 #include "core/messages.hpp"
 #include "crypto/ibc.hpp"
 #include "crypto/verify_queue.hpp"
@@ -121,7 +122,7 @@ class HandshakeFloodSource {
                                                    std::uint32_t ratio);
 
   /// Key source over the receiver's IBC key, for feeding a VerifyQueue
-  /// directly (mirrors the engine's internal pair source).
+  /// directly (the same core::IbcPairKeySource the engine verifies under).
   [[nodiscard]] const crypto::KeySource& key_source() const noexcept {
     return source_;
   }
@@ -136,19 +137,13 @@ class HandshakeFloodSource {
   [[nodiscard]] std::uint32_t wrong_code() const noexcept { return 8; }
 
  private:
-  struct ReceiverKeySource final : public crypto::KeySource {
-    const crypto::IbcPrivateKey* receiver = nullptr;
-    [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
-    [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
-  };
-
   [[nodiscard]] FloodFrame make_frame(FloodFrameKind kind);
 
   core::WireConfig wire_;
   crypto::VerifyWire verify_wire_;
   crypto::IbcPrivateKey receiver_;
   std::vector<crypto::IbcPrivateKey> peers_;
-  ReceiverKeySource source_;
+  core::IbcPairKeySource source_;
   Rng rng_;
 };
 

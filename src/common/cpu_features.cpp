@@ -1,6 +1,11 @@
 #include "common/cpu_features.hpp"
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+
+#include "common/logging.hpp"
+#include "obs/metrics_registry.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -60,11 +65,95 @@ CpuFeatures probe() noexcept { return CpuFeatures{}; }
 
 #endif
 
+void install(SimdBackend backend) {
+  detail::g_simd_level.store(static_cast<std::uint8_t>(1 + static_cast<int>(backend)),
+                             std::memory_order_relaxed);
+  // Direct registry write (not the macro): like prof.backend, the gauge must
+  // reflect the live dispatch target even with metrics collection disabled.
+  obs::registry().gauge("simd.backend").set(static_cast<double>(backend));
+}
+
+SimdBackend clamp_to_supported(SimdBackend request) noexcept {
+  if (simd_backend_supported(request)) return request;
+  if (request == SimdBackend::kAvx512 && simd_backend_supported(SimdBackend::kAvx2)) {
+    return SimdBackend::kAvx2;
+  }
+  return SimdBackend::kScalar;
+}
+
 }  // namespace
 
 const CpuFeatures& cpu_features() noexcept {
   static const CpuFeatures features = probe();
   return features;
+}
+
+const char* simd_backend_name(SimdBackend backend) noexcept {
+  switch (backend) {
+    case SimdBackend::kScalar:
+      return "scalar";
+    case SimdBackend::kAvx2:
+      return "avx2";
+    case SimdBackend::kAvx512:
+      return "avx512";
+    case SimdBackend::kNeon:
+      return "neon";
+  }
+  return "unknown";
+}
+
+bool simd_backend_supported(SimdBackend backend) noexcept {
+  switch (backend) {
+    case SimdBackend::kScalar:
+      return true;
+#if defined(__x86_64__)
+    case SimdBackend::kAvx2:
+      return cpu_features().avx2;
+    case SimdBackend::kAvx512:
+      return cpu_features().avx512_vpopcntdq;
+#elif defined(__aarch64__)
+    case SimdBackend::kNeon:
+      return cpu_features().neon;
+#endif
+    default:
+      return false;
+  }
+}
+
+namespace detail {
+
+std::atomic<std::uint8_t> g_simd_level{0};
+
+SimdBackend resolve_simd_backend() {
+  // The best the hardware admits: each entry outranks the ones before it.
+  SimdBackend chosen = SimdBackend::kScalar;
+  for (const SimdBackend b : {SimdBackend::kAvx2, SimdBackend::kAvx512, SimdBackend::kNeon}) {
+    if (simd_backend_supported(b)) chosen = b;
+  }
+  if (const char* env = std::getenv("JRSND_SIMD"); env != nullptr && env[0] != '\0') {
+    bool known = false;
+    for (const SimdBackend b : {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512,
+                                SimdBackend::kNeon}) {
+      if (std::strcmp(env, simd_backend_name(b)) == 0) {
+        chosen = clamp_to_supported(b);
+        known = true;
+      }
+    }
+    if (!known) {
+      JRSND_WARN("simd") << "unknown JRSND_SIMD value '" << env
+                         << "' (want scalar|avx2|avx512|neon); using " << simd_backend_name(chosen);
+    }
+  }
+  install(chosen);
+  return chosen;
+}
+
+}  // namespace detail
+
+SimdBackend set_simd_backend(SimdBackend backend) {
+  const SimdBackend installed = clamp_to_supported(backend);
+  install(installed);
+  return installed;
 }
 
 }  // namespace jrsnd

@@ -1,15 +1,20 @@
-// Runtime CPU feature probe (ROADMAP: SIMD-batched correlator).
+// Runtime CPU feature probe and the process-wide SIMD dispatch level.
 //
-// The batched sync kernel ships three x86 backends (scalar, AVX2,
-// AVX-512/VPOPCNTDQ) plus a NEON variant on aarch64, selected once at
-// startup. Feature detection lives here, in common/, so any future SIMD
-// consumer (BitVector, ECC) shares one probe instead of re-reading CPUID.
+// Two kernels vectorize: the batched sync correlator (dsss/sync_kernel.hpp:
+// AVX-512/VPOPCNTDQ, AVX2, NEON or scalar popcount) and the 8-lane SHA-256
+// behind the AUTH MAC check (crypto/sha256_multi.hpp: AVX2 or scalar lanes).
+// Both dispatch on the one level resolved here, so a single JRSND_SIMD
+// override or set_simd_backend() call moves both, and one `simd.backend`
+// gauge says where they run.
 //
 // The probe checks both the CPU capability bits (CPUID leaf 7) and the OS
 // context-save support (OSXSAVE + XCR0): a kernel that does not preserve
 // ZMM state makes the AVX-512 bits in CPUID meaningless, so both must agree
 // before a vector backend is reported usable.
 #pragma once
+
+#include <atomic>
+#include <cstdint>
 
 namespace jrsnd {
 
@@ -22,5 +27,40 @@ struct CpuFeatures {
 /// The probed feature set, resolved once per process. Never throws; on
 /// non-x86, non-aarch64 targets every x86/NEON flag reads false.
 [[nodiscard]] const CpuFeatures& cpu_features() noexcept;
+
+/// SIMD dispatch level. Numeric values are published through the
+/// `simd.backend` gauge (mirroring `prof.backend`).
+enum class SimdBackend : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+
+[[nodiscard]] const char* simd_backend_name(SimdBackend backend) noexcept;
+
+/// Whether this process can run `backend` (compiled in AND supported by the
+/// CPU/OS per cpu_features()). kScalar is always available.
+[[nodiscard]] bool simd_backend_supported(SimdBackend backend) noexcept;
+
+namespace detail {
+/// 0 = unresolved; otherwise 1 + SimdBackend value. Relaxed ordering is
+/// enough: resolution is a pure function of process-constant inputs (CPUID,
+/// environment), so racing first-callers install the same value.
+extern std::atomic<std::uint8_t> g_simd_level;
+SimdBackend resolve_simd_backend();
+}  // namespace detail
+
+/// The level every SIMD kernel dispatches to, resolved once: the JRSND_SIMD
+/// environment override (scalar|avx2|avx512|neon; unsupported requests
+/// clamp like set_simd_backend, unknown values warn) when set, otherwise the
+/// best the hardware admits. Resolution publishes the `simd.backend` gauge;
+/// every later call is one relaxed load.
+[[nodiscard]] inline SimdBackend simd_backend() {
+  const std::uint8_t v = detail::g_simd_level.load(std::memory_order_relaxed);
+  if (v != 0) return static_cast<SimdBackend>(v - 1);
+  return detail::resolve_simd_backend();
+}
+
+/// Forces the level (tests, benches). Unsupported requests clamp to the best
+/// supported backend at or below the request (kNeon requests on x86 clamp to
+/// kScalar). Updates the `simd.backend` gauge and returns the backend
+/// actually installed.
+SimdBackend set_simd_backend(SimdBackend backend);
 
 }  // namespace jrsnd

@@ -100,8 +100,6 @@ std::optional<Duration> HandshakeStateMachine::on_timeout() {
 
 // --- HandshakeVerifier ------------------------------------------------------
 
-namespace {
-
 crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept {
   crypto::VerifyWire out;
   out.l_t = wire.l_t;
@@ -112,16 +110,14 @@ crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept {
   return out;
 }
 
-}  // namespace
-
-std::uint64_t HandshakeVerifier::PairSource::cache_key(std::uint32_t sender) const noexcept {
+std::uint64_t IbcPairKeySource::cache_key(std::uint32_t sender) const noexcept {
   const std::uint32_t self = raw(receiver->id());
   const std::uint32_t lo = std::min(self, sender);
   const std::uint32_t hi = std::max(self, sender);
   return (std::uint64_t{lo} << 32) | hi;
 }
 
-crypto::SymmetricKey HandshakeVerifier::PairSource::key_for(std::uint32_t sender) const {
+crypto::SymmetricKey IbcPairKeySource::key_for(std::uint32_t sender) const {
   return receiver->shared_key(node_id(sender));
 }
 
@@ -131,7 +127,7 @@ HandshakeVerifier::HandshakeVerifier(const WireConfig& wire)
 AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_code,
                                            CodeId expected_code,
                                            const crypto::IbcPrivateKey& receiver) {
-  JRSND_PERF_REGION("dndp.verify.batch");
+  JRSND_PERF_REGION("dndp.verify");
   source_.receiver = &receiver;
   const crypto::VerifyResult result =
       queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_);
@@ -147,19 +143,6 @@ AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_
     verdict.key = result.key;
   }
   return verdict;
-}
-
-std::size_t HandshakeVerifier::verify_auth_batch(std::span<const BitVector> frames,
-                                                 CodeId frame_code, CodeId expected_code,
-                                                 const crypto::IbcPrivateKey& receiver,
-                                                 std::vector<crypto::VerifyResult>& out) {
-  JRSND_PERF_REGION("dndp.verify.batch");
-  source_.receiver = &receiver;
-  queue_.reserve(frames.size());
-  for (const BitVector& frame : frames) {
-    queue_.push(frame, raw(frame_code), raw(expected_code));
-  }
-  return queue_.drain(source_, out);
 }
 
 }  // namespace jrsnd::core

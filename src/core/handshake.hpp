@@ -15,8 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -159,6 +157,21 @@ struct AuthVerdict {
   }
 };
 
+/// The crypto::VerifyQueue view of `wire`'s AUTH frame layout.
+[[nodiscard]] crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept;
+
+/// Pairwise-key source over a receiver's IBC private key: the one the D-NDP
+/// engine verifies under and the one flood benches feed a VerifyQueue. The
+/// cache key packs the unordered {receiver, sender} pair, which is exactly
+/// what the symmetric shared_key depends on — so one engine's cache is
+/// shared between both handshake directions.
+struct IbcPairKeySource final : public crypto::KeySource {
+  const crypto::IbcPrivateKey* receiver = nullptr;
+
+  [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
+  [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
+};
+
 /// The early-reject verification front-end of the D-NDP engine: a
 /// crypto::VerifyQueue bound to the IBC pairwise-key source, ordering every
 /// check cheapest-first (length -> format -> session-code -> MAC) and caching
@@ -176,30 +189,11 @@ class HandshakeVerifier {
                                         CodeId expected_code,
                                         const crypto::IbcPrivateKey& receiver);
 
-  /// Batched form for flood scenarios: verifies `frames` (all on the same
-  /// code pair) in one drain, one VerifyResult per frame into `out`.
-  /// Returns the number accepted.
-  std::size_t verify_auth_batch(std::span<const BitVector> frames, CodeId frame_code,
-                                CodeId expected_code,
-                                const crypto::IbcPrivateKey& receiver,
-                                std::vector<crypto::VerifyResult>& out);
-
   [[nodiscard]] const crypto::VerifyQueue& queue() const noexcept { return queue_; }
 
  private:
-  /// Pairwise-key source over the receiver's IBC private key. The cache key
-  /// packs the unordered {receiver, sender} pair, which is exactly what the
-  /// symmetric shared_key depends on — so one engine's cache is shared
-  /// between both handshake directions.
-  struct PairSource final : public crypto::KeySource {
-    const crypto::IbcPrivateKey* receiver = nullptr;
-
-    [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
-    [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
-  };
-
   crypto::VerifyQueue queue_;
-  PairSource source_;
+  IbcPairKeySource source_;
 };
 
 }  // namespace jrsnd::core

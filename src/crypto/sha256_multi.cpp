@@ -1,11 +1,8 @@
 #include "crypto/sha256_multi.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/cpu_features.hpp"
-#include "obs/metrics_registry.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -118,27 +115,6 @@ void compress_x8_scalar(std::array<std::uint32_t, 8> states[kSha256Lanes],
   for (std::size_t l = 0; l < kSha256Lanes; ++l) sha256_compress(states[l], blocks[l]);
 }
 
-/// 0 = unresolved; otherwise 1 + HashBackend.
-std::atomic<int> g_hash_active{0};
-
-void publish_hash_gauge(HashBackend backend) {
-  JRSND_GAUGE_SET("crypto.hash.backend", static_cast<double>(backend));
-}
-
-HashBackend resolve_hash_backend() {
-  HashBackend chosen =
-      hash_backend_supported(HashBackend::kAvx2) ? HashBackend::kAvx2 : HashBackend::kScalar;
-  // Honor the sync kernel's override knob: "scalar" forces the reference
-  // lanes everywhere; any other value keeps the probe's choice (the sync
-  // kernel owns warning about unknown values — no double logging here).
-  if (const char* env = std::getenv("JRSND_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) chosen = HashBackend::kScalar;
-  }
-  g_hash_active.store(1 + static_cast<int>(chosen), std::memory_order_relaxed);
-  publish_hash_gauge(chosen);
-  return chosen;
-}
-
 }  // namespace
 
 const char* hash_backend_name(HashBackend backend) noexcept {
@@ -149,32 +125,10 @@ const char* hash_backend_name(HashBackend backend) noexcept {
   return "unknown";
 }
 
-bool hash_backend_supported(HashBackend backend) noexcept {
-  switch (backend) {
-    case HashBackend::kScalar:
-      return true;
-    case HashBackend::kAvx2:
-#if defined(__x86_64__)
-      return cpu_features().avx2;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
 HashBackend hash_backend() {
-  const int v = g_hash_active.load(std::memory_order_relaxed);
-  if (v != 0) return static_cast<HashBackend>(v - 1);
-  return resolve_hash_backend();
-}
-
-HashBackend set_hash_backend(HashBackend backend) {
-  const HashBackend installed =
-      hash_backend_supported(backend) ? backend : HashBackend::kScalar;
-  g_hash_active.store(1 + static_cast<int>(installed), std::memory_order_relaxed);
-  publish_hash_gauge(installed);
-  return installed;
+  const SimdBackend level = simd_backend();
+  return level == SimdBackend::kAvx2 || level == SimdBackend::kAvx512 ? HashBackend::kAvx2
+                                                                      : HashBackend::kScalar;
 }
 
 void sha256_compress_x8(std::array<std::uint32_t, 8> states[kSha256Lanes],

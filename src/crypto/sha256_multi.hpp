@@ -10,13 +10,14 @@
 // lanes available in the first place (the one-at-a-time path never has more
 // than one compression in flight).
 //
-// Backends follow the batched sync correlator's dispatch idiom
-// (dsss/sync_kernel.hpp): resolved once per process from the CPU probe, with
-// the same JRSND_SIMD environment override ("scalar" forces the reference
-// path) and a bench/test setter. Every backend computes the identical FIPS
-// 180-4 function — the scalar reference *is* crypto::sha256_compress per
-// lane — so digests are bit-identical however the dispatch lands (pinned by
-// tests/crypto_sha256_test.cpp and the dos_throughput identity gate).
+// The lanes dispatch on the process-wide SIMD level shared with the batched
+// sync correlator (common/cpu_features.hpp: one probe, one JRSND_SIMD
+// override, one set_simd_backend setter): AVX2 lanes when the level is avx2
+// or avx512, the scalar reference otherwise. Every backend computes the
+// identical FIPS 180-4 function — the scalar reference *is*
+// crypto::sha256_compress per lane — so digests are bit-identical however
+// the dispatch lands (pinned by tests/crypto_sha256_test.cpp and the
+// dos_throughput identity gate).
 #pragma once
 
 #include <array>
@@ -31,24 +32,15 @@ namespace jrsnd::crypto {
 /// per 256-bit register).
 inline constexpr std::size_t kSha256Lanes = 8;
 
-/// Backend for the multi-buffer compression. Values are published through
-/// the `crypto.hash.backend` gauge (mirroring `dsss.simd.backend`).
+/// Backend for the multi-buffer compression.
 enum class HashBackend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 [[nodiscard]] const char* hash_backend_name(HashBackend backend) noexcept;
 
-/// Whether this process can run `backend` (compiled in AND supported by the
-/// CPU/OS). kScalar is always available.
-[[nodiscard]] bool hash_backend_supported(HashBackend backend) noexcept;
-
-/// The backend sha256_compress_x8 dispatches to, resolved once: JRSND_SIMD
-/// ("scalar" forces the reference; unknown values are the sync kernel's to
-/// warn about) when set, otherwise the best the hardware admits.
+/// The backend sha256_compress_x8 dispatches to: kAvx2 when simd_backend()
+/// is kAvx2 or kAvx512 (an AVX-512 host admits AVX2), kScalar otherwise.
+/// Holds no state of its own.
 [[nodiscard]] HashBackend hash_backend();
-
-/// Forces the dispatch backend (tests, benches). Unsupported requests clamp
-/// to kScalar. Returns the backend actually installed.
-HashBackend set_hash_backend(HashBackend backend);
 
 /// Eight independent single-block compressions:
 /// states[l] <- Compress(states[l], blocks[l]) for every lane l. Bit-

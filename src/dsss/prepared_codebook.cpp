@@ -1,28 +1,15 @@
 #include "dsss/prepared_codebook.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/metrics_registry.hpp"
 
 namespace jrsnd::dsss {
 
-namespace {
-
-bool all_uniform(std::span<const SpreadCode> codes) noexcept {
-  for (const SpreadCode& code : codes) {
-    if (code.length() != codes[0].length()) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 void PreparedCodebook::assign(std::vector<SpreadCode> codes) {
   codes_ = std::move(codes);
-  uniform_ = all_uniform(codes_);
-  tables_.clear();
-  batch_.clear();
+  uniform_ = uniform_code_lengths(codes_);
+  batch_ = BatchShiftTable();
   built_.store(false, std::memory_order_release);
 }
 
@@ -38,32 +25,21 @@ bool PreparedCodebook::assign_if_changed(std::span<const SpreadCode> codes) {
   return true;
 }
 
-void PreparedCodebook::ensure_built() const {
+const BatchShiftTable& PreparedCodebook::batch_table() const {
   // Double-checked: the acquire load pairs with the release store below, so
-  // a reader that sees built_ == true also sees the fully-built tables_ and
-  // batch_ (one flag covers both forms — they always rebuild together).
+  // a reader that sees built_ == true also sees the fully-built batch_.
   if (built_.load(std::memory_order_acquire)) {
     JRSND_COUNT("dsss.prepared.tables.hits");
-    return;
+    return batch_;
   }
   const std::lock_guard<std::mutex> lock(build_mutex_);
   if (!built_.load(std::memory_order_relaxed)) {
     JRSND_COUNT("dsss.prepared.tables.builds");
-    tables_ = build_shift_tables(codes_);
-    batch_ = build_batch_tables(codes_);
+    if (uniform_ && !codes_.empty()) batch_ = BatchShiftTable(codes_);
     built_.store(true, std::memory_order_release);
   } else {
     JRSND_COUNT("dsss.prepared.tables.hits");
   }
-}
-
-std::span<const ShiftTable> PreparedCodebook::tables() const {
-  ensure_built();
-  return tables_;
-}
-
-std::span<const BatchShiftTable> PreparedCodebook::batch_tables() const {
-  ensure_built();
   return batch_;
 }
 

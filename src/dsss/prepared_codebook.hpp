@@ -1,16 +1,16 @@
 // Cached per-codebook scan precomputation (ROADMAP: transmit hot path).
 //
-// The sliding-window scan's setup cost — one ShiftTable per candidate code —
-// is pure function of the codebook, yet find_first/all_messages historically
+// The sliding-window scan's setup cost — the candidate pool's BatchShiftTable
+// — is pure function of the codebook, yet find_first/all_messages historically
 // rebuilt the tables on every call: once per transmission *and once more per
 // recover-and-rescan iteration*, even though a receiver's codebook changes
 // only when the authority rotates codes. PreparedCodebook owns a codebook
-// snapshot and lazily builds its tables exactly once, invalidating them only
+// snapshot and lazily builds its table exactly once, invalidating it only
 // when the codes actually change; the scan entry points that take a
 // PreparedCodebook (dsss/sliding_window.hpp) then run with zero per-call
 // setup.
 //
-// Thread safety: tables() uses double-checked locking (atomic flag with
+// Thread safety: batch_table() uses double-checked locking (atomic flag with
 // acquire/release ordering plus a build mutex), so any number of PR-2
 // thread-pool workers may scan against one shared PreparedCodebook
 // concurrently. Mutation (assign / assign_if_changed) is NOT synchronized
@@ -36,20 +36,21 @@ class PreparedCodebook {
   PreparedCodebook() = default;
   explicit PreparedCodebook(std::vector<SpreadCode> codes) { assign(std::move(codes)); }
 
-  /// Copies transfer the codes but not the tables (they rebuild lazily);
+  /// Copies transfer the codes but not the table (it rebuilds lazily);
   /// moves keep everything. Neither is synchronized — copy/move during
   /// single-threaded setup only.
-  PreparedCodebook(const PreparedCodebook& other) : codes_(other.codes_) {}
+  PreparedCodebook(const PreparedCodebook& other)
+      : codes_(other.codes_), uniform_(other.uniform_) {}
   PreparedCodebook(PreparedCodebook&& other) noexcept
       : codes_(std::move(other.codes_)),
-        tables_(std::move(other.tables_)),
+        uniform_(other.uniform_),
         batch_(std::move(other.batch_)),
         built_(other.built_.load(std::memory_order_relaxed)) {}
   PreparedCodebook& operator=(const PreparedCodebook& other) {
     if (this != &other) {
       codes_ = other.codes_;
-      tables_.clear();
-      batch_.clear();
+      uniform_ = other.uniform_;
+      batch_ = BatchShiftTable();
       built_.store(false, std::memory_order_relaxed);
     }
     return *this;
@@ -57,21 +58,21 @@ class PreparedCodebook {
   PreparedCodebook& operator=(PreparedCodebook&& other) noexcept {
     if (this != &other) {
       codes_ = std::move(other.codes_);
-      tables_ = std::move(other.tables_);
+      uniform_ = other.uniform_;
       batch_ = std::move(other.batch_);
       built_.store(other.built_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     }
     return *this;
   }
 
-  /// Replaces the codebook and invalidates the cached tables.
+  /// Replaces the codebook and invalidates the cached table.
   void assign(std::vector<SpreadCode> codes);
 
   /// assign() only if `codes` differs from the current snapshot. The
   /// comparison is word-level over the packed chip patterns and allocates
   /// nothing, so calling this once per transmission (as ChipPhy does for the
   /// monitored-code scan) costs a few word compares in the steady state.
-  /// Returns true when the codebook changed (tables were invalidated).
+  /// Returns true when the codebook changed (the table was invalidated).
   bool assign_if_changed(std::span<const SpreadCode> codes);
 
   [[nodiscard]] std::span<const SpreadCode> codes() const noexcept { return codes_; }
@@ -87,23 +88,16 @@ class PreparedCodebook {
   /// precondition, validated once at assign() instead of once per scan.
   [[nodiscard]] bool uniform_lengths() const noexcept { return uniform_; }
 
-  /// The per-code ShiftTables, built on first use and reused until the
-  /// codebook changes. Safe to call from multiple threads concurrently.
-  [[nodiscard]] std::span<const ShiftTable> tables() const;
-
-  /// The SIMD-batched table groups (one per distinct code length, so a
-  /// uniform codebook yields exactly one group — see build_batch_tables),
-  /// built and cached together with tables() under the same double-checked
-  /// flag. Safe to call from multiple threads concurrently.
-  [[nodiscard]] std::span<const BatchShiftTable> batch_tables() const;
+  /// The SIMD-batched table (lane c holds codes()[c]), built on first use
+  /// and reused until the codebook changes. Scans sync on it and despread
+  /// from the hit's lane. Empty for an empty or mixed-length codebook, over
+  /// which no scan runs. Safe to call from multiple threads concurrently.
+  [[nodiscard]] const BatchShiftTable& batch_table() const;
 
  private:
-  void ensure_built() const;
-
   std::vector<SpreadCode> codes_;
   bool uniform_ = true;
-  mutable std::vector<ShiftTable> tables_;
-  mutable std::vector<BatchShiftTable> batch_;
+  mutable BatchShiftTable batch_;
   mutable std::atomic<bool> built_{false};
   mutable std::mutex build_mutex_;
 };

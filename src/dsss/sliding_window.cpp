@@ -12,17 +12,6 @@ namespace jrsnd::dsss {
 
 namespace {
 
-/// The scan correlates every window against every candidate at a shared
-/// stride, so all candidates must agree on N. Callers that mix pool codes of
-/// different lengths have a configuration bug; surface it loudly in debug
-/// builds and fail the scan (no hit is better than a bogus one) in release.
-bool uniform_code_lengths(std::span<const SpreadCode> codes) noexcept {
-  for (const SpreadCode& code : codes) {
-    if (code.length() != codes[0].length()) return false;
-  }
-  return true;
-}
-
 /// Per-thread lane scratch for the batched kernel's hamming outputs. Grows
 /// to the largest lane_count seen by this thread and is then reused, so a
 /// steady-state scan allocates nothing (each thread-pool worker warms its
@@ -91,15 +80,13 @@ bool batch_sync_search(const BitVector& buffer, const BatchShiftTable& batch,
 }
 
 /// The shared scan core: every find_first entry point — per-call batch
-/// tables, cached PreparedCodebook tables, optional-returning or into-a-hit
+/// table, cached PreparedCodebook table, optional-returning or into-a-hit
 /// — runs this loop, so their results are bit-identical by construction.
-/// `despread_hit(pos, out)` recovers the message once the search locks on;
-/// callers pick the table source (cached per-code ShiftTable or a batch
-/// lane), every choice bit-identical. With a caller-reused `out` the whole
-/// call is allocation-free in the steady state.
-template <typename DespreadHit>
+/// Once the search locks on, the message is despread from the hit's batch
+/// lane. With a caller-reused `out` the whole call is allocation-free in the
+/// steady state.
 bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size_t message_bits,
-                double tau, std::size_t start_offset, SyncHit& out, DespreadHit&& despread_hit) {
+                double tau, std::size_t start_offset, SyncHit& out) {
   if (batch.empty() || message_bits == 0) return false;
   const std::size_t needed = message_bits * batch.length();
   if (buffer.size() < needed) return false;
@@ -111,7 +98,7 @@ bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size
   if (batch_sync_search(buffer, batch, needed, tau, start_offset, pos, below_tau)) {
     out.code_index = pos.code;
     out.chip_offset = pos.offset;
-    despread_hit(pos, out.message);
+    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, out.message);
     JRSND_COUNT("dsss.sync.hits");
     JRSND_COUNT_N("dsss.sync.windows_below_tau", below_tau);
     return true;
@@ -122,9 +109,8 @@ bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size
 }
 
 /// Shared find_all core over a batch group (see scan_first).
-template <typename DespreadHit>
 std::vector<SyncHit> scan_all(const BitVector& buffer, const BatchShiftTable& batch,
-                              std::size_t message_bits, double tau, DespreadHit&& despread_hit) {
+                              std::size_t message_bits, double tau) {
   std::vector<SyncHit> hits;
   if (batch.empty() || message_bits == 0) return hits;
   const std::size_t needed = message_bits * batch.length();
@@ -136,7 +122,7 @@ std::vector<SyncHit> scan_all(const BitVector& buffer, const BatchShiftTable& ba
     SyncHit hit;
     hit.code_index = pos.code;
     hit.chip_offset = pos.offset;
-    despread_hit(pos, hit.message);
+    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, hit.message);
     hits.push_back(std::move(hit));
     offset = pos.offset + needed;  // resume after the recovered message
   }
@@ -159,12 +145,7 @@ std::optional<SyncHit> find_first_message(const BitVector& buffer,
   // which caches this step across calls.
   const BatchShiftTable batch(codes);
   SyncHit hit;
-  if (scan_first(buffer, batch, message_bits, tau, start_offset, hit,
-                 [&](const ScanPos& pos, DespreadResult& message) {
-                   despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, message);
-                 })) {
-    return hit;
-  }
+  if (scan_first(buffer, batch, message_bits, tau, start_offset, hit)) return hit;
   return std::nullopt;
 }
 
@@ -184,16 +165,7 @@ bool find_first_message_into(const BitVector& buffer, const PreparedCodebook& co
                              SyncHit& out) {
   assert(codebook.uniform_lengths() && "find_first_message: mixed candidate code lengths");
   if (!codebook.uniform_lengths()) return false;
-  const std::span<const BatchShiftTable> groups = codebook.batch_tables();
-  if (groups.empty()) return false;
-  // Uniform codebook -> exactly one batch group; despread from the cached
-  // per-code ShiftTable (already built alongside the batch form).
-  const std::span<const ShiftTable> tables = codebook.tables();
-  return scan_first(buffer, groups[0], message_bits, tau, start_offset, out,
-                    [&](const ScanPos& pos, DespreadResult& message) {
-                      despread_into(buffer, pos.offset, message_bits, tables[pos.code], tau,
-                                    message);
-                    });
+  return scan_first(buffer, codebook.batch_table(), message_bits, tau, start_offset, out);
 }
 
 std::vector<SyncHit> find_all_messages(const BitVector& buffer, std::span<const SpreadCode> codes,
@@ -202,25 +174,14 @@ std::vector<SyncHit> find_all_messages(const BitVector& buffer, std::span<const 
   assert(uniform_code_lengths(codes) && "find_all_messages: mixed candidate code lengths");
   if (!uniform_code_lengths(codes)) return {};
 
-  const BatchShiftTable batch(codes);
-  return scan_all(buffer, batch, message_bits, tau,
-                  [&](const ScanPos& pos, DespreadResult& message) {
-                    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, message);
-                  });
+  return scan_all(buffer, BatchShiftTable(codes), message_bits, tau);
 }
 
 std::vector<SyncHit> find_all_messages(const BitVector& buffer, const PreparedCodebook& codebook,
                                        std::size_t message_bits, double tau) {
   assert(codebook.uniform_lengths() && "find_all_messages: mixed candidate code lengths");
   if (!codebook.uniform_lengths()) return {};
-  const std::span<const BatchShiftTable> groups = codebook.batch_tables();
-  if (groups.empty()) return {};
-  const std::span<const ShiftTable> tables = codebook.tables();
-  return scan_all(buffer, groups[0], message_bits, tau,
-                  [&](const ScanPos& pos, DespreadResult& message) {
-                    despread_into(buffer, pos.offset, message_bits, tables[pos.code], tau,
-                                  message);
-                  });
+  return scan_all(buffer, codebook.batch_table(), message_bits, tau);
 }
 
 std::optional<SyncHit> find_first_message_reference(const BitVector& buffer,

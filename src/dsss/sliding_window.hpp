@@ -10,8 +10,8 @@
 //
 // The scan core batches the whole candidate pool: one pass over the buffer
 // scores every code per window through BatchShiftTable::hamming_all
-// (dsss/sync_kernel.hpp), dispatched to the best SIMD backend the host
-// admits (JRSND_SIMD overrides). The threshold test runs in the Hamming
+// (dsss/sync_kernel.hpp), dispatched on the process-wide SIMD level
+// (common/cpu_features.hpp; JRSND_SIMD overrides). The threshold test runs in the Hamming
 // domain with bounds derived from the same double predicate, so hits,
 // counters, and recovered messages are byte-identical to the per-code path
 // and to the find_*_reference slice oracles below on every backend.
@@ -49,18 +49,18 @@ struct SyncHit {
 /// one window at one stride. Mixed lengths assert in debug builds and make
 /// the scan report no hit in release builds.
 ///
-/// Implementation: the allocation-free word-aligned kernel
-/// (dsss/sync_kernel.hpp) — each candidate is precomputed at all 64 word
-/// alignments once per scan, then every window is XOR + popcount against the
-/// buffer's packed words.
+/// Implementation: the allocation-free batched kernel (dsss/sync_kernel.hpp)
+/// — the candidate pool is precomputed at all 64 word alignments once per
+/// scan, then every window is XOR + popcount against the buffer's packed
+/// words.
 [[nodiscard]] std::optional<SyncHit> find_first_message(const BitVector& buffer,
                                                         std::span<const SpreadCode> codes,
                                                         std::size_t message_bits, double tau,
                                                         std::size_t start_offset = 0);
 
 /// find_first_message over a PreparedCodebook: identical results, but the
-/// per-code ShiftTables come from the codebook's cache instead of being
-/// rebuilt per call — the form ChipPhy's transmit path and its
+/// BatchShiftTable comes from the codebook's cache instead of being rebuilt
+/// per call — the form ChipPhy's transmit path and its
 /// recover-and-rescan loop use, where the same codebook is scanned at many
 /// resume offsets.
 [[nodiscard]] std::optional<SyncHit> find_first_message(const BitVector& buffer,
@@ -86,7 +86,7 @@ struct SyncHit {
                                                      std::span<const SpreadCode> codes,
                                                      std::size_t message_bits, double tau);
 
-/// find_all_messages over a PreparedCodebook (cached ShiftTables).
+/// find_all_messages over a PreparedCodebook (cached BatchShiftTable).
 [[nodiscard]] std::vector<SyncHit> find_all_messages(const BitVector& buffer,
                                                      const PreparedCodebook& codebook,
                                                      std::size_t message_bits, double tau);

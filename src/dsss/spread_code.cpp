@@ -23,4 +23,11 @@ double SpreadCode::correlate(const BitVector& window) const {
   return correlate_at(window, 0, chips_);
 }
 
+bool uniform_code_lengths(std::span<const SpreadCode> codes) noexcept {
+  for (const SpreadCode& code : codes) {
+    if (code.length() != codes[0].length()) return false;
+  }
+  return true;
+}
+
 }  // namespace jrsnd::dsss

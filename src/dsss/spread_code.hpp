@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/bit_vector.hpp"
@@ -44,5 +45,10 @@ class SpreadCode {
   BitVector chips_;
   CodeId id_;
 };
+
+/// True when every code shares codes[0].length() (vacuously for an empty
+/// span): the scan slides one window at one stride, so this is the
+/// candidate-pool precondition of every sliding-window entry point.
+[[nodiscard]] bool uniform_code_lengths(std::span<const SpreadCode> codes) noexcept;
 
 }  // namespace jrsnd::dsss

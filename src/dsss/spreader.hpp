@@ -55,8 +55,8 @@ struct DespreadResult {
 
 /// Kernel variants over a precomputed ShiftTable: same decisions and the
 /// bit-identical correlations of the SpreadCode overloads, but each window
-/// is correlated with zero allocation and zero bit-shifting — the path the
-/// sliding-window scan uses once it has built its per-scan tables.
+/// is correlated with zero allocation and zero bit-shifting — the per-code
+/// reference the batch-lane overload below is tested against.
 [[nodiscard]] DespreadResult despread(const BitVector& chips, std::size_t start,
                                       std::size_t bit_count, const ShiftTable& code, double tau);
 [[nodiscard]] DespreadBit despread_bit(const BitVector& chips, std::size_t start,
@@ -64,13 +64,13 @@ struct DespreadResult {
 
 /// despread() into a caller-owned result (cleared and refilled). Identical
 /// decisions; allocation-free once `out`'s buffers have steady-state
-/// capacity. Used by the sliding-window scan's _into entry point.
+/// capacity.
 void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
                    const ShiftTable& code, double tau, DespreadResult& out);
 
-/// despread_into over one lane of a SIMD-batched table — the path the
-/// batched scan uses when the caller has no per-code ShiftTable cache (the
-/// span-of-codes entry points). The lane's strided SoA reads produce the
+/// despread_into over one lane of a SIMD-batched table — the path every
+/// sliding-window scan takes to recover the message once the batched search
+/// has locked onto a code. The lane's strided SoA reads produce the
 /// same integer Hamming distances as a ShiftTable of the same code, so the
 /// decisions and correlations are bit-identical to every other despread
 /// overload. Precondition: lane < batch.size().

@@ -1,18 +1,12 @@
 #include "dsss/sync_kernel.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/cpu_features.hpp"
-#include "common/logging.hpp"
 #include "dsss/correlator.hpp"
 #include "dsss/spread_code.hpp"
-#include "obs/metrics_registry.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -224,101 +218,7 @@ void batch_hamming_neon(const std::uint64_t* rows, std::size_t lanes, std::size_
 
 #endif
 
-// --- backend resolution -----------------------------------------------------
-
-// 0 = unresolved; otherwise 1 + SimdBackend value. Relaxed ordering is
-// enough: resolution is a pure function of process-constant inputs (CPUID,
-// environment), so racing first-callers install the same value.
-std::atomic<int> g_simd_active{0};
-
-void publish_simd_gauge(SimdBackend backend) {
-  // Direct registry write (not the macro): like prof.backend, the gauge must
-  // reflect the live dispatch target even with metrics collection disabled.
-  obs::registry().gauge("dsss.simd.backend").set(static_cast<double>(backend));
-}
-
-SimdBackend best_supported_backend() noexcept {
-  if (simd_backend_supported(SimdBackend::kAvx512)) return SimdBackend::kAvx512;
-  if (simd_backend_supported(SimdBackend::kAvx2)) return SimdBackend::kAvx2;
-  if (simd_backend_supported(SimdBackend::kNeon)) return SimdBackend::kNeon;
-  return SimdBackend::kScalar;
-}
-
-SimdBackend clamp_to_supported(SimdBackend request) noexcept {
-  if (simd_backend_supported(request)) return request;
-  if (request == SimdBackend::kAvx512 && simd_backend_supported(SimdBackend::kAvx2)) {
-    return SimdBackend::kAvx2;
-  }
-  return SimdBackend::kScalar;
-}
-
-SimdBackend resolve_simd_backend() {
-  SimdBackend chosen = best_supported_backend();
-  if (const char* env = std::getenv("JRSND_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) {
-      chosen = SimdBackend::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      chosen = clamp_to_supported(SimdBackend::kAvx2);
-    } else if (std::strcmp(env, "avx512") == 0) {
-      chosen = clamp_to_supported(SimdBackend::kAvx512);
-    } else if (std::strcmp(env, "neon") == 0) {
-      chosen = clamp_to_supported(SimdBackend::kNeon);
-    } else if (env[0] != '\0') {
-      JRSND_WARN("dsss.simd") << "unknown JRSND_SIMD value '" << env << "' (want scalar|avx2|"
-                              << "avx512|neon); using " << simd_backend_name(chosen);
-    }
-  }
-  g_simd_active.store(1 + static_cast<int>(chosen), std::memory_order_relaxed);
-  publish_simd_gauge(chosen);
-  return chosen;
-}
-
 }  // namespace
-
-const char* simd_backend_name(SimdBackend backend) noexcept {
-  switch (backend) {
-    case SimdBackend::kScalar:
-      return "scalar";
-    case SimdBackend::kAvx2:
-      return "avx2";
-    case SimdBackend::kAvx512:
-      return "avx512";
-    case SimdBackend::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-bool simd_backend_supported(SimdBackend backend) noexcept {
-  switch (backend) {
-    case SimdBackend::kScalar:
-      return true;
-#if defined(__x86_64__)
-    case SimdBackend::kAvx2:
-      return cpu_features().avx2;
-    case SimdBackend::kAvx512:
-      return cpu_features().avx512_vpopcntdq;
-#elif defined(__aarch64__)
-    case SimdBackend::kNeon:
-      return cpu_features().neon;
-#endif
-    default:
-      return false;
-  }
-}
-
-SimdBackend simd_backend() {
-  const int v = g_simd_active.load(std::memory_order_relaxed);
-  if (v != 0) return static_cast<SimdBackend>(v - 1);
-  return resolve_simd_backend();
-}
-
-SimdBackend set_simd_backend(SimdBackend backend) {
-  const SimdBackend installed = clamp_to_supported(backend);
-  g_simd_active.store(1 + static_cast<int>(installed), std::memory_order_relaxed);
-  publish_simd_gauge(installed);
-  return installed;
-}
 
 std::size_t hamming_at(const BitVector& buffer, std::size_t bit_offset, const BitVector& code) {
   const std::size_t n = code.size();
@@ -365,16 +265,9 @@ std::vector<ShiftTable> build_shift_tables(std::span<const SpreadCode> codes) {
   return tables;
 }
 
-void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
-                            std::vector<std::size_t> sources) {
-  sources_ = std::move(sources);
-  m_ = codes.size();
-  if (m_ == 0) {
-    length_ = lanes_ = stride_ = 0;
-    rows_.clear();
-    return;
-  }
-  length_ = codes[0]->length();
+BatchShiftTable::BatchShiftTable(std::span<const SpreadCode> codes) : m_(codes.size()) {
+  if (m_ == 0) return;
+  length_ = codes[0].length();
   lanes_ = (m_ + kLaneAlign - 1) / kLaneAlign * kLaneAlign;
   stride_ = (kWordBits - 1 + length_ + kWordBits - 1) / kWordBits;
   // Padding lanes stay zero: harmless to XOR against, never reported. Seven
@@ -386,8 +279,8 @@ void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
   std::uint64_t* base = rows_.data() + align_offset_;
   std::vector<std::uint64_t> contiguous(stride_);
   for (std::size_t c = 0; c < m_; ++c) {
-    assert(codes[c]->length() == length_ && "BatchShiftTable: mixed code lengths in one group");
-    const std::span<const std::uint64_t> cw = codes[c]->bits().words();
+    assert(codes[c].length() == length_ && "BatchShiftTable: mixed code lengths");
+    const std::span<const std::uint64_t> cw = codes[c].bits().words();
     for (std::size_t s = 0; s < kWordBits; ++s) {
       shift_words(cw, s, contiguous.data(), stride_);
       // Transpose into SoA order: lane c of every (s, k) block.
@@ -396,18 +289,6 @@ void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
       }
     }
   }
-}
-
-BatchShiftTable::BatchShiftTable(std::span<const SpreadCode> codes) {
-  std::vector<const SpreadCode*> ptrs;
-  std::vector<std::size_t> sources;
-  ptrs.reserve(codes.size());
-  sources.reserve(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    ptrs.push_back(&codes[i]);
-    sources.push_back(i);
-  }
-  build(ptrs, std::move(sources));
 }
 
 void BatchShiftTable::hamming_all(const BitVector& buffer, std::size_t bit_offset,
@@ -470,31 +351,6 @@ std::size_t BatchShiftTable::hamming_lane(std::size_t lane, const BitVector& buf
 double BatchShiftTable::correlate_lane(std::size_t lane, const BitVector& buffer,
                                        std::size_t bit_offset) const {
   return correlation_from_hamming(length_, hamming_lane(lane, buffer, bit_offset));
-}
-
-std::vector<BatchShiftTable> build_batch_tables(std::span<const SpreadCode> codes) {
-  std::vector<BatchShiftTable> groups;
-  std::vector<std::size_t> lengths;  // distinct lengths, first-appearance order
-  for (const SpreadCode& code : codes) {
-    if (std::find(lengths.begin(), lengths.end(), code.length()) == lengths.end()) {
-      lengths.push_back(code.length());
-    }
-  }
-  groups.reserve(lengths.size());
-  for (const std::size_t length : lengths) {
-    std::vector<const SpreadCode*> ptrs;
-    std::vector<std::size_t> sources;
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      if (codes[i].length() == length) {
-        ptrs.push_back(&codes[i]);
-        sources.push_back(i);
-      }
-    }
-    BatchShiftTable group;
-    group.build(ptrs, std::move(sources));
-    groups.push_back(std::move(group));
-  }
-  return groups;
 }
 
 }  // namespace jrsnd::dsss

@@ -33,11 +33,11 @@
 //     codes: for every alignment s and word index k, the group's m code
 //     words sit contiguously, so the scan loads each buffer word once and
 //     XOR+popcounts it against every code in the group. The inner loop runs
-//     on one of several kernel backends selected once at startup (CPUID
-//     probe, JRSND_SIMD override): AVX-512 VPOPCNTDQ (8 codes per vector
-//     op), AVX2 (vpshufb nibble-LUT popcount + psadbw, 4 codes per vector),
-//     NEON vcnt on aarch64, or the portable scalar __builtin_popcountll
-//     path. All backends accumulate exact integer Hamming distances, so
+//     on one of several kernel backends selected once at startup (the
+//     shared SIMD level of common/cpu_features.hpp): AVX-512 VPOPCNTDQ (8
+//     codes per vector op), AVX2 (vpshufb nibble-LUT popcount + psadbw, 4
+//     codes per vector), NEON vcnt on aarch64, or the portable scalar
+//     __builtin_popcountll path. All backends accumulate exact integer Hamming distances, so
 //     every backend — and the single-code paths above — produce
 //     bit-identical correlations.
 #pragma once
@@ -49,33 +49,20 @@
 #include <vector>
 
 #include "common/bit_vector.hpp"
+#include "common/cpu_features.hpp"
 #include "dsss/correlator.hpp"
 
 namespace jrsnd::dsss {
 
 class SpreadCode;  // dsss/spread_code.hpp
 
-/// Kernel backend for the batched correlator. Numeric values are published
-/// through the `dsss.simd.backend` gauge (mirroring `prof.backend`).
-enum class SimdBackend : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
-
-[[nodiscard]] const char* simd_backend_name(SimdBackend backend) noexcept;
-
-/// Whether this process can run `backend` (compiled in AND supported by the
-/// CPU/OS per common/cpu_features.hpp). kScalar is always available.
-[[nodiscard]] bool simd_backend_supported(SimdBackend backend) noexcept;
-
-/// The backend the batched kernel dispatches to, resolved once: the
-/// JRSND_SIMD environment override (scalar|avx2|avx512|neon) when set and
-/// supported, otherwise the best the hardware admits. Resolution publishes
-/// the `dsss.simd.backend` gauge.
-[[nodiscard]] SimdBackend simd_backend();
-
-/// Forces the dispatch backend (tests, benches). Unsupported requests clamp
-/// to the best supported backend at or below the request (kNeon requests on
-/// x86 clamp to kScalar). Updates the `dsss.simd.backend` gauge and returns
-/// the backend actually installed.
-SimdBackend set_simd_backend(SimdBackend backend);
+// The batched kernel dispatches on the process-wide SIMD level resolved in
+// common/cpu_features.hpp; these declarations keep the dsss:: spelling.
+using jrsnd::set_simd_backend;
+using jrsnd::SimdBackend;
+using jrsnd::simd_backend;
+using jrsnd::simd_backend_name;
+using jrsnd::simd_backend_supported;
 
 /// Hamming distance between `code` and the window buffer[bit_offset,
 /// bit_offset + code.size()), computed against packed words with no
@@ -137,8 +124,8 @@ class ShiftTable {
   std::vector<std::uint64_t> rows_;  ///< 64 rows of stride_ words: code >> s
 };
 
-/// One ShiftTable per candidate code — the per-scan precomputation
-/// find_first_message / find_all_messages build before their window loops.
+/// One ShiftTable per candidate code — the per-code reference form the
+/// batched kernel is tested and benchmarked against.
 [[nodiscard]] std::vector<ShiftTable> build_shift_tables(std::span<const SpreadCode> codes);
 
 /// A *group* of same-length candidate codes precomputed at all 64 word
@@ -153,9 +140,8 @@ class BatchShiftTable {
   /// Empty group (size() == 0; hamming_all is a no-op).
   BatchShiftTable() = default;
 
-  /// Batches `codes` with identity source indices. Precondition: uniform
-  /// lengths (callers with mixed pools go through build_batch_tables, which
-  /// groups by length instead of asserting).
+  /// Batches `codes`, lane c holding codes[c]. Precondition: uniform
+  /// lengths (the scan entry points check it before building).
   explicit BatchShiftTable(std::span<const SpreadCode> codes);
 
   [[nodiscard]] std::size_t size() const noexcept { return m_; }
@@ -165,11 +151,6 @@ class BatchShiftTable {
   /// Lanes the kernels actually write: size() rounded up to 8. Output spans
   /// handed to hamming_all must cover this many entries.
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_; }
-
-  /// The index this lane's code had in the span the table was built from
-  /// (identity for the uniform constructor; original codebook position for
-  /// build_batch_tables groups).
-  [[nodiscard]] std::size_t source_index(std::size_t lane) const { return sources_[lane]; }
 
   /// Hamming distance of *every* code in the group against the window at
   /// `bit_offset`, written to out[0, size()) (out[size(), lane_count()) is
@@ -191,10 +172,6 @@ class BatchShiftTable {
                                       std::size_t bit_offset) const;
 
  private:
-  friend std::vector<BatchShiftTable> build_batch_tables(std::span<const SpreadCode> codes);
-
-  void build(std::span<const SpreadCode* const> codes, std::vector<std::size_t> sources);
-
   static constexpr std::size_t kWordBits = 64;
   static constexpr std::size_t kLaneAlign = 8;  ///< AVX-512: 8 x 64-bit lanes
 
@@ -202,7 +179,6 @@ class BatchShiftTable {
   std::size_t m_ = 0;
   std::size_t lanes_ = 0;
   std::size_t stride_ = 0;  ///< words per alignment row (worst case, s = 63)
-  std::vector<std::size_t> sources_;
   /// SoA rows at [(s * stride_ + k) * lanes_ + c], starting align_offset_
   /// words into the vector so the lane blocks sit on 64-byte boundaries
   /// (vector loads never straddle cache lines). The kernels still use
@@ -215,12 +191,5 @@ class BatchShiftTable {
     return rows_.data() + align_offset_;
   }
 };
-
-/// Groups `codes` by chip length (groups ordered by first appearance, codes
-/// within a group in original order, source_index preserving the original
-/// position) and batches each group. Mixed-length pools therefore fall back
-/// to one BatchShiftTable per length instead of asserting; a uniform pool
-/// yields exactly one group. Empty input yields no groups.
-[[nodiscard]] std::vector<BatchShiftTable> build_batch_tables(std::span<const SpreadCode> codes);
 
 }  // namespace jrsnd::dsss

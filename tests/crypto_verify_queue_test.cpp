@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "adversary/dos_attacker.hpp"
+#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/messages.hpp"
@@ -211,10 +212,10 @@ TEST(VerifyQueueSimd, CompressX8MatchesScalarPerLane) {
 }
 
 TEST(VerifyQueueSimd, Avx2BackendMatchesForcedScalar) {
-  if (!hash_backend_supported(HashBackend::kAvx2)) {
+  if (!simd_backend_supported(SimdBackend::kAvx2)) {
     GTEST_SKIP() << "no AVX2 on this host";
   }
-  const HashBackend previous = hash_backend();
+  const SimdBackend previous = simd_backend();
   Rng rng(32);
   for (int trial = 0; trial < 20; ++trial) {
     std::array<std::uint32_t, 8> avx_states[kSha256Lanes];
@@ -225,15 +226,44 @@ TEST(VerifyQueueSimd, Avx2BackendMatchesForcedScalar) {
       for (auto& byte : blocks[l]) byte = static_cast<std::uint8_t>(rng.uniform(256));
       scalar_states[l] = avx_states[l];
     }
-    ASSERT_EQ(set_hash_backend(HashBackend::kAvx2), HashBackend::kAvx2);
+    ASSERT_EQ(set_simd_backend(SimdBackend::kAvx2), SimdBackend::kAvx2);
+    ASSERT_EQ(hash_backend(), HashBackend::kAvx2);
     sha256_compress_x8(avx_states, blocks);
-    ASSERT_EQ(set_hash_backend(HashBackend::kScalar), HashBackend::kScalar);
+    ASSERT_EQ(set_simd_backend(SimdBackend::kScalar), SimdBackend::kScalar);
+    ASSERT_EQ(hash_backend(), HashBackend::kScalar);
     sha256_compress_x8(scalar_states, blocks);
     for (std::size_t l = 0; l < kSha256Lanes; ++l) {
       EXPECT_EQ(avx_states[l], scalar_states[l]) << "trial " << trial << " lane " << l;
     }
   }
-  set_hash_backend(previous);
+  set_simd_backend(previous);
+}
+
+// One SIMD level governs both kernels: forcing it to scalar must move the
+// hash lanes too (not only the sync correlator), publish the shared gauge
+// even with metrics off, and leave the digests on the per-lane reference.
+TEST(VerifyQueueSimd, ForcedScalarLevelReachesHashLanes) {
+  const SimdBackend previous = simd_backend();
+  obs::set_metrics_enabled(false);
+  ASSERT_EQ(set_simd_backend(SimdBackend::kScalar), SimdBackend::kScalar);
+  EXPECT_EQ(hash_backend(), HashBackend::kScalar);
+  EXPECT_EQ(obs::registry().gauge("simd.backend").value(),
+            static_cast<double>(SimdBackend::kScalar));
+
+  Rng rng(33);
+  std::array<std::uint32_t, 8> states[kSha256Lanes];
+  std::array<std::uint32_t, 8> reference[kSha256Lanes];
+  std::uint8_t blocks[kSha256Lanes][64];
+  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
+    for (auto& word : states[l]) word = static_cast<std::uint32_t>(rng.next());
+    for (auto& byte : blocks[l]) byte = static_cast<std::uint8_t>(rng.uniform(256));
+    reference[l] = states[l];
+    sha256_compress(reference[l], blocks[l]);
+  }
+  sha256_compress_x8(states, blocks);
+  for (std::size_t l = 0; l < kSha256Lanes; ++l) EXPECT_EQ(states[l], reference[l]) << l;
+
+  set_simd_backend(previous);
 }
 
 TEST(VerifyQueueSimd, MacX8MatchesScalarMac) {

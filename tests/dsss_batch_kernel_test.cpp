@@ -141,7 +141,7 @@ TEST(BatchKernel, EmptyGroupIsInert) {
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.size(), 0U);
   EXPECT_EQ(batch.lane_count(), 0U);
-  EXPECT_EQ(build_batch_tables({}).size(), 0U);
+  EXPECT_TRUE(BatchShiftTable(std::span<const SpreadCode>{}).empty());
 }
 
 // A singleton group must match the single-code kernel exactly — the batched
@@ -156,7 +156,6 @@ TEST(BatchKernel, SingletonGroupMatchesSingleCodeKernel) {
     const ShiftTable table(code);
     ASSERT_EQ(batch.size(), 1U);
     ASSERT_EQ(batch.lane_count(), 8U);
-    EXPECT_EQ(batch.source_index(0), 0U);
 
     const BitVector buffer = random_bits(rng, 200 + 130);
     std::vector<std::uint64_t> hams(batch.lane_count());
@@ -167,55 +166,17 @@ TEST(BatchKernel, SingletonGroupMatchesSingleCodeKernel) {
   }
 }
 
-// Mixed-length pools group per distinct length (first-appearance order)
-// without asserting; each group's lanes keep their original codebook
-// indices so a hit can be mapped back to the source code.
-TEST(BatchKernel, MixedLengthsGroupPerLengthWithoutAsserting) {
-  Rng rng(14);
-  std::vector<SpreadCode> codes;
-  codes.push_back(SpreadCode::random(rng, 64));   // group 0, lane 0
-  codes.push_back(SpreadCode::random(rng, 128));  // group 1, lane 0
-  codes.push_back(SpreadCode::random(rng, 64));   // group 0, lane 1
-  codes.push_back(SpreadCode::random(rng, 32));   // group 2, lane 0
-  codes.push_back(SpreadCode::random(rng, 128));  // group 1, lane 1
-
-  const std::vector<BatchShiftTable> groups = build_batch_tables(codes);
-  ASSERT_EQ(groups.size(), 3U);
-  EXPECT_EQ(groups[0].length(), 64U);
-  EXPECT_EQ(groups[1].length(), 128U);
-  EXPECT_EQ(groups[2].length(), 32U);
-  ASSERT_EQ(groups[0].size(), 2U);
-  ASSERT_EQ(groups[1].size(), 2U);
-  ASSERT_EQ(groups[2].size(), 1U);
-  EXPECT_EQ(groups[0].source_index(0), 0U);
-  EXPECT_EQ(groups[0].source_index(1), 2U);
-  EXPECT_EQ(groups[1].source_index(0), 1U);
-  EXPECT_EQ(groups[1].source_index(1), 4U);
-  EXPECT_EQ(groups[2].source_index(0), 3U);
-
-  // Every lane of every group still matches its source code's ShiftTable.
-  const BitVector buffer = random_bits(rng, 300);
-  for (const BatchShiftTable& group : groups) {
-    for (std::size_t lane = 0; lane < group.size(); ++lane) {
-      const ShiftTable table(codes[group.source_index(lane)]);
-      for (std::size_t offset = 0; offset + group.length() <= buffer.size(); ++offset) {
-        ASSERT_EQ(group.hamming_lane(lane, buffer, offset), table.hamming(buffer, offset));
-      }
-    }
-  }
-}
-
-// A PreparedCodebook over a mixed pool builds its groups without asserting
-// (scans still refuse mixed pools; the grouping itself must be safe).
-TEST(BatchKernel, MixedLengthPreparedCodebookBuildsGroups) {
+// A mixed-length pool has no single scan stride, so a PreparedCodebook over
+// one builds no table at all; every scan entry point refuses it up front.
+TEST(BatchKernel, MixedLengthPreparedCodebookBuildsNoTable) {
   Rng rng(15);
   std::vector<SpreadCode> codes;
   codes.push_back(SpreadCode::random(rng, 64));
   codes.push_back(SpreadCode::random(rng, 96));
   const PreparedCodebook codebook{std::move(codes)};
   EXPECT_FALSE(codebook.uniform_lengths());
-  EXPECT_EQ(codebook.batch_tables().size(), 2U);
-  EXPECT_EQ(codebook.tables().size(), 2U);
+  EXPECT_TRUE(codebook.batch_table().empty());
+  EXPECT_EQ(codebook.batch_table().size(), 0U);
 }
 
 /// Builds a buffer with `planted` messages spread by randomly chosen codes

@@ -1,4 +1,4 @@
-// PreparedCodebook cache correctness: scans over cached ShiftTables must be
+// PreparedCodebook cache correctness: scans over the cached BatchShiftTable must be
 // bit-identical to the slice-based reference oracles at every offset —
 // including the resume offsets the recover-and-rescan loop uses — and the
 // cache must invalidate exactly when the codes change. The concurrency test
@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "dsss/sliding_window.hpp"
 #include "dsss/spreader.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace jrsnd::dsss {
 namespace {
@@ -30,6 +31,24 @@ std::vector<SpreadCode> random_codes(Rng& rng, std::size_t count, std::size_t le
     codes.push_back(SpreadCode::random(rng, length, code_id(static_cast<std::uint32_t>(i))));
   }
   return codes;
+}
+
+/// Table builds and cache hits `body` performs, counted in a scratch registry.
+struct TableCounts {
+  std::uint64_t builds = 0;
+  std::uint64_t hits = 0;
+};
+
+template <typename Body>
+TableCounts count_table_lookups(Body&& body) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry registry;
+  {
+    const obs::ScopedMetricsRegistry scoped(&registry);
+    body();
+  }
+  return {registry.counter("dsss.prepared.tables.builds").value(),
+          registry.counter("dsss.prepared.tables.hits").value()};
 }
 
 void expect_same_hit(const std::optional<SyncHit>& got, const std::optional<SyncHit>& want) {
@@ -138,15 +157,22 @@ TEST(PreparedCodebook, AssignIfChangedKeepsTablesForIdenticalCodes) {
   Rng rng(11);
   const std::vector<SpreadCode> codes = random_codes(rng, 3, 128);
   PreparedCodebook prepared(codes);
-  const ShiftTable* before = prepared.tables().data();
+  EXPECT_EQ(prepared.batch_table().size(), 3u);
 
-  EXPECT_FALSE(prepared.assign_if_changed(codes));
-  EXPECT_EQ(prepared.tables().data(), before) << "unchanged codebook must keep cached tables";
+  const TableCounts kept = count_table_lookups([&] {
+    EXPECT_FALSE(prepared.assign_if_changed(codes));
+    EXPECT_EQ(prepared.batch_table().size(), 3u);
+  });
+  EXPECT_EQ(kept.builds, 0u) << "unchanged codebook must keep the cached table";
+  EXPECT_EQ(kept.hits, 1u);
 
   std::vector<SpreadCode> shrunk(codes.begin(), codes.end() - 1);
-  EXPECT_TRUE(prepared.assign_if_changed(shrunk));
-  EXPECT_EQ(prepared.size(), 2u);
-  EXPECT_EQ(prepared.tables().size(), 2u);
+  const TableCounts rebuilt = count_table_lookups([&] {
+    EXPECT_TRUE(prepared.assign_if_changed(shrunk));
+    EXPECT_EQ(prepared.size(), 2u);
+    EXPECT_EQ(prepared.batch_table().size(), 2u);
+  });
+  EXPECT_EQ(rebuilt.builds, 1u);
 }
 
 TEST(PreparedCodebook, EmptyCodebookScansFindNothing) {
@@ -159,7 +185,7 @@ TEST(PreparedCodebook, EmptyCodebookScansFindNothing) {
 }
 
 TEST(PreparedCodebook, ConcurrentScannersShareOneLazyBuild) {
-  // Many threads race the first tables() build and then scan; TSan verifies
+  // Many threads race the first batch_table() build and then scan; TSan verifies
   // the double-checked construction, and every thread must see identical
   // results.
   Rng rng(31);
@@ -195,12 +221,15 @@ TEST(NodeCodebookCache, PrepareRefreshesOnlyOnChange) {
   const std::vector<SpreadCode> codes = random_codes(rng, 2, 64);
   NodeCodebookCache cache;
   const PreparedCodebook& first = cache.prepare(node_id(3), codes);
-  const ShiftTable* tables = first.tables().data();
+  const BatchShiftTable* table = &first.batch_table();
 
-  // Same codes: same entry, same cached tables.
-  const PreparedCodebook& again = cache.prepare(node_id(3), codes);
-  EXPECT_EQ(&again, &first);
-  EXPECT_EQ(again.tables().data(), tables);
+  // Same codes: same entry, same cached table, no rebuild.
+  const TableCounts counts = count_table_lookups([&] {
+    const PreparedCodebook& again = cache.prepare(node_id(3), codes);
+    EXPECT_EQ(&again, &first);
+    EXPECT_EQ(&again.batch_table(), table);
+  });
+  EXPECT_EQ(counts.builds, 0u);
 
   // Different node: independent entry.
   const PreparedCodebook& other = cache.prepare(node_id(4), codes);

@@ -72,7 +72,7 @@ TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
 
   const dsss::SpreadCode code = dsss::SpreadCode::random(rng, params.N, code_id(0));
   dsss::PreparedCodebook prepared(std::vector<dsss::SpreadCode>{code});
-  (void)prepared.tables();  // build the ShiftTables outside the counted region
+  (void)prepared.batch_table();  // build the table outside the counted region
 
   core::ChipPhy phy(
       params, topology, clean,
