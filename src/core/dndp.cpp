@@ -11,12 +11,6 @@ namespace jrsnd::core {
 
 namespace {
 
-std::vector<CodeId> intersect_sorted(const std::vector<CodeId>& a, const std::vector<CodeId>& b) {
-  std::vector<CodeId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
 WireConfig wire_from_params(const Params& params) noexcept {
   WireConfig wire;
   wire.l_t = params.l_t;
@@ -77,65 +71,72 @@ std::optional<BitVector> DndpEngine::transmit_with_retry(
   }
 }
 
-std::optional<DndpEngine::SubsessionOutcome> DndpEngine::run_subsession(
-    NodeState& a, NodeState& b, CodeId code, const BitVector& nonce_a,
-    const BitVector& nonce_b, HandshakeStateMachine& hs, DndpResult& result) {
+bool DndpEngine::run_subsession(NodeState& a, NodeState& b, CodeId code, PairState& pair,
+                                HandshakeStateMachine& hs, DndpResult& result) {
   const TxCode tx{code, &a.code_pattern(code)};
-  SubsessionOutcome outcome;
 
   // 2. B -> A: {CONFIRM, ID_B}_{C_i}.
-  const ConfirmMessage confirm{b.id()};
-  const auto confirm_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(),
-                                              a.id(), tx, TxClass::Confirm,
-                                              confirm.encode(wire_));
-  if (!confirm_rx) return std::nullopt;
+  const auto confirm_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(), a.id(), tx,
+                                              TxClass::Confirm, pair.confirm);
+  if (!confirm_rx) return false;
   const auto confirm_decoded = ConfirmMessage::decode(*confirm_rx, wire_);
   if (!confirm_decoded) {
     result.mac_failure = true;  // malformed after successful delivery: tampering
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
-  const NodeId id_b = confirm_decoded->sender;  // A now knows B's claimed ID
 
-  // 3. A -> B: {ID_A, n_A, f_{K_AB}(ID_A | n_A)}_{C_i}.
-  const crypto::SymmetricKey key_ab = a.key().shared_key(id_b);
-  const AuthMessage auth1 = AuthMessage::make(a.id(), nonce_a, key_ab, wire_);
-  const auto auth1_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(),
-                                            b.id(), tx, TxClass::Auth,
-                                            auth1.encode(wire_));
-  if (!auth1_rx) return std::nullopt;
+  // 3. A -> B: {ID_A, n_A, f_{K_AB}(ID_A | n_A)}_{C_i}, keyed by A's own
+  // derivation for the ID it decoded from the CONFIRM.
+  const crypto::PinnedKey& key_a = derive_end_key(a_key_, a.key(), confirm_decoded->sender);
+  if (!pair.auth1 || pair.auth1_key != key_a.cache_key) {
+    pair.auth1 = AuthMessage::make(a.id(), pair.nonce_a, key_a.key.schedule, wire_).encode(wire_);
+    pair.auth1_key = key_a.cache_key;
+  }
+  const auto auth1_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(), b.id(), tx,
+                                            TxClass::Auth, *pair.auth1);
+  if (!auth1_rx) return false;
 
-  // B verifies through the staged early-reject pipeline (length -> format ->
-  // code -> MAC, per-peer key schedule cached): equal MACs prove A holds the
-  // key the authority issued for ID_A (mutual authentication, paper §V-B).
-  // Only a MAC-stage reject is attributed to tampering; a frame that fails
-  // the cheap stages is a decode failure, exactly as before.
-  const AuthVerdict auth1_v = verifier_.verify_auth(*auth1_rx, code, code, b.key());
+  // B derives its own key for the sender AUTH1 claims and verifies through
+  // the staged early-reject pipeline (length -> format -> code -> MAC): equal
+  // MACs prove A holds the key the authority issued for ID_A (mutual
+  // authentication, paper §V-B). Only a MAC-stage reject is attributed to
+  // tampering; a frame that fails the cheap stages is a decode failure.
+  const std::optional<std::uint32_t> claimed = verifier_.queue().claimed_sender(*auth1_rx);
+  const crypto::PinnedKey* key_b =
+      claimed ? &derive_end_key(b_key_, b.key(), node_id(*claimed)) : nullptr;
+  const AuthVerdict auth1_v = verifier_.verify_auth(*auth1_rx, code, code, b.key(), key_b);
   if (!auth1_v.accepted()) {
     if (auth1_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
-  const crypto::SymmetricKey key_ba = auth1_v.key;
 
-  // 4. B -> A: {ID_B, n_B, f_{K_BA}(ID_B | n_B)}_{C_i}.
-  const AuthMessage auth2 = AuthMessage::make(b.id(), nonce_b, key_ba, wire_);
-  const auto auth2_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(),
-                                            a.id(), tx, TxClass::Auth,
-                                            auth2.encode(wire_));
-  if (!auth2_rx) return std::nullopt;
-  const AuthVerdict auth2_v = verifier_.verify_auth(*auth2_rx, code, code, a.key());
+  // 4. B -> A: {ID_B, n_B, f_{K_BA}(ID_B | n_B)}_{C_i}, under the key AUTH1
+  // verified under (an accepted frame parsed, so key_b is set).
+  if (!pair.auth2 || pair.auth2_key != key_b->cache_key) {
+    pair.auth2 = AuthMessage::make(b.id(), pair.nonce_b, key_b->key.schedule, wire_).encode(wire_);
+    pair.auth2_key = key_b->cache_key;
+  }
+  const auto auth2_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(), a.id(), tx,
+                                            TxClass::Auth, *pair.auth2);
+  if (!auth2_rx) return false;
+  const AuthVerdict auth2_v = verifier_.verify_auth(*auth2_rx, code, code, a.key(), &key_a);
   if (!auth2_v.accepted()) {
     if (auth2_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
 
-  // Both ends derive C_AB = h_{K}(n_A ^ n_B); XOR makes it symmetric.
-  outcome.key_ab = key_ab;
-  outcome.session_code = crypto::derive_session_code(key_ab, auth1_v.nonce,
-                                                     auth2_v.nonce, params_.N);
-  return outcome;
+  // Both ends derive C_AB = h_{K}(n_A ^ n_B); XOR makes it symmetric. Only
+  // the first complete sub-session's code is kept, so later ones skip it.
+  if (!pair.winner) {
+    pair.winner = LogicalNeighbor{
+        key_a.key.raw,
+        crypto::derive_session_code(key_a.key.schedule, auth1_v.nonce, auth2_v.nonce, params_.N),
+        false};
+  }
+  return true;
 }
 
 DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
@@ -151,9 +152,13 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   root.with_u64("b", raw(b.id()));
   (void)obs::take_loss_reason();  // start the attempt with a clean channel
 
-  std::vector<CodeId> shared = intersect_sorted(a.usable_codes(), b.usable_codes());
-  result.shared_codes = static_cast<std::uint32_t>(shared.size());
-  if (shared.empty()) {
+  const std::vector<CodeId>& usable_a = a.usable_codes();
+  const std::vector<CodeId>& usable_b = b.usable_codes();
+  shared_.clear();
+  std::set_intersection(usable_a.begin(), usable_a.end(), usable_b.begin(), usable_b.end(),
+                        std::back_inserter(shared_));
+  result.shared_codes = static_cast<std::uint32_t>(shared_.size());
+  if (shared_.empty()) {
     JRSND_COUNT("dndp.no_shared_code");
     JRSND_COUNT("dndp.failed");
     root.set_ok(false);
@@ -163,23 +168,25 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
 
   // Session nonces are drawn once; all sub-sessions establish the same
   // session code (paper's redundancy design).
-  const BitVector nonce_a = a.make_nonce(params_.l_n);
-  const BitVector nonce_b = b.make_nonce(params_.l_n);
+  PairState pair;
+  pair.nonce_a = a.make_nonce(params_.l_n);
+  pair.nonce_b = b.make_nonce(params_.l_n);
+  pair.hello = HelloMessage{a.id()}.encode(wire_);
+  pair.confirm = ConfirmMessage{b.id()}.encode(wire_);
 
   // The naive (non-redundant) variant lets B pick one random code among the
   // HELLOs it received; iterating a random permutation and stopping at the
   // first delivered HELLO selects uniformly among them.
-  if (!redundancy_) b.rng().shuffle(std::span<CodeId>(shared));
+  if (!redundancy_) b.rng().shuffle(std::span<CodeId>(shared_));
 
   // The retry discipline measures timeouts on the initiator's local clock;
   // with no fault layer attached every clock runs at the nominal rate.
   const double clock_rate = clock_ ? clock_->rate(a.id()) : 1.0;
 
-  std::optional<SubsessionOutcome> winner;
   std::uint32_t attempted = 0;
   obs::LossStage last_loss = obs::LossStage::None;
   Duration elapsed_total{0.0};
-  for (const CodeId code : shared) {
+  for (const CodeId code : shared_) {
     JRSND_COUNT("dndp.subsessions.started");
     ++attempted;
     phy_.begin_subsession(a.id(), b.id(), code);
@@ -191,11 +198,9 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
 
     // 1. A -> *: {HELLO, ID_A}_{C_i}. (The broadcast also uses A's other
     // codes; only shared ones can reach B, so we model those.)
-    const HelloMessage hello{a.id()};
     const TxCode tx{code, &a.code_pattern(code)};
-    const auto hello_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(),
-                                              b.id(), tx, TxClass::Hello,
-                                              hello.encode(wire_));
+    const auto hello_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(), b.id(), tx,
+                                              TxClass::Hello, pair.hello);
     std::optional<HelloMessage> hello_decoded;
     if (hello_rx) {
       hello_decoded = HelloMessage::decode(*hello_rx, wire_);
@@ -203,14 +208,10 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
     }
     if (hello_decoded) {
       ++result.hellos_delivered;
-      const auto outcome = run_subsession(a, b, code, nonce_a, nonce_b, hs, result);
-      if (outcome.has_value()) {
+      if (run_subsession(a, b, code, pair, hs, result)) {
         ++result.subsessions_completed;
         sub_ok = true;
-        if (!winner.has_value()) {
-          winner = outcome;
-          result.winning_code = code;
-        }
+        if (!result.winning_code) result.winning_code = code;
       }
     }
     sub.set_ok(sub_ok);
@@ -230,12 +231,10 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
     if (hello_decoded && !redundancy_) break;
   }
 
-  if (winner.has_value()) {
+  if (pair.winner) {
     result.discovered = true;
-    LogicalNeighbor for_a{winner->key_ab, winner->session_code, false};
-    LogicalNeighbor for_b{winner->key_ab, winner->session_code, false};
-    a.add_logical_neighbor(b.id(), std::move(for_a));
-    b.add_logical_neighbor(a.id(), std::move(for_b));
+    a.add_logical_neighbor(b.id(), *pair.winner);
+    b.add_logical_neighbor(a.id(), std::move(*pair.winner));
   }
 
   root.set_ok(result.discovered);

@@ -16,7 +16,9 @@
 // the full exchange (same nonces, same resulting session code); discovery
 // fails only if every sub-session fails. The engine executes the real
 // cryptography — nonces, MAC computation/verification, session-code
-// derivation — over whichever PhyModel it is given.
+// derivation — over whichever PhyModel it is given, once per pair and end
+// rather than once per sub-session: every delivered AUTH frame is still
+// verified in full.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +62,28 @@ class DndpEngine {
   DndpResult run(NodeState& a, NodeState& b);
 
  private:
-  /// Executes messages 2-4 of one sub-session on code `code`; returns the
-  /// session information derived, or nullopt if any message is lost.
-  struct SubsessionOutcome {
-    crypto::SymmetricKey key_ab{};
-    BitVector session_code;
+  /// Per-pair values every sub-session shares. The nonces are drawn once per
+  /// pair, so each frame below is a pure function of its sender, nonce and
+  /// key: it is encoded on first use and re-encoded only if the key the
+  /// sending end holds changes (tagged by that key's cache key).
+  struct PairState {
+    BitVector nonce_a;
+    BitVector nonce_b;
+    BitVector hello;
+    BitVector confirm;
+    std::optional<BitVector> auth1;  ///< A's AUTH, under A's key context
+    std::uint64_t auth1_key = 0;
+    std::optional<BitVector> auth2;  ///< B's AUTH, under B's key context
+    std::uint64_t auth2_key = 0;
+    /// What the first complete sub-session establishes (K_AB, C_AB).
+    std::optional<LogicalNeighbor> winner;
   };
-  [[nodiscard]] std::optional<SubsessionOutcome> run_subsession(
-      NodeState& a, NodeState& b, CodeId code, const BitVector& nonce_a,
-      const BitVector& nonce_b, HandshakeStateMachine& hs, DndpResult& result);
+
+  /// Executes messages 2-4 of one sub-session on code `code`; returns false
+  /// if any message is lost or rejected. The first sub-session to complete
+  /// derives the session code into `pair.winner`.
+  [[nodiscard]] bool run_subsession(NodeState& a, NodeState& b, CodeId code, PairState& pair,
+                                    HandshakeStateMachine& hs, DndpResult& result);
 
   /// One handshake message with the retry discipline: on transmission loss,
   /// waits out the stage timeout, re-arms the sub-session's jamming fate
@@ -82,9 +97,17 @@ class DndpEngine {
   const Params& params_;
   WireConfig wire_;
   /// Staged early-reject AUTH verification (length -> format -> code -> MAC)
-  /// with per-peer key-schedule caching — the handshake-flood hardening.
-  /// Decisions are bit-identical to the old decode + verify pair.
+  /// — the handshake-flood hardening. Decisions are bit-identical to the old
+  /// decode + verify pair.
   HandshakeVerifier verifier_;
+  /// Each end's key context (derive_end_key): A's for the id it decoded from
+  /// the CONFIRM, B's for the sender AUTH1 claims. Each serves its end's own
+  /// AUTH MAC, the verification of the frame that end receives and, at A,
+  /// the session-code PRF; an end never verifies under the other's slot.
+  /// Like the verifier's peer cache, they assume one IBC authority.
+  std::optional<crypto::PinnedKey> a_key_;
+  std::optional<crypto::PinnedKey> b_key_;
+  std::vector<CodeId> shared_;  ///< usable-code intersection, reused across pairs
   PhyModel& phy_;
   bool redundancy_;
   Rng retry_rng_;

@@ -110,15 +110,28 @@ crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept {
   return out;
 }
 
-std::uint64_t IbcPairKeySource::cache_key(std::uint32_t sender) const noexcept {
-  const std::uint32_t self = raw(receiver->id());
-  const std::uint32_t lo = std::min(self, sender);
-  const std::uint32_t hi = std::max(self, sender);
+std::uint64_t ibc_pair_cache_key(std::uint32_t self, std::uint32_t peer) noexcept {
+  const std::uint32_t lo = std::min(self, peer);
+  const std::uint32_t hi = std::max(self, peer);
   return (std::uint64_t{lo} << 32) | hi;
+}
+
+std::uint64_t IbcPairKeySource::cache_key(std::uint32_t sender) const noexcept {
+  return ibc_pair_cache_key(raw(receiver->id()), sender);
 }
 
 crypto::SymmetricKey IbcPairKeySource::key_for(std::uint32_t sender) const {
   return receiver->shared_key(node_id(sender));
+}
+
+const crypto::PinnedKey& derive_end_key(std::optional<crypto::PinnedKey>& slot,
+                                        const crypto::IbcPrivateKey& self, NodeId peer) {
+  const std::uint64_t cache_key = ibc_pair_cache_key(raw(self.id()), raw(peer));
+  if (!slot || slot->cache_key != cache_key) {
+    const crypto::SymmetricKey key = self.shared_key(peer);
+    slot.emplace(crypto::PinnedKey{cache_key, crypto::PairKey{key, crypto::HmacKey(key)}});
+  }
+  return *slot;
 }
 
 HandshakeVerifier::HandshakeVerifier(const WireConfig& wire)
@@ -126,11 +139,12 @@ HandshakeVerifier::HandshakeVerifier(const WireConfig& wire)
 
 AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_code,
                                            CodeId expected_code,
-                                           const crypto::IbcPrivateKey& receiver) {
+                                           const crypto::IbcPrivateKey& receiver,
+                                           const crypto::PinnedKey* pinned) {
   JRSND_PERF_REGION("dndp.verify");
   source_.receiver = &receiver;
   const crypto::VerifyResult result =
-      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_);
+      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_, pinned);
   AuthVerdict verdict;
   verdict.stage = result.stage;
   if (result.stage != crypto::VerifyStage::RejectLength &&
@@ -140,7 +154,6 @@ AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_
   if (result.stage == crypto::VerifyStage::Accept) {
     const crypto::VerifyWire& w = queue_.wire();
     verdict.nonce = frame.slice(std::size_t{w.l_t} + w.l_id, w.l_n);
-    verdict.key = result.key;
   }
   return verdict;
 }

@@ -138,14 +138,12 @@ class HandshakeStateMachine {
 };
 
 /// Verdict of the staged AUTH-frame verification. `sender` is the claimed ID
-/// (valid once the frame parsed, i.e. from RejectCode onward); `nonce` and
-/// `key` are populated only on Accept — exactly what the engine needs to
-/// build the reply MAC and derive the session code.
+/// (valid once the frame parsed, i.e. from RejectCode onward); `nonce` is
+/// populated only on Accept — the verified nonce the session code needs.
 struct AuthVerdict {
   crypto::VerifyStage stage = crypto::VerifyStage::RejectLength;
   NodeId sender = kInvalidNode;
-  BitVector nonce;             ///< l_n bits, Accept only
-  crypto::SymmetricKey key{};  ///< pairwise key the MAC verified under, Accept only
+  BitVector nonce;  ///< l_n bits, Accept only
 
   [[nodiscard]] bool accepted() const noexcept {
     return stage == crypto::VerifyStage::Accept;
@@ -160,17 +158,31 @@ struct AuthVerdict {
 /// The crypto::VerifyQueue view of `wire`'s AUTH frame layout.
 [[nodiscard]] crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept;
 
+/// Packs the unordered {self, peer} id pair: exactly what the symmetric IBC
+/// shared_key(self, peer) depends on.
+[[nodiscard]] std::uint64_t ibc_pair_cache_key(std::uint32_t self, std::uint32_t peer) noexcept;
+
 /// Pairwise-key source over a receiver's IBC private key: the one the D-NDP
 /// engine verifies under and the one flood benches feed a VerifyQueue. The
-/// cache key packs the unordered {receiver, sender} pair, which is exactly
-/// what the symmetric shared_key depends on — so one engine's cache is
-/// shared between both handshake directions.
+/// cache key is ibc_pair_cache_key(receiver id, sender) — so one engine's
+/// cache is shared between both handshake directions.
 struct IbcPairKeySource final : public crypto::KeySource {
   const crypto::IbcPrivateKey* receiver = nullptr;
 
   [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
   [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
 };
+
+/// One handshake end's key context: K = self.shared_key(peer) and its HMAC
+/// schedule, kept in `slot` and re-derived only when (self, peer) names a
+/// different pair than the one it holds. The slot is tagged with the cache
+/// key of the id the private key was *issued* to (self.id()), never an id a
+/// node merely claims, so it can only hold what its own end's derivation
+/// yields — a captured key used under a false identity never matches the
+/// victim's slot. Replacing the slot builds one schedule (2 compressions
+/// on top of the derivation's 2); a matching slot costs nothing.
+const crypto::PinnedKey& derive_end_key(std::optional<crypto::PinnedKey>& slot,
+                                        const crypto::IbcPrivateKey& self, NodeId peer);
 
 /// The early-reject verification front-end of the D-NDP engine: a
 /// crypto::VerifyQueue bound to the IBC pairwise-key source, ordering every
@@ -184,10 +196,14 @@ class HandshakeVerifier {
 
   /// Verifies one received AUTH frame claimed to arrive on `frame_code`
   /// while the receiver listens on `expected_code`, under `receiver`'s IBC
-  /// key. Allocation-free on every reject path once the peer cache is warm.
+  /// key. `pinned`, when given, is the receiving end's own key context (see
+  /// derive_end_key): a frame whose claimed sender maps to it is checked
+  /// under its schedule; any other sender goes through the peer cache.
+  /// Allocation-free on every reject path once the peer cache is warm.
   [[nodiscard]] AuthVerdict verify_auth(const BitVector& frame, CodeId frame_code,
                                         CodeId expected_code,
-                                        const crypto::IbcPrivateKey& receiver);
+                                        const crypto::IbcPrivateKey& receiver,
+                                        const crypto::PinnedKey* pinned = nullptr);
 
   [[nodiscard]] const crypto::VerifyQueue& queue() const noexcept { return queue_; }
 

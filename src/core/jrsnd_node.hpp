@@ -40,7 +40,9 @@ class NodeState {
   [[nodiscard]] const crypto::IbcPrivateKey& key() const noexcept { return key_; }
 
   /// Pool codes not locally revoked, ascending.
-  [[nodiscard]] std::vector<CodeId> usable_codes() const { return revocation_.usable_codes(); }
+  [[nodiscard]] const std::vector<CodeId>& usable_codes() const noexcept {
+    return revocation_.usable_codes();
+  }
 
   [[nodiscard]] const std::vector<CodeId>& all_codes() const noexcept { return codes_; }
 

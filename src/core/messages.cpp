@@ -165,13 +165,18 @@ std::vector<std::uint8_t> AuthMessage::mac_input(NodeId sender, const BitVector&
   return bv.to_bytes();
 }
 
-AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::SymmetricKey& key,
+AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::HmacKey& key,
                               const WireConfig& /*cfg*/) {
   AuthMessage msg;
   msg.sender = sender;
-  msg.mac = crypto::compute_mac(key, mac_input(sender, nonce));
+  msg.mac = key.mac(mac_input(sender, nonce));
   msg.nonce = std::move(nonce);
   return msg;
+}
+
+AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::SymmetricKey& key,
+                              const WireConfig& cfg) {
+  return make(sender, std::move(nonce), crypto::HmacKey(key), cfg);
 }
 
 bool AuthMessage::verify(const crypto::SymmetricKey& key, const WireConfig& cfg) const {

@@ -74,7 +74,12 @@ struct AuthMessage {
   BitVector nonce;           ///< l_n bits
   crypto::Sha256Digest mac{};  ///< truncated to l_mac bits on the wire
 
-  /// Computes the MAC f_K(ID | nonce) and assembles the message.
+  /// Computes the MAC f_K(ID | nonce) under K's HMAC schedule and assembles
+  /// the message.
+  [[nodiscard]] static AuthMessage make(NodeId sender, BitVector nonce,
+                                        const crypto::HmacKey& key, const WireConfig& cfg);
+
+  /// Same message from the raw key (builds the schedule per call).
   [[nodiscard]] static AuthMessage make(NodeId sender, BitVector nonce,
                                         const crypto::SymmetricKey& key, const WireConfig& cfg);
 

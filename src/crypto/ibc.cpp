@@ -1,6 +1,7 @@
 #include "crypto/ibc.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/hmac.hpp"
 
@@ -8,29 +9,29 @@ namespace jrsnd::crypto {
 
 namespace {
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+/// Oracle input: a short domain tag, then big-endian 32-bit ids.
+template <std::size_t N>
+void put_u32(std::array<std::uint8_t, N>& out, std::size_t at, std::uint32_t v) noexcept {
+  out[at] = static_cast<std::uint8_t>(v >> 24);
+  out[at + 1] = static_cast<std::uint8_t>(v >> 16);
+  out[at + 2] = static_cast<std::uint8_t>(v >> 8);
+  out[at + 3] = static_cast<std::uint8_t>(v);
 }
 
 }  // namespace
 
 SymmetricKey PairingOracle::pair_key(NodeId a, NodeId b) const noexcept {
   // The bilinear map is symmetric, so canonicalize the pair ordering.
-  const std::uint32_t lo = std::min(raw(a), raw(b));
-  const std::uint32_t hi = std::max(raw(a), raw(b));
-  std::vector<std::uint8_t> input = {'p', 'a', 'i', 'r'};
-  append_u32(input, lo);
-  append_u32(input, hi);
-  return hmac_sha256(master_, input);
+  std::array<std::uint8_t, 12> input = {'p', 'a', 'i', 'r'};
+  put_u32(input, 4, std::min(raw(a), raw(b)));
+  put_u32(input, 8, std::max(raw(a), raw(b)));
+  return master_.mac(input);
 }
 
 SymmetricKey PairingOracle::sign_key(NodeId id) const noexcept {
-  std::vector<std::uint8_t> input = {'s', 'i', 'g'};
-  append_u32(input, raw(id));
-  return hmac_sha256(master_, input);
+  std::array<std::uint8_t, 7> input = {'s', 'i', 'g'};
+  put_u32(input, 3, raw(id));
+  return master_.mac(input);
 }
 
 bool PairingOracle::verify(NodeId signer_id, std::span<const std::uint8_t> message,

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
 #include "crypto/sha256.hpp"
 
@@ -56,12 +57,14 @@ class PairingOracle {
   friend class IbcAuthority;
   friend class IbcPrivateKey;
 
-  explicit PairingOracle(SymmetricKey master) noexcept : master_(master) {}
+  explicit PairingOracle(const SymmetricKey& master) noexcept : master_(master) {}
 
   [[nodiscard]] SymmetricKey pair_key(NodeId a, NodeId b) const noexcept;
   [[nodiscard]] SymmetricKey sign_key(NodeId id) const noexcept;
 
-  SymmetricKey master_;
+  /// The master secret's HMAC schedule, built once: every pair_key and
+  /// sign_key is then two compressions instead of four (same bytes).
+  HmacKey master_;
 };
 
 /// A node's ID-based private key K_A^{-1}. Only the authority mints these.

@@ -36,7 +36,15 @@ std::vector<std::uint8_t> expand(const HmacKey& key, std::span<const std::uint8_
 }
 
 BitVector derive_bits(const SymmetricKey& key, const std::string& info, std::size_t bit_count) {
-  const std::vector<std::uint8_t> bytes = expand(key, info, (bit_count + 7) / 8);
+  return derive_bits(HmacKey(key), info, bit_count);
+}
+
+BitVector derive_bits(const HmacKey& key, const std::string& info, std::size_t bit_count) {
+  const std::vector<std::uint8_t> bytes = expand(
+      key,
+      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(info.data()),
+                                    info.size()),
+      (bit_count + 7) / 8);
   BitVector all = BitVector::from_bytes(bytes);
   return all.slice(0, bit_count);
 }

@@ -37,6 +37,10 @@ using SymmetricKey = Sha256Digest;
 [[nodiscard]] BitVector derive_bits(const SymmetricKey& key, const std::string& info,
                                     std::size_t bit_count);
 
+/// derive_bits() over a prepared key; same bits as the SymmetricKey form.
+[[nodiscard]] BitVector derive_bits(const HmacKey& key, const std::string& info,
+                                    std::size_t bit_count);
+
 /// Derives a fresh 32-byte key: HMAC(key, label).
 [[nodiscard]] SymmetricKey derive_key(const SymmetricKey& key, const std::string& label) noexcept;
 

@@ -15,9 +15,14 @@
 
 namespace jrsnd::crypto {
 
-/// Derives the N-bit session spread code from the pairwise key and the two
-/// session nonces. `nonce_a` and `nonce_b` must have equal bit length
-/// (l_n bits each per Table I).
+/// Derives the N-bit session spread code from the pairwise key's HMAC
+/// schedule and the two session nonces. `nonce_a` and `nonce_b` must have
+/// equal bit length (l_n bits each per Table I).
+[[nodiscard]] BitVector derive_session_code(const HmacKey& pair_key, const BitVector& nonce_a,
+                                            const BitVector& nonce_b,
+                                            std::size_t code_length_chips);
+
+/// Same code from the raw pairwise key (builds the schedule per call).
 [[nodiscard]] BitVector derive_session_code(const SymmetricKey& pair_key,
                                             const BitVector& nonce_a, const BitVector& nonce_b,
                                             std::size_t code_length_chips);

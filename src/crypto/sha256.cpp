@@ -47,6 +47,9 @@ void Sha256::reset() noexcept {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
+  // An empty span may carry a null data(); memcpy from it is undefined even
+  // for zero bytes.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

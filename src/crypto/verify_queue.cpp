@@ -118,10 +118,8 @@ bool VerifyQueue::wire_mac_equals(const BitVector& frame,
   return diff == 0;
 }
 
-const VerifyQueue::CachedKey& VerifyQueue::resolve_key(std::uint64_t cache_key,
-                                                       std::uint32_t sender,
-                                                       const KeySource& source,
-                                                       DrainCounts& counts) {
+const PairKey& VerifyQueue::resolve_key(std::uint64_t cache_key, std::uint32_t sender,
+                                        const KeySource& source, DrainCounts& counts) {
   const auto it = keys_.find(cache_key);
   if (it != keys_.end()) {
     ++counts.cache_hits;
@@ -131,9 +129,9 @@ const VerifyQueue::CachedKey& VerifyQueue::resolve_key(std::uint64_t cache_key,
   const SymmetricKey raw = source.key_for(sender);
   const HmacKey schedule(std::span<const std::uint8_t>(raw.data(), raw.size()));
   if (keys_.size() < kMaxCachedPeers) {
-    return keys_.emplace(cache_key, CachedKey{raw, schedule}).first->second;
+    return keys_.emplace(cache_key, PairKey{raw, schedule}).first->second;
   }
-  overflow_ = CachedKey{raw, schedule};
+  overflow_ = PairKey{raw, schedule};
   return overflow_;
 }
 
@@ -167,7 +165,7 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
   // eight are pending, then one HmacKey::mac_x8 call settles all eight.
   // Leftovers fall back to the scalar midstate path — same digests.
   const HmacKey* lane_keys[kSha256Lanes];
-  const CachedKey* lane_entries[kSha256Lanes];
+  const PairKey* lane_entries[kSha256Lanes];
   std::uint32_t lane_frame[kSha256Lanes];
   std::array<std::uint8_t, kMaxMacInputBytes> lane_msgs[kSha256Lanes];
   std::size_t lane_lens[kSha256Lanes];
@@ -204,7 +202,7 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
   while (g < mac_scratch_.size()) {
     const std::uint64_t group_key = mac_scratch_[g].cache_key;
     const std::uint32_t group_sender = out[mac_scratch_[g].index].sender;
-    const CachedKey& entry = resolve_key(group_key, group_sender, source, counts);
+    const PairKey& entry = resolve_key(group_key, group_sender, source, counts);
     for (; g < mac_scratch_.size() && mac_scratch_[g].cache_key == group_key; ++g) {
       const std::uint32_t idx = mac_scratch_[g].index;
       lane_entries[lanes] = &entry;
@@ -237,13 +235,16 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
 }
 
 VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame_code,
-                                     std::uint32_t expected_code, const KeySource& source) {
+                                     std::uint32_t expected_code, const KeySource& source,
+                                     const PinnedKey* pinned) {
   DrainCounts counts;
   VerifyResult result;
   const Pending p{&frame, frame_code, expected_code};
   if (cheap_stages(p, result, counts)) {
-    const CachedKey& entry =
-        resolve_key(source.cache_key(result.sender), result.sender, source, counts);
+    const std::uint64_t cache_key = source.cache_key(result.sender);
+    const PairKey& entry = pinned != nullptr && pinned->cache_key == cache_key
+                               ? pinned->key
+                               : resolve_key(cache_key, result.sender, source, counts);
     if (mac_matches(frame, result.sender, entry.schedule)) {
       result.stage = VerifyStage::Accept;
       result.key = entry.raw;
@@ -262,6 +263,13 @@ VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame
   JRSND_COUNT_N("crypto.verify.peer_cache.hits", counts.cache_hits);
   JRSND_COUNT_N("crypto.verify.peer_cache.misses", counts.cache_misses);
   return result;
+}
+
+std::optional<std::uint32_t> VerifyQueue::claimed_sender(const BitVector& frame) const noexcept {
+  if (frame.size() != wire_.frame_bits() || frame.read_uint(0, wire_.l_t) != wire_.auth_type) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(frame.read_uint(wire_.l_t, wire_.l_id));
 }
 
 VerifyResult VerifyQueue::verify_one_shot(const VerifyWire& wire, const BitVector& frame,

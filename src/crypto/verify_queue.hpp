@@ -3,8 +3,8 @@
 // A receiver under a verification-flooding DoS sees a stream of AUTH frames,
 // most of them garbage. The one-at-a-time path pays the full cost for every
 // frame: BitVector decode (several allocations), a fresh pairwise-key
-// derivation (4 SHA-256 compressions through the pairing oracle), and a raw
-// hmac_sha256 (4 more compressions). VerifyQueue restructures that work
+// derivation (2 SHA-256 compressions through the pairing oracle's cached
+// master schedule), and a raw hmac_sha256 (4 more compressions). VerifyQueue restructures that work
 // cheapest-check-first over a batch:
 //
 //   1. length  — frame size != l_t + l_id + l_n + l_mac      (integer compare)
@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -83,6 +84,20 @@ class KeySource {
   [[nodiscard]] virtual SymmetricKey key_for(std::uint32_t sender) const = 0;
 };
 
+/// A pairwise key with its HMAC key schedule.
+struct PairKey {
+  SymmetricKey raw{};
+  HmacKey schedule;
+};
+
+/// A pairwise key the caller resolved ahead of time, tagged with the
+/// KeySource::cache_key it was derived for. verify_now checks a frame's MAC
+/// under it only when the frame's claimed sender maps to that same cache key.
+struct PinnedKey {
+  std::uint64_t cache_key = 0;
+  PairKey key;
+};
+
 class VerifyQueue {
  public:
   explicit VerifyQueue(const VerifyWire& wire);
@@ -107,9 +122,17 @@ class VerifyQueue {
   std::size_t drain(const KeySource& source, std::vector<VerifyResult>& out);
 
   /// Single-frame form of the same pipeline (shares the peer cache). This is
-  /// what the D-NDP engine calls inline during a handshake.
+  /// what the D-NDP engine calls inline during a handshake. When `pinned`
+  /// is given and the frame's claimed sender maps to pinned->cache_key, the
+  /// MAC is checked under the pinned schedule and the peer cache is not
+  /// consulted; any other sender resolves through `source` and the cache.
   [[nodiscard]] VerifyResult verify_now(const BitVector& frame, std::uint32_t frame_code,
-                                        std::uint32_t expected_code, const KeySource& source);
+                                        std::uint32_t expected_code, const KeySource& source,
+                                        const PinnedKey* pinned = nullptr);
+
+  /// The sender ID a frame claims, read only when the frame has AUTH length
+  /// and type tag (the stages that gate parsing it); counts nothing.
+  [[nodiscard]] std::optional<std::uint32_t> claimed_sender(const BitVector& frame) const noexcept;
 
   /// The historical one-at-a-time path, kept as the in-binary equivalence
   /// reference: full BitVector decode (allocating slices), a fresh
@@ -137,10 +160,6 @@ class VerifyQueue {
     const BitVector* frame;
     std::uint32_t frame_code;
     std::uint32_t expected_code;
-  };
-  struct CachedKey {
-    SymmetricKey raw{};
-    HmacKey schedule;
   };
   struct MacWork {
     std::uint64_t cache_key;
@@ -171,14 +190,14 @@ class VerifyQueue {
                                      const Sha256Digest& expected) const noexcept;
 
   /// Resolves (or creates / falls back) the cached key entry for one peer.
-  const CachedKey& resolve_key(std::uint64_t cache_key, std::uint32_t sender,
-                               const KeySource& source, DrainCounts& counts);
+  const PairKey& resolve_key(std::uint64_t cache_key, std::uint32_t sender,
+                             const KeySource& source, DrainCounts& counts);
 
   VerifyWire wire_;
   std::vector<Pending> pending_;
   std::vector<MacWork> mac_scratch_;
-  std::unordered_map<std::uint64_t, CachedKey> keys_;
-  CachedKey overflow_;  ///< reused slot for misses past kMaxCachedPeers
+  std::unordered_map<std::uint64_t, PairKey> keys_;
+  PairKey overflow_;  ///< reused slot for misses past kMaxCachedPeers
 };
 
 }  // namespace jrsnd::crypto

@@ -8,6 +8,15 @@ namespace jrsnd::predist {
 RevocationState::RevocationState(std::uint32_t gamma, const std::vector<CodeId>& codes)
     : gamma_(gamma) {
   for (const CodeId code : codes) entries_.emplace(code, Entry{});
+  usable_.reserve(entries_.size());
+  for (const auto& [code, entry] : entries_) usable_.push_back(code);
+  std::sort(usable_.begin(), usable_.end());
+}
+
+void RevocationState::mark_revoked(CodeId code, Entry& entry) {
+  entry.revoked = true;
+  const auto it = std::lower_bound(usable_.begin(), usable_.end(), code);
+  usable_.erase(it);
 }
 
 bool RevocationState::report_invalid(CodeId code) {
@@ -20,7 +29,7 @@ bool RevocationState::report_invalid(CodeId code) {
   ++total_;
   ++entry.invalid;
   if (entry.invalid > gamma_) {
-    entry.revoked = true;
+    mark_revoked(code, entry);
     return true;
   }
   return false;
@@ -29,7 +38,7 @@ bool RevocationState::report_invalid(CodeId code) {
 bool RevocationState::revoke(CodeId code) {
   const auto it = entries_.find(code);
   if (it == entries_.end() || it->second.revoked) return false;
-  it->second.revoked = true;
+  mark_revoked(code, it->second);
   return true;
 }
 
@@ -41,15 +50,6 @@ bool RevocationState::is_revoked(CodeId code) const {
 bool RevocationState::is_usable(CodeId code) const {
   const auto it = entries_.find(code);
   return it != entries_.end() && !it->second.revoked;
-}
-
-std::vector<CodeId> RevocationState::usable_codes() const {
-  std::vector<CodeId> out;
-  for (const auto& [code, entry] : entries_) {
-    if (!entry.revoked) out.push_back(code);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::uint32_t RevocationState::invalid_count(CodeId code) const {

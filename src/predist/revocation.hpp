@@ -36,8 +36,9 @@ class RevocationState {
   /// True when `code` belongs to this node and is not revoked.
   [[nodiscard]] bool is_usable(CodeId code) const;
 
-  /// Codes still usable, ascending.
-  [[nodiscard]] std::vector<CodeId> usable_codes() const;
+  /// Codes still usable, ascending. Maintained incrementally (a revocation
+  /// erases its code), so reading it neither allocates nor sorts.
+  [[nodiscard]] const std::vector<CodeId>& usable_codes() const noexcept { return usable_; }
 
   [[nodiscard]] std::uint32_t invalid_count(CodeId code) const;
   [[nodiscard]] std::uint32_t gamma() const noexcept { return gamma_; }
@@ -51,8 +52,12 @@ class RevocationState {
     bool revoked = false;
   };
 
+  /// Marks `entry` (for `code`) revoked and drops the code from usable_.
+  void mark_revoked(CodeId code, Entry& entry);
+
   std::uint32_t gamma_;
   std::unordered_map<CodeId, Entry> entries_;
+  std::vector<CodeId> usable_;  ///< held, non-revoked codes, ascending
   std::uint64_t total_ = 0;
 };
 

@@ -76,6 +76,17 @@ TEST(Sha256, IncrementalEqualsOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateBetweenPartialUpdatesIsANoOp) {
+  // A default span has a null data(); with bytes already buffered, the
+  // update must not touch it (memcpy from null is undefined even for 0).
+  const std::string msg = "partial blocks on both sides";
+  Sha256 ctx;
+  ctx.update(msg.substr(0, 11));
+  ctx.update(std::span<const std::uint8_t>{});
+  ctx.update(msg.substr(11));
+  EXPECT_EQ(ctx.finalize(), Sha256::hash(msg));
+}
+
 TEST(Sha256, ResetReusesContext) {
   Sha256 ctx;
   ctx.update(std::string("garbage"));

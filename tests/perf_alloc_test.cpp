@@ -17,6 +17,10 @@
 #include "adversary/jammer.hpp"
 #include "common/rng.hpp"
 #include "core/chip_phy.hpp"
+#include "core/dndp.hpp"
+#include "core/jrsnd_node.hpp"
+#include "crypto/ibc.hpp"
+#include "predist/authority.hpp"
 #include "crypto/verify_queue.hpp"
 #include "dsss/prepared_codebook.hpp"
 #include "dsss/spread_code.hpp"
@@ -292,6 +296,86 @@ TEST(ProfHotPath, ZeroAllocationsOnSamplerSignalPath) {
   EXPECT_GT(obs::prof::profiler_samples(), warm_samples)
       << "sampler took no samples while the thread burned CPU";
   EXPECT_EQ(after - before, 0u) << "the SIGPROF signal path allocated";
+}
+
+/// Loses every frame: a D-NDP run over it does the code-set work and opens
+/// every sub-session, but no handshake message is ever delivered.
+class DropAllPhy final : public core::PhyModel {
+ public:
+  void begin_subsession(NodeId, NodeId, CodeId) override {}
+  std::optional<BitVector> transmit(NodeId, NodeId, core::TxCode, core::TxClass,
+                                    const BitVector&) override {
+    return std::nullopt;
+  }
+};
+
+/// Three nodes over a 6-code pool: 0 and 2 hold the same three codes, 1 holds
+/// the other three (disjoint from both).
+struct CodeSetWorld {
+  core::Params params = make_params();
+  predist::CodePoolAuthority authority{params.predist(), Rng(1)};
+  crypto::IbcAuthority ibc{2};
+  std::vector<core::NodeState> nodes;
+
+  CodeSetWorld() {
+    const std::vector<CodeId> low = {code_id(0), code_id(1), code_id(2)};
+    const std::vector<CodeId> high = {code_id(3), code_id(4), code_id(5)};
+    Rng node_rng(3);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)), i == 1 ? high : low, authority,
+                         params.gamma, node_rng.split());
+    }
+  }
+
+  static core::Params make_params() {
+    core::Params p = core::Params::defaults();
+    p.n = 6;
+    p.m = 3;
+    p.l = 3;
+    p.N = 64;
+    return p;
+  }
+};
+
+TEST(DndpHotPath, UsableCodesNeverAllocate) {
+  CodeSetWorld w;
+  ASSERT_EQ(w.nodes[0].usable_codes().size(), 3u);
+  (void)w.nodes[0].revocation().revoke(code_id(1));  // a revoked code leaves the set
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t total = 0;
+  for (int i = 0; i < 1000; ++i) {
+    total += w.nodes[0].usable_codes().size() + w.nodes[1].revocation().usable_codes().size();
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(total, 1000u * 5u);
+  EXPECT_EQ(after - before, 0u) << "usable_codes() allocated";
+}
+
+TEST(DndpHotPath, WarmRunAllocatesNothingForTheCodeSet) {
+  CodeSetWorld w;
+  DropAllPhy phy;
+  core::DndpEngine engine(w.params, phy);
+  // Warm-up: grows the engine's intersection scratch to the shared-set size.
+  ASSERT_EQ(engine.run(w.nodes[0], w.nodes[2]).shared_codes, 3u);
+  ASSERT_EQ(engine.run(w.nodes[0], w.nodes[1]).shared_codes, 0u);
+
+  // A pair with no shared code is pure code-set work: no allocation at all.
+  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(engine.run(w.nodes[0], w.nodes[1]).shared_codes, 0u);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "a run with an empty intersection allocated";
+
+  // A pair sharing three codes allocates only its per-pair values — the two
+  // nonces and the HELLO and CONFIRM frames — and nothing for the code set
+  // or any of its three sub-sessions.
+  before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    const core::DndpResult r = engine.run(w.nodes[0], w.nodes[2]);
+    ASSERT_EQ(r.shared_codes, 3u);
+    ASSERT_FALSE(r.discovered);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 100u * 4u)
+      << "a warm run allocated beyond its per-pair nonces and frames";
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
+
+#include "common/rng.hpp"
 
 namespace jrsnd::predist {
 namespace {
@@ -82,6 +86,48 @@ TEST(Revocation, WorstCaseCostIsGammaPlusOnePerCode) {
   RevocationState state(gamma, three_codes());
   for (int i = 0; i < 100; ++i) (void)state.report_invalid(code_id(1));
   EXPECT_EQ(state.total_invalid_verifications(), gamma + 1u);
+}
+
+TEST(Revocation, UsableCodesTrackRandomReportAndRevokeSequences) {
+  // Property: whatever sequence of report_invalid / revoke calls lands, the
+  // incrementally maintained usable_codes() is ascending, holds no revoked
+  // code, and equals a from-scratch filter of the held codes through an
+  // independent model of the gamma rule.
+  Rng rng(2011);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto gamma = static_cast<std::uint32_t>(rng.uniform(4));
+    std::vector<CodeId> held;  // unsorted, possibly with duplicates
+    for (std::uint64_t i = 0, n = 1 + rng.uniform(30); i < n; ++i) {
+      held.push_back(code_id(static_cast<std::uint32_t>(rng.uniform(50))));
+    }
+    RevocationState state(gamma, held);
+    std::map<CodeId, std::uint32_t> invalid;  // the model: per-code reports
+    std::map<CodeId, bool> revoked;
+    for (const CodeId c : held) revoked[c] = false;
+
+    for (int step = 0; step < 120; ++step) {
+      const CodeId c = held[rng.uniform(held.size())];
+      if (rng.bernoulli(0.15)) {
+        EXPECT_EQ(state.revoke(c), !revoked[c]);
+        revoked[c] = true;
+      } else if (rng.bernoulli(0.05)) {
+        EXPECT_FALSE(state.revoke(code_id(1000)));  // never held
+      } else {
+        const bool crosses = !revoked[c] && ++invalid[c] > gamma;
+        EXPECT_EQ(state.report_invalid(c), crosses);
+        if (crosses) revoked[c] = true;
+      }
+
+      std::vector<CodeId> expected;  // std::map iterates in ascending order
+      for (const auto& [code, is_revoked] : revoked) {
+        if (!is_revoked) expected.push_back(code);
+      }
+      const std::vector<CodeId>& usable = state.usable_codes();
+      ASSERT_TRUE(std::is_sorted(usable.begin(), usable.end()));
+      for (const CodeId u : usable) ASSERT_FALSE(state.is_revoked(u));
+      ASSERT_EQ(usable, expected) << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 }  // namespace
