@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "core/metrics.hpp"
 #include "crypto/verify_queue.hpp"
+#include "oracle/crypto_reference.hpp"
 #include "predist/authority.hpp"
 
 int main() {
@@ -71,10 +72,10 @@ int main() {
   core::Table hs_table({"attacker:honest", "one_shot_hps", "batched_hps", "speedup"}, 16);
   for (const std::uint32_t ratio : {1u, 10u, 100u}) {
     const std::vector<adversary::FloodFrame> flood = source.make_batch(512, ratio);
-    const adversary::FloodThroughput one_shot = adversary::measure_one_shot_throughput(
+    const oracle::FloodThroughput one_shot = oracle::measure_one_shot_throughput(
         source.verify_wire(), flood, source.key_source(), source.expected_code(), 0.2);
     queue.clear_key_cache();
-    const adversary::FloodThroughput batched = adversary::measure_batched_throughput(
+    const oracle::FloodThroughput batched = oracle::measure_batched_throughput(
         queue, flood, source.key_source(), source.expected_code(), 0.2);
     hs_table.add_row(std::vector<std::string>{
         core::fmt(static_cast<double>(ratio), 0) + ":1",

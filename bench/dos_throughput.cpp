@@ -6,14 +6,15 @@
 //
 //  [1] Bit-identity: every frame of a mixed flood (honest + BadMac +
 //      Truncated + BadType + WrongCode) through VerifyQueue::drain must yield
-//      the same verdict, sender, and session key as verify_one_shot (the
-//      historical decode-then-verify path), AND the six per-frame decision
+//      the same verdict, sender, and session key as oracle::verify_one_shot
+//      (the historical decode-then-verify path), AND the six per-frame decision
 //      counters (crypto.verify.frames/.accepted, crypto.reject.*) must total
 //      identically under separate scoped registries. Any divergence is FATAL.
 //  [2] Zero-allocation: with the peer cache and scratch warm, a push/drain
 //      cycle over a reject-only flood must perform exactly zero heap
-//      allocations (global operator new replaced with a counting one — which
-//      is why this lives in its own binary, like tests/perf_alloc_test).
+//      allocations (global operator new replaced with the counting one of
+//      tests/oracle/counting_alloc — which is why this lives in its own
+//      binary, like tests/perf_alloc_test).
 //  [3] Throughput: handshake verifications per second, one-shot vs batched,
 //      at attacker:honest ratios 1:1, 10:1, and 100:1. The committed
 //      BENCH_dos.json must show >= 5x at 10:1 (gated by
@@ -22,12 +23,10 @@
 // Writes BENCH_dos.json (path overridable as argv[1]); --smoke shortens the
 // timing windows for CI smoke runs and marks the JSON so check_perf.py skips
 // the absolute floor.
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -35,27 +34,8 @@
 #include "core/messages.hpp"
 #include "crypto/verify_queue.hpp"
 #include "obs/metrics_registry.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void* operator new[](std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+#include "oracle/counting_alloc.hpp"
+#include "oracle/crypto_reference.hpp"
 
 namespace {
 
@@ -114,7 +94,7 @@ int main(int argc, char** argv) {
   {
     obs::ScopedMetricsRegistry scoped(&one_shot_registry);
     for (const adversary::FloodFrame& frame : identity_flood) {
-      one_shot_results.push_back(crypto::VerifyQueue::verify_one_shot(
+      one_shot_results.push_back(oracle::verify_one_shot(
           vw, frame.bits, frame.frame_code, expected_code, source.key_source()));
     }
   }
@@ -207,7 +187,7 @@ int main(int argc, char** argv) {
       queue.drain(source.key_source(), out);
     }
 
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = oracle::allocation_count();
     std::size_t accepted = 0;
     for (int cycle = 0; cycle < kAllocCycles; ++cycle) {
       for (const adversary::FloodFrame& frame : reject_flood) {
@@ -215,7 +195,7 @@ int main(int argc, char** argv) {
       }
       accepted += queue.drain(source.key_source(), out);
     }
-    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t after = oracle::allocation_count();
     reject_path_allocs = after - before;
     if (accepted != 0) {
       std::fprintf(stderr, "FATAL: reject-only flood accepted %zu frames\n", accepted);
@@ -247,14 +227,14 @@ int main(int argc, char** argv) {
   for (const std::uint32_t ratio : {1u, 10u, 100u}) {
     const std::vector<adversary::FloodFrame> flood =
         source.make_batch(kTimingFrames, ratio);
-    const adversary::FloodThroughput one_shot = adversary::measure_one_shot_throughput(
+    const oracle::FloodThroughput one_shot = oracle::measure_one_shot_throughput(
         vw, flood, source.key_source(), expected_code, min_seconds);
     crypto::VerifyQueue queue(vw);
     // One untimed pass warms the peer cache and scratch: throughput is a
     // steady-state figure.
-    (void)adversary::measure_batched_throughput(queue, flood, source.key_source(),
-                                                expected_code, 0.0);
-    const adversary::FloodThroughput batched = adversary::measure_batched_throughput(
+    (void)oracle::measure_batched_throughput(queue, flood, source.key_source(),
+                                             expected_code, 0.0);
+    const oracle::FloodThroughput batched = oracle::measure_batched_throughput(
         queue, flood, source.key_source(), expected_code, min_seconds);
     FloodPoint point;
     point.ratio = ratio;

@@ -36,6 +36,7 @@
 #include "dsss/spreader.hpp"
 #include "dsss/sync_kernel.hpp"
 #include "obs/prof/perf_counters.hpp"
+#include "oracle/dsss_reference.hpp"
 
 namespace {
 
@@ -133,17 +134,17 @@ int main(int argc, char** argv) {
   // Shift-table kernel: codes precomputed at all 64 alignments once, inner
   // loop is XOR+AND+popcount straight over the buffer words.
   const auto kernel_scan = [&] {
-    const std::vector<dsss::ShiftTable> tables = dsss::build_shift_tables(codes);
+    const std::vector<oracle::ShiftTable> tables = oracle::build_shift_tables(codes);
     std::size_t hits = 0;
     for (std::size_t off = 0; off < offsets; ++off) {
-      for (const dsss::ShiftTable& table : tables) hits += table.correlate(buffer, off) >= kTau;
+      for (const oracle::ShiftTable& table : tables) hits += table.correlate(buffer, off) >= kTau;
     }
     return hits;
   };
 
   // Bit-identical check before timing: every (offset, code) correlation.
   {
-    const std::vector<dsss::ShiftTable> tables = dsss::build_shift_tables(codes);
+    const std::vector<oracle::ShiftTable> tables = oracle::build_shift_tables(codes);
     for (std::size_t off = 0; off < offsets; ++off) {
       const BitVector window = buffer.slice(off, kN);
       for (std::size_t c = 0; c < kM; ++c) {
@@ -189,7 +190,7 @@ int main(int argc, char** argv) {
     planted.append(dsss::spread(random_bits(plant_rng, 8), codes[0]));
     planted.append(random_bits(plant_rng, 99));
     const auto k_hits = dsss::find_all_messages(planted, codes, 8, 0.3);
-    const auto r_hits = dsss::find_all_messages_reference(planted, codes, 8, 0.3);
+    const auto r_hits = oracle::find_all_messages_reference(planted, codes, 8, 0.3);
     bool same = k_hits.size() == r_hits.size();
     for (std::size_t i = 0; same && i < k_hits.size(); ++i) {
       same = k_hits[i].code_index == r_hits[i].code_index &&
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
   for (const std::size_t m : {std::size_t{5}, std::size_t{20}, std::size_t{40}}) {
     std::vector<dsss::SpreadCode> group;
     for (std::size_t i = 0; i < m; ++i) group.push_back(dsss::SpreadCode::random(rng, kN));
-    const std::vector<dsss::ShiftTable> tables = dsss::build_shift_tables(group);
+    const std::vector<oracle::ShiftTable> tables = oracle::build_shift_tables(group);
     const dsss::BatchShiftTable batch{std::span<const dsss::SpreadCode>(group)};
     std::vector<std::uint64_t> hams(batch.lane_count());
 
@@ -284,7 +285,7 @@ int main(int argc, char** argv) {
     const auto single_scan = [&] {
       std::size_t hits = 0;
       for (std::size_t off = 0; off < offsets; ++off) {
-        for (const dsss::ShiftTable& table : tables) hits += table.correlate(buffer, off) >= kTau;
+        for (const oracle::ShiftTable& table : tables) hits += table.correlate(buffer, off) >= kTau;
       }
       return hits;
     };

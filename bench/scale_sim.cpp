@@ -10,9 +10,9 @@
 //      timing; the acceptance target is >= 5x.
 //  [2] Mobility hot loop: RandomWaypoint steps driving SpatialIndex::update
 //      for every node plus within_into range queries into reused scratch.
-//      The global allocator is replaced with a counting one (the
-//      perf_alloc_test harness), and the steady-state loop must perform
-//      ZERO heap allocations.
+//      The global allocator is replaced with the counting one the
+//      perf_alloc_test harness uses (tests/oracle/counting_alloc), and the
+//      steady-state loop must perform ZERO heap allocations.
 //  [3] Event storm: schedule/cancel/drain churn through the slab
 //      EventQueue, also proven allocation-free at steady state.
 //
@@ -20,7 +20,6 @@
 // scripts/check_perf.py; exits nonzero on an identity mismatch or any
 // steady-state allocation, so CI fails even without the gate script.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,32 +37,12 @@
 #include "common/types.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"
+#include "oracle/counting_alloc.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/field.hpp"
 #include "sim/mobility.hpp"
 #include "sim/spatial_index.hpp"
 #include "sim/topology.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void* operator new[](std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -272,7 +250,7 @@ int main(int argc, char** argv) {
   double mobility_secs = 0.0;
   std::uint64_t queries = 0;
   const obs::prof::CounterTotals mobility_counters = counter_set.measure([&] {
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = oracle::allocation_count();
     const auto start = Clock::now();
     std::uint32_t query_cursor = 0;
     for (std::size_t step = 1; step <= mobility_steps; ++step) {
@@ -288,7 +266,7 @@ int main(int argc, char** argv) {
       }
     }
     mobility_secs = seconds_since(start);
-    mobility_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+    mobility_allocs = oracle::allocation_count() - before;
   });
   const std::uint64_t updates = static_cast<std::uint64_t>(mobility_steps) * n;
   const double updates_per_sec = static_cast<double>(updates) / mobility_secs;
@@ -319,7 +297,7 @@ int main(int argc, char** argv) {
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
   const obs::prof::CounterTotals event_counters = counter_set.measure([&] {
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = oracle::allocation_count();
     const auto start = Clock::now();
     for (std::uint64_t round = 0; round < storm_rounds; ++round) {
       for (std::uint64_t i = 0; i < storm_batch; ++i) {
@@ -334,7 +312,7 @@ int main(int argc, char** argv) {
       handles.clear();
     }
     event_secs = seconds_since(start);
-    event_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+    event_allocs = oracle::allocation_count() - before;
   });
   const std::uint64_t churned = scheduled + cancelled;
   const double events_per_sec = static_cast<double>(scheduled) / event_secs;

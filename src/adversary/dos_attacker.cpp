@@ -1,7 +1,6 @@
 #include "adversary/dos_attacker.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <unordered_set>
 
 namespace jrsnd::adversary {
@@ -158,53 +157,6 @@ std::vector<FloodFrame> HandshakeFloodSource::make_batch(std::size_t count,
     }
   }
   return batch;
-}
-
-// --- Flood throughput measurement -------------------------------------------
-
-FloodThroughput measure_batched_throughput(crypto::VerifyQueue& queue,
-                                           std::span<const FloodFrame> frames,
-                                           const crypto::KeySource& source,
-                                           std::uint32_t expected_code,
-                                           double min_seconds) {
-  using Clock = std::chrono::steady_clock;
-  FloodThroughput result;
-  std::vector<crypto::VerifyResult> out;
-  out.reserve(frames.size());
-  queue.reserve(frames.size());
-  const auto start = Clock::now();
-  do {
-    for (const FloodFrame& frame : frames) {
-      queue.push(frame.bits, frame.frame_code, expected_code);
-    }
-    queue.drain(source, out);
-    result.frames += frames.size();
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (result.seconds < min_seconds);
-  return result;
-}
-
-FloodThroughput measure_one_shot_throughput(const crypto::VerifyWire& wire,
-                                            std::span<const FloodFrame> frames,
-                                            const crypto::KeySource& source,
-                                            std::uint32_t expected_code,
-                                            double min_seconds) {
-  using Clock = std::chrono::steady_clock;
-  FloodThroughput result;
-  std::uint64_t accepted = 0;
-  const auto start = Clock::now();
-  do {
-    for (const FloodFrame& frame : frames) {
-      const crypto::VerifyResult v = crypto::VerifyQueue::verify_one_shot(
-          wire, frame.bits, frame.frame_code, expected_code, source);
-      accepted += (v.stage == crypto::VerifyStage::Accept) ? 1u : 0u;
-    }
-    result.frames += frames.size();
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (result.seconds < min_seconds);
-  // Keep the verdicts observable so the loop cannot be optimized away.
-  if (accepted > result.frames) result.frames = accepted;
-  return result;
 }
 
 }  // namespace jrsnd::adversary

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -96,15 +95,6 @@ struct FloodFrame {
   crypto::VerifyStage expected_stage = crypto::VerifyStage::Accept;
 };
 
-/// Throughput of a verification loop over a fixed frame set.
-struct FloodThroughput {
-  std::uint64_t frames = 0;  ///< frames verified across all repetitions
-  double seconds = 0.0;      ///< wall time spent verifying
-  [[nodiscard]] double frames_per_sec() const noexcept {
-    return seconds > 0.0 ? static_cast<double>(frames) / seconds : 0.0;
-  }
-};
-
 /// Authors AUTH frames for a flood of configurable attacker:honest ratio.
 /// The receiver is node 0; honest senders are nodes 1..peer_count, all
 /// provisioned under one IbcAuthority so their MACs genuinely verify.
@@ -146,20 +136,5 @@ class HandshakeFloodSource {
   core::IbcPairKeySource source_;
   Rng rng_;
 };
-
-/// Runs `frames` through a VerifyQueue drain (the batched pipeline) repeatedly
-/// until at least `min_seconds` of wall time elapses; returns the measured
-/// throughput. `queue`'s peer cache persists across repetitions (steady state).
-[[nodiscard]] FloodThroughput measure_batched_throughput(
-    crypto::VerifyQueue& queue, std::span<const FloodFrame> frames,
-    const crypto::KeySource& source, std::uint32_t expected_code,
-    double min_seconds);
-
-/// Same measurement over the one-at-a-time reference path (no peer cache, no
-/// batching) — the unbatched baseline dos_throughput compares against.
-[[nodiscard]] FloodThroughput measure_one_shot_throughput(
-    const crypto::VerifyWire& wire, std::span<const FloodFrame> frames,
-    const crypto::KeySource& source, std::uint32_t expected_code,
-    double min_seconds);
 
 }  // namespace jrsnd::adversary

@@ -11,12 +11,14 @@ namespace jrsnd {
 
 namespace {
 
-/// Reads JRSND_LOG_LEVEL once; unset or unparsable falls back to Warn.
+/// Reads JRSND_LOG_LEVEL once; unset or unparsable (with a warning — straight
+/// to stderr, since the logger is still initializing) falls back to Warn.
 LogLevel initial_level() noexcept {
   const char* env = std::getenv("JRSND_LOG_LEVEL");
-  if (env != nullptr) {
-    if (const auto parsed = parse_log_level(env); parsed.has_value()) return *parsed;
-  }
+  if (env == nullptr || env[0] == '\0') return LogLevel::Warn;
+  if (const auto parsed = parse_log_level(env); parsed.has_value()) return *parsed;
+  std::fprintf(stderr, "[WARN] logging: invalid JRSND_LOG_LEVEL value '%s' "
+                       "(want trace|debug|info|warn|error|off); using warn\n", env);
   return LogLevel::Warn;
 }
 

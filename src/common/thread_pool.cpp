@@ -8,6 +8,9 @@
 #include <mutex>
 #include <thread>
 
+#include "common/logging.hpp"
+#include "common/parse.hpp"
+
 namespace jrsnd {
 
 /// One parallel_for invocation: an atomic index dispenser plus completion
@@ -124,16 +127,21 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
   parallel_for(count, [&fn](std::size_t index, std::size_t /*worker*/) { fn(index); });
 }
 
+std::optional<std::size_t> ThreadPool::parse_thread_count(std::string_view text) noexcept {
+  const std::optional<std::uint64_t> value = parse_u64(text);
+  if (!value.has_value() || *value == 0) return std::nullopt;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(*value, 256));
+}
+
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("JRSND_THREADS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && value >= 1) {
-      return static_cast<std::size_t>(std::min<long>(value, 256));
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  const std::size_t fallback = hw == 0 ? 1 : hw;
+  if (const char* env = std::getenv("JRSND_THREADS"); env != nullptr && env[0] != '\0') {
+    if (const auto threads = parse_thread_count(env)) return *threads;
+    JRSND_WARN("threads") << "invalid JRSND_THREADS value '" << env
+                          << "' (want an integer >= 1); using " << fallback;
+  }
+  return fallback;
 }
 
 }  // namespace jrsnd

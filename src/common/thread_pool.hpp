@@ -15,6 +15,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace jrsnd {
@@ -46,9 +48,13 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// JRSND_THREADS env var if set to an integer >= 1 (clamped to 256),
-  /// otherwise std::thread::hardware_concurrency() (at least 1).
+  /// JRSND_THREADS env var if set to an integer >= 1 (clamped to 256; a
+  /// malformed value warns), otherwise std::thread::hardware_concurrency()
+  /// (at least 1).
   [[nodiscard]] static std::size_t default_thread_count();
+  /// The JRSND_THREADS parse; nullopt for "0", "-2", "4abc", "".
+  [[nodiscard]] static std::optional<std::size_t> parse_thread_count(
+      std::string_view text) noexcept;
 
  private:
   struct Job;

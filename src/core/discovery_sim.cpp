@@ -14,7 +14,7 @@
 #include "fault/faulty_phy.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/scoped_timer.hpp"
+#include "obs/prof/perf_counters.hpp"
 #include "sim/mobility.hpp"
 #include "sim/topology.hpp"
 
@@ -37,7 +37,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   Rng root(seed);
   RunResult result;
 
-  JRSND_SCOPED_TIMER("sim.phase.run.seconds");
+  JRSND_PERF_REGION("sim.run");
   // Monte-Carlo runs have no shared timeline; stamp this run's events with
   // the run index (thread-local, so parallel workers don't race the global
   // clock and a seed-ordered sort reproduces the serial trace byte for byte).
@@ -50,11 +50,11 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
                               .with("n", std::uint64_t{p.n})
                               .with("jammer", jammer_name(config_.jammer)));
   }
-  // Phase timers: emplace() ends the previous phase (destructor records its
-  // elapsed time) before the next one starts.
-  std::optional<obs::ScopedTimer> phase{obs::metrics_enabled()
-                                            ? &obs::timer_histogram("sim.phase.world.seconds")
-                                            : nullptr};
+  // Phase regions (prof.sim.<phase>.*, inside sim.run): emplace() ends the
+  // previous phase, recording its counters, before the next one starts.
+  static thread_local obs::prof::RegionMetrics world_rm, dndp_rm, mndp_rm, rates_rm;
+  std::optional<obs::prof::PerfRegion> phase;
+  phase.emplace("sim.world", world_rm);
 
   // --- world construction -------------------------------------------------
   predist::CodePoolAuthority authority(p.predist(), root.split());
@@ -98,8 +98,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   }
 
   // --- D-NDP over every physical-neighbor pair ----------------------------
-  phase.emplace(obs::metrics_enabled() ? &obs::timer_histogram("sim.phase.dndp.seconds")
-                                       : nullptr);
+  phase.emplace("sim.dndp", dndp_rm);
   Rng phy_rng = root.split();
   AbstractPhy phy(topology, *jammer, phy_rng);
 
@@ -135,8 +134,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
     }
   }
 
-  phase.emplace(obs::metrics_enabled() ? &obs::timer_histogram("sim.phase.mndp.seconds")
-                                       : nullptr);
+  phase.emplace("sim.mndp", mndp_rm);
   // Standalone M-NDP (the series the paper plots): over ALL physical pairs,
   // does a <= nu-hop logical path exist that avoids the pair's own direct
   // link? Evaluated on the pure D-NDP logical graph, as in Theorem 3 —
@@ -180,8 +178,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   }
 
   // --- rates ----------------------------------------------------------------
-  phase.emplace(obs::metrics_enabled() ? &obs::timer_histogram("sim.phase.rates.seconds")
-                                       : nullptr);
+  phase.emplace("sim.rates", rates_rm);
   if (result.physical_pairs > 0) {
     const auto pairs = static_cast<double>(result.physical_pairs);
     result.p_dndp = static_cast<double>(result.dndp_discovered) / pairs;

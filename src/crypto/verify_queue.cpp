@@ -272,60 +272,6 @@ std::optional<std::uint32_t> VerifyQueue::claimed_sender(const BitVector& frame)
   return static_cast<std::uint32_t>(frame.read_uint(wire_.l_t, wire_.l_id));
 }
 
-VerifyResult VerifyQueue::verify_one_shot(const VerifyWire& wire, const BitVector& frame,
-                                          std::uint32_t frame_code,
-                                          std::uint32_t expected_code,
-                                          const KeySource& source) {
-  VerifyResult result;
-  JRSND_COUNT("crypto.verify.frames");
-
-  // The historical decode: a sequential bounds-checked read fails exactly
-  // when the frame is the wrong size or the type tag is not AUTH.
-  if (frame.size() != wire.frame_bits()) {
-    result.stage = VerifyStage::RejectLength;
-    JRSND_COUNT("crypto.reject.length");
-    return result;
-  }
-  if (frame.read_uint(0, wire.l_t) != wire.auth_type) {
-    result.stage = VerifyStage::RejectFormat;
-    JRSND_COUNT("crypto.reject.format");
-    return result;
-  }
-  result.sender = static_cast<std::uint32_t>(frame.read_uint(wire.l_t, wire.l_id));
-  // Allocating field extraction, as AuthMessage::decode performs it.
-  const std::size_t nonce_off = std::size_t{wire.l_t} + wire.l_id;
-  const BitVector nonce = frame.slice(nonce_off, wire.l_n);
-  const BitVector wire_mac = frame.slice(nonce_off + wire.l_n, wire.l_mac);
-
-  if (frame_code != expected_code) {
-    result.stage = VerifyStage::RejectCode;
-    JRSND_COUNT("crypto.reject.code");
-    return result;
-  }
-
-  // Fresh pairwise key + raw hmac_sha256 per frame — the per-frame cost the
-  // batched path amortizes away.
-  const SymmetricKey key = source.key_for(result.sender);
-  BitVector mac_input;
-  mac_input.append_uint(result.sender, 32);
-  mac_input.append(nonce);
-  const std::vector<std::uint8_t> input_bytes = mac_input.to_bytes();
-  const Sha256Digest expected = hmac_sha256(
-      std::span<const std::uint8_t>(key.data(), key.size()), input_bytes);
-  const BitVector expected_bits =
-      BitVector::from_bytes(std::span<const std::uint8_t>(expected.data(), expected.size()))
-          .slice(0, wire.l_mac);
-  if (expected_bits == wire_mac) {
-    result.stage = VerifyStage::Accept;
-    result.key = key;
-    JRSND_COUNT("crypto.verify.accepted");
-  } else {
-    result.stage = VerifyStage::RejectMac;
-    JRSND_COUNT("crypto.reject.mac");
-  }
-  return result;
-}
-
 void VerifyQueue::clear_key_cache() { keys_.clear(); }
 
 }  // namespace jrsnd::crypto

@@ -21,8 +21,9 @@
 // independent-message parallelism only a batch can expose; the one-at-a-time
 // path never has more than one compression in flight.
 // The decision — and the per-stage crypto.reject.* counters —
-// are bit-identical to verify_one_shot(), the historical decode-then-verify
-// reference, which bench/dos_throughput proves in-binary before timing.
+// are bit-identical to oracle::verify_one_shot (tests/oracle), the
+// historical decode-then-verify reference, which bench/dos_throughput
+// proves in-binary before timing.
 #pragma once
 
 #include <cstddef>
@@ -133,17 +134,6 @@ class VerifyQueue {
   /// The sender ID a frame claims, read only when the frame has AUTH length
   /// and type tag (the stages that gate parsing it); counts nothing.
   [[nodiscard]] std::optional<std::uint32_t> claimed_sender(const BitVector& frame) const noexcept;
-
-  /// The historical one-at-a-time path, kept as the in-binary equivalence
-  /// reference: full BitVector decode (allocating slices), a fresh
-  /// KeySource::key_for call, raw hmac_sha256, and a truncated-digest
-  /// compare. Bumps the same per-frame decision counters as the batched
-  /// path; accept/reject verdicts are bit-identical by construction.
-  [[nodiscard]] static VerifyResult verify_one_shot(const VerifyWire& wire,
-                                                    const BitVector& frame,
-                                                    std::uint32_t frame_code,
-                                                    std::uint32_t expected_code,
-                                                    const KeySource& source);
 
   /// Drops every cached per-peer key schedule (tests; never needed in the
   /// steady state — the cache is capped).

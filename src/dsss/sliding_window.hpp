@@ -13,8 +13,9 @@
 // (dsss/sync_kernel.hpp), dispatched on the process-wide SIMD level
 // (common/cpu_features.hpp; JRSND_SIMD overrides). The threshold test runs in the Hamming
 // domain with bounds derived from the same double predicate, so hits,
-// counters, and recovered messages are byte-identical to the per-code path
-// and to the find_*_reference slice oracles below on every backend.
+// counters, and recovered messages are byte-identical on every backend to
+// the per-code and slice-based reference scans of the test-side oracle
+// library (tests/oracle/dsss_reference.hpp).
 #pragma once
 
 #include <cstddef>
@@ -90,20 +91,6 @@ struct SyncHit {
 [[nodiscard]] std::vector<SyncHit> find_all_messages(const BitVector& buffer,
                                                      const PreparedCodebook& codebook,
                                                      std::size_t message_bits, double tau);
-
-/// Reference oracle for find_first_message: the straightforward slice-based
-/// scan (one BitVector window per chip position, shared across candidates —
-/// not one per (position, code) pair). Byte-identical results to the kernel
-/// path by construction; kept for property tests and the micro benchmark,
-/// not for production scans.
-[[nodiscard]] std::optional<SyncHit> find_first_message_reference(
-    const BitVector& buffer, std::span<const SpreadCode> codes, std::size_t message_bits,
-    double tau, std::size_t start_offset = 0);
-
-/// Reference oracle for find_all_messages (see find_first_message_reference).
-[[nodiscard]] std::vector<SyncHit> find_all_messages_reference(
-    const BitVector& buffer, std::span<const SpreadCode> codes, std::size_t message_bits,
-    double tau);
 
 /// The number of code correlations the scan performs, the quantity the
 /// paper's processing-time model t_p = rho * N * m * f is built on.

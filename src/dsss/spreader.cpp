@@ -28,16 +28,12 @@ void spread_into(const BitVector& message, const SpreadCode& code, BitVector& fl
   }
 }
 
-namespace {
-
-/// Threshold decision shared by every despread path: the correlation source
-/// differs (slice-free kernel vs. shift table), the decision does not.
-DespreadBit decide(double corr, double tau) noexcept {
+DespreadBit decide_bit(double correlation, double tau) noexcept {
   DespreadBit out;
-  out.correlation = corr;
-  if (corr >= tau) {
+  out.correlation = correlation;
+  if (correlation >= tau) {
     out.value = true;
-  } else if (corr <= -tau) {
+  } else if (correlation <= -tau) {
     out.value = false;
   } else {
     out.erased = true;
@@ -45,25 +41,14 @@ DespreadBit decide(double corr, double tau) noexcept {
   return out;
 }
 
-}  // namespace
-
 DespreadBit despread_bit(const BitVector& chips, std::size_t start, const SpreadCode& code,
                          double tau) {
   assert(start + code.length() <= chips.size());
-  return decide(correlate_at(chips, start, code.bits()), tau);
+  return decide_bit(correlate_at(chips, start, code.bits()), tau);
 }
 
-DespreadBit despread_bit(const BitVector& chips, std::size_t start, const ShiftTable& code,
-                         double tau) {
-  assert(start + code.length() <= chips.size());
-  return decide(code.correlate(chips, start), tau);
-}
-
-namespace {
-
-template <typename CodeLike>
-DespreadResult despread_impl(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                             const CodeLike& code, double tau) {
+DespreadResult despread(const BitVector& chips, std::size_t start, std::size_t bit_count,
+                        const SpreadCode& code, double tau) {
   if (start + bit_count * code.length() > chips.size()) {
     throw std::invalid_argument("despread: window exceeds chip buffer");
   }
@@ -74,34 +59,6 @@ DespreadResult despread_impl(const BitVector& chips, std::size_t start, std::siz
     if (d.erased) result.erased_bits.push_back(bit);
   }
   return result;
-}
-
-}  // namespace
-
-DespreadResult despread(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                        const SpreadCode& code, double tau) {
-  return despread_impl(chips, start, bit_count, code, tau);
-}
-
-DespreadResult despread(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                        const ShiftTable& code, double tau) {
-  return despread_impl(chips, start, bit_count, code, tau);
-}
-
-void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                   const ShiftTable& code, double tau, DespreadResult& out) {
-  if (start + bit_count * code.length() > chips.size()) {
-    throw std::invalid_argument("despread: window exceeds chip buffer");
-  }
-  JRSND_PERF_REGION("dsss.despread");
-  out.bits.clear();
-  out.bits.reserve(bit_count);
-  out.erased_bits.clear();
-  for (std::size_t bit = 0; bit < bit_count; ++bit) {
-    const DespreadBit d = despread_bit(chips, start + bit * code.length(), code, tau);
-    out.bits.push_back(d.value);
-    if (d.erased) out.erased_bits.push_back(bit);
-  }
 }
 
 void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
@@ -117,7 +74,7 @@ void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_co
   out.erased_bits.clear();
   for (std::size_t bit = 0; bit < bit_count; ++bit) {
     const DespreadBit d =
-        decide(batch.correlate_lane(lane, chips, start + bit * batch.length()), tau);
+        decide_bit(batch.correlate_lane(lane, chips, start + bit * batch.length()), tau);
     out.bits.push_back(d.value);
     if (d.erased) out.erased_bits.push_back(bit);
   }

@@ -17,7 +17,6 @@
 namespace jrsnd::dsss {
 
 class BatchShiftTable;  // dsss/sync_kernel.hpp
-class ShiftTable;       // dsss/sync_kernel.hpp
 
 /// Spreads `message` with `code`: output has message.size() * N chips,
 /// packed as bits (bit 1 <-> chip +1).
@@ -53,27 +52,17 @@ struct DespreadResult {
 [[nodiscard]] DespreadBit despread_bit(const BitVector& chips, std::size_t start,
                                        const SpreadCode& code, double tau);
 
-/// Kernel variants over a precomputed ShiftTable: same decisions and the
-/// bit-identical correlations of the SpreadCode overloads, but each window
-/// is correlated with zero allocation and zero bit-shifting — the per-code
-/// reference the batch-lane overload below is tested against.
-[[nodiscard]] DespreadResult despread(const BitVector& chips, std::size_t start,
-                                      std::size_t bit_count, const ShiftTable& code, double tau);
-[[nodiscard]] DespreadBit despread_bit(const BitVector& chips, std::size_t start,
-                                       const ShiftTable& code, double tau);
+/// The threshold decision every despread path shares: 1 at correlation >=
+/// tau, 0 at <= -tau, an erasure in between.
+[[nodiscard]] DespreadBit decide_bit(double correlation, double tau) noexcept;
 
-/// despread() into a caller-owned result (cleared and refilled). Identical
-/// decisions; allocation-free once `out`'s buffers have steady-state
-/// capacity.
-void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                   const ShiftTable& code, double tau, DespreadResult& out);
-
-/// despread_into over one lane of a SIMD-batched table — the path every
-/// sliding-window scan takes to recover the message once the batched search
-/// has locked onto a code. The lane's strided SoA reads produce the
-/// same integer Hamming distances as a ShiftTable of the same code, so the
-/// decisions and correlations are bit-identical to every other despread
-/// overload. Precondition: lane < batch.size().
+/// despread() into a caller-owned result (cleared and refilled), over one
+/// lane of a SIMD-batched table — the path every sliding-window scan takes
+/// to recover the message once the batched search has locked onto a code.
+/// The lane's strided SoA reads produce the same integer Hamming distances
+/// as correlate_at on the same code, so the decisions and correlations are
+/// bit-identical to despread(). Allocation-free once `out`'s buffers have
+/// steady-state capacity. Precondition: lane < batch.size().
 void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
                    const BatchShiftTable& batch, std::size_t lane, double tau,
                    DespreadResult& out);

@@ -30,21 +30,6 @@ std::uint64_t padded_word(std::span<const std::uint64_t> src, std::size_t k) noe
   return k < src.size() ? src[k] : 0;
 }
 
-/// Writes `src` shifted right by `s` bits (MSB-first packing: the pattern
-/// now starts at bit `s`) into out[0, out_words).
-void shift_words(std::span<const std::uint64_t> src, std::size_t s, std::uint64_t* out,
-                 std::size_t out_words) noexcept {
-  for (std::size_t k = 0; k < out_words; ++k) {
-    const std::uint64_t lo = padded_word(src, k);
-    if (s == 0) {
-      out[k] = lo;
-    } else {
-      const std::uint64_t hi = k == 0 ? 0 : padded_word(src, k - 1);
-      out[k] = (lo >> s) | (hi << (kWordBits - s));
-    }
-  }
-}
-
 // --- batched hamming kernels ------------------------------------------------
 //
 // Shared contract: rows points at the alignment-s block of a BatchShiftTable
@@ -249,20 +234,17 @@ double correlate_at(const BitVector& buffer, std::size_t bit_offset, const BitVe
   return correlation_from_hamming(code.size(), hamming_at(buffer, bit_offset, code));
 }
 
-ShiftTable::ShiftTable(const SpreadCode& code)
-    : length_(code.length()), stride_((kWordBits - 1 + length_ + kWordBits - 1) / kWordBits) {
-  rows_.resize(kWordBits * stride_);
-  const std::span<const std::uint64_t> cw = code.bits().words();
-  for (std::size_t s = 0; s < kWordBits; ++s) {
-    shift_words(cw, s, rows_.data() + s * stride_, stride_);
+void shift_words(std::span<const std::uint64_t> src, std::size_t s, std::uint64_t* out,
+                 std::size_t out_words) noexcept {
+  for (std::size_t k = 0; k < out_words; ++k) {
+    const std::uint64_t lo = padded_word(src, k);
+    if (s == 0) {
+      out[k] = lo;
+    } else {
+      const std::uint64_t hi = k == 0 ? 0 : padded_word(src, k - 1);
+      out[k] = (lo >> s) | (hi << (kWordBits - s));
+    }
   }
-}
-
-std::vector<ShiftTable> build_shift_tables(std::span<const SpreadCode> codes) {
-  std::vector<ShiftTable> tables;
-  tables.reserve(codes.size());
-  for (const SpreadCode& code : codes) tables.emplace_back(code);
-  return tables;
 }
 
 BatchShiftTable::BatchShiftTable(std::span<const SpreadCode> codes) : m_(codes.size()) {

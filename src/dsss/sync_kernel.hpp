@@ -13,36 +13,18 @@
 //     code with two word reads and an inline shift per word. Zero allocation;
 //     right for de-spreading a handful of bits at a known offset.
 //
-//   * ShiftTable — precomputes the code's words at all 64 possible bit
-//     alignments once per scan, so the scan inner loop does zero allocation
-//     *and* zero per-window bit shifting: for chip offset i it picks row
-//     i % 64 and XOR/popcounts it directly against buffer words starting at
-//     i / 64. Only the row's first and last words carry buffer bits outside
-//     the window; their masks are two ALU ops from s, so no mask rows are
-//     stored and the whole table is 64 * ceil((63 + N) / 64) words
-//     (~4.7 KiB at N = 512) — small enough that a Table-I scan's working
-//     set stays L1-resident. Construction is amortized over the ~f * m
-//     correlations of a scan.
+//   * BatchShiftTable — a *group* of same-length codes precomputed at all 64
+//     word alignments in struct-of-arrays order: the scan loads each buffer
+//     word once and XOR+popcounts it against every code, with no per-window
+//     shifting, on the backend of common/cpu_features.hpp's SIMD level —
+//     AVX-512 VPOPCNTDQ (8 codes per op), AVX2 (vpshufb nibble-LUT popcount
+//     + psadbw, 4 codes), NEON vcnt, or portable __builtin_popcountll.
 //
-// Both paths compute the identical integer Hamming distance, so their
-// normalized correlations (N - 2h) / N are bit-identical doubles — the
-// sliding-window results do not depend on which path ran.
-// A third entry point batches candidates (ROADMAP: SIMD-batched correlator):
-//
-//   * BatchShiftTable — struct-of-arrays form of a *group* of same-length
-//     codes: for every alignment s and word index k, the group's m code
-//     words sit contiguously, so the scan loads each buffer word once and
-//     XOR+popcounts it against every code in the group. The inner loop runs
-//     on one of several kernel backends selected once at startup (the
-//     shared SIMD level of common/cpu_features.hpp): AVX-512 VPOPCNTDQ (8
-//     codes per vector op), AVX2 (vpshufb nibble-LUT popcount + psadbw, 4
-//     codes per vector), NEON vcnt on aarch64, or the portable scalar
-//     __builtin_popcountll path. All backends accumulate exact integer Hamming distances, so
-//     every backend — and the single-code paths above — produce
-//     bit-identical correlations.
+// Every path and backend computes the identical integer Hamming distance, so
+// the normalized correlations (N - 2h) / N are bit-identical doubles — as are
+// those of the per-code ShiftTable reference in tests/oracle.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -75,58 +57,11 @@ using jrsnd::simd_backend_supported;
 [[nodiscard]] double correlate_at(const BitVector& buffer, std::size_t bit_offset,
                                   const BitVector& code);
 
-/// A candidate code precomputed at all 64 word alignments. Row s holds the
-/// code's chips shifted to start at bit s of a word boundary; correlating
-/// the window at chip offset i reduces to XOR + popcount of row i % 64
-/// against the buffer words from i / 64 on, with only the two edge words
-/// masked (their masks derive from s alone).
-class ShiftTable {
- public:
-  explicit ShiftTable(const SpreadCode& code);
-
-  [[nodiscard]] std::size_t length() const noexcept { return length_; }
-
-  /// Hamming distance to the window at `bit_offset`; allocation-free,
-  /// shift-free. Precondition: bit_offset + length() <= buffer.size().
-  /// Defined inline: this is the body of the scan's hot loop.
-  [[nodiscard]] std::size_t hamming(const BitVector& buffer, std::size_t bit_offset) const {
-    const std::size_t s = bit_offset % kWordBits;
-    const std::uint64_t* buf = buffer.words().data() + bit_offset / kWordBits;
-    const std::uint64_t* row = rows_.data() + s * stride_;
-    const std::size_t nw = (s + length_ + kWordBits - 1) / kWordBits;
-    // Bits of the first word before s and of the last word past the code are
-    // live buffer bits outside the window; the rows hold zeros there, so the
-    // two edge masks silence them. Interior words need no mask.
-    const std::uint64_t first = ~std::uint64_t{0} >> s;
-    const std::size_t valid = (s + length_ - 1) % kWordBits + 1;
-    const std::uint64_t last = ~std::uint64_t{0} << (kWordBits - valid);
-    if (nw == 1) {
-      return static_cast<std::size_t>(std::popcount((buf[0] ^ row[0]) & first & last));
-    }
-    std::size_t h = static_cast<std::size_t>(std::popcount((buf[0] ^ row[0]) & first));
-    for (std::size_t k = 1; k + 1 < nw; ++k) {
-      h += static_cast<std::size_t>(std::popcount(buf[k] ^ row[k]));
-    }
-    h += static_cast<std::size_t>(std::popcount((buf[nw - 1] ^ row[nw - 1]) & last));
-    return h;
-  }
-
-  /// (N - 2 * hamming) / N, identical to SpreadCode::correlate on a slice.
-  [[nodiscard]] double correlate(const BitVector& buffer, std::size_t bit_offset) const {
-    return correlation_from_hamming(length_, hamming(buffer, bit_offset));
-  }
-
- private:
-  static constexpr std::size_t kWordBits = 64;
-
-  std::size_t length_ = 0;
-  std::size_t stride_ = 0;  ///< words per alignment row (worst case, s = 63)
-  std::vector<std::uint64_t> rows_;  ///< 64 rows of stride_ words: code >> s
-};
-
-/// One ShiftTable per candidate code — the per-code reference form the
-/// batched kernel is tested and benchmarked against.
-[[nodiscard]] std::vector<ShiftTable> build_shift_tables(std::span<const SpreadCode> codes);
+/// Writes the code words `src` shifted right by `s` bits (MSB-first packing:
+/// the pattern now starts at bit `s`) into out[0, out_words), zero-padded —
+/// one alignment row of a shift table.
+void shift_words(std::span<const std::uint64_t> src, std::size_t s, std::uint64_t* out,
+                 std::size_t out_words) noexcept;
 
 /// A *group* of same-length candidate codes precomputed at all 64 word
 /// alignments in struct-of-arrays order: rows[(s * stride + k) * lanes + c]
@@ -155,19 +90,19 @@ class BatchShiftTable {
   /// Hamming distance of *every* code in the group against the window at
   /// `bit_offset`, written to out[0, size()) (out[size(), lane_count()) is
   /// scratch). One pass over the buffer words, dispatched to the active
-  /// SIMD backend; results are bit-identical to ShiftTable::hamming on
-  /// every backend. Preconditions: bit_offset + length() <= buffer.size(),
+  /// SIMD backend; results are bit-identical to hamming_at on every
+  /// backend. Preconditions: bit_offset + length() <= buffer.size(),
   /// out.size() >= lane_count().
   void hamming_all(const BitVector& buffer, std::size_t bit_offset,
                    std::span<std::uint64_t> out) const;
 
   /// Single-lane hamming distance — the strided SoA read the batched
   /// despread path uses once a scan has locked onto one code. Identical
-  /// integers to ShiftTable::hamming for the same code.
+  /// integers to hamming_at for the same code.
   [[nodiscard]] std::size_t hamming_lane(std::size_t lane, const BitVector& buffer,
                                          std::size_t bit_offset) const;
 
-  /// (N - 2 * hamming_lane) / N, identical to ShiftTable::correlate.
+  /// (N - 2 * hamming_lane) / N, identical to correlate_at.
   [[nodiscard]] double correlate_lane(std::size_t lane, const BitVector& buffer,
                                       std::size_t bit_offset) const;
 

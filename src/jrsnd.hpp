@@ -14,6 +14,7 @@
 #include "common/hex.hpp"
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -24,7 +25,6 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"
 #include "obs/prof/sampling_profiler.hpp"
-#include "obs/scoped_timer.hpp"
 #include "obs/sinks.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_analysis.hpp"

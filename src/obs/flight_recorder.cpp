@@ -15,6 +15,8 @@
 #include <ostream>
 #include <vector>
 
+#include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
@@ -128,16 +130,24 @@ void set_flight_enabled(bool enabled) noexcept {
   g_flight_enabled.store(enabled, std::memory_order_relaxed);
 }
 
+std::optional<std::size_t> parse_flight_capacity(std::string_view text) noexcept {
+  const std::optional<std::uint64_t> value = parse_u64(text);
+  if (!value.has_value() || *value == 0) return std::nullopt;
+  return static_cast<std::size_t>(*value);
+}
+
 std::size_t flight_capacity() noexcept {
   if (const std::size_t cap = g_capacity_override.load(std::memory_order_relaxed); cap != 0) {
     return cap;
   }
   static const std::size_t from_env = [] {
-    if (const char* env = std::getenv("JRSND_FLIGHT_CAPACITY")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(256);
+    constexpr std::size_t kDefault = 256;
+    const char* env = std::getenv("JRSND_FLIGHT_CAPACITY");
+    if (env == nullptr || env[0] == '\0') return kDefault;
+    if (const auto records = parse_flight_capacity(env)) return *records;
+    JRSND_WARN("flight") << "invalid JRSND_FLIGHT_CAPACITY value '" << env
+                         << "' (want an integer >= 1); using " << kDefault;
+    return kDefault;
   }();
   return from_env;
 }

@@ -20,7 +20,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/span.hpp"
 
@@ -51,9 +53,12 @@ struct FlightRecord {
 void set_flight_enabled(bool enabled) noexcept;
 
 /// Per-thread ring capacity in records. Read from JRSND_FLIGHT_CAPACITY at
-/// first use (default 256); set_flight_capacity overrides for tests. Only
-/// affects rings created afterwards.
+/// first use (default 256, kept with a warning on a malformed value);
+/// set_flight_capacity overrides for tests. Only affects rings created
+/// afterwards.
 [[nodiscard]] std::size_t flight_capacity() noexcept;
+/// The JRSND_FLIGHT_CAPACITY parse: a whole integer >= 1; nullopt otherwise.
+[[nodiscard]] std::optional<std::size_t> parse_flight_capacity(std::string_view text) noexcept;
 void set_flight_capacity(std::size_t records) noexcept;
 
 /// Appends a record to this thread's ring (creating it on first use).

@@ -455,11 +455,6 @@ void preregister_core_metrics() {
   (void)r.gauge("sim.queue.depth.highwater");
   (void)r.gauge("sim.runs.completed");
   (void)r.gauge("sim.runs.total");
-  for (const char* name : {"sim.phase.world.seconds", "sim.phase.dndp.seconds",
-                           "sim.phase.mndp.seconds", "sim.phase.rates.seconds",
-                           "sim.phase.run.seconds"}) {
-    (void)r.histogram(name);
-  }
 }
 
 }  // namespace jrsnd::obs

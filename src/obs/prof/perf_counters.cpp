@@ -6,6 +6,9 @@
 #include <ctime>
 #include <string>
 
+#include "common/logging.hpp"
+#include "common/parse.hpp"
+
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
@@ -28,11 +31,15 @@ void publish_backend_gauge(ProfBackend backend) {
 }
 
 double fallback_ghz_from_env() {
-  if (const char* env = std::getenv("JRSND_PROF_GHZ")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 1.0;
+  static const double ghz = [] {
+    const char* env = std::getenv("JRSND_PROF_GHZ");
+    if (env == nullptr || env[0] == '\0') return 1.0;
+    if (const auto parsed = parse_prof_ghz(env)) return *parsed;
+    JRSND_WARN("prof") << "invalid JRSND_PROF_GHZ value '" << env
+                       << "' (want a number > 0); using 1.0";
+    return 1.0;
+  }();
+  return ghz;
 }
 
 #if defined(__linux__)
@@ -91,10 +98,14 @@ ProfBackend resolve_backend() {
     return perf_event_available() ? ProfBackend::kPerfEvent : ProfBackend::kClockFallback;
   }
   static const ProfBackend from_env = [] {
-    if (const char* env = std::getenv("JRSND_PROF_BACKEND")) {
-      if (std::strcmp(env, "off") == 0) return ProfBackend::kOff;
-      if (std::strcmp(env, "clock") == 0) return ProfBackend::kClockFallback;
-      // "perf" (and anything else) falls through to the probe below.
+    if (const char* env = std::getenv("JRSND_PROF_BACKEND"); env != nullptr && env[0] != '\0') {
+      const std::optional<ProfBackend> parsed = parse_prof_backend(env);
+      if (parsed.has_value() && *parsed != ProfBackend::kPerfEvent) return *parsed;
+      // "perf" runs the probe below too: it degrades without a PMU.
+      if (!parsed.has_value()) {
+        JRSND_WARN("prof") << "invalid JRSND_PROF_BACKEND value '" << env
+                           << "' (want perf|clock|off); probing";
+      }
     }
     return perf_event_available() ? ProfBackend::kPerfEvent : ProfBackend::kClockFallback;
   }();
@@ -102,6 +113,19 @@ ProfBackend resolve_backend() {
 }
 
 }  // namespace
+
+std::optional<ProfBackend> parse_prof_backend(std::string_view text) noexcept {
+  if (text == "perf") return ProfBackend::kPerfEvent;
+  if (text == "clock") return ProfBackend::kClockFallback;
+  if (text == "off") return ProfBackend::kOff;
+  return std::nullopt;
+}
+
+std::optional<double> parse_prof_ghz(std::string_view text) noexcept {
+  const std::optional<double> ghz = parse_double(text);
+  if (!ghz.has_value() || *ghz <= 0.0) return std::nullopt;
+  return ghz;
+}
 
 const char* backend_name(ProfBackend backend) noexcept {
   switch (backend) {

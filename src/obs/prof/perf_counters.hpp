@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "obs/metrics_registry.hpp"
@@ -42,6 +43,13 @@ enum class ProfBackend : std::uint8_t { kOff = 0, kClockFallback = 1, kPerfEvent
 /// ENOSYS in seccomp'd containers). JRSND_PROF_BACKEND=perf|clock forces a
 /// backend before the probe runs; set_prof_backend overrides at runtime.
 [[nodiscard]] ProfBackend prof_backend();
+
+/// The JRSND_PROF_BACKEND parse: "perf" | "clock" | "off", else nullopt
+/// (the probe then decides, after a warning).
+[[nodiscard]] std::optional<ProfBackend> parse_prof_backend(std::string_view text) noexcept;
+/// The JRSND_PROF_GHZ parse: a finite number > 0, else nullopt (the clock
+/// fallback then estimates at 1 GHz, after a warning).
+[[nodiscard]] std::optional<double> parse_prof_ghz(std::string_view text) noexcept;
 
 /// Forces the backend (tests, benches). kPerfEvent is a *request* — it
 /// re-probes and may still degrade to the fallback. Updates the

@@ -13,6 +13,7 @@
 #include "crypto/verify_queue.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_phy.hpp"
+#include "oracle/crypto_reference.hpp"
 
 namespace jrsnd::crypto {
 namespace {
@@ -31,7 +32,7 @@ adversary::HandshakeFloodSource make_source(std::uint64_t rng_seed) {
 /// Both paths on one frame; returns the (asserted-equal) verdict stage.
 VerifyStage both_paths(VerifyQueue& queue, const adversary::HandshakeFloodSource& source,
                        const BitVector& frame, std::uint32_t frame_code) {
-  const VerifyResult one_shot = VerifyQueue::verify_one_shot(
+  const VerifyResult one_shot = oracle::verify_one_shot(
       source.verify_wire(), frame, frame_code, source.expected_code(), source.key_source());
   std::vector<VerifyResult> out;
   queue.push(frame, frame_code, source.expected_code());
@@ -177,7 +178,7 @@ TEST(VerifyQueueFuzz, FaultyPhyCorruptedFloodNeverCrashesOrDiverges) {
   }
   queue.drain(source.key_source(), batched);
   for (std::size_t i = 0; i < mutants.size(); ++i) {
-    const VerifyResult one_shot = VerifyQueue::verify_one_shot(
+    const VerifyResult one_shot = oracle::verify_one_shot(
         source.verify_wire(), mutants[i], codes[i], source.expected_code(),
         source.key_source());
     EXPECT_EQ(batched[i].stage, one_shot.stage) << i;

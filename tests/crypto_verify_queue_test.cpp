@@ -20,6 +20,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256_multi.hpp"
 #include "obs/metrics_registry.hpp"
+#include "oracle/crypto_reference.hpp"
 
 namespace jrsnd::crypto {
 namespace {
@@ -56,7 +57,7 @@ TEST(VerifyQueueProperty, BatchedVerdictsMatchOneShotAcrossRatios) {
     ASSERT_EQ(batched.size(), flood.size());
 
     for (std::size_t i = 0; i < flood.size(); ++i) {
-      const VerifyResult one_shot = VerifyQueue::verify_one_shot(
+      const VerifyResult one_shot = oracle::verify_one_shot(
           source.verify_wire(), flood[i].bits, flood[i].frame_code, source.expected_code(),
           source.key_source());
       EXPECT_EQ(batched[i].stage, one_shot.stage)
@@ -80,8 +81,8 @@ TEST(VerifyQueueProperty, DecisionCountersMatchOneShot) {
   {
     obs::ScopedMetricsRegistry scoped(&one_shot_registry);
     for (const auto& frame : flood) {
-      (void)VerifyQueue::verify_one_shot(source.verify_wire(), frame.bits, frame.frame_code,
-                                         source.expected_code(), source.key_source());
+      (void)oracle::verify_one_shot(source.verify_wire(), frame.bits, frame.frame_code,
+                                    source.expected_code(), source.key_source());
     }
   }
 

@@ -17,9 +17,15 @@
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
 #include "dsss/sync_kernel.hpp"
+#include "oracle/dsss_reference.hpp"
 
 namespace jrsnd::dsss {
 namespace {
+
+using oracle::build_shift_tables;
+using oracle::find_all_messages_reference;
+using oracle::find_first_message_reference;
+using oracle::ShiftTable;
 
 BitVector random_bits(Rng& rng, std::size_t n) {
   BitVector v(n);

@@ -15,9 +15,13 @@
 #include "dsss/sliding_window.hpp"
 #include "dsss/spreader.hpp"
 #include "obs/metrics_registry.hpp"
+#include "oracle/dsss_reference.hpp"
 
 namespace jrsnd::dsss {
 namespace {
+
+using oracle::find_all_messages_reference;
+using oracle::find_first_message_reference;
 
 BitVector random_bits(Rng& rng, std::size_t n) {
   BitVector v;

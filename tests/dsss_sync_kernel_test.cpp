@@ -9,9 +9,14 @@
 #include "dsss/sliding_window.hpp"
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
+#include "oracle/dsss_reference.hpp"
 
 namespace jrsnd::dsss {
 namespace {
+
+using oracle::find_all_messages_reference;
+using oracle::find_first_message_reference;
+using oracle::ShiftTable;
 
 BitVector random_bits(Rng& rng, std::size_t n) {
   BitVector v(n);

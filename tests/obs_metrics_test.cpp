@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
-#include "obs/scoped_timer.hpp"
 
 namespace jrsnd::obs {
 namespace {
@@ -225,22 +224,8 @@ TEST(Macros, PreregisterPublishesCanonicalNamesAsZero) {
   preregister_core_metrics();
   const MetricsSnapshot snap = registry().snapshot();
   bool found_sync = false;
-  bool found_phase = false;
   for (const auto& c : snap.counters) found_sync |= (c.name == "dsss.sync.scans");
-  for (const auto& h : snap.histograms) found_phase |= (h.name == "sim.phase.run.seconds");
   EXPECT_TRUE(found_sync);
-  EXPECT_TRUE(found_phase);
-}
-
-TEST(ScopedTimer, ArmedRecordsOneObservation) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("timer", std::vector<double>{1.0});
-  {
-    ScopedTimer timer(&h);
-    EXPECT_TRUE(timer.armed());
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.max(), 0.0);
 }
 
 TEST(Registry, CrossKindNameCollisionThrowsNamingBothKinds) {
@@ -268,20 +253,6 @@ TEST(Registry, CrossKindNameCollisionThrowsNamingBothKinds) {
 
   // Same-kind lookups still return the one shared object.
   EXPECT_EQ(&reg.counter("shared.name"), &reg.counter("shared.name"));
-}
-
-TEST(ScopedTimer, DisarmedAndCancelledRecordNothing) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("timer", std::vector<double>{1.0});
-  {
-    ScopedTimer timer(nullptr);
-    EXPECT_FALSE(timer.armed());
-  }
-  {
-    ScopedTimer timer(&h);
-    timer.cancel();
-  }
-  EXPECT_EQ(h.count(), 0u);
 }
 
 }  // namespace

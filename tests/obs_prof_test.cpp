@@ -1,6 +1,7 @@
 // Profiling layer tests: backend forcing, the clock-fallback contract
 // (every API functional without a PMU), PerfRegion accounting through the
-// registry/absorb machinery, and the SIGPROF sampling profiler end to end.
+// registry/absorb machinery, the simulator's phase regions, and the SIGPROF
+// sampling profiler end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include "core/discovery_sim.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"
 #include "obs/prof/sampling_profiler.hpp"
@@ -80,6 +83,63 @@ TEST(ProfBackendTest, OffBackendDisarmsRegions) {
   EXPECT_EQ(prof_backend(), ProfBackend::kOff);
   EXPECT_EQ(gauge_value(registry(), "prof.backend"), 0.0);
   set_prof_backend(ProfBackend::kClockFallback);
+}
+
+// --- JRSND_PROF_BACKEND / JRSND_PROF_GHZ / JRSND_FLIGHT_CAPACITY -----------
+
+TEST(EnvKnobs, ProfBackendAcceptsTheThreeNames) {
+  EXPECT_EQ(parse_prof_backend("perf"), ProfBackend::kPerfEvent);
+  EXPECT_EQ(parse_prof_backend("clock"), ProfBackend::kClockFallback);
+  EXPECT_EQ(parse_prof_backend("off"), ProfBackend::kOff);
+}
+
+TEST(EnvKnobs, ProfBackendRejectsUnknownName) {
+  EXPECT_FALSE(parse_prof_backend("fast").has_value());
+}
+
+TEST(EnvKnobs, ProfBackendRejectsOtherCase) {
+  EXPECT_FALSE(parse_prof_backend("PERF").has_value());
+}
+
+TEST(EnvKnobs, ProfGhzRejectsNonNumber) {
+  EXPECT_FALSE(parse_prof_ghz("fast").has_value());
+}
+
+TEST(EnvKnobs, ProfGhzRejectsTrailingJunk) {
+  EXPECT_FALSE(parse_prof_ghz("2.5GHz").has_value());
+}
+
+TEST(EnvKnobs, ProfGhzRejectsZeroAndNegative) {
+  EXPECT_FALSE(parse_prof_ghz("0").has_value());
+  EXPECT_FALSE(parse_prof_ghz("-3").has_value());
+}
+
+TEST(EnvKnobs, ProfGhzRejectsNonFinite) {
+  EXPECT_FALSE(parse_prof_ghz("inf").has_value());
+  EXPECT_FALSE(parse_prof_ghz("nan").has_value());
+}
+
+TEST(EnvKnobs, ProfGhzAcceptsPositiveNumbers) {
+  EXPECT_EQ(parse_prof_ghz("2.5"), 2.5);
+  EXPECT_EQ(parse_prof_ghz("3"), 3.0);
+}
+
+TEST(EnvKnobs, FlightCapacityRejectsTrailingJunk) {
+  EXPECT_FALSE(obs::parse_flight_capacity("12k").has_value());
+}
+
+TEST(EnvKnobs, FlightCapacityRejectsNonNumber) {
+  EXPECT_FALSE(obs::parse_flight_capacity("lots").has_value());
+}
+
+TEST(EnvKnobs, FlightCapacityRejectsZeroAndNegative) {
+  EXPECT_FALSE(obs::parse_flight_capacity("0").has_value());
+  EXPECT_FALSE(obs::parse_flight_capacity("-5").has_value());
+}
+
+TEST(EnvKnobs, FlightCapacityAcceptsPositiveCounts) {
+  EXPECT_EQ(obs::parse_flight_capacity("1"), 1u);
+  EXPECT_EQ(obs::parse_flight_capacity("4096"), 4096u);
 }
 
 TEST(PerfCounterSetTest, FallbackCountersAreMonotoneAndEstimated) {
@@ -186,6 +246,46 @@ TEST(PerfRegionTest, NestedRegionsAttributeInclusively) {
   // Inclusive attribution: the outer region covers its nested children.
   EXPECT_GE(counter_value(scratch, "prof.test.outer.task_clock_ns"),
             counter_value(scratch, "prof.test.inner.task_clock_ns"));
+}
+
+// run_once times its phases as PerfRegions: one sim.run region enclosing
+// sim.world, sim.dndp, sim.mndp and sim.rates, each entered exactly once per
+// run, and nothing at all while profiling is off.
+TEST(PerfRegionTest, RunOnceRecordsEveryPhaseOnceInsideRun) {
+  ProfStateGuard guard;
+  set_prof_backend(ProfBackend::kClockFallback);
+  set_metrics_enabled(true);
+  core::ExperimentConfig cfg;
+  cfg.params = core::Params::defaults();
+  cfg.params.n = 60;
+  const core::DiscoverySimulator sim(cfg);
+  const char* const phases[] = {"world", "dndp", "mndp", "rates"};
+
+  MetricsRegistry off;
+  {
+    ScopedMetricsRegistry scoped(&off);
+    set_prof_enabled(false);
+    (void)sim.run_once(3);
+  }
+  EXPECT_EQ(counter_value(off, "prof.sim.run.count"), 0u);
+  for (const char* phase : phases) {
+    EXPECT_EQ(counter_value(off, std::string("prof.sim.") + phase + ".count"), 0u) << phase;
+  }
+
+  MetricsRegistry on;
+  {
+    ScopedMetricsRegistry scoped(&on);
+    set_prof_enabled(true);
+    (void)sim.run_once(3);
+  }
+  EXPECT_EQ(counter_value(on, "prof.sim.run.count"), 1u);
+  const std::uint64_t run_ns = counter_value(on, "prof.sim.run.task_clock_ns");
+  EXPECT_GT(run_ns, 0u);
+  for (const char* phase : phases) {
+    const std::string stem = std::string("prof.sim.") + phase;
+    EXPECT_EQ(counter_value(on, stem + ".count"), 1u) << phase;
+    EXPECT_GE(run_ns, counter_value(on, stem + ".task_clock_ns")) << phase;
+  }
 }
 
 TEST(SamplingProfilerTest, CapturesAndDumpsFoldedStacks) {

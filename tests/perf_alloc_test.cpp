@@ -2,15 +2,12 @@
 //
 // The whole point of the scratch-arena refactor is that ChipPhy::transmit_into
 // stops touching the heap once its buffers have grown to their working sizes.
-// This test replaces the global allocator with a counting one (which is why it
-// lives in its own binary) and asserts the count stays flat across repeated
+// This test links the counting global allocator (tests/oracle/counting_alloc,
+// which is why it lives in its own binary) and asserts the count stays flat across repeated
 // clean-channel transmissions — both the HELLO codebook-scan path and the
 // monitored-code path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "adversary/dos_attacker.hpp"
@@ -29,30 +26,10 @@
 #include "obs/prof/perf_counters.hpp"
 #include "obs/prof/sampling_profiler.hpp"
 #include "obs/span.hpp"
+#include "oracle/counting_alloc.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/spatial_index.hpp"
 #include "sim/topology.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void* operator new[](std::size_t size, std::align_val_t) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace jrsnd {
 namespace {
@@ -99,7 +76,7 @@ TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
 
   // Counted region: no gtest assertions inside (their failure paths
   // allocate); accumulate and check after.
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   int delivered = 0;
   bool payload_intact = true;
   for (int i = 0; i < 100; ++i) {
@@ -109,7 +86,7 @@ TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
       payload_intact = payload_intact && out == payload;
     }
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
 
   EXPECT_EQ(delivered, 100);
   EXPECT_TRUE(payload_intact);
@@ -149,7 +126,7 @@ TEST(SimHotPath, ZeroSteadyStateAllocationsForIndexAndEventLoop) {
     index.within_into(positions[i], radius, node_id(static_cast<std::uint32_t>(i)), scratch);
   }
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   std::size_t total_neighbors = 0;
   std::uint64_t fired = 0;
   for (int round = 0; round < 50; ++round) {
@@ -169,7 +146,7 @@ TEST(SimHotPath, ZeroSteadyStateAllocationsForIndexAndEventLoop) {
     queue.run();
     handles.clear();
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
 
   EXPECT_GT(total_neighbors, 0u);
   EXPECT_EQ(fired, 50u * 48u);  // 64 scheduled, every 4th of 64 cancelled
@@ -203,7 +180,7 @@ TEST(VerifyQueueHotPath, ZeroSteadyStateAllocationsOnRejectPath) {
     ASSERT_EQ(queue.drain(source.key_source(), out), 0u);
   }
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   std::size_t accepted = 0;
   for (int cycle = 0; cycle < 20; ++cycle) {
     for (const auto& frame : flood) {
@@ -211,7 +188,7 @@ TEST(VerifyQueueHotPath, ZeroSteadyStateAllocationsOnRejectPath) {
     }
     accepted += queue.drain(source.key_source(), out);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
 
   EXPECT_EQ(accepted, 0u);
   EXPECT_EQ(after - before, 0u)
@@ -229,7 +206,7 @@ TEST(ObsHotPath, ZeroSteadyStateAllocationsForSpansAndFlightRing) {
     warm.with_u64("k", 1);
   }
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   for (int i = 0; i < 1000; ++i) {
     obs::Span root("dndp.attempt", static_cast<std::uint64_t>(i + 1));
     root.with_u64("a", static_cast<std::uint64_t>(i));
@@ -239,7 +216,7 @@ TEST(ObsHotPath, ZeroSteadyStateAllocationsForSpansAndFlightRing) {
     child.set_dur(0.001);
     obs::flight_note("alloc.note", static_cast<std::uint64_t>(i));
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "span + flight-ring recording allocated on the steady-state path";
 }
@@ -260,9 +237,9 @@ TEST(ProfHotPath, ZeroSteadyStateAllocationsForPerfRegions) {
   };
   touch();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   for (int i = 0; i < 1000; ++i) touch();
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
   obs::prof::set_prof_enabled(false);
   EXPECT_EQ(after - before, 0u) << "PerfRegion allocated on the steady-state path";
 }
@@ -285,12 +262,12 @@ TEST(ProfHotPath, ZeroAllocationsOnSamplerSignalPath) {
   }
   const std::uint64_t warm_samples = obs::prof::profiler_samples();
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   for (int spin = 0;
        spin < 40'000 && obs::prof::profiler_samples() < warm_samples + 10; ++spin) {
     for (int i = 0; i < 100'000; ++i) sink = sink * 2862933555777941757ULL + 3037000493ULL;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
 
   obs::prof::profiler_stop();
   EXPECT_GT(obs::prof::profiler_samples(), warm_samples)
@@ -341,12 +318,12 @@ TEST(DndpHotPath, UsableCodesNeverAllocate) {
   CodeSetWorld w;
   ASSERT_EQ(w.nodes[0].usable_codes().size(), 3u);
   (void)w.nodes[0].revocation().revoke(code_id(1));  // a revoked code leaves the set
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = oracle::allocation_count();
   std::size_t total = 0;
   for (int i = 0; i < 1000; ++i) {
     total += w.nodes[0].usable_codes().size() + w.nodes[1].revocation().usable_codes().size();
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = oracle::allocation_count();
   EXPECT_EQ(total, 1000u * 5u);
   EXPECT_EQ(after - before, 0u) << "usable_codes() allocated";
 }
@@ -360,21 +337,21 @@ TEST(DndpHotPath, WarmRunAllocatesNothingForTheCodeSet) {
   ASSERT_EQ(engine.run(w.nodes[0], w.nodes[1]).shared_codes, 0u);
 
   // A pair with no shared code is pure code-set work: no allocation at all.
-  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t before = oracle::allocation_count();
   for (int i = 0; i < 100; ++i) ASSERT_EQ(engine.run(w.nodes[0], w.nodes[1]).shared_codes, 0u);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+  EXPECT_EQ(oracle::allocation_count() - before, 0u)
       << "a run with an empty intersection allocated";
 
   // A pair sharing three codes allocates only its per-pair values — the two
   // nonces and the HELLO and CONFIRM frames — and nothing for the code set
   // or any of its three sub-sessions.
-  before = g_allocations.load(std::memory_order_relaxed);
+  before = oracle::allocation_count();
   for (int i = 0; i < 100; ++i) {
     const core::DndpResult r = engine.run(w.nodes[0], w.nodes[2]);
     ASSERT_EQ(r.shared_codes, 3u);
     ASSERT_FALSE(r.discovered);
   }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 100u * 4u)
+  EXPECT_EQ(oracle::allocation_count() - before, 100u * 4u)
       << "a warm run allocated beyond its per-pair nonces and frames";
 }
 

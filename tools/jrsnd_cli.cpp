@@ -44,6 +44,12 @@ namespace {
 
 using namespace jrsnd;
 
+/// A flag whose value does not parse; main() reports it and exits 2.
+struct BadFlagValue {
+  std::string flag;
+  std::string text;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -51,21 +57,27 @@ struct Args {
 
   [[nodiscard]] bool has(const std::string& key) const { return flags.contains(key); }
   [[nodiscard]] std::uint32_t u32(const std::string& key, std::uint32_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : static_cast<std::uint32_t>(std::stoul(it->second));
+    return number(key, fallback, parse_u32);
   }
   [[nodiscard]] std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    return number(key, fallback, parse_u64);
   }
   [[nodiscard]] double real(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return number(key, fallback, parse_double);
   }
   [[nodiscard]] std::string str(const std::string& key, const std::string& fallback) const {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
+  }
+
+ private:
+  template <typename T, typename Parse>
+  [[nodiscard]] T number(const std::string& key, T fallback, Parse parse) const {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    const std::optional<T> value = parse(it->second);
+    if (!value.has_value()) throw BadFlagValue{key, it->second};
+    return *value;
   }
 };
 
@@ -581,11 +593,13 @@ int cmd_chaos(const Args& args) {
 
   std::vector<double> drops;
   if (args.has("drops")) {
-    std::string list = args.str("drops", "");
-    std::replace(list.begin(), list.end(), ',', ' ');
+    const std::string list = args.str("drops", "");
     std::istringstream ss(list);
-    double d = 0.0;
-    while (ss >> d) drops.push_back(d);
+    for (std::string item; std::getline(ss, item, ',');) {
+      const std::optional<double> drop = parse_double(item);
+      if (!drop.has_value()) throw BadFlagValue{"drops", list};
+      drops.push_back(*drop);
+    }
     if (drops.empty()) return usage();
   } else {
     drops = smoke ? std::vector<double>{0.1, 0.2} : std::vector<double>{0.05, 0.1, 0.2, 0.3};
@@ -709,12 +723,18 @@ int main(int argc, char** argv) {
       args.positionals.emplace_back(arg);
     }
   }
-  if (args.command == "analyze") return cmd_analyze(args);
-  if (args.command == "simulate") return cmd_simulate(args);
-  if (args.command == "profile") return cmd_profile(args);
-  if (args.command == "trace") return cmd_trace(args);
-  if (args.command == "report") return cmd_report(args);
-  if (args.command == "provision") return cmd_provision(args);
-  if (args.command == "chaos") return cmd_chaos(args);
+  try {
+    if (args.command == "analyze") return cmd_analyze(args);
+    if (args.command == "simulate") return cmd_simulate(args);
+    if (args.command == "profile") return cmd_profile(args);
+    if (args.command == "trace") return cmd_trace(args);
+    if (args.command == "report") return cmd_report(args);
+    if (args.command == "provision") return cmd_provision(args);
+    if (args.command == "chaos") return cmd_chaos(args);
+  } catch (const BadFlagValue& bad) {
+    std::fprintf(stderr, "error: invalid value for --%s: '%s'\n", bad.flag.c_str(),
+                 bad.text.c_str());
+    return 2;
+  }
   return usage();
 }
