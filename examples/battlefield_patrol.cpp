@@ -71,12 +71,8 @@ int main() {
     // §IV-A: no activity within a threshold -> assume the peer moved away).
     std::size_t dropped = 0;
     for (auto& node : nodes) {
-      for (const NodeId peer : node.logical_neighbors()) {
-        if (!topology.are_neighbors(node.id(), peer)) {
-          node.remove_logical_neighbor(peer);
-          ++dropped;
-        }
-      }
+      dropped += node.remove_logical_neighbors_if(
+          [&](NodeId peer) { return !topology.are_neighbors(node.id(), peer); });
     }
 
     core::AbstractPhy phy(topology, jammer, phy_rng);

@@ -120,9 +120,7 @@ int main() {
   // Links keyed by leaked codes are not retroactively broken (session codes
   // are fresh secrets), but NEW discovery on leaked codes is jammed. Start
   // a fresh unit-wide rediscovery to expose the damage:
-  for (auto& node : fleet.nodes) {
-    for (const NodeId peer : node.logical_neighbors()) node.remove_logical_neighbor(peer);
-  }
+  for (auto& node : fleet.nodes) node.remove_logical_neighbors_if([](NodeId) { return true; });
   std::printf("    rediscovery under jamming: coverage %.1f%%\n",
               100.0 * fleet.sweep(jammer, rng));
 
@@ -138,9 +136,7 @@ int main() {
   std::printf("[4] authority broadcast revocation list #%llu (%zu codes); nodes purged %zu\n",
               static_cast<unsigned long long>(list.sequence), list.revoked.size(),
               purged_total);
-  for (auto& node : fleet.nodes) {
-    for (const NodeId peer : node.logical_neighbors()) node.remove_logical_neighbor(peer);
-  }
+  for (auto& node : fleet.nodes) node.remove_logical_neighbors_if([](NodeId) { return true; });
   std::printf("    rediscovery after revocation: coverage %.1f%%\n",
               100.0 * fleet.sweep(jammer, rng));
   std::printf("\nAfter revocation the jammer holds only dead codes: discovery runs on the\n"

@@ -10,9 +10,12 @@ BitVector::BitVector(std::size_t count)
     : words_((count + kWordBits - 1) / kWordBits, 0), size_(count) {}
 
 BitVector BitVector::from_bytes(std::span<const std::uint8_t> bytes) {
-  BitVector v;
-  v.words_.reserve((bytes.size() * 8 + kWordBits - 1) / kWordBits);
-  for (const std::uint8_t b : bytes) v.append_uint(b, 8);
+  BitVector v(bytes.size() * 8);
+  // Byte i lands at bits [8i, 8i + 8): never straddles a word (8 divides 64);
+  // the slack past the last byte stays zero.
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    v.words_[i / 8] |= std::uint64_t{bytes[i]} << (56 - 8 * (i % 8));
+  }
   return v;
 }
 
@@ -48,24 +51,6 @@ void BitVector::push_back(bool bit) {
   if (size_ % kWordBits == 0) words_.push_back(0);
   ++size_;
   if (bit) set(size_ - 1, true);
-}
-
-void BitVector::append_uint(std::uint64_t value, std::size_t width) {
-  assert(width <= 64);
-  if (width == 0) return;
-  if (width < kWordBits) value &= (std::uint64_t{1} << width) - 1;
-  // Word-level splice of the field, MSB-first: align the bits to the top of
-  // a word, then OR them across the (at most two) destination words.
-  const std::uint64_t top = value << (kWordBits - width);
-  const std::size_t offset = size_ % kWordBits;
-  const std::size_t new_size = size_ + width;
-  words_.resize((new_size + kWordBits - 1) / kWordBits, 0);
-  const std::size_t wi = size_ / kWordBits;
-  words_[wi] |= top >> offset;
-  if (offset != 0 && wi + 1 < words_.size()) {
-    words_[wi + 1] |= top << (kWordBits - offset);
-  }
-  size_ = new_size;
 }
 
 void BitVector::append(const BitVector& other) {
@@ -112,14 +97,6 @@ void BitVector::truncate(std::size_t new_size) noexcept {
   if (tail != 0 && !words_.empty()) {
     words_.back() &= ~std::uint64_t{0} << (kWordBits - tail);
   }
-}
-
-std::uint64_t BitVector::read_uint(std::size_t offset, std::size_t width) const {
-  assert(width <= 64);
-  assert(offset + width <= size_);
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) value = (value << 1) | (get(offset + i) ? 1u : 0u);
-  return value;
 }
 
 BitVector BitVector::slice(std::size_t offset, std::size_t count) const {

@@ -7,6 +7,7 @@
 // and the session-code derivation need.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -22,7 +23,7 @@ class BitVector {
   /// A vector of `count` zero bits.
   explicit BitVector(std::size_t count);
 
-  /// Builds from bytes, MSB of bytes[0] first.
+  /// Builds from bytes, MSB of bytes[0] first (eight bytes per word).
   static BitVector from_bytes(std::span<const std::uint8_t> bytes);
 
   /// Builds from a string of '0'/'1' characters (test convenience).
@@ -60,7 +61,27 @@ class BitVector {
 
   /// Appends the low `width` bits of `value`, most significant first.
   /// Precondition: width <= 64.
-  void append_uint(std::uint64_t value, std::size_t width);
+  void append_uint(std::uint64_t value, std::size_t width) {
+    assert(width <= 64);
+    if (width == 0) return;
+    if (width < kWordBits) value &= (std::uint64_t{1} << width) - 1;
+    // Word-level splice of the field, MSB-first: align the bits to the top
+    // of a word, then OR them across the (at most two) destination words.
+    const std::uint64_t top = value << (kWordBits - width);
+    const std::size_t offset = size_ % kWordBits;
+    const std::size_t wi = size_ / kWordBits;
+    size_ += width;
+    words_.resize((size_ + kWordBits - 1) / kWordBits, 0);
+    words_[wi] |= top >> offset;
+    if (offset + width > kWordBits) words_[wi + 1] |= top << (kWordBits - offset);
+  }
+
+  /// Appends `count` zero bits (the slack past size() is already zero, so
+  /// this only grows the word storage).
+  void append_zeros(std::size_t count) {
+    size_ += count;
+    words_.resize((size_ + kWordBits - 1) / kWordBits, 0);
+  }
 
   /// Appends all bits of `other` (word-level, any alignment).
   void append(const BitVector& other);
@@ -70,7 +91,20 @@ class BitVector {
 
   /// Reads `width` bits starting at `offset` as an unsigned integer
   /// (MSB first). Precondition: offset + width <= size(), width <= 64.
-  [[nodiscard]] std::uint64_t read_uint(std::size_t offset, std::size_t width) const;
+  /// Word-level: one or two word loads, a shift, and a mask.
+  [[nodiscard]] std::uint64_t read_uint(std::size_t offset, std::size_t width) const {
+    assert(width <= 64);
+    assert(offset + width <= size_);
+    if (width == 0) return 0;
+    const std::size_t wi = offset / kWordBits;
+    const std::size_t shift = offset % kWordBits;
+    // The field's bits, left-aligned: the rest of word wi, then (when the
+    // field straddles) the head of word wi + 1, which exists because
+    // offset + width <= size_.
+    std::uint64_t top = words_[wi] << shift;
+    if (shift + width > kWordBits) top |= words_[wi + 1] >> (kWordBits - shift);
+    return top >> (kWordBits - width);
+  }
 
   /// The sub-vector [offset, offset + count).
   [[nodiscard]] BitVector slice(std::size_t offset, std::size_t count) const;

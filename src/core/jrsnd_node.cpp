@@ -30,7 +30,7 @@ BitVector NodeState::make_nonce(std::uint32_t bits) {
 }
 
 void NodeState::add_logical_neighbor(NodeId peer, LogicalNeighbor info) {
-  neighbors_[peer] = std::move(info);
+  if (neighbors_.insert_or_assign(peer, std::move(info)).second) logical_stale_ = true;
 }
 
 const LogicalNeighbor* NodeState::neighbor(NodeId peer) const {
@@ -38,14 +38,18 @@ const LogicalNeighbor* NodeState::neighbor(NodeId peer) const {
   return it == neighbors_.end() ? nullptr : &it->second;
 }
 
-std::vector<NodeId> NodeState::logical_neighbors() const {
-  std::vector<NodeId> out;
-  out.reserve(neighbors_.size());
-  for (const auto& [peer, info] : neighbors_) out.push_back(peer);
-  std::sort(out.begin(), out.end());
-  return out;
+const std::vector<NodeId>& NodeState::logical_neighbors() const {
+  if (logical_stale_) {
+    logical_.clear();
+    for (const auto& entry : neighbors_) logical_.push_back(entry.first);
+    std::sort(logical_.begin(), logical_.end());
+    logical_stale_ = false;
+  }
+  return logical_;
 }
 
-void NodeState::remove_logical_neighbor(NodeId peer) { neighbors_.erase(peer); }
+void NodeState::remove_logical_neighbor(NodeId peer) {
+  if (neighbors_.erase(peer) != 0) logical_stale_ = true;
+}
 
 }  // namespace jrsnd::core

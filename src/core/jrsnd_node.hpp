@@ -62,15 +62,42 @@ class NodeState {
 
   // --- logical-neighbor table ------------------------------------------
 
+  /// Adds `peer` or replaces what is held for it (the list gains no duplicate).
   void add_logical_neighbor(NodeId peer, LogicalNeighbor info);
   [[nodiscard]] bool knows(NodeId peer) const { return neighbors_.contains(peer); }
   [[nodiscard]] const LogicalNeighbor* neighbor(NodeId peer) const;
 
-  /// Logical neighbor ids, ascending (the paper's L_A).
-  [[nodiscard]] std::vector<NodeId> logical_neighbors() const;
+  /// Logical neighbor ids, ascending (the paper's L_A): the table's keys,
+  /// kept sorted beside it. The list is built on the first read after the
+  /// table changed (runs that never read it, such as the graph-level
+  /// figures, never allocate it). The reference is invalidated by any add
+  /// or remove on this node — to drop neighbors while walking the list,
+  /// use remove_logical_neighbors_if.
+  [[nodiscard]] const std::vector<NodeId>& logical_neighbors() const;
 
-  /// Drops a logical neighbor (used when a node moves out of range).
+  /// Drops a logical neighbor (used when a node moves out of range); an
+  /// unknown peer is a no-op.
   void remove_logical_neighbor(NodeId peer);
+
+  /// Drops every logical neighbor `pred(peer)` selects and returns how many
+  /// went. `pred` sees each neighbor once, in ascending order, and must not
+  /// add or remove neighbors of this node (other nodes' tables are fine).
+  template <class Pred>
+  std::size_t remove_logical_neighbors_if(Pred pred) {
+    (void)logical_neighbors();  // build it if stale; the walk keeps it current
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < logical_.size(); ++i) {
+      const NodeId peer = logical_[i];
+      if (pred(peer)) {
+        neighbors_.erase(peer);
+      } else {
+        logical_[kept++] = peer;
+      }
+    }
+    const std::size_t removed = logical_.size() - kept;
+    logical_.resize(kept);
+    return removed;
+  }
 
  private:
   NodeId id_;
@@ -80,6 +107,8 @@ class NodeState {
   predist::RevocationState revocation_;
   Rng rng_;
   std::unordered_map<NodeId, LogicalNeighbor> neighbors_;
+  mutable std::vector<NodeId> logical_;  ///< neighbors_'s keys, ascending
+  mutable bool logical_stale_ = false;   ///< neighbors_ changed since built
 };
 
 }  // namespace jrsnd::core

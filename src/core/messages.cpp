@@ -32,6 +32,25 @@ class BitReader {
     return true;
   }
 
+  /// A tag field of `width` wire bits, a word at a time: its first (up to
+  /// 256) bits left-aligned in `out`, zero past them; padding is skipped.
+  [[nodiscard]] bool read_tag(std::size_t width, crypto::Sha256Digest& out) {
+    if (pos_ + width > bits_.size()) return false;
+    out.fill(0);
+    const std::size_t keep = std::min(kTagBits, width);
+    for (std::size_t bit = 0; bit < keep; bit += 64) {
+      const std::size_t w = std::min<std::size_t>(64, keep - bit);
+      const std::uint64_t word = bits_.read_uint(pos_ + bit, w) << (64 - w);
+      for (std::size_t b = 0; b < 8; ++b) {
+        out[bit / 8 + b] = static_cast<std::uint8_t>(word >> (56 - 8 * b));
+      }
+    }
+    pos_ += width;
+    return true;
+  }
+
+  [[nodiscard]] std::size_t remaining() const noexcept { return bits_.size() - pos_; }
+
   [[nodiscard]] bool done() const noexcept { return pos_ == bits_.size(); }
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
@@ -48,7 +67,7 @@ void append_id(BitVector& bv, NodeId id, const WireConfig& cfg) {
   bv.append_uint(raw(id) & ((1ULL << cfg.l_id) - 1), cfg.l_id);
 }
 
-void append_list(BitVector& bv, const std::vector<NodeId>& list, const WireConfig& cfg) {
+void append_list(BitVector& bv, std::span<const NodeId> list, const WireConfig& cfg) {
   bv.append_uint(list.size(), kListCountBits);
   for (const NodeId id : list) append_id(bv, id, cfg);
 }
@@ -62,7 +81,7 @@ bool read_id(BitReader& r, const WireConfig& cfg, NodeId& out) {
 
 bool read_list(BitReader& r, const WireConfig& cfg, std::vector<NodeId>& out) {
   std::uint64_t count = 0;
-  if (!r.read(kListCountBits, count)) return false;
+  if (!r.read(kListCountBits, count) || count * cfg.l_id > r.remaining()) return false;
   out.clear();
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -73,28 +92,17 @@ bool read_list(BitReader& r, const WireConfig& cfg, std::vector<NodeId>& out) {
   return true;
 }
 
-/// Signature on the wire: the 256-bit tag, zero-padded (or truncated, for
-/// pathological configs) to l_sig bits.
-void append_signature(BitVector& bv, const crypto::IbcSignature& sig, const WireConfig& cfg) {
-  const BitVector tag = BitVector::from_bytes(
-      std::span<const std::uint8_t>(sig.tag.data(), sig.tag.size()));
-  const std::size_t keep = std::min<std::size_t>(kTagBits, cfg.l_sig);
-  bv.append(tag.slice(0, keep));
-  for (std::size_t i = keep; i < cfg.l_sig; ++i) bv.push_back(false);
-}
-
-bool read_signature(BitReader& r, const WireConfig& cfg, crypto::IbcSignature& out) {
-  BitVector field;
-  if (!r.read_bits(cfg.l_sig, field)) return false;
-  out = crypto::IbcSignature{};
-  const std::size_t keep = std::min<std::size_t>(kTagBits, cfg.l_sig);
-  const std::vector<std::uint8_t> bytes = field.slice(0, keep).to_bytes();
-  std::copy(bytes.begin(), bytes.end(), out.tag.begin());
-  return true;
-}
-
-void append_mac(BitVector& bv, const crypto::Sha256Digest& mac, const WireConfig& cfg) {
-  bv.append(truncate_digest(mac, cfg.l_mac));
+/// A 256-bit tag on the wire, a word at a time: truncated or zero-padded to
+/// `width` bits (a MAC to l_mac, a signature to l_sig).
+void append_tag(BitVector& bv, const crypto::Sha256Digest& tag, std::size_t width) {
+  const std::size_t keep = std::min(kTagBits, width);
+  for (std::size_t bit = 0; bit < keep; bit += 64) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < 8; ++b) word = (word << 8) | tag[bit / 8 + b];
+    const std::size_t w = std::min<std::size_t>(64, keep - bit);
+    bv.append_uint(word >> (64 - w), w);
+  }
+  bv.append_zeros(width - keep);
 }
 
 }  // namespace
@@ -107,11 +115,8 @@ std::optional<MessageType> peek_type(const BitVector& bits, const WireConfig& cf
 }
 
 BitVector truncate_digest(const crypto::Sha256Digest& digest, std::uint32_t bits) {
-  const BitVector full = BitVector::from_bytes(
-      std::span<const std::uint8_t>(digest.data(), digest.size()));
-  const std::size_t keep = std::min<std::size_t>(bits, full.size());
-  BitVector out = full.slice(0, keep);
-  for (std::size_t i = keep; i < bits; ++i) out.push_back(false);
+  BitVector out;
+  append_tag(out, digest, bits);
   return out;
 }
 
@@ -191,7 +196,7 @@ BitVector AuthMessage::encode(const WireConfig& cfg) const {
   append_type(bv, MessageType::Auth, cfg);
   append_id(bv, sender, cfg);
   bv.append(nonce);
-  append_mac(bv, mac, cfg);
+  append_tag(bv, mac, cfg.l_mac);
   return bv;
 }
 
@@ -202,19 +207,15 @@ std::optional<AuthMessage> AuthMessage::decode(const BitVector& bits, const Wire
   if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::Auth)) {
     return std::nullopt;
   }
-  BitVector mac_bits;
+  // The wire MAC lands left-aligned in the 256-bit digest field.
   if (!read_id(r, cfg, msg.sender) || !r.read_bits(cfg.l_n, msg.nonce) ||
-      !r.read_bits(cfg.l_mac, mac_bits) || !r.done()) {
+      !r.read_tag(cfg.l_mac, msg.mac) || !r.done()) {
     return std::nullopt;
   }
-  // Store the wire MAC left-aligned in the 256-bit digest field.
-  msg.mac.fill(0);
-  const std::vector<std::uint8_t> bytes = mac_bits.to_bytes();
-  std::copy(bytes.begin(), bytes.end(), msg.mac.begin());
   return msg;
 }
 
-// --- MndpRequest ------------------------------------------------------------
+// --- M-NDP messages ---------------------------------------------------------
 
 namespace {
 
@@ -227,37 +228,54 @@ void append_mndp_request_source_block(BitVector& bv, const MndpRequest& req,
   bv.append_uint(req.nu, cfg.l_nu);
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> MndpRequest::source_sign_input(const WireConfig& cfg) const {
-  BitVector bv;
-  append_mndp_request_source_block(bv, *this, cfg);
-  return bv.to_bytes();
+void append_mndp_response_block(BitVector& bv, const MndpResponse& resp, const WireConfig& cfg) {
+  append_type(bv, MessageType::MndpResponse, cfg);
+  append_id(bv, resp.source, cfg);
+  append_id(bv, resp.via, cfg);
+  append_id(bv, resp.responder, cfg);
+  append_list(bv, resp.responder_neighbors, cfg);
+  bv.append(resp.nonce);
+  bv.append_uint(resp.nu, cfg.l_nu);
 }
 
-std::vector<std::uint8_t> MndpRequest::hop_sign_input(std::size_t index,
-                                                      const WireConfig& cfg) const {
-  assert(index < hops.size());
-  BitVector bv;
-  append_mndp_request_source_block(bv, *this, cfg);
-  for (std::size_t i = 0; i <= index; ++i) {
-    append_id(bv, hops[i].id, cfg);
-    append_list(bv, hops[i].neighbors, cfg);
+/// The wire tail shared by both M-NDP messages: the leader's signature, the
+/// hop count, then each hop's (ID, list, signature).
+void append_signed_hops(BitVector& bv, const crypto::IbcSignature& leader,
+                        const std::vector<HopRecord>& hops, const WireConfig& cfg) {
+  append_tag(bv, leader.tag, cfg.l_sig);
+  bv.append_uint(hops.size(), kHopCountBits);
+  for (const HopRecord& hop : hops) {
+    append_id(bv, hop.id, cfg);
+    append_list(bv, hop.neighbors, cfg);
+    append_tag(bv, hop.signature.tag, cfg.l_sig);
   }
-  return bv.to_bytes();
 }
+
+/// Reads what append_signed_hops wrote; the message must end right after it.
+bool read_signed_hops(BitReader& r, const WireConfig& cfg, crypto::IbcSignature& leader,
+                      std::vector<HopRecord>& hops) {
+  std::uint64_t hop_count = 0;
+  if (!r.read_tag(cfg.l_sig, leader.tag) || !r.read(kHopCountBits, hop_count) ||
+      hop_count * (cfg.l_id + kListCountBits + cfg.l_sig) > r.remaining()) {
+    return false;  // a hop needs at least its ID, list count, and signature
+  }
+  hops.resize(hop_count);
+  for (HopRecord& hop : hops) {
+    if (!read_id(r, cfg, hop.id) || !read_list(r, cfg, hop.neighbors) ||
+        !r.read_tag(cfg.l_sig, hop.signature.tag)) {
+      return false;
+    }
+  }
+  return r.done();
+}
+
+}  // namespace
 
 BitVector MndpRequest::encode(const WireConfig& cfg) const {
   assert(nonce.size() == cfg.l_n);
   BitVector bv;
   append_mndp_request_source_block(bv, *this, cfg);
-  append_signature(bv, source_signature, cfg);
-  bv.append_uint(hops.size(), kHopCountBits);
-  for (const HopRecord& hop : hops) {
-    append_id(bv, hop.id, cfg);
-    append_list(bv, hop.neighbors, cfg);
-    append_signature(bv, hop.signature, cfg);
-  }
+  append_signed_hops(bv, source_signature, hops, cfg);
   return bv;
 }
 
@@ -271,21 +289,10 @@ std::optional<MndpRequest> MndpRequest::decode(const BitVector& bits, const Wire
   std::uint64_t nu = 0;
   if (!read_id(r, cfg, msg.source) || !read_list(r, cfg, msg.source_neighbors) ||
       !r.read_bits(cfg.l_n, msg.nonce) || !r.read(cfg.l_nu, nu) ||
-      !read_signature(r, cfg, msg.source_signature)) {
+      !read_signed_hops(r, cfg, msg.source_signature, msg.hops)) {
     return std::nullopt;
   }
   msg.nu = static_cast<std::uint32_t>(nu);
-  std::uint64_t hop_count = 0;
-  if (!r.read(kHopCountBits, hop_count)) return std::nullopt;
-  for (std::uint64_t i = 0; i < hop_count; ++i) {
-    HopRecord hop;
-    if (!read_id(r, cfg, hop.id) || !read_list(r, cfg, hop.neighbors) ||
-        !read_signature(r, cfg, hop.signature)) {
-      return std::nullopt;
-    }
-    msg.hops.push_back(std::move(hop));
-  }
-  if (!r.done()) return std::nullopt;
   return msg;
 }
 
@@ -293,51 +300,11 @@ std::size_t MndpRequest::payload_bits(const WireConfig& cfg) const {
   return encode(cfg).size();
 }
 
-// --- MndpResponse -----------------------------------------------------------
-
-namespace {
-
-void append_mndp_response_block(BitVector& bv, const MndpResponse& resp, const WireConfig& cfg) {
-  append_type(bv, MessageType::MndpResponse, cfg);
-  append_id(bv, resp.source, cfg);
-  append_id(bv, resp.via, cfg);
-  append_id(bv, resp.responder, cfg);
-  append_list(bv, resp.responder_neighbors, cfg);
-  bv.append(resp.nonce);
-  bv.append_uint(resp.nu, cfg.l_nu);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> MndpResponse::responder_sign_input(const WireConfig& cfg) const {
-  BitVector bv;
-  append_mndp_response_block(bv, *this, cfg);
-  return bv.to_bytes();
-}
-
-std::vector<std::uint8_t> MndpResponse::hop_sign_input(std::size_t index,
-                                                       const WireConfig& cfg) const {
-  assert(index < hops.size());
-  BitVector bv;
-  append_mndp_response_block(bv, *this, cfg);
-  for (std::size_t i = 0; i <= index; ++i) {
-    append_id(bv, hops[i].id, cfg);
-    append_list(bv, hops[i].neighbors, cfg);
-  }
-  return bv.to_bytes();
-}
-
 BitVector MndpResponse::encode(const WireConfig& cfg) const {
   assert(nonce.size() == cfg.l_n);
   BitVector bv;
   append_mndp_response_block(bv, *this, cfg);
-  append_signature(bv, responder_signature, cfg);
-  bv.append_uint(hops.size(), kHopCountBits);
-  for (const HopRecord& hop : hops) {
-    append_id(bv, hop.id, cfg);
-    append_list(bv, hop.neighbors, cfg);
-    append_signature(bv, hop.signature, cfg);
-  }
+  append_signed_hops(bv, responder_signature, hops, cfg);
   return bv;
 }
 
@@ -352,26 +319,56 @@ std::optional<MndpResponse> MndpResponse::decode(const BitVector& bits, const Wi
   if (!read_id(r, cfg, msg.source) || !read_id(r, cfg, msg.via) ||
       !read_id(r, cfg, msg.responder) || !read_list(r, cfg, msg.responder_neighbors) ||
       !r.read_bits(cfg.l_n, msg.nonce) || !r.read(cfg.l_nu, nu) ||
-      !read_signature(r, cfg, msg.responder_signature)) {
+      !read_signed_hops(r, cfg, msg.responder_signature, msg.hops)) {
     return std::nullopt;
   }
   msg.nu = static_cast<std::uint32_t>(nu);
-  std::uint64_t hop_count = 0;
-  if (!r.read(kHopCountBits, hop_count)) return std::nullopt;
-  for (std::uint64_t i = 0; i < hop_count; ++i) {
-    HopRecord hop;
-    if (!read_id(r, cfg, hop.id) || !read_list(r, cfg, hop.neighbors) ||
-        !read_signature(r, cfg, hop.signature)) {
-      return std::nullopt;
-    }
-    msg.hops.push_back(std::move(hop));
-  }
-  if (!r.done()) return std::nullopt;
   return msg;
 }
 
 std::size_t MndpResponse::payload_bits(const WireConfig& cfg) const {
   return encode(cfg).size();
+}
+
+// --- SignedBody -------------------------------------------------------------
+
+SignedBody::SignedBody(const MndpRequest& req, const WireConfig& cfg) : cfg_(cfg) {
+  append_mndp_request_source_block(bits_, req, cfg_);
+  append_hops(req.hops);
+}
+
+SignedBody::SignedBody(const MndpResponse& resp, const WireConfig& cfg) : cfg_(cfg) {
+  append_mndp_response_block(bits_, resp, cfg_);
+  append_hops(resp.hops);
+}
+
+void SignedBody::append_hops(const std::vector<HopRecord>& hops) {
+  ends_.reserve(hops.size() + 2);  // room for one forwarder's append_hop
+  ends_.push_back(bits_.size());
+  for (const HopRecord& hop : hops) {
+    append_id(bits_, hop.id, cfg_);
+    append_list(bits_, hop.neighbors, cfg_);
+    ends_.push_back(bits_.size());
+  }
+  pack_from(0);
+}
+
+void SignedBody::append_hop(NodeId id, std::span<const NodeId> neighbors) {
+  // The previous end's byte may be partial: repack from it; the bytes
+  // before it are final.
+  const std::size_t first = ends_.back() / 8;
+  append_id(bits_, id, cfg_);
+  append_list(bits_, neighbors, cfg_);
+  ends_.push_back(bits_.size());
+  pack_from(first);
+}
+
+void SignedBody::pack_from(std::size_t first) {
+  bytes_.resize((bits_.size() + 7) / 8);
+  const std::span<const std::uint64_t> words = bits_.words();
+  for (std::size_t i = first; i < bytes_.size(); ++i) {
+    bytes_[i] = static_cast<std::uint8_t>(words[i / 8] >> (56 - 8 * (i % 8)));
+  }
 }
 
 }  // namespace jrsnd::core

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bit_vector.hpp"
@@ -119,12 +120,6 @@ struct MndpRequest {
   crypto::IbcSignature source_signature{};
   std::vector<HopRecord> hops;  ///< forwarders, in path order (excludes source)
 
-  /// Bytes the source signs: (ID_A, L_A, n_A, nu).
-  [[nodiscard]] std::vector<std::uint8_t> source_sign_input(const WireConfig& cfg) const;
-  /// Bytes hop `index` signs: the source block plus hops[0..index].id/list.
-  [[nodiscard]] std::vector<std::uint8_t> hop_sign_input(std::size_t index,
-                                                         const WireConfig& cfg) const;
-
   /// Number of hops the request has traversed so far (= hops.size() + 1 for
   /// the link it is about to cross).
   [[nodiscard]] std::uint32_t hops_traversed() const noexcept {
@@ -149,14 +144,58 @@ struct MndpResponse {
   crypto::IbcSignature responder_signature{};
   std::vector<HopRecord> hops;  ///< reverse-path forwarders
 
-  [[nodiscard]] std::vector<std::uint8_t> responder_sign_input(const WireConfig& cfg) const;
-  [[nodiscard]] std::vector<std::uint8_t> hop_sign_input(std::size_t index,
-                                                         const WireConfig& cfg) const;
-
   [[nodiscard]] BitVector encode(const WireConfig& cfg) const;
   [[nodiscard]] static std::optional<MndpResponse> decode(const BitVector& bits,
                                                           const WireConfig& cfg);
   [[nodiscard]] std::size_t payload_bits(const WireConfig& cfg) const;
+};
+
+/// What an M-NDP message's signatures cover, encoded once per message. The
+/// body is the leading block — the request's (type, ID_A, L_A, n_A, nu) or the
+/// response's (type, ID_A, ID_C, ID_B, L_B, n_B, nu) — followed by each hop's
+/// (ID, list). Signature j covers the first prefix_bits(j) bits: j = 0 is
+/// the leader's (source or responder), j = k + 1 is hops[k]'s, so every
+/// signer covers everything that preceded it. A hop block is
+/// l_id + 16 + l_id * |L| bits, so prefixes are generally not byte-aligned;
+/// the signature primitives take (bytes(), prefix_bits(j)) and mask the
+/// final partial byte, which gives the bytes a prefix packed on its own has.
+class SignedBody {
+ public:
+  SignedBody(const MndpRequest& req, const WireConfig& cfg);
+  SignedBody(const MndpResponse& resp, const WireConfig& cfg);
+
+  /// Appends a forwarder's block; its signature is then the last prefix.
+  void append_hop(NodeId id, std::span<const NodeId> neighbors);
+
+  /// Number of signatures the body carries: 1 + hops.
+  [[nodiscard]] std::size_t prefixes() const noexcept { return ends_.size(); }
+  [[nodiscard]] std::size_t prefix_bits(std::size_t j) const { return ends_.at(j); }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
+
+  /// Signature j under `key`; `own` is key.signing_key(), built once by a
+  /// caller that signs repeatedly (see IbcPrivateKey::sign).
+  [[nodiscard]] crypto::IbcSignature sign(const crypto::IbcPrivateKey& key,
+                                          const crypto::SignerKey& own, std::size_t j) const {
+    return key.sign(own, bytes_, prefix_bits(j));
+  }
+
+  /// Whether `sig` is signer.id's signature j (`signer` from
+  /// PairingOracle::signer_key of the claimed signer).
+  [[nodiscard]] bool verify(const crypto::SignerKey& signer, std::size_t j,
+                            const crypto::IbcSignature& sig) const {
+    return crypto::PairingOracle::verify(signer, bytes_, prefix_bits(j), sig);
+  }
+
+ private:
+  /// Marks the leading block's end, appends `hops`' blocks, packs bytes_.
+  void append_hops(const std::vector<HopRecord>& hops);
+  /// Packs bits_ into bytes_ from byte `first` on.
+  void pack_from(std::size_t first);
+
+  WireConfig cfg_;
+  BitVector bits_;
+  std::vector<std::uint8_t> bytes_;  ///< bits_ packed MSB-first
+  std::vector<std::size_t> ends_;    ///< bit length of each signed prefix
 };
 
 // --- helpers ----------------------------------------------------------------

@@ -74,35 +74,32 @@ std::optional<BitVector> MndpEngine::session_unicast(NodeState& from, NodeState&
   return transmit_with_retry(from.id(), to.id(), code, cls, payload, stats);
 }
 
-bool MndpEngine::verify_request(const MndpRequest& req, MndpStats& stats) const {
+const crypto::SignerKey& MndpEngine::signer(NodeId id) {
+  std::optional<crypto::SignerKey>& slot =
+      raw(id) < signers_.size() ? signers_[raw(id)] : stray_signer_;
+  if (!slot || slot->id != id) slot.emplace(oracle_->signer_key(id));
+  return *slot;
+}
+
+bool MndpEngine::verify_chain(const SignedBody& body, NodeId leader,
+                              const crypto::IbcSignature& leader_sig,
+                              const std::vector<HopRecord>& hops, MndpStats& stats) {
   ++stats.signature_verifications;
-  if (!oracle_->verify(req.source, req.source_sign_input(wire_), req.source_signature)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < req.hops.size(); ++i) {
+  if (!body.verify(signer(leader), 0, leader_sig)) return false;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
     ++stats.signature_verifications;
-    if (!oracle_->verify(req.hops[i].id, req.hop_sign_input(i, wire_),
-                         req.hops[i].signature)) {
-      return false;
-    }
+    if (!body.verify(signer(hops[i].id), i + 1, hops[i].signature)) return false;
   }
   return true;
 }
 
-bool MndpEngine::verify_response(const MndpResponse& resp, MndpStats& stats) const {
-  ++stats.signature_verifications;
-  if (!oracle_->verify(resp.responder, resp.responder_sign_input(wire_),
-                       resp.responder_signature)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < resp.hops.size(); ++i) {
-    ++stats.signature_verifications;
-    if (!oracle_->verify(resp.hops[i].id, resp.hop_sign_input(i, wire_),
-                         resp.hops[i].signature)) {
-      return false;
-    }
-  }
-  return true;
+void MndpEngine::sign_hop(NodeState& node, SignedBody& body, std::vector<HopRecord>& hops,
+                          MndpStats& stats) {
+  const std::vector<NodeId>& neighbors = node.logical_neighbors();
+  body.append_hop(node.id(), neighbors);
+  hops.push_back(HopRecord{node.id(), neighbors,
+                           body.sign(node.key(), signer(node.key().id()), body.prefixes() - 1)});
+  ++stats.signatures_created;
 }
 
 bool MndpEngine::path_is_legitimate(const MndpRequest& req, NodeId holder,
@@ -125,22 +122,24 @@ bool MndpEngine::path_is_legitimate(const MndpRequest& req, NodeId holder,
 
 MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes) {
   MndpStats stats;
-  const std::vector<NodeId> logical = initiator.logical_neighbors();
-  if (logical.empty()) return stats;
+  if (initiator.logical_neighbors().empty()) return stats;
+  if (signers_.size() < nodes.size()) signers_.resize(nodes.size());
+  if (seen_.size() < nodes.size()) seen_.resize(nodes.size());
 
   MndpRequest req;
   req.source = initiator.id();
-  req.source_neighbors = logical;
+  req.source_neighbors = initiator.logical_neighbors();
   req.nonce = initiator.make_nonce(params_.l_n);
   req.nu = params_.nu;
-  req.source_signature = initiator.key().sign(req.source_sign_input(wire_));
+  req.source_signature =
+      SignedBody(req, wire_).sign(initiator.key(), signer(initiator.key().id()), 0);
   ++stats.signatures_created;
 
-  seen_[initiator.id()].insert(request_key(req.source, req.nonce));
+  seen_[raw(initiator.id())].push_back(request_key(req.source, req.nonce));
 
   std::deque<PendingRequest> queue;
   const BitVector encoded = req.encode(wire_);
-  for (const NodeId peer : logical) {
+  for (const NodeId peer : req.source_neighbors) {
     ++stats.requests_sent;
     NodeState& target = nodes[raw(peer)];
     const auto rx = session_unicast(initiator, target, encoded, TxClass::SessionUnicast, stats);
@@ -181,17 +180,19 @@ MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes)
 void MndpEngine::process_request(PendingRequest&& item, std::span<NodeState> nodes,
                                  std::deque<PendingRequest>& queue, MndpStats& stats) {
   NodeState& holder = nodes[raw(item.holder)];
-  const MndpRequest& req = item.request;
+  MndpRequest& req = item.request;
 
   const std::uint64_t key = request_key(req.source, req.nonce);
-  auto& seen = seen_[holder.id()];
-  if (!seen.insert(key).second) return;  // duplicate copy
+  std::vector<std::uint64_t>& seen = seen_[raw(holder.id())];
+  if (std::find(seen.begin(), seen.end(), key) != seen.end()) return;  // duplicate copy
+  seen.push_back(key);
 
   const std::uint32_t traversed = req.hops_traversed();
   stats.max_hops_seen = std::max(stats.max_hops_seen, traversed);
 
   // Every signature in the request is verified before anything else.
-  if (!verify_request(req, stats)) {
+  SignedBody body(req, wire_);
+  if (!verify_chain(body, req.source, req.source_signature, req.hops, stats)) {
     ++stats.requests_dropped;
     return;
   }
@@ -215,28 +216,25 @@ void MndpEngine::process_request(PendingRequest&& item, std::span<NodeState> nod
   // Forward while the hop budget lasts.
   if (traversed >= req.nu) return;
 
-  // Exclusion: nodes already covered by any neighbor list in the request.
-  std::unordered_set<NodeId> covered;
-  covered.insert(req.source);
-  covered.insert(holder.id());
-  for (const NodeId id : req.source_neighbors) covered.insert(id);
-  for (const HopRecord& hop : req.hops) {
-    covered.insert(hop.id);
-    for (const NodeId id : hop.neighbors) covered.insert(id);
-  }
+  // Exclusion: nodes already covered by any neighbor list in the request as
+  // it arrived (the first `arrived_hops` records; ours is appended below).
+  const std::size_t arrived_hops = req.hops.size();
+  const auto covered = [&req, &holder, arrived_hops](NodeId id) {
+    const auto listed = [id](const std::vector<NodeId>& list) {
+      return std::find(list.begin(), list.end(), id) != list.end();
+    };
+    if (id == req.source || id == holder.id() || listed(req.source_neighbors)) return true;
+    for (std::size_t k = 0; k < arrived_hops; ++k) {
+      if (id == req.hops[k].id || listed(req.hops[k].neighbors)) return true;
+    }
+    return false;
+  };
 
-  MndpRequest extended = req;
-  HopRecord record;
-  record.id = holder.id();
-  record.neighbors = holder.logical_neighbors();
-  extended.hops.push_back(std::move(record));
-  extended.hops.back().signature =
-      holder.key().sign(extended.hop_sign_input(extended.hops.size() - 1, wire_));
-  ++stats.signatures_created;
-
-  const BitVector encoded = extended.encode(wire_);
+  // Extend this copy in place: it is ours, and nothing reads it after.
+  sign_hop(holder, body, req.hops, stats);
+  const BitVector encoded = req.encode(wire_);
   for (const NodeId next : holder.logical_neighbors()) {
-    if (covered.contains(next)) continue;
+    if (covered(next)) continue;
     ++stats.requests_sent;
     NodeState& target = nodes[raw(next)];
     const auto rx = session_unicast(holder, target, encoded, TxClass::SessionUnicast, stats);
@@ -258,7 +256,8 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
   resp.responder_neighbors = responder.logical_neighbors();
   resp.nonce = responder.make_nonce(params_.l_n);
   resp.nu = req.nu;
-  resp.responder_signature = responder.key().sign(resp.responder_sign_input(wire_));
+  resp.responder_signature =
+      SignedBody(resp, wire_).sign(responder.key(), signer(responder.key().id()), 0);
   ++stats.signatures_created;
   ++stats.responses_sent;
 
@@ -274,7 +273,7 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
   reverse_path.push_back(req.source);
 
   NodeState* carrier = &responder;
-  MndpResponse current = resp;
+  MndpResponse current = std::move(resp);
   for (std::size_t leg = 0; leg < reverse_path.size(); ++leg) {
     NodeState& next = nodes[raw(reverse_path[leg])];
     const auto rx = session_unicast(*carrier, next, current.encode(wire_),
@@ -284,18 +283,15 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
     if (!decoded) return;
     current = std::move(*decoded);
 
-    const bool at_source = next.id() == req.source;
-    if (!verify_response(current, stats)) return;
-    if (at_source) break;
+    SignedBody body(current, wire_);
+    if (!verify_chain(body, current.responder, current.responder_signature, current.hops,
+                      stats)) {
+      return;
+    }
+    if (next.id() == req.source) break;
 
     // Intermediate node appends its own record and signature.
-    HopRecord record;
-    record.id = next.id();
-    record.neighbors = next.logical_neighbors();
-    current.hops.push_back(std::move(record));
-    current.hops.back().signature =
-        next.key().sign(current.hop_sign_input(current.hops.size() - 1, wire_));
-    ++stats.signatures_created;
+    sign_hop(next, body, current.hops, stats);
     carrier = &next;
   }
 
@@ -335,7 +331,7 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
 }
 
 MndpStats MndpEngine::run_round(std::span<NodeState> nodes, Rng& rng) {
-  seen_.clear();
+  for (std::vector<std::uint64_t>& seen : seen_) seen.clear();
   std::vector<std::uint32_t> order(nodes.size());
   std::iota(order.begin(), order.end(), 0u);
   rng.shuffle(std::span<std::uint32_t>(order));

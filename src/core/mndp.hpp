@@ -21,13 +21,23 @@
 //
 // The engine executes the real signature chain (every verification counted,
 // for both the DoS analysis and the latency model's 2nu(nu+1) t_ver term).
+// None of that work is skipped, but none is repeated either:
+//
+//   * one signature schedule per signer per engine (signer_key: sign_key(ID)
+//     and its HMAC midstates), built lazily on the signer's first sign or
+//     verify and shared by both, so a sign or verify costs the signed
+//     bytes' compressions plus one;
+//   * one SignedBody per message copy: the signed fields are encoded once
+//     and every signature in the chain hashes a bit prefix of those bytes;
+//     a forwarder appends its block to the body it just verified and signs
+//     the new prefix;
+//   * neighbor lists are read by reference (NodeState keeps L sorted).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/jrsnd_node.hpp"
@@ -80,9 +90,23 @@ class MndpEngine {
     MndpRequest request;
   };
 
-  /// Per-message signature-chain verification; bumps stats.
-  [[nodiscard]] bool verify_request(const MndpRequest& req, MndpStats& stats) const;
-  [[nodiscard]] bool verify_response(const MndpResponse& resp, MndpStats& stats) const;
+  /// `id`'s signature schedule, built on first use and kept for the
+  /// engine's lifetime (ids outside the node table share one slot, rebuilt
+  /// whenever its tag names another id). Signing looks up the id the key
+  /// was issued to, NodeState::key().id(), never the id a node claims.
+  [[nodiscard]] const crypto::SignerKey& signer(NodeId id);
+
+  /// Verifies every signature of one message — the leader's over prefix 0,
+  /// then hops[k]'s over prefix k + 1 of `body` — stopping at the first
+  /// failure; bumps stats once per signature checked.
+  [[nodiscard]] bool verify_chain(const SignedBody& body, NodeId leader,
+                                  const crypto::IbcSignature& leader_sig,
+                                  const std::vector<HopRecord>& hops, MndpStats& stats);
+
+  /// Appends `node`'s hop record to `hops` and `body` and signs the new
+  /// prefix.
+  void sign_hop(NodeState& node, SignedBody& body, std::vector<HopRecord>& hops,
+                MndpStats& stats);
 
   /// The paper's path-legitimacy check: consecutive (claimed) neighbor
   /// lists must chain from the source to `holder` via `arrived_from`.
@@ -120,8 +144,14 @@ class MndpEngine {
   bool gps_filter_;
   Rng retry_rng_;
 
-  /// Dedup: request keys (source, nonce) each node has already processed.
-  std::unordered_map<NodeId, std::unordered_set<std::uint64_t>> seen_;
+  /// Dedup: request keys (source, nonce) each node has already processed,
+  /// indexed by raw node id (a node sees tens to hundreds per round, so a
+  /// linear scan beats a hash set).
+  std::vector<std::vector<std::uint64_t>> seen_;
+
+  /// signer(): one lazily built schedule per node id, plus the stray slot.
+  std::vector<std::optional<crypto::SignerKey>> signers_;
+  std::optional<crypto::SignerKey> stray_signer_;
 };
 
 }  // namespace jrsnd::core

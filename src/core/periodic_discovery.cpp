@@ -54,21 +54,19 @@ void PeriodicDiscoveryRunner::expire_links(const sim::Topology& topology, TimePo
                                            EpochReport& report) {
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     const NodeId a = node_id(i);
-    for (const NodeId b : nodes_[i].logical_neighbors()) {
-      if (raw(b) <= i) continue;  // handle each pair once
-      if (topology.are_neighbors(a, b)) continue;  // still in contact
+    report.links_expired += nodes_[i].remove_logical_neighbors_if([&](NodeId b) {
+      if (raw(b) <= i) return false;  // handle each pair once
+      if (topology.are_neighbors(a, b)) return false;  // still in contact
       const auto it = last_contact_.find(pair_key(a, b));
       const TimePoint last = it == last_contact_.end() ? now : it->second;
       // Strictly greater: a link whose silence equals the threshold exactly
       // is still live this tick, so a same-tick rediscovery cannot count the
       // pair as both expired and discovered in one epoch report.
-      if (now - last > config_.link_timeout) {
-        nodes_[raw(a)].remove_logical_neighbor(b);
-        nodes_[raw(b)].remove_logical_neighbor(a);
-        last_contact_.erase(pair_key(a, b));
-        ++report.links_expired;
-      }
-    }
+      if (now - last <= config_.link_timeout) return false;
+      nodes_[raw(b)].remove_logical_neighbor(a);
+      last_contact_.erase(pair_key(a, b));
+      return true;
+    });
   }
 }
 

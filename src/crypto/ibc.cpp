@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "crypto/hmac.hpp"
 
@@ -18,6 +19,21 @@ void put_u32(std::array<std::uint8_t, N>& out, std::size_t at, std::uint32_t v) 
   out[at + 3] = static_cast<std::uint8_t>(v);
 }
 
+/// HMAC over the first `bits` bits of `message`: the whole bytes streamed as
+/// they are, then the final partial byte with its trailing bits masked off.
+Sha256Digest mac_bits(const HmacKey& key, std::span<const std::uint8_t> message,
+                      std::size_t bits) noexcept {
+  assert(bits <= message.size() * 8);
+  Sha256 inner = key.inner_context();
+  inner.update(message.first(bits / 8));
+  if (const std::size_t tail = bits % 8; tail != 0) {
+    const std::uint8_t last =
+        static_cast<std::uint8_t>(message[bits / 8] & (0xFFu << (8 - tail)));
+    inner.update(std::span<const std::uint8_t>(&last, 1));
+  }
+  return key.finish(inner);
+}
+
 }  // namespace
 
 SymmetricKey PairingOracle::pair_key(NodeId a, NodeId b) const noexcept {
@@ -28,24 +44,25 @@ SymmetricKey PairingOracle::pair_key(NodeId a, NodeId b) const noexcept {
   return master_.mac(input);
 }
 
-SymmetricKey PairingOracle::sign_key(NodeId id) const noexcept {
+SignerKey PairingOracle::signer_key(NodeId id) const noexcept {
   std::array<std::uint8_t, 7> input = {'s', 'i', 'g'};
   put_u32(input, 3, raw(id));
-  return master_.mac(input);
+  return SignerKey{id, HmacKey(master_.mac(input))};
 }
 
-bool PairingOracle::verify(NodeId signer_id, std::span<const std::uint8_t> message,
-                           const IbcSignature& sig) const noexcept {
-  const Sha256Digest expected = hmac_sha256(sign_key(signer_id), message);
-  return digest_equal(expected, sig.tag);
+bool PairingOracle::verify(const SignerKey& signer, std::span<const std::uint8_t> message,
+                           std::size_t bits, const IbcSignature& sig) noexcept {
+  return digest_equal(mac_bits(signer.schedule, message, bits), sig.tag);
 }
 
 SymmetricKey IbcPrivateKey::shared_key(NodeId peer) const noexcept {
   return oracle_->pair_key(id_, peer);
 }
 
-IbcSignature IbcPrivateKey::sign(std::span<const std::uint8_t> message) const noexcept {
-  return IbcSignature{hmac_sha256(oracle_->sign_key(id_), message)};
+IbcSignature IbcPrivateKey::sign(const SignerKey& own, std::span<const std::uint8_t> message,
+                                 std::size_t bits) const noexcept {
+  if (own.id != id_) return sign(signing_key(), message, bits);
+  return IbcSignature{mac_bits(own.schedule, message, bits)};
 }
 
 IbcAuthority::IbcAuthority(std::uint64_t master_seed) noexcept {

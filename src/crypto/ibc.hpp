@@ -14,6 +14,11 @@
 //   sign_key(A)           = HMAC(master, "sig"  || A)
 //   SIG_{K_A^{-1}}(msg)   = HMAC(sign_key(A), msg)
 //
+// sign_key(A) is only ever held as its HMAC schedule (signer_key): deriving
+// it and its ipad/opad midstates (4 compressions) happens once per signer,
+// and each sign or verify then costs the message blocks plus one outer
+// compression.
+//
 // The three properties JR-SND relies on are preserved: (1) A and B derive
 // identical keys; (2) no third party's private key yields K_AB; (3) a
 // signature binds (ID, message) and verifies against the ID alone. The
@@ -45,13 +50,41 @@ struct IbcSignature {
   bool operator==(const IbcSignature&) const = default;
 };
 
+/// One signer's signature schedule: sign_key(id) held as its HMAC midstates,
+/// tagged with the id it was derived for. Four compressions to build
+/// (sign_key(id), then its ipad/opad midstates); every sign or verify under
+/// it then costs the signed bytes' compressions plus one. Callers that check or make many signatures build one per signer and
+/// reuse it (never eagerly: most runs sign nothing).
+struct SignerKey {
+  NodeId id = kInvalidNode;
+  HmacKey schedule;
+};
+
 /// Stand-in for the IBC public system parameters and the bilinear map.
 /// Constructed only by IbcAuthority; shared read-only by all parties.
+///
+/// A signature covers a bit string: the first `bits` bits of `message`,
+/// MSB-first, with the final partial byte zero-padded — exactly the bytes
+/// BitVector::to_bytes gives for that prefix. M-NDP signs nested bit
+/// prefixes of one encoded body, so a prefix is passed by reference instead
+/// of re-encoded (see core::SignedBody).
 class PairingOracle {
  public:
-  /// Verifies that `sig` is signer_id's signature over `message`.
+  /// signer_id's signature schedule.
+  [[nodiscard]] SignerKey signer_key(NodeId signer_id) const noexcept;
+
+  /// Verifies that `sig` is signer.id's signature over the first `bits` bits
+  /// of `message`, where `signer` came from signer_key.
+  /// Precondition: bits <= 8 * message.size().
+  [[nodiscard]] static bool verify(const SignerKey& signer, std::span<const std::uint8_t> message,
+                                   std::size_t bits, const IbcSignature& sig) noexcept;
+
+  /// Verifies that `sig` is signer_id's signature over all of `message`
+  /// (builds the schedule for this one call).
   [[nodiscard]] bool verify(NodeId signer_id, std::span<const std::uint8_t> message,
-                            const IbcSignature& sig) const noexcept;
+                            const IbcSignature& sig) const noexcept {
+    return verify(signer_key(signer_id), message, message.size() * 8, sig);
+  }
 
  private:
   friend class IbcAuthority;
@@ -60,10 +93,9 @@ class PairingOracle {
   explicit PairingOracle(const SymmetricKey& master) noexcept : master_(master) {}
 
   [[nodiscard]] SymmetricKey pair_key(NodeId a, NodeId b) const noexcept;
-  [[nodiscard]] SymmetricKey sign_key(NodeId id) const noexcept;
 
   /// The master secret's HMAC schedule, built once: every pair_key and
-  /// sign_key is then two compressions instead of four (same bytes).
+  /// signer_key is then two compressions instead of four (same bytes).
   HmacKey master_;
 };
 
@@ -76,8 +108,22 @@ class IbcPrivateKey {
   /// Symmetric: A.shared_key(B) == B.shared_key(A).
   [[nodiscard]] SymmetricKey shared_key(NodeId peer) const noexcept;
 
-  /// ID-based signature over `message`, verifiable via PairingOracle::verify.
-  [[nodiscard]] IbcSignature sign(std::span<const std::uint8_t> message) const noexcept;
+  /// This key's signature schedule, the one verifiers of id() use.
+  [[nodiscard]] SignerKey signing_key() const noexcept { return oracle_->signer_key(id_); }
+
+  /// ID-based signature over the first `bits` bits of `message`, verifiable
+  /// via PairingOracle::verify. `own` is the signer_key of id() — the id
+  /// this key was issued to, never one its holder claims — built once by a
+  /// caller that signs repeatedly; a schedule tagged with any other id is
+  /// not used (it would forge that id's signatures).
+  /// Precondition: bits <= 8 * message.size().
+  [[nodiscard]] IbcSignature sign(const SignerKey& own, std::span<const std::uint8_t> message,
+                                  std::size_t bits) const noexcept;
+
+  /// ID-based signature over all of `message` (builds the schedule per call).
+  [[nodiscard]] IbcSignature sign(std::span<const std::uint8_t> message) const noexcept {
+    return sign(signing_key(), message, message.size() * 8);
+  }
 
  private:
   friend class IbcAuthority;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -238,6 +240,87 @@ TEST_P(BitVectorWidthSweep, AppendReadRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitVectorWidthSweep,
                          ::testing::Values(1, 2, 5, 8, 13, 16, 20, 31, 32, 33, 48, 63, 64));
+
+// --- word-level codecs against bit-by-bit references -------------------------
+
+/// read_uint as it was once written: one get() per bit, MSB first.
+std::uint64_t read_uint_bitwise(const BitVector& v, std::size_t offset, std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) value = (value << 1) | (v.get(offset + i) ? 1u : 0u);
+  return value;
+}
+
+/// from_bytes as it was once written: eight bits per byte, MSB first.
+BitVector from_bytes_bitwise(const std::vector<std::uint8_t>& bytes) {
+  BitVector v;
+  for (const std::uint8_t b : bytes) {
+    for (int bit = 7; bit >= 0; --bit) v.push_back(((b >> bit) & 1u) != 0);
+  }
+  return v;
+}
+
+TEST(BitVectorWordCodecs, ReadUintMatchesBitwiseAtEveryOffsetAndWidth) {
+  // 192 bits = three full words: every offset in 0..191 with every width
+  // that fits, so reads inside one word, reads straddling words 0|1 and
+  // 1|2, and reads that end exactly at the last bit of the last word.
+  Rng rng(21);
+  BitVector v;
+  for (int w = 0; w < 3; ++w) v.append_uint(rng.next(), 64);
+  ASSERT_EQ(v.size(), 192u);
+  for (std::size_t offset = 0; offset < 192; ++offset) {
+    for (std::size_t width = 0; width <= 64 && offset + width <= 192; ++width) {
+      ASSERT_EQ(v.read_uint(offset, width), read_uint_bitwise(v, offset, width))
+          << "offset " << offset << " width " << width;
+    }
+  }
+}
+
+TEST(BitVectorWordCodecs, ReadUintAtTheEndOfAPartialLastWord) {
+  // A 150-bit vector: the last word holds 22 bits and zero slack; reads that
+  // end at bit 150 must never pick up slack bits.
+  Rng rng(22);
+  BitVector v;
+  for (int w = 0; w < 2; ++w) v.append_uint(rng.next(), 64);
+  v.append_uint(rng.next(), 22);
+  ASSERT_EQ(v.size(), 150u);
+  for (std::size_t width = 0; width <= 64; ++width) {
+    EXPECT_EQ(v.read_uint(150 - width, width), read_uint_bitwise(v, 150 - width, width))
+        << width;
+  }
+}
+
+TEST(BitVectorWordCodecs, FromBytesMatchesBitwiseAndKeepsSlackZero) {
+  Rng rng(23);
+  for (std::size_t len = 0; len <= 17; ++len) {
+    std::vector<std::uint8_t> bytes(len);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() | 0x01);  // never all-zero
+    const BitVector v = BitVector::from_bytes(bytes);
+    EXPECT_EQ(v, from_bytes_bitwise(bytes)) << len;
+    ASSERT_EQ(v.size(), len * 8);
+    ASSERT_EQ(v.words().size(), (len * 8 + 63) / 64);
+    if (const std::size_t tail = v.size() % 64; tail != 0) {
+      EXPECT_EQ(v.words().back() << tail, 0u) << "slack bits set at length " << len;
+    }
+    EXPECT_EQ(v.to_bytes(), bytes) << len;
+  }
+}
+
+TEST(BitVectorWordCodecs, AppendUintAndZerosAtEveryAlignment) {
+  Rng rng(24);
+  for (std::size_t lead = 0; lead < 64; ++lead) {
+    for (const std::size_t width : {1u, 7u, 31u, 57u, 63u, 64u}) {
+      BitVector v(lead);
+      const std::uint64_t value = rng.next();
+      v.append_uint(value, width);
+      v.append_zeros(lead + 1);
+      ASSERT_EQ(v.size(), 2 * lead + 1 + width);
+      const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+      EXPECT_EQ(v.read_uint(lead, width), value & mask) << lead << "/" << width;
+      // Nothing outside the field is set: not the lead, not the zeros.
+      EXPECT_EQ(v.popcount(), static_cast<std::size_t>(std::popcount(value & mask)));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace jrsnd

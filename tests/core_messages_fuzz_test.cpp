@@ -20,6 +20,19 @@ BitVector random_bits(Rng& rng, std::size_t n) {
   return v;
 }
 
+/// Signature j of `body` by `signer`'s key.
+crypto::IbcSignature sign_prefix(const crypto::IbcAuthority& ibc, NodeId signer,
+                                 const SignedBody& body, std::size_t j) {
+  const crypto::IbcPrivateKey key = ibc.issue(signer);
+  return body.sign(key, key.signing_key(), j);
+}
+
+/// Whether `sig` is `signer`'s signature j over `body`.
+bool verify_prefix(const crypto::IbcAuthority& ibc, NodeId signer, const SignedBody& body,
+                   std::size_t j, const crypto::IbcSignature& sig) {
+  return body.verify(ibc.oracle()->signer_key(signer), j, sig);
+}
+
 TEST(MessageFuzz, RandomBuffersNeverCrashAnyDecoder) {
   Rng rng(1);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -49,12 +62,12 @@ TEST(MessageFuzz, EveryTruncationOfValidRequestRejected) {
   req.source_neighbors = {node_id(2), node_id(3)};
   req.nonce = random_bits(rng, kCfg.l_n);
   req.nu = 2;
-  req.source_signature = authority.issue(node_id(1)).sign(req.source_sign_input(kCfg));
+  req.source_signature = sign_prefix(authority, node_id(1), SignedBody(req, kCfg), 0);
   HopRecord hop;
   hop.id = node_id(2);
   hop.neighbors = {node_id(4)};
   req.hops.push_back(hop);
-  req.hops.back().signature = authority.issue(node_id(2)).sign(req.hop_sign_input(0, kCfg));
+  req.hops.back().signature = sign_prefix(authority, node_id(2), SignedBody(req, kCfg), 1);
 
   const BitVector bits = req.encode(kCfg);
   // Check every 7th truncation (full sweep is ~2k decodes of ~2kb each).
@@ -80,7 +93,7 @@ TEST(MessageFuzz, HostileHopCountIsBounded) {
   req.source = node_id(1);
   req.nonce = random_bits(rng, kCfg.l_n);
   req.nu = 2;
-  req.source_signature = authority.issue(node_id(1)).sign(req.source_sign_input(kCfg));
+  req.source_signature = sign_prefix(authority, node_id(1), SignedBody(req, kCfg), 0);
   BitVector bits = req.encode(kCfg);
   // The hop-count byte is the last 8 bits; claim 255 hops with no bodies.
   for (std::size_t i = bits.size() - 8; i < bits.size(); ++i) bits.set(i, true);
@@ -112,7 +125,7 @@ TEST(MessageFuzz, SingleBitFlipsNeverValidateRequestSignature) {
   req.source_neighbors = {node_id(1)};
   req.nonce = random_bits(rng, kCfg.l_n);
   req.nu = 3;
-  req.source_signature = authority.issue(node_id(9)).sign(req.source_sign_input(kCfg));
+  req.source_signature = sign_prefix(authority, node_id(9), SignedBody(req, kCfg), 0);
   const BitVector bits = req.encode(kCfg);
   const std::size_t sig_tag_end =
       kCfg.l_t + kCfg.l_id + 16 + 16 + kCfg.l_n + kCfg.l_nu + 256;
@@ -122,9 +135,8 @@ TEST(MessageFuzz, SingleBitFlipsNeverValidateRequestSignature) {
     mutated.flip(flip);
     const auto decoded = MndpRequest::decode(mutated, kCfg);
     if (!decoded.has_value()) continue;
-    EXPECT_FALSE(authority.oracle()->verify(node_id(raw(decoded->source)),
-                                            decoded->source_sign_input(kCfg),
-                                            decoded->source_signature))
+    EXPECT_FALSE(verify_prefix(authority, decoded->source, SignedBody(*decoded, kCfg), 0,
+                               decoded->source_signature))
         << "flip " << flip;
   }
 }
@@ -153,7 +165,7 @@ TEST(MessageFuzz, FaultyPhyMutationsNeverCrashAnyDecoder) {
   req.source_neighbors = {node_id(2), node_id(3)};
   req.nonce = random_bits(rng, kCfg.l_n);
   req.nu = 2;
-  req.source_signature = authority.issue(node_id(1)).sign(req.source_sign_input(kCfg));
+  req.source_signature = sign_prefix(authority, node_id(1), SignedBody(req, kCfg), 0);
 
   crypto::SymmetricKey key;
   key.fill(0x42);
@@ -206,14 +218,14 @@ TEST(MessageFuzz, RoundTripSurvivesExtremeFieldValues) {
   req.nu = 15;                           // max l_nu value
   req.nonce = BitVector(kCfg.l_n);       // all-zero nonce
   for (std::uint32_t i = 0; i < 200; ++i) req.source_neighbors.push_back(node_id(i));
-  req.source_signature = authority.issue(node_id(0xffff)).sign(req.source_sign_input(kCfg));
+  req.source_signature = sign_prefix(authority, node_id(0xffff), SignedBody(req, kCfg), 0);
   const auto decoded = MndpRequest::decode(req.encode(kCfg), kCfg);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->source, node_id(0xffff));
   EXPECT_EQ(decoded->nu, 15u);
   EXPECT_EQ(decoded->source_neighbors.size(), 200u);
-  EXPECT_TRUE(authority.oracle()->verify(node_id(0xffff), decoded->source_sign_input(kCfg),
-                                         decoded->source_signature));
+  EXPECT_TRUE(verify_prefix(authority, node_id(0xffff), SignedBody(*decoded, kCfg), 0,
+                            decoded->source_signature));
 }
 
 }  // namespace

@@ -57,6 +57,42 @@ TEST(PeriodicDiscovery, MobileNetworkExpiresStaleLinks) {
   EXPECT_GT(reports.back().coverage, 0.5);
 }
 
+/// Four nodes in one cluster; from `leave_at` on, node 0 sits in the far
+/// corner, out of everyone's range.
+class LeavingNode final : public sim::MobilityModel {
+ public:
+  explicit LeavingNode(TimePoint leave_at) : leave_at_(leave_at) {}
+  [[nodiscard]] std::size_t node_count() const noexcept override { return 4; }
+  [[nodiscard]] sim::Position position(NodeId node, TimePoint t) const override {
+    if (raw(node) == 0 && t >= leave_at_) return {1400.0, 1400.0};
+    return {100.0 + 40.0 * raw(node), 100.0};
+  }
+
+ private:
+  TimePoint leave_at_;
+};
+
+TEST(PeriodicDiscovery, OneTickExpiresEveryStaleLinkOfANode) {
+  // Node 0 holds three links when it leaves; the next expiry tick must drop
+  // all three (walking the neighbor list while removing from it would skip
+  // every other one).
+  auto cfg = small_config();
+  cfg.params.n = 4;
+  cfg.params.l = 4;
+  cfg.params.q = 0;
+  cfg.link_timeout = seconds(20.0);
+  cfg.epochs = 3;
+  const LeavingNode mobility(TimePoint{60.0});  // the start of epoch 2
+  PeriodicDiscoveryRunner runner(cfg, mobility);
+  const auto reports = runner.run();
+  ASSERT_EQ(reports.size(), 3u);
+  ASSERT_EQ(reports[1].physical_pairs, 6u);
+  ASSERT_EQ(reports[1].logical_pairs, 6u) << "the cluster must be fully linked first";
+  EXPECT_EQ(reports[2].physical_pairs, 3u);
+  EXPECT_EQ(reports[2].links_expired, 3u);
+  EXPECT_EQ(reports[2].logical_pairs, 3u);
+}
+
 TEST(PeriodicDiscovery, DeterministicInSeed) {
   const auto cfg = small_config();
   const sim::Field field(cfg.params.field_width, cfg.params.field_height);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
+
+#include "crypto/hmac.hpp"
+#include "crypto/sha256.hpp"
 
 namespace jrsnd::crypto {
 namespace {
@@ -97,6 +101,79 @@ TEST(Ibc, MacBindsKeyAndMessage) {
   EXPECT_EQ(compute_mac(k_ab, msg), compute_mac(k_ab, msg));
   EXPECT_NE(compute_mac(k_ab, msg), compute_mac(k_ac, msg));
   EXPECT_NE(compute_mac(k_ab, msg), compute_mac(k_ab, bytes("auth2")));
+}
+
+// --- signer schedules -----------------------------------------------------------
+
+/// The signature as the substrate defines it, computed independently:
+/// HMAC(HMAC(master, "sig" || id), message), master = SHA-256 of the seed.
+Sha256Digest raw_signature(std::uint64_t seed, std::uint32_t id,
+                           std::span<const std::uint8_t> message) {
+  std::vector<std::uint8_t> seed_bytes(8);
+  for (int i = 0; i < 8; ++i) {
+    seed_bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(seed >> (56 - 8 * i));
+  }
+  const Sha256Digest master = Sha256::hash(seed_bytes);
+  const std::vector<std::uint8_t> input = {'s',
+                                           'i',
+                                           'g',
+                                           static_cast<std::uint8_t>(id >> 24),
+                                           static_cast<std::uint8_t>(id >> 16),
+                                           static_cast<std::uint8_t>(id >> 8),
+                                           static_cast<std::uint8_t>(id)};
+  return hmac_sha256(hmac_sha256(master, input), message);
+}
+
+TEST(IbcSignerKey, ScheduleFormsEqualTheRawSignature) {
+  const IbcAuthority authority(4242);
+  const std::vector<std::uint8_t> message = bytes("an m-ndp body that spans two blocks ......."
+                                                  "..........................................");
+  for (const std::uint32_t id : {0u, 7u, 65535u}) {
+    const IbcPrivateKey key = authority.issue(node_id(id));
+    const SignerKey schedule = authority.oracle()->signer_key(node_id(id));
+    EXPECT_EQ(schedule.id, node_id(id));
+    const Sha256Digest want = raw_signature(4242, id, message);
+    const IbcSignature by_schedule = key.sign(schedule, message, message.size() * 8);
+    EXPECT_EQ(by_schedule.tag, want) << id;
+    EXPECT_EQ(key.sign(message).tag, want) << id;
+    EXPECT_TRUE(PairingOracle::verify(schedule, message, message.size() * 8, by_schedule));
+    EXPECT_TRUE(authority.oracle()->verify(node_id(id), message, by_schedule));
+  }
+}
+
+TEST(IbcSignerKey, BitPrefixSignsThePrefixPackedAlone) {
+  // Signing the first `bits` bits of a longer buffer must equal signing the
+  // prefix's own bytes (final partial byte zero-padded), for every length.
+  const IbcAuthority authority(5);
+  const IbcPrivateKey key = authority.issue(node_id(3));
+  const SignerKey schedule = key.signing_key();
+  std::vector<std::uint8_t> buffer(70);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::uint8_t>(0xA7 ^ (i * 29));
+  }
+  for (std::size_t bits = 0; bits <= buffer.size() * 8; ++bits) {
+    std::vector<std::uint8_t> alone(buffer.begin(),
+                                    buffer.begin() + static_cast<std::ptrdiff_t>((bits + 7) / 8));
+    if (bits % 8 != 0) alone.back() &= static_cast<std::uint8_t>(0xFF << (8 - bits % 8));
+    const IbcSignature sig = key.sign(schedule, buffer, bits);
+    ASSERT_EQ(sig.tag, raw_signature(5, 3, alone)) << bits;
+    ASSERT_TRUE(PairingOracle::verify(schedule, buffer, bits, sig)) << bits;
+    if (bits >= 8) {  // one byte shorter is another message
+      ASSERT_FALSE(PairingOracle::verify(schedule, buffer, bits - 8, sig)) << bits;
+    }
+  }
+}
+
+TEST(IbcSignerKey, AScheduleForAnotherIdNeverForges) {
+  // Handing node 2's key node 1's schedule must not yield node 1's
+  // signature: the key signs as the id it was issued to.
+  const IbcAuthority authority(6);
+  const IbcPrivateKey key2 = authority.issue(node_id(2));
+  const SignerKey schedule1 = authority.oracle()->signer_key(node_id(1));
+  const auto msg = bytes("claimed to be node 1");
+  const IbcSignature sig = key2.sign(schedule1, msg, msg.size() * 8);
+  EXPECT_FALSE(PairingOracle::verify(schedule1, msg, msg.size() * 8, sig));
+  EXPECT_EQ(sig, key2.sign(msg));
 }
 
 class IbcPairSweep : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {};
