@@ -5,17 +5,21 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics_registry.hpp"
 
 namespace jrsnd::bench {
 
 std::uint32_t runs_from_env() {
-  if (const char* env = std::getenv("JRSND_RUNS")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value > 0 && value <= 100000) return static_cast<std::uint32_t>(value);
-  }
-  return 10;
+  constexpr std::uint32_t kDefault = 10;
+  const char* env = std::getenv("JRSND_RUNS");
+  if (env == nullptr || env[0] == '\0') return kDefault;
+  if (const auto runs = parse_u32(env); runs && *runs >= 1 && *runs <= 100000) return *runs;
+  JRSND_WARN("bench") << "invalid JRSND_RUNS value '" << env
+                      << "' (want an integer in 1..100000); using " << kDefault;
+  return kDefault;
 }
 
 core::ExperimentConfig default_config() {

@@ -163,12 +163,7 @@ void BM_FullDndpHandshake(benchmark::State& state) {
   core::AbstractPhy phy(topology, jammer, phy_rng);
   core::DndpEngine engine(p, phy);
   Rng node_rng(4);
-  std::vector<core::NodeState> nodes;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                       authority.assignment().codes_of(node_id(i)), authority, p.gamma,
-                       node_rng.split());
-  }
+  std::vector<core::NodeState> nodes = core::issue_nodes(authority, ibc, p.n, p.gamma, node_rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(nodes[0], nodes[1]));
   }

@@ -48,13 +48,9 @@ int main() {
   const adversary::CompromiseModel compromise(authority.assignment(), params.q, adv);
   const adversary::ReactiveJammer jammer(compromise, {params.z, params.mu});
 
-  std::vector<core::NodeState> nodes;
   Rng node_rng = root.split();
-  for (std::uint32_t i = 0; i < params.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                       params.gamma, node_rng.split());
-  }
+  std::vector<core::NodeState> nodes =
+      core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
 
   Rng phy_rng = root.split();
   Rng order_rng = root.split();

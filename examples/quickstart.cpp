@@ -7,8 +7,11 @@
 //   3. On success both hold the same authenticated pairwise key and a fresh
 //      secret session spread code for subsequent anti-jamming traffic.
 //
-// Run:  ./quickstart
+// Run:  ./quickstart   (exits 1 if a discovered pair's two ends hold
+//                       different session codes or the channel loses the
+//                       message)
 #include <cstdio>
+#include <string>
 
 #include "adversary/compromise.hpp"
 #include "adversary/jammer.hpp"
@@ -51,13 +54,9 @@ int main() {
   positions[1] = {550.0, 500.0};
   const sim::Topology topology(field, positions, params.tx_range);
 
-  std::vector<core::NodeState> nodes;
   Rng node_rng = root.split();
-  for (std::uint32_t i = 0; i < params.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                       params.gamma, node_rng.split());
-  }
+  std::vector<core::NodeState> nodes =
+      core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
 
   // --- the adversary --------------------------------------------------------
   Rng adv = root.split();
@@ -92,14 +91,14 @@ int main() {
   std::printf("  session spread code (first 64 of %zu chips): %s...\n",
               link->session_code.size(),
               link->session_code.slice(0, 64).to_string().c_str());
-  std::printf("  both sides agree: %s\n",
-              link->session_code == nodes[1].neighbor(node_id(0))->session_code ? "yes"
-                                                                                : "NO (bug!)");
+  const bool agree = link->session_code == nodes[1].neighbor(node_id(0))->session_code;
+  std::printf("  both sides agree: %s\n", agree ? "yes" : "NO (bug!)");
 
   // The payoff: authenticated, encrypted, anti-jamming application traffic
   // over the fresh session code.
   core::SecureChannel channel(nodes[0], nodes[1], phy);
-  const auto reply = channel.send_text(node_id(0), "rendezvous at grid 47");
+  const std::string message = "rendezvous at grid 47";
+  const auto reply = channel.send_text(node_id(0), message);
   std::printf("  secure channel: %s\n",
               reply.has_value() ? ("peer decrypted \"" + *reply + "\"").c_str()
                                 : "message lost");
@@ -108,5 +107,5 @@ int main() {
   const core::Theorem1Result t1 = core::theorem1(params);
   std::printf("  Theorem 1 bounds for this config: %.3f <= P_dndp <= %.3f\n", t1.p_lower,
               t1.p_upper);
-  return 0;
+  return agree && reply == message ? 0 : 1;
 }

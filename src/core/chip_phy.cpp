@@ -159,4 +159,14 @@ bool ChipPhy::transmit_pipeline(NodeId from, NodeId to, TxCode code, TxClass cls
   }
 }
 
+ChipPhy::Codebook usable_codebook(const std::vector<NodeState>& nodes,
+                                  dsss::NodeCodebookCache& cache) {
+  return [&nodes, &cache](NodeId id) -> const dsss::PreparedCodebook& {
+    const NodeState& node = nodes[raw(id)];
+    std::vector<dsss::SpreadCode> codes;
+    for (const CodeId c : node.usable_codes()) codes.push_back(node.code_pattern(c));
+    return cache.prepare(id, codes);
+  };
+}
+
 }  // namespace jrsnd::core

@@ -31,6 +31,7 @@
 
 #include "adversary/jammer.hpp"
 #include "common/rng.hpp"
+#include "core/jrsnd_node.hpp"
 #include "core/params.hpp"
 #include "core/phy_model.hpp"
 #include "dsss/chip_channel.hpp"
@@ -118,5 +119,12 @@ class ChipPhy final : public PhyModel {
   std::uint64_t messages_ = 0;
   std::uint64_t jams_ = 0;
 };
+
+/// The codebook of each node's usable (non-revoked) codes, read from
+/// `nodes` on every call, so revocations and nodes issued after the ChipPhy
+/// is built show through; `cache` rebuilds a node's prepared form only when
+/// its codes changed. Both must outlive the returned codebook.
+[[nodiscard]] ChipPhy::Codebook usable_codebook(const std::vector<NodeState>& nodes,
+                                                dsss::NodeCodebookCache& cache);
 
 }  // namespace jrsnd::core

@@ -1,22 +1,15 @@
 #include "core/discovery_sim.hpp"
 
 #include <atomic>
-#include <memory>
-#include <vector>
 
-#include "adversary/compromise.hpp"
-#include "adversary/jammer.hpp"
 #include "common/thread_pool.hpp"
-#include "core/abstract_phy.hpp"
 #include "core/analysis.hpp"
 #include "core/dndp.hpp"
 #include "core/latency.hpp"
-#include "fault/faulty_phy.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"
 #include "sim/mobility.hpp"
-#include "sim/topology.hpp"
 
 namespace jrsnd::core {
 
@@ -30,11 +23,82 @@ const char* jammer_name(JammerKind kind) noexcept {
   return "?";
 }
 
+namespace {
+
+sim::Topology place_nodes(const Params& p, Rng& root) {
+  const sim::Field field(p.field_width, p.field_height);
+  Rng placement_rng = root.split();
+  const sim::UniformPlacement placement(field, p.n, placement_rng);
+  return sim::Topology(field, placement.snapshot(kSimStart), p.tx_range);
+}
+
+adversary::CompromiseModel compromise_nodes(const predist::CodeAssignment& assignment,
+                                            std::uint32_t q, Rng& root) {
+  Rng adversary_rng = root.split();
+  return adversary::CompromiseModel(assignment, q, adversary_rng);
+}
+
+std::unique_ptr<adversary::Jammer> make_jammer(JammerKind kind,
+                                               const adversary::CompromiseModel& compromise,
+                                               const Params& p) {
+  const adversary::JammerParams jp{p.z, p.mu};
+  switch (kind) {
+    case JammerKind::None: break;
+    case JammerKind::Random: return std::make_unique<adversary::RandomJammer>(compromise, jp);
+    case JammerKind::Reactive:
+      return std::make_unique<adversary::ReactiveJammer>(compromise, jp);
+    case JammerKind::Intelligent:
+      return std::make_unique<adversary::IntelligentJammer>(compromise);
+  }
+  return std::make_unique<adversary::NullJammer>();
+}
+
+}  // namespace
+
+World::World(const ExperimentConfig& cfg, std::uint64_t run_seed)
+    : config(cfg),
+      seed(run_seed),
+      root(run_seed),
+      authority(config.params.predist(), root.split()),
+      topology(place_nodes(config.params, root)),
+      compromise(compromise_nodes(authority.assignment(), config.params.q, root)),
+      jammer(make_jammer(config.jammer, compromise, config.params)),
+      ibc(root.next()),
+      nodes(issue_nodes(authority, ibc, config.params.n, config.params.gamma, root)),
+      phy_rng(root.split()),
+      phy(topology, *jammer, phy_rng) {
+  if (config.faults.has_value()) faulty.emplace(phy, *config.faults, seed);
+}
+
+PhyModel& World::active_phy() noexcept {
+  if (faulty.has_value()) return *faulty;
+  return phy;
+}
+
+DndpPass World::run_dndp() {
+  const HandshakeClock* clock = faulty.has_value() ? &faulty->clocks() : nullptr;
+  DndpEngine dndp(config.params, active_phy(), config.redundancy, seed, clock);
+  DndpPass pass(nodes.size());
+  Rng order_rng = root.split();
+  for (const auto& [a, b] : topology.pairs()) {
+    const bool a_first = order_rng.bernoulli(0.5);
+    const DndpResult r = dndp.run(nodes[raw(a_first ? a : b)], nodes[raw(a_first ? b : a)]);
+    pass.retransmissions += r.retransmissions;
+    pass.timeouts += r.timeouts;
+    if (r.discovered) {
+      ++pass.discovered;
+      pass.logical.add_edge(a, b);
+    } else {
+      pass.failed_pairs.emplace_back(a, b);
+    }
+  }
+  return pass;
+}
+
 DiscoverySimulator::DiscoverySimulator(ExperimentConfig config) : config_(std::move(config)) {}
 
 RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   const Params& p = config_.params;
-  Rng root(seed);
   RunResult result;
 
   JRSND_PERF_REGION("sim.run");
@@ -55,84 +119,16 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   static thread_local obs::prof::RegionMetrics world_rm, dndp_rm, mndp_rm, rates_rm;
   std::optional<obs::prof::PerfRegion> phase;
   phase.emplace("sim.world", world_rm);
+  World world(config_, seed);
+  result.avg_degree = world.topology.average_degree();
+  result.physical_pairs = world.topology.pairs().size();
+  result.compromised_codes = world.compromise.compromised_code_count();
 
-  // --- world construction -------------------------------------------------
-  predist::CodePoolAuthority authority(p.predist(), root.split());
-  const predist::CodeAssignment& assignment = authority.assignment();
-
-  const sim::Field field(p.field_width, p.field_height);
-  Rng placement_rng = root.split();
-  const sim::UniformPlacement placement(field, p.n, placement_rng);
-  const sim::Topology topology(field, placement.snapshot(kSimStart), p.tx_range);
-  result.avg_degree = topology.average_degree();
-  result.physical_pairs = topology.pairs().size();
-
-  Rng adversary_rng = root.split();
-  const adversary::CompromiseModel compromise(assignment, p.q, adversary_rng);
-  result.compromised_codes = compromise.compromised_code_count();
-
-  const adversary::JammerParams jp{p.z, p.mu};
-  std::unique_ptr<adversary::Jammer> jammer;
-  switch (config_.jammer) {
-    case JammerKind::None:
-      jammer = std::make_unique<adversary::NullJammer>();
-      break;
-    case JammerKind::Random:
-      jammer = std::make_unique<adversary::RandomJammer>(compromise, jp);
-      break;
-    case JammerKind::Reactive:
-      jammer = std::make_unique<adversary::ReactiveJammer>(compromise, jp);
-      break;
-    case JammerKind::Intelligent:
-      jammer = std::make_unique<adversary::IntelligentJammer>(compromise);
-      break;
-  }
-
-  const crypto::IbcAuthority ibc(root.next());
-  std::vector<NodeState> nodes;
-  nodes.reserve(p.n);
-  for (std::uint32_t i = 0; i < p.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes.emplace_back(id, ibc.issue(id), assignment.codes_of(id), authority, p.gamma,
-                       root.split());
-  }
-
-  // --- D-NDP over every physical-neighbor pair ----------------------------
   phase.emplace("sim.dndp", dndp_rm);
-  Rng phy_rng = root.split();
-  AbstractPhy phy(topology, *jammer, phy_rng);
-
-  // Optional fault layer: wraps the PHY without perturbing the root Rng
-  // chain (its draws come from the plan seed salted with the run seed), so
-  // an absent or inactive plan leaves the run bit-identical.
-  std::optional<fault::FaultyPhy> faulty;
-  PhyModel* active_phy = &phy;
-  const HandshakeClock* hs_clock = nullptr;
-  if (config_.faults.has_value()) {
-    faulty.emplace(phy, *config_.faults, seed);
-    active_phy = &*faulty;
-    hs_clock = &faulty->clocks();
-  }
-
-  DndpEngine dndp(p, *active_phy, config_.redundancy, seed, hs_clock);
-
-  sim::LogicalGraph logical(p.n);
-  std::vector<std::pair<NodeId, NodeId>> failed_pairs;
-  Rng order_rng = root.split();
-  for (const auto& [a, b] : topology.pairs()) {
-    const bool a_first = order_rng.bernoulli(0.5);
-    NodeState& initiator = nodes[raw(a_first ? a : b)];
-    NodeState& responder = nodes[raw(a_first ? b : a)];
-    const DndpResult r = dndp.run(initiator, responder);
-    result.dndp_retransmissions += r.retransmissions;
-    result.dndp_timeouts += r.timeouts;
-    if (r.discovered) {
-      ++result.dndp_discovered;
-      logical.add_edge(a, b);
-    } else {
-      failed_pairs.emplace_back(a, b);
-    }
-  }
+  DndpPass pass = world.run_dndp();
+  result.dndp_discovered = pass.discovered;
+  result.dndp_retransmissions = pass.retransmissions;
+  result.dndp_timeouts = pass.timeouts;
 
   phase.emplace("sim.mndp", mndp_rm);
   // Standalone M-NDP (the series the paper plots): over ALL physical pairs,
@@ -140,18 +136,19 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   // link? Evaluated on the pure D-NDP logical graph, as in Theorem 3 —
   // before closure rounds mutate it.
   std::size_t standalone = 0;
-  for (const auto& [a, b] : topology.pairs()) {
-    standalone += logical.reachable_within(a, b, p.nu, /*exclude_direct=*/true);
+  for (const auto& [a, b] : world.topology.pairs()) {
+    standalone += pass.logical.reachable_within(a, b, p.nu, /*exclude_direct=*/true);
   }
 
   // --- M-NDP ---------------------------------------------------------------
   if (config_.full_mndp) {
-    MndpEngine mndp(p, *active_phy, topology, ibc.oracle(), config_.gps_filter, seed);
-    Rng round_rng = root.split();
-    result.mndp_stats = mndp.run_round(std::span<NodeState>(nodes), round_rng);
-    for (const auto& [a, b] : failed_pairs) {
-      const LogicalNeighbor* info = nodes[raw(a)].neighbor(b);
-      if (info != nullptr && info->via_mndp && nodes[raw(b)].knows(a)) {
+    MndpEngine mndp(p, world.active_phy(), world.topology, world.ibc.oracle(),
+                    config_.gps_filter, seed);
+    Rng round_rng = world.root.split();
+    result.mndp_stats = mndp.run_round(std::span<NodeState>(world.nodes), round_rng);
+    for (const auto& [a, b] : pass.failed_pairs) {
+      const LogicalNeighbor* info = world.nodes[raw(a)].neighbor(b);
+      if (info != nullptr && info->via_mndp && world.nodes[raw(b)].knows(a)) {
         ++result.mndp_recovered;
       }
     }
@@ -159,12 +156,12 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
     // Graph-level evaluation: the paper's pruned flood reaches exactly the
     // nodes within nu logical hops, and the final session-code handshake
     // always succeeds between physical neighbors (fresh secret code).
-    std::vector<std::pair<NodeId, NodeId>> remaining = failed_pairs;
+    std::vector<std::pair<NodeId, NodeId>> remaining = pass.failed_pairs;
     for (std::uint32_t round = 0; round < config_.mndp_rounds && !remaining.empty(); ++round) {
       std::vector<std::pair<NodeId, NodeId>> recovered_now;
       std::vector<std::pair<NodeId, NodeId>> still_failed;
       for (const auto& [a, b] : remaining) {
-        if (logical.reachable_within(a, b, p.nu)) {
+        if (pass.logical.reachable_within(a, b, p.nu)) {
           recovered_now.emplace_back(a, b);
         } else {
           still_failed.emplace_back(a, b);
@@ -172,7 +169,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
       }
       result.mndp_recovered += recovered_now.size();
       // Later rounds may ride links the earlier rounds established.
-      for (const auto& [a, b] : recovered_now) logical.add_edge(a, b);
+      for (const auto& [a, b] : recovered_now) pass.logical.add_edge(a, b);
       remaining = std::move(still_failed);
     }
   }
@@ -195,7 +192,7 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
 
   // --- latency ---------------------------------------------------------------
   const LatencyModel latency(p);
-  Rng latency_rng = root.split();
+  Rng latency_rng = world.root.split();
   Stat dndp_latency;
   const std::size_t samples = std::max<std::size_t>(result.dndp_discovered, 1);
   for (std::size_t i = 0; i < std::min<std::size_t>(samples, 1000); ++i) {
@@ -205,8 +202,8 @@ RunResult DiscoverySimulator::run_once(std::uint64_t seed) const {
   result.latency_mndp_s = latency.mndp(result.avg_degree, p.nu).seconds();
   result.latency_jrsnd_s =
       jrsnd_latency(result.latency_dndp_s, result.latency_mndp_s);
-  if (faulty.has_value()) {
-    const auto& t = faulty->totals();
+  if (world.faulty.has_value()) {
+    const auto& t = world.faulty->totals();
     result.faults_injected = t.dropped + t.duplicated + t.reordered + t.corrupted +
                              t.truncated + t.crash_blocked;
   }

@@ -11,16 +11,28 @@
 //     used by tests and bench/analysis_vs_sim on smaller networks).
 //
 // Figures report averages over `params.runs` seeds; every run is exactly
-// reproducible from (base_seed + run index).
+// reproducible from (base_seed + run index). `World` is that seeded world as
+// an object, so tests and tools can run D-NDP over it and read its nodes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
+#include "adversary/compromise.hpp"
+#include "adversary/jammer.hpp"
+#include "core/abstract_phy.hpp"
+#include "core/jrsnd_node.hpp"
 #include "core/metrics.hpp"
 #include "core/mndp.hpp"
 #include "core/params.hpp"
+#include "crypto/ibc.hpp"
 #include "fault/fault_plan.hpp"
+#include "fault/faulty_phy.hpp"
+#include "predist/authority.hpp"
+#include "sim/topology.hpp"
 
 namespace jrsnd::core {
 
@@ -40,6 +52,54 @@ struct ExperimentConfig {
   /// (salted with the run seed, so faults decorrelate across runs but stay
   /// exactly reproducible). Unset — the historical fault-free pipeline.
   std::optional<fault::FaultPlan> faults;
+};
+
+/// What World::run_dndp leaves besides the nodes' neighbor tables.
+struct DndpPass {
+  explicit DndpPass(std::size_t node_count) : logical(node_count) {}
+
+  sim::LogicalGraph logical;  ///< one edge per discovered pair
+  std::vector<std::pair<NodeId, NodeId>> failed_pairs;  ///< in topology pair order
+  std::size_t discovered = 0;
+  std::uint64_t retransmissions = 0;  ///< retries the hardened D-NDP spent
+  std::uint64_t timeouts = 0;         ///< attempt timeouts that expired
+};
+
+/// One seed's world, built in the one Rng-split order every run reproduces:
+/// authority, placement, compromise, the IBC master (`root.next()`), one
+/// split per node, the PHY. run_dndp then splits the pair-order Rng, and
+/// run_once goes on splitting `root` for the M-NDP round and latency.
+///
+/// The PHY keeps `phy_rng` and the jammer keeps `compromise` by reference,
+/// so a World is neither copyable nor movable.
+class World {
+ public:
+  World(const ExperimentConfig& cfg, std::uint64_t run_seed);
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  /// D-NDP over every physical-neighbor pair, in topology order, with a
+  /// coin flip per pair choosing the initiator. Call it once per world.
+  [[nodiscard]] DndpPass run_dndp();
+
+  /// The FaultyPhy when the config carries a fault plan, else `phy`.
+  [[nodiscard]] PhyModel& active_phy() noexcept;
+
+  const ExperimentConfig config;
+  const std::uint64_t seed;
+  Rng root;
+  predist::CodePoolAuthority authority;
+  sim::Topology topology;
+  adversary::CompromiseModel compromise;
+  std::unique_ptr<adversary::Jammer> jammer;
+  crypto::IbcAuthority ibc;
+  std::vector<NodeState> nodes;
+  Rng phy_rng;
+  AbstractPhy phy;
+  /// Wraps `phy` when the config has a fault plan. Its draws come from the
+  /// plan seed salted with the run seed, not from `root`, so an absent or
+  /// inactive plan leaves the run bit-identical.
+  std::optional<fault::FaultyPhy> faulty;
 };
 
 struct RunResult {

@@ -16,6 +16,19 @@ NodeState::NodeState(NodeId id, crypto::IbcPrivateKey key, std::vector<CodeId> c
   std::sort(codes_.begin(), codes_.end());
 }
 
+std::vector<NodeState> issue_nodes(const predist::CodePoolAuthority& authority,
+                                   const crypto::IbcAuthority& ibc, std::uint32_t n,
+                                   std::uint32_t gamma, Rng& rng) {
+  std::vector<NodeState> nodes;
+  nodes.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const NodeId id = node_id(i);
+    nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority, gamma,
+                       rng.split());
+  }
+  return nodes;
+}
+
 const dsss::SpreadCode& NodeState::code_pattern(CodeId code) const {
   if (!std::binary_search(codes_.begin(), codes_.end(), code)) {
     throw std::invalid_argument("NodeState::code_pattern: code not held");

@@ -111,4 +111,10 @@ class NodeState {
   mutable bool logical_stale_ = false;   ///< neighbors_ changed since built
 };
 
+/// Nodes 0..n-1, each with its IBC private key, its pre-distributed codes
+/// and one `rng.split()`, drawn in id order.
+[[nodiscard]] std::vector<NodeState> issue_nodes(const predist::CodePoolAuthority& authority,
+                                                 const crypto::IbcAuthority& ibc,
+                                                 std::uint32_t n, std::uint32_t gamma, Rng& rng);
+
 }  // namespace jrsnd::core

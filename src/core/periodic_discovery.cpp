@@ -34,12 +34,7 @@ PeriodicDiscoveryRunner::PeriodicDiscoveryRunner(Config config,
       *compromise_, adversary::JammerParams{config_.params.z, config_.params.mu});
 
   Rng node_rng = root_.split();
-  nodes_.reserve(config_.params.n);
-  for (std::uint32_t i = 0; i < config_.params.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes_.emplace_back(id, ibc_.issue(id), authority_.assignment().codes_of(id), authority_,
-                        config_.params.gamma, node_rng.split());
-  }
+  nodes_ = issue_nodes(authority_, ibc_, config_.params.n, config_.params.gamma, node_rng);
 }
 
 void PeriodicDiscoveryRunner::refresh_contacts(const sim::Topology& topology, TimePoint now) {

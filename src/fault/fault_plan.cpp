@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "common/rng.hpp"
 
@@ -79,14 +80,14 @@ class PlanParser {
  private:
   bool parse_field(FaultPlan& plan, const std::string& key) {
     if (key == "crashes") return parse_crashes(plan.crashes);
+    if (key == "seed") return parse_number(plan.seed);
+    if (key == "corrupt_bits") return parse_number(plan.corrupt_bits);
     double value = 0.0;
     if (!parse_number(value)) return false;
-    if (key == "seed") plan.seed = static_cast<std::uint64_t>(value);
-    else if (key == "drop") plan.drop = value;
+    if (key == "drop") plan.drop = value;
     else if (key == "duplicate") plan.duplicate = value;
     else if (key == "reorder") plan.reorder = value;
     else if (key == "corrupt") plan.corrupt = value;
-    else if (key == "corrupt_bits") plan.corrupt_bits = static_cast<std::uint32_t>(value);
     else if (key == "truncate") plan.truncate = value;
     else if (key == "clock_skew_max") plan.clock_skew_max = value;
     else if (key == "clock_drift_max") plan.clock_drift_max = value;
@@ -125,10 +126,16 @@ class PlanParser {
       skip_ws();
       if (!expect(':')) return false;
       skip_ws();
+      if (key == "node") {
+        std::uint32_t node = 0;
+        if (!parse_number(node)) return false;
+        ev.node = node_id(node);
+        have_node = true;
+        continue;
+      }
       double value = 0.0;
       if (!parse_number(value)) return false;
-      if (key == "node") { ev.node = node_id(static_cast<std::uint32_t>(value)); have_node = true; }
-      else if (key == "at") ev.at = TimePoint(value);
+      if (key == "at") ev.at = TimePoint(value);
       else if (key == "duration") ev.duration = Duration(value);
       else return fail("unknown crash key \"" + key + "\"");
     }
@@ -146,7 +153,11 @@ class PlanParser {
     return true;
   }
 
-  bool parse_number(double& out) {
+  /// One number token into `out`'s type. Integer fields take only an
+  /// in-range integer of their own width: "-1", "2.5", "1e3" and a seed
+  /// past 2^64 are errors, not wrapped, truncated or rounded values.
+  template <class T>
+  bool parse_number(T& out) {
     const auto start = pos_;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
@@ -158,7 +169,8 @@ class PlanParser {
     const auto [ptr, ec] =
         std::from_chars(text_.data() + start, text_.data() + pos_, out);
     if (ec != std::errc{} || ptr != text_.data() + pos_) {
-      return fail("malformed number");
+      return fail(std::is_integral_v<T> ? "expected an in-range unsigned integer"
+                                        : "malformed number");
     }
     return true;
   }
@@ -192,14 +204,17 @@ class PlanParser {
   std::size_t pos_ = 0;
 };
 
+/// Shortest text that parses back to exactly `v` (to_json must round-trip).
 void append_number(std::ostringstream& os, double v) {
   // Integral values print without a fractional part so to_json(from_json(x))
   // is stable for the common all-integer plans.
   if (v == std::floor(v) && std::abs(v) < 1e15) {
     os << static_cast<long long>(v);
-  } else {
-    os << v;
+    return;
   }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general);
+  os.write(buf, end - buf);
 }
 
 }  // namespace

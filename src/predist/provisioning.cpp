@@ -87,7 +87,7 @@ std::optional<NodeProvisioning> NodeProvisioning::parse(std::span<const std::uin
   if (chips == 0) return std::nullopt;
   out.id = node_id(raw_id);
   out.code_length_chips = chips;
-  const std::size_t pattern_bytes = (chips + 7) / 8;
+  const std::size_t pattern_bytes = (std::size_t{chips} + 7) / 8;  // no 32-bit wrap
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t code = 0;
     std::span<const std::uint8_t> pattern;

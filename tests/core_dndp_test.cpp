@@ -32,11 +32,7 @@ struct SmallWorld {
         topology(field, grid_positions(params.n), params.tx_range),
         phy_rng(seed + 2) {
     Rng node_rng(seed + 3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      const NodeId id = node_id(i);
-      nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params() {

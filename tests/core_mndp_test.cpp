@@ -33,11 +33,7 @@ struct MndpWorld {
         phy(topology, jammer, phy_rng),
         nonce_rng(seed + 3) {
     Rng node_rng(seed + 4);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      const NodeId id = node_id(i);
-      nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params(std::uint32_t n) {

@@ -31,11 +31,7 @@ struct ChannelWorld {
         topology(field, {{10, 10}, {20, 10}, {90, 90}}, 30.0),
         phy(topology, jammer, phy_rng) {
     Rng node_rng(3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                         authority.assignment().codes_of(node_id(i)), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params() {
@@ -200,14 +196,7 @@ TEST(SecureChannel, WorksOverChipLevelPhy) {
   w.discover(0, 1);
   Rng chip_rng(11);
   dsss::NodeCodebookCache code_cache;
-  ChipPhy chip_phy(w.params, w.topology, w.jammer,
-                   [&w, &code_cache](NodeId node) -> const dsss::PreparedCodebook& {
-                     std::vector<dsss::SpreadCode> codes;
-                     for (const CodeId c : w.nodes[raw(node)].usable_codes()) {
-                       codes.push_back(w.authority.code(c));
-                     }
-                     return code_cache.prepare(node, codes);
-                   },
+  ChipPhy chip_phy(w.params, w.topology, w.jammer, usable_codebook(w.nodes, code_cache),
                    chip_rng);
   SecureChannel channel(w.nodes[0], w.nodes[1], chip_phy);
   const auto rx = channel.send_text(node_id(0), "chips all the way down");

@@ -34,11 +34,7 @@ struct TraceWorld {
         inner(topology, jammer, phy_rng),
         phy(inner) {
     Rng node_rng(4);
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                         authority.assignment().codes_of(node_id(i)), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params() {

@@ -71,11 +71,7 @@ struct KeyContextWorld {
 
   KeyContextWorld() {
     Rng node_rng(3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                         authority.assignment().codes_of(node_id(i)), authority, params.gamma,
-                         node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params() {

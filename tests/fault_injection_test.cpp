@@ -414,12 +414,8 @@ TEST(FaultInjection, CrashedInitiatorRestartsAndCompletesTheHandshake) {
   const sim::Topology topology(field, positions, params.tx_range);
   Rng phy_rng(13);
   Rng node_rng(14);
-  std::vector<core::NodeState> nodes;
-  for (std::uint32_t i = 0; i < params.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                       params.gamma, node_rng.split());
-  }
+  std::vector<core::NodeState> nodes =
+      core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
 
   // Find a pair sharing at least one code.
   NodeId a = kInvalidNode, b = kInvalidNode;

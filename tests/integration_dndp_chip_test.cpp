@@ -34,11 +34,7 @@ struct ChipWorld {
                  params.tx_range),
         phy_rng(seed + 2) {
     Rng node_rng(seed + 3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      const NodeId id = node_id(i);
-      nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static Params make_params() {
@@ -54,17 +50,7 @@ struct ChipWorld {
     return p;
   }
 
-  [[nodiscard]] ChipPhy::Codebook codebook() {
-    // Recomputes the usable-code list per call (revocations may shrink it
-    // mid-test); the cache rebuilds its ShiftTables only when it changed.
-    return [this](NodeId node) -> const dsss::PreparedCodebook& {
-      std::vector<dsss::SpreadCode> codes;
-      for (const CodeId c : nodes[raw(node)].usable_codes()) {
-        codes.push_back(authority.code(c));
-      }
-      return code_cache.prepare(node, codes);
-    };
-  }
+  [[nodiscard]] ChipPhy::Codebook codebook() { return usable_codebook(nodes, code_cache); }
 
   [[nodiscard]] std::pair<NodeId, NodeId> pair_sharing(std::size_t min_shared) const {
     for (std::uint32_t i = 0; i < params.n; ++i) {

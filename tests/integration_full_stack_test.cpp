@@ -21,8 +21,8 @@ struct FullStack {
   adversary::NullJammer clean;
   Rng phy_rng{11};
   dsss::NodeCodebookCache code_cache;
+  std::vector<core::NodeState> nodes;  // read by phy's codebook on every transmit
   core::ChipPhy phy;
-  std::vector<core::NodeState> nodes;
 
   FullStack()
       : params(make_params()),
@@ -31,13 +31,9 @@ struct FullStack {
         // The square of core_mndp_test: A(0,0) B(60,0) C(0,80) D(60,80),
         // range 100: diagonals out of range.
         topology(field, {{0, 0}, {60, 0}, {0, 80}, {60, 80}}, 100.0),
-        phy(params, topology, clean, codebook(), phy_rng) {
+        phy(params, topology, clean, core::usable_codebook(nodes, code_cache), phy_rng) {
     Rng node_rng(3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                         authority.assignment().codes_of(node_id(i)), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static core::Params make_params() {
@@ -51,18 +47,6 @@ struct FullStack {
     p.field_width = 1000.0;
     p.field_height = 1000.0;
     return p;
-  }
-
-  core::ChipPhy::Codebook codebook() {
-    // Called lazily per transmit (nodes are populated after phy's ctor);
-    // the cache rebuilds a node's ShiftTables only when its codes change.
-    return [this](NodeId node) -> const dsss::PreparedCodebook& {
-      std::vector<dsss::SpreadCode> codes;
-      for (const CodeId c : nodes[raw(node)].usable_codes()) {
-        codes.push_back(authority.code(c));
-      }
-      return code_cache.prepare(node, codes);
-    };
   }
 };
 

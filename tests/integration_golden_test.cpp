@@ -7,10 +7,10 @@
 // leave every seeded outcome, and every discovered pair's session code,
 // bit-identical.
 //
-// run_once does not expose the nodes, so the session-code digest comes from
-// a mirror of its world composition (same Rng split order, same PHY stack,
-// same pair order); the mirror is checked against run_once before its digest
-// is trusted.
+// The session-code digest comes from a `World` built from the same config
+// and seed: the object run_once itself builds and runs D-NDP over, so the
+// nodes it reads are the ones run_once discovered with. The pass is checked
+// against run_once's counts before its digest is trusted.
 //
 // GoldenMndp: the full M-NDP engine (every signature in every chain created
 // and verified) on the same world at nu = 2 and nu = 3, and under retries
@@ -21,8 +21,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
-#include <optional>
 
 #include "jrsnd.hpp"
 
@@ -54,95 +52,12 @@ ExperimentConfig golden_fault_config() {
   return cfg;
 }
 
-std::unique_ptr<adversary::Jammer> make_jammer(JammerKind kind,
-                                               const adversary::CompromiseModel& compromise,
-                                               const Params& p) {
-  const adversary::JammerParams jp{p.z, p.mu};
-  switch (kind) {
-    case JammerKind::None: return std::make_unique<adversary::NullJammer>();
-    case JammerKind::Random: return std::make_unique<adversary::RandomJammer>(compromise, jp);
-    case JammerKind::Reactive:
-      return std::make_unique<adversary::ReactiveJammer>(compromise, jp);
-    case JammerKind::Intelligent:
-      return std::make_unique<adversary::IntelligentJammer>(compromise);
-  }
-  return std::make_unique<adversary::NullJammer>();
-}
-
-struct MirrorResult {
-  std::size_t physical_pairs = 0;
-  std::size_t dndp_discovered = 0;
-  std::uint64_t dndp_retransmissions = 0;
-  std::uint64_t session_code_digest = 0;
-  bool ends_agree = true;  ///< both ends of every discovered pair hold one code
-};
-
 /// FNV-1a over 64-bit words.
 void fold(std::uint64_t& h, std::uint64_t word) {
   for (int i = 0; i < 8; ++i) {
     h ^= (word >> (8 * i)) & 0xFFu;
     h *= 0x100000001B3ULL;
   }
-}
-
-/// DiscoverySimulator::run_once up to the end of D-NDP, keeping the nodes.
-MirrorResult mirror_dndp(const ExperimentConfig& cfg, std::uint64_t seed) {
-  const Params& p = cfg.params;
-  Rng root(seed);
-  predist::CodePoolAuthority authority(p.predist(), root.split());
-  const sim::Field field(p.field_width, p.field_height);
-  Rng placement_rng = root.split();
-  const sim::UniformPlacement placement(field, p.n, placement_rng);
-  const sim::Topology topology(field, placement.snapshot(kSimStart), p.tx_range);
-  Rng adversary_rng = root.split();
-  const adversary::CompromiseModel compromise(authority.assignment(), p.q, adversary_rng);
-  const std::unique_ptr<adversary::Jammer> jammer = make_jammer(cfg.jammer, compromise, p);
-
-  const crypto::IbcAuthority ibc(root.next());
-  std::vector<NodeState> nodes;
-  nodes.reserve(p.n);
-  for (std::uint32_t i = 0; i < p.n; ++i) {
-    const NodeId id = node_id(i);
-    nodes.emplace_back(id, ibc.issue(id), authority.assignment().codes_of(id), authority,
-                       p.gamma, root.split());
-  }
-
-  Rng phy_rng = root.split();
-  AbstractPhy phy(topology, *jammer, phy_rng);
-  std::optional<fault::FaultyPhy> faulty;
-  PhyModel* active_phy = &phy;
-  const HandshakeClock* hs_clock = nullptr;
-  if (cfg.faults.has_value()) {
-    faulty.emplace(phy, *cfg.faults, seed);
-    active_phy = &*faulty;
-    hs_clock = &faulty->clocks();
-  }
-  DndpEngine dndp(p, *active_phy, cfg.redundancy, seed, hs_clock);
-
-  MirrorResult out;
-  out.physical_pairs = topology.pairs().size();
-  out.session_code_digest = 0xCBF29CE484222325ULL;
-  Rng order_rng = root.split();
-  for (const auto& [a, b] : topology.pairs()) {
-    const bool a_first = order_rng.bernoulli(0.5);
-    NodeState& initiator = nodes[raw(a_first ? a : b)];
-    NodeState& responder = nodes[raw(a_first ? b : a)];
-    const DndpResult r = dndp.run(initiator, responder);
-    out.dndp_retransmissions += r.retransmissions;
-    if (!r.discovered) continue;
-    ++out.dndp_discovered;
-    const LogicalNeighbor* at_a = initiator.neighbor(responder.id());
-    const LogicalNeighbor* at_b = responder.neighbor(initiator.id());
-    if (at_a == nullptr || at_b == nullptr || at_a->session_code != at_b->session_code) {
-      out.ends_agree = false;
-      continue;
-    }
-    fold(out.session_code_digest, (std::uint64_t{raw(a)} << 32) | raw(b));
-    for (const std::uint64_t word : at_a->session_code.words()) {
-      fold(out.session_code_digest, word);
-    }
-  }
-  return out;
 }
 
 struct Golden {
@@ -161,12 +76,24 @@ void expect_golden(const ExperimentConfig& cfg, const Golden& want) {
   EXPECT_EQ(r.mndp_recovered, want.mndp_recovered);
   EXPECT_EQ(r.dndp_retransmissions, want.dndp_retransmissions);
 
-  const MirrorResult m = mirror_dndp(cfg, cfg.base_seed);
-  ASSERT_EQ(m.physical_pairs, r.physical_pairs) << "the mirror does not rebuild run_once's world";
-  ASSERT_EQ(m.dndp_discovered, r.dndp_discovered) << "the mirror does not replay run_once";
-  ASSERT_EQ(m.dndp_retransmissions, r.dndp_retransmissions);
-  EXPECT_TRUE(m.ends_agree);
-  EXPECT_EQ(m.session_code_digest, want.session_code_digest);
+  // run_once's world, rebuilt from the same seed and kept: digest every
+  // discovered pair's session code, in topology pair order.
+  World world(cfg, cfg.base_seed);
+  const DndpPass pass = world.run_dndp();
+  ASSERT_EQ(pass.discovered, r.dndp_discovered);
+  ASSERT_EQ(pass.retransmissions, r.dndp_retransmissions);
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const auto& [a, b] : world.topology.pairs()) {
+    if (!pass.logical.has_edge(a, b)) continue;
+    const LogicalNeighbor* at_a = world.nodes[raw(a)].neighbor(b);
+    const LogicalNeighbor* at_b = world.nodes[raw(b)].neighbor(a);
+    ASSERT_NE(at_a, nullptr);
+    ASSERT_NE(at_b, nullptr);
+    ASSERT_EQ(at_a->session_code, at_b->session_code) << "the two ends hold different codes";
+    fold(digest, (std::uint64_t{raw(a)} << 32) | raw(b));
+    for (const std::uint64_t word : at_a->session_code.words()) fold(digest, word);
+  }
+  EXPECT_EQ(digest, want.session_code_digest);
 }
 
 TEST(GoldenDiscovery, NoJammer) {

@@ -28,11 +28,7 @@ struct SecurityWorld {
         topology(field, {{10, 10}, {20, 10}, {30, 10}}, 50.0),
         phy(topology, jammer, phy_rng) {
     Rng node_rng(3);
-    for (std::uint32_t i = 0; i < params.n; ++i) {
-      nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                         authority.assignment().codes_of(node_id(i)), authority,
-                         params.gamma, node_rng.split());
-    }
+    nodes = core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
   }
 
   static core::Params make_params() {

@@ -197,19 +197,9 @@ void run_chip_calibration(std::uint64_t seed) {
   adversary::NullJammer jammer;
   Rng phy_rng(seed + 2);
   Rng node_rng(seed + 3);
-  std::vector<core::NodeState> nodes;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                       authority.assignment().codes_of(node_id(i)), authority, p.gamma,
-                       node_rng.split());
-  }
+  std::vector<core::NodeState> nodes = core::issue_nodes(authority, ibc, p.n, p.gamma, node_rng);
   dsss::NodeCodebookCache code_cache;
-  const core::ChipPhy::Codebook codebook = [&](NodeId node) -> const dsss::PreparedCodebook& {
-    std::vector<dsss::SpreadCode> codes;
-    for (const CodeId c : nodes[raw(node)].usable_codes()) codes.push_back(authority.code(c));
-    return code_cache.prepare(node, codes);
-  };
-  core::ChipPhy phy(p, topology, jammer, codebook, phy_rng);
+  core::ChipPhy phy(p, topology, jammer, core::usable_codebook(nodes, code_cache), phy_rng);
   core::DndpEngine engine(p, phy);
   (void)engine.run(nodes[0], nodes[1]);
 }
@@ -360,12 +350,7 @@ int cmd_trace(const Args& args) {
   core::AbstractPhy inner(topology, jammer, phy_rng);
   core::TracingPhy phy(inner);
   Rng node_rng(seed + 3);
-  std::vector<core::NodeState> nodes;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    nodes.emplace_back(node_id(i), ibc.issue(node_id(i)),
-                       authority.assignment().codes_of(node_id(i)), authority, p.gamma,
-                       node_rng.split());
-  }
+  std::vector<core::NodeState> nodes = core::issue_nodes(authority, ibc, p.n, p.gamma, node_rng);
   core::DndpEngine engine(p, phy);
   const core::DndpResult result = engine.run(nodes[0], nodes[1]);
   if (args.has("jsonl")) {
