@@ -17,8 +17,12 @@
 // plus corrupting faults. Every MndpStats field is pinned, so a faster
 // engine must still do exactly the paper's verification work; the wire
 // bytes of a signed 3-hop request and response are pinned too.
+//
+// GoldenChip: D-NDP over the chip-accurate ChipPhy, and one ChipChannel
+// superposition, pinned chip for chip and Rng draw for draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -282,6 +286,94 @@ TEST(GoldenMndp, RunAllIdenticalAtOneAndFourThreads) {
   expect_same_stat(serial.latency_jrsnd, parallel.latency_jrsnd, "latency_jrsnd");
   expect_same_stat(serial.degree, parallel.degree, "degree");
   expect_same_stat(serial.compromised_codes, parallel.compromised_codes, "compromised_codes");
+}
+
+// --- GoldenChip ----------------------------------------------------------------
+//
+// The chip plane: D-NDP over the chip-accurate ChipPhy (ECC, spreading, the
+// reactive jammer's superposed chips, the hard-decision channel, the sync
+// scan and RS errata decoding) on every pair of a small all-in-range world.
+// Pins the outcome, the frame and strike counts, every discovered pair's
+// session code and the PHY Rng's position after the pass, so a faster
+// channel or scan must keep every received chip and every Rng draw.
+
+ExperimentConfig golden_chip_config() {
+  ExperimentConfig cfg;
+  cfg.params = Params::defaults();
+  cfg.params.n = 12;
+  cfg.params.m = 40;
+  cfg.params.l = 10;
+  cfg.params.q = 3;
+  cfg.params.N = 512;
+  cfg.params.field_width = 100.0;  // every node within tx_range of every other
+  cfg.params.field_height = 100.0;
+  cfg.params.tx_range = 300.0;
+  cfg.params.runs = 1;
+  cfg.base_seed = 5;
+  cfg.jammer = JammerKind::Reactive;
+  return cfg;
+}
+
+TEST(GoldenChip, ReactiveJammerAllPairs) {
+  const ExperimentConfig cfg = golden_chip_config();
+  World world(cfg, cfg.base_seed);
+  dsss::NodeCodebookCache cache;
+  ChipPhy chip(cfg.params, world.topology, *world.jammer, usable_codebook(world.nodes, cache),
+               world.phy_rng);
+  DndpEngine engine(cfg.params, chip, cfg.redundancy, world.seed);
+  Rng order_rng = world.root.split();
+
+  std::size_t discovered = 0;
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const auto& [a, b] : world.topology.pairs()) {
+    const bool a_first = order_rng.bernoulli(0.5);
+    NodeState& initiator = world.nodes[raw(a_first ? a : b)];
+    NodeState& responder = world.nodes[raw(a_first ? b : a)];
+    if (!engine.run(initiator, responder).discovered) continue;
+    ++discovered;
+    const LogicalNeighbor* at_a = world.nodes[raw(a)].neighbor(b);
+    const LogicalNeighbor* at_b = world.nodes[raw(b)].neighbor(a);
+    ASSERT_NE(at_a, nullptr);
+    ASSERT_NE(at_b, nullptr);
+    ASSERT_EQ(at_a->session_code, at_b->session_code) << "the two ends hold different codes";
+    fold(digest, (std::uint64_t{raw(a)} << 32) | raw(b));
+    for (const std::uint64_t word : at_a->session_code.words()) fold(digest, word);
+  }
+  EXPECT_EQ(world.topology.pairs().size(), 66u);
+  EXPECT_EQ(discovered, 32u);
+  EXPECT_EQ(chip.chip_messages(), 1497u);
+  EXPECT_EQ(chip.chip_jams(), 1181u);
+  EXPECT_EQ(digest, 959177036475102297ULL);
+  EXPECT_EQ(world.phy_rng.next(), 8763584511728328004ULL);
+}
+
+/// A random chip pattern of `chips` chips.
+BitVector random_chips(Rng& rng, std::size_t chips) {
+  BitVector v;
+  for (std::size_t i = 0; i < chips; i += 64) {
+    v.append_uint(rng.next(), std::min<std::size_t>(64, chips - i));
+  }
+  return v;
+}
+
+TEST(GoldenChip, ChannelReceiveOfThreeSuperposedSignals) {
+  // Three overlapping signals at word-unaligned offsets, the last clipped
+  // at the window end: silent chips, single-signal chips, two-signal ties
+  // and three-signal majorities all occur, in both sign orders.
+  Rng pattern_rng(41);
+  const BitVector a = random_chips(pattern_rng, 400);
+  const BitVector b = random_chips(pattern_rng, 600);
+  const BitVector c = random_chips(pattern_rng, 900);
+  dsss::ChipChannel channel(1000);
+  channel.add(13, a);
+  channel.add(77, b);
+  channel.add(333, c);
+
+  Rng rng(43);
+  const BitVector received = channel.receive(rng);
+  EXPECT_EQ(received.size(), 1000u);
+  EXPECT_EQ(frame_digest(received), 11176410982427520308ULL);
+  EXPECT_EQ(rng.next(), 8806832792052741603ULL);
 }
 
 }  // namespace
