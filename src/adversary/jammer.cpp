@@ -46,30 +46,39 @@ bool ReactiveJammer::jams(CodeId code, MessageClass /*cls*/, Rng& rng) const {
   return rng.bernoulli(ident_prob_);
 }
 
-std::vector<dsss::Transmission> make_chip_jamming(const dsss::SpreadCode& code,
-                                                  std::size_t victim_start,
-                                                  std::size_t message_bits, double jam_fraction,
-                                                  std::uint32_t parallel_signals, Rng& rng,
-                                                  double start_fraction) {
+bool make_chip_jam_into(const dsss::SpreadCode& code, std::size_t victim_start,
+                        std::size_t message_bits, double jam_fraction, Rng& rng,
+                        double start_fraction, ChipJam& out) {
   const auto first_bit = static_cast<std::size_t>(
       clamp01(start_fraction) * static_cast<double>(message_bits));
   const auto covered_bits = std::min(
       message_bits - first_bit,
       static_cast<std::size_t>(
           std::ceil(clamp01(jam_fraction) * static_cast<double>(message_bits))));
-  std::vector<dsss::Transmission> out;
-  if (covered_bits == 0 || parallel_signals == 0) return out;
+  if (covered_bits == 0) return false;
 
   // Jammer payload: random bits spread with the victim's code, chip-synced
   // with the victim's covered bits.
-  BitVector jam_payload(covered_bits);
-  for (std::size_t i = 0; i < covered_bits; ++i) jam_payload.set(i, rng.bernoulli(0.5));
-  const BitVector jam_chips = dsss::spread(jam_payload, code);
+  out.payload.clear();
+  for (std::size_t i = 0; i < covered_bits; ++i) out.payload.push_back(rng.bernoulli(0.5));
+  dsss::spread_into(out.payload, code, out.flipped, out.chips);
+  out.start_chip = victim_start + first_bit * code.length();
+  return true;
+}
 
-  const std::size_t start_chip = victim_start + first_bit * code.length();
-  for (std::uint32_t s = 0; s < parallel_signals; ++s) {
-    out.push_back(dsss::Transmission{start_chip, jam_chips});
+std::vector<dsss::Transmission> make_chip_jamming(const dsss::SpreadCode& code,
+                                                  std::size_t victim_start,
+                                                  std::size_t message_bits, double jam_fraction,
+                                                  std::uint32_t parallel_signals, Rng& rng,
+                                                  double start_fraction) {
+  std::vector<dsss::Transmission> out;
+  ChipJam jam;
+  if (parallel_signals == 0 ||
+      !make_chip_jam_into(code, victim_start, message_bits, jam_fraction, rng, start_fraction,
+                          jam)) {
+    return out;
   }
+  out.assign(parallel_signals, dsss::Transmission{jam.start_chip, jam.chips});
   return out;
 }
 

@@ -17,8 +17,9 @@
 //    worst case).
 //
 // Message-level jam decisions feed the network-scale Monte-Carlo
-// (core/abstract_phy); chip-level jamming for the DSSS integration tests is
-// produced by make_chip_jamming().
+// (core/abstract_phy); chip-level jamming is produced by
+// make_chip_jam_into() (ChipPhy's struck frames) and its wrapper
+// make_chip_jamming() (the DSSS integration tests).
 #pragma once
 
 #include <cstdint>
@@ -137,5 +138,21 @@ class NullJammer final : public Jammer {
     const dsss::SpreadCode& code, std::size_t victim_start, std::size_t message_bits,
     double jam_fraction, std::uint32_t parallel_signals, Rng& rng,
     double start_fraction = 0.0);
+
+/// One jam pattern in caller-owned buffers, reused across strikes.
+struct ChipJam {
+  std::size_t start_chip = 0;  ///< absolute chip offset of chips
+  BitVector payload;           ///< the jammer's random bits
+  BitVector flipped;           ///< spread_into's inverted-code scratch
+  BitVector chips;             ///< payload spread with the victim's code
+};
+
+/// The pattern each of make_chip_jamming's parallel signals carries, built
+/// into `out` with the same Rng draws; the caller superposes it once per
+/// signal. Returns false, drawing nothing, when the span covers no bits.
+/// Allocation-free once `out`'s buffers have grown to the pattern's size.
+bool make_chip_jam_into(const dsss::SpreadCode& code, std::size_t victim_start,
+                        std::size_t message_bits, double jam_fraction, Rng& rng,
+                        double start_fraction, ChipJam& out);
 
 }  // namespace jrsnd::adversary

@@ -1,5 +1,6 @@
 #include "common/bit_vector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -56,20 +57,25 @@ void BitVector::push_back(bool bit) {
 void BitVector::append(const BitVector& other) {
   // Word-level splice. Invariant maintained everywhere: bits beyond size_
   // in the final word are zero, so other's words can be OR-merged directly.
+  // Locals throughout: a word store could otherwise alias size_ and force
+  // a reload per word.
   if (other.size_ == 0) return;
   const std::size_t offset = size_ % kWordBits;
-  const std::size_t new_size = size_ + other.size_;
-  words_.resize((new_size + kWordBits - 1) / kWordBits, 0);
-  for (std::size_t i = 0; i < other.words_.size(); ++i) {
-    const std::uint64_t w = other.words_[i];
-    const std::size_t base = size_ + i * kWordBits;
-    const std::size_t wi = base / kWordBits;
-    words_[wi] |= w >> offset;
-    if (offset != 0 && wi + 1 < words_.size()) {
-      words_[wi + 1] |= w << (kWordBits - offset);
-    }
+  const std::size_t first = size_ / kWordBits;
+  const std::size_t n = other.words_.size();
+  size_ += other.size_;
+  words_.resize((size_ + kWordBits - 1) / kWordBits, 0);
+  std::uint64_t* dst = words_.data() + first;
+  const std::uint64_t* src = other.words_.data();
+  if (offset == 0) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
+    return;
   }
-  size_ = new_size;
+  // Source word i lands across destination words i and i + 1; the last
+  // one's spill exists only when the appended bits reach it.
+  const std::size_t spills = std::min(n, words_.size() - first - 1);
+  for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i] >> offset;
+  for (std::size_t i = 0; i < spills; ++i) dst[i + 1] |= src[i] << (kWordBits - offset);
 }
 
 BitVector BitVector::inverted() const {

@@ -56,6 +56,21 @@ class BitVector {
   /// Flips the bit at `index` (models a channel bit error).
   void flip(std::size_t index);
 
+  /// Replaces the contents with `bit_count` bits whose packed words
+  /// (MSB-first, as words() lays them out) `fill` writes into the span it is
+  /// handed; bits it leaves past bit_count in the last word are cleared.
+  /// Allocation-free once capacity covers bit_count — the word-at-a-time
+  /// form of clear() plus append_uint() per word.
+  template <typename Fill>
+  void assign_words(std::size_t bit_count, Fill&& fill) {
+    size_ = bit_count;
+    words_.resize((bit_count + kWordBits - 1) / kWordBits);
+    fill(std::span<std::uint64_t>(words_));
+    if (const std::size_t tail = bit_count % kWordBits; tail != 0) {
+      words_.back() &= ~std::uint64_t{0} << (kWordBits - tail);
+    }
+  }
+
   /// Appends a single bit.
   void push_back(bool bit);
 
@@ -71,7 +86,8 @@ class BitVector {
     const std::size_t offset = size_ % kWordBits;
     const std::size_t wi = size_ / kWordBits;
     size_ += width;
-    words_.resize((size_ + kWordBits - 1) / kWordBits, 0);
+    // A field of at most 64 bits adds at most one word.
+    if (words_.size() * kWordBits < size_) words_.push_back(0);
     words_[wi] |= top >> offset;
     if (offset + width > kWordBits) words_[wi + 1] |= top << (kWordBits - offset);
   }

@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -20,18 +19,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   // xoshiro requires a nonzero state; splitmix64 makes all-zero output
   // astronomically unlikely, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {

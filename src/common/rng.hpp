@@ -7,6 +7,7 @@
 // reproducible. The engine is xoshiro256**, seeded via splitmix64.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -33,7 +34,19 @@ class Rng {
 
   /// Raw 64 random bits.
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  /// The xoshiro256** step. Inline: the chip channel draws one per silent
+  /// chip.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).

@@ -65,7 +65,7 @@ bool ChipPhy::transmit_pipeline(NodeId from, NodeId to, TxCode code, TxClass cls
   const std::size_t pad_before = static_cast<std::size_t>(rng_.uniform(2 * n));
   const std::size_t pad_after = n;
   const std::size_t max_duration = (2 * n - 1) + chips.size() + pad_after;
-  scratch_.channel.reserve(max_duration);
+  scratch_.channel.reserve(max_duration, 1 + kJamSignals);
   scratch_.channel.reset(pad_before + chips.size() + pad_after);
   scratch_.channel.add(pad_before, chips);
 
@@ -90,13 +90,14 @@ bool ChipPhy::transmit_pipeline(NodeId from, NodeId to, TxCode code, TxClass cls
   }
   if (strike) {
     ++jams_;
-    // Two parallel signals on the compromised code: the jammer's chips
-    // dominate the victim's and covered bits despread to attacker values.
-    // (Jam construction allocates — it is off the clean hot path.)
-    for (const dsss::Transmission& tx :
-         adversary::make_chip_jamming(*code.pattern, pad_before, coded.size(), jam_coverage_,
-                                      /*parallel_signals=*/2, rng_, jam_start_)) {
-      scratch_.channel.add(tx);
+    // Parallel signals on the compromised code: the jammer's chips dominate
+    // the victim's and covered bits despread to attacker values. The pattern
+    // is spread once into the arena and superposed once per signal.
+    if (adversary::make_chip_jam_into(*code.pattern, pad_before, coded.size(), jam_coverage_,
+                                      rng_, jam_start_, scratch_.jam)) {
+      for (std::uint32_t s = 0; s < kJamSignals; ++s) {
+        scratch_.channel.add(scratch_.jam.start_chip, scratch_.jam.chips);
+      }
     }
   }
 

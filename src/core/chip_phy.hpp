@@ -23,7 +23,7 @@
 // all working buffers (coded bits, chips, channel window, received chips,
 // sync hit, ECC workspaces) live in a per-instance scratch arena — the
 // transmit_into() hot path performs zero heap allocations in the steady
-// state on a clean channel.
+// state, on a clean channel and under jamming alike.
 #pragma once
 
 #include <functional>
@@ -62,7 +62,7 @@ class ChipPhy final : public PhyModel {
   /// transmit() into a caller-owned payload buffer: returns whether the
   /// receiver recovered the message, writing the decoded payload into `out`
   /// on success. Identical results and identical rng draws to transmit();
-  /// this is the allocation-free form (steady state, clean channel).
+  /// this is the allocation-free form (steady state, jammed or not).
   [[nodiscard]] bool transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
                                    const BitVector& payload, BitVector& out);
 
@@ -92,6 +92,7 @@ class ChipPhy final : public PhyModel {
     BitVector chips;             ///< spread chip sequence
     BitVector flipped;           ///< inverted code pattern (spread_into)
     dsss::ChipChannel channel;   ///< superposition window
+    adversary::ChipJam jam;      ///< the striking jammer's chip pattern
     BitVector received;          ///< receiver's hard-decision chips
     dsss::SyncHit hit;           ///< sync result incl. despread buffers
     ecc::EccCodec::Scratch ecc;  ///< RS block workspaces
@@ -105,6 +106,8 @@ class ChipPhy final : public PhyModel {
   ecc::EccCodec codec_;
   double jam_start_ = 0.25;
   double jam_coverage_ = 0.75;
+  /// Parallel jamming signals a strike superposes on the victim's chips.
+  static constexpr std::uint32_t kJamSignals = 2;
 
   // Single-code candidate set for monitored (non-HELLO) messages, refreshed
   // only when the monitored code actually changes.

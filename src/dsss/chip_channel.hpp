@@ -10,15 +10,21 @@
 // despreader tolerates (the paper's negligible-interference assumption for
 // large N).
 //
-// Representation: the overwhelmingly common window holds non-overlapping
-// transmissions (one message, clean channel), where every covered chip's
-// hard decision equals the transmitted chip. That case is kept in packed
-// 64-chip words (`covered_` / `up_` bitmaps) so add() and receive() run
-// word-parallel instead of chip-by-chip. The first *overlapping* add — the
-// jamming/collision case — spills the window into the per-chip soft-sum
-// arrays and continues there. Both representations produce identical receive
-// bits and identical rng draw sequences (one bernoulli per undecided chip,
-// in chip order).
+// Representation: bit-sliced per-chip counters. For every 64-chip word the
+// window keeps K bit-planes counting the chip's +1 contributions (P) and K
+// counting its -1 contributions (M), MSB-first within each word as in
+// BitVector, where K = bit_width(signals added) grows on demand — so any
+// number of superposed signals stays exact. add() ripple-carries one
+// shifted source word into the planes per destination word (a single XOR
+// per side while K = 1); receive() compares P and M MSB-plane first, a word
+// at a time: P > M is chip 1, P < M chip 0, and P = M (a tie, or silence)
+// is thermal noise.
+//
+// Rng order: every P = M chip takes one draw, in chip order, and becomes 1
+// when the draw's top bit is clear. That is exactly rng.bernoulli(0.5) —
+// uniform01() is (next() >> 11) * 2^-53, which is below 0.5 iff bit 63 of
+// next() is 0 — so the received chips and the Rng stream are those of the
+// per-chip soft-sum channel (tests/oracle: ReferenceChipChannel).
 #pragma once
 
 #include <cstddef>
@@ -51,9 +57,9 @@ class ChipChannel {
   /// allocate once capacity covers `duration_chips` (see reserve()).
   void reset(std::size_t duration_chips);
 
-  /// Grows capacity so later reset() calls up to `duration_chips` are
-  /// allocation-free.
-  void reserve(std::size_t duration_chips);
+  /// Grows capacity so later reset() calls up to `duration_chips`, followed
+  /// by up to `signals` add()s, are allocation-free.
+  void reserve(std::size_t duration_chips, std::size_t signals = 1);
 
   /// Superposes a transmission; parts outside the window are clipped.
   void add(const Transmission& tx) { add(tx.start_chip, tx.chips); }
@@ -62,10 +68,12 @@ class ChipChannel {
   /// Transmission. Reads the pattern's packed words directly.
   void add(std::size_t start_chip, const BitVector& chips);
 
-  /// Per-chip sums of all contributions (no receiver decision applied).
+  /// Per-chip sums of all contributions (no receiver decision applied),
+  /// computed from the planes on each call — an observer for tests.
   [[nodiscard]] const std::vector<int>& soft() const;
 
-  /// Chips that carry at least one transmission (1) vs. silence (0).
+  /// Chips that carry at least one transmission (1) vs. silence (0),
+  /// computed from the planes on each call.
   [[nodiscard]] const std::vector<std::uint8_t>& active() const;
 
   /// Hard sign decision per chip: positive sum -> 1, negative -> 0, zero sum
@@ -78,27 +86,24 @@ class ChipChannel {
   void receive_into(Rng& rng, BitVector& out) const;
 
  private:
-  /// Switches from the packed to the per-chip representation (first
-  /// overlapping add — off the clean hot path).
-  void spill();
-
-  /// Fills soft_/active_ from the packed bitmaps for the observer accessors
-  /// without leaving packed mode.
-  void materialize() const;
-
   std::size_t duration_ = 0;
-  bool packed_ = true;
+  std::size_t nwords_ = 0;   ///< 64-chip words in the window
+  std::size_t signals_ = 0;  ///< add()s that reached the window
+  std::size_t planes_ = 0;   ///< K: bit-planes per side
 
-  // Packed mode: MSB-first 64-chip words, mirroring BitVector's layout.
-  // covered_ marks chips carrying a signal; up_ holds the chip value there.
-  std::vector<std::uint64_t> covered_;
-  std::vector<std::uint64_t> up_;
+  // Plane k of word w at [k * nwords_ + w]: bit k of the chip's count of +1
+  // (plus_) or -1 (minus_) contributions.
+  std::vector<std::uint64_t> plus_;
+  std::vector<std::uint64_t> minus_;
+  // add()'s realigned pattern: the carries rippling up each side's planes.
+  std::vector<std::uint64_t> plus_carry_;
+  std::vector<std::uint64_t> minus_carry_;
 
-  // Per-chip mode (after a spill) — and the lazily materialized observer
-  // view while still packed (mutable + materialized_ flag).
+  // receive()'s per-word tie lanes (P = M on every plane so far).
+  mutable std::vector<std::uint64_t> ties_;
+  // The observer views (soft(), active()), rebuilt on each call.
   mutable std::vector<int> soft_;
   mutable std::vector<std::uint8_t> active_;
-  mutable bool materialized_ = false;
 };
 
 }  // namespace jrsnd::dsss

@@ -27,26 +27,6 @@ struct ScanPos {
   std::size_t offset = 0;  ///< chip offset of the synchronized window
 };
 
-/// The threshold test translated into the Hamming domain: |corr(h)| >= tau
-/// ⟺ h < hit_below || h >= hit_from. correlation_from_hamming is strictly
-/// decreasing in h, so the h passing the positive test form a prefix and
-/// those passing the negative test a suffix; the bounds are found with the
-/// SAME double-precision predicate the per-code path evaluates, making the
-/// integer compare in the hot loop exactly equivalent (including rounding at
-/// the boundary) while skipping two int->double conversions per candidate.
-struct HammingBounds {
-  std::size_t hit_below = 0;  ///< h < hit_below  ⇒  corr >= tau
-  std::size_t hit_from = 0;   ///< h >= hit_from  ⇒  corr <= -tau
-};
-
-HammingBounds hamming_bounds(std::size_t n, double tau) {
-  HammingBounds b;
-  while (b.hit_below <= n && correlation_from_hamming(n, b.hit_below) >= tau) ++b.hit_below;
-  b.hit_from = n + 1;
-  while (b.hit_from > 0 && correlation_from_hamming(n, b.hit_from - 1) <= -tau) --b.hit_from;
-  return b;
-}
-
 /// The batched sync search: one pass over the chip buffer scores every code
 /// in the group per window via BatchShiftTable::hamming_all, then applies
 /// the threshold in candidate order — so the (offset, code) it reports is
@@ -65,13 +45,18 @@ bool batch_sync_search(const BitVector& buffer, const BatchShiftTable& batch,
   const std::span<std::uint64_t> hams{lane_scratch(lanes), lanes};
   for (std::size_t offset = start_offset; offset + needed <= buffer.size(); ++offset) {
     batch.hamming_all(buffer, offset, hams);
-    for (std::size_t c = 0; c < m; ++c) {
-      if (hams[c] < bounds.hit_below || hams[c] >= bounds.hit_from) {
-        pos.code = c;
-        pos.offset = offset;
-        below_tau += c;
-        return true;
-      }
+    // Almost every window is below tau on every lane: reduce "any lane
+    // past the bounds" without a branch per lane, and only on a hit look
+    // for the first such lane in candidate order.
+    std::uint64_t past = 0;
+    for (std::size_t c = 0; c < m; ++c) past |= bounds.past(hams[c]);
+    if ((past >> 63) != 0) {
+      std::size_t c = 0;
+      while ((bounds.past(hams[c]) >> 63) == 0) ++c;
+      pos.code = c;
+      pos.offset = offset;
+      below_tau += c;
+      return true;
     }
     below_tau += m;
   }

@@ -1,5 +1,6 @@
 #include "dsss/spreader.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -69,15 +70,21 @@ void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_co
     throw std::invalid_argument("despread: window exceeds chip buffer");
   }
   JRSND_PERF_REGION("dsss.despread");
-  out.bits.clear();
-  out.bits.reserve(bit_count);
+  // decide_bit in the Hamming domain: a 1 below hit_below, a 0 from
+  // hit_from on, an erasure (bit left 0) in between.
+  const HammingBounds bounds = hamming_bounds(batch.length(), tau);
   out.erased_bits.clear();
-  for (std::size_t bit = 0; bit < bit_count; ++bit) {
-    const DespreadBit d =
-        decide_bit(batch.correlate_lane(lane, chips, start + bit * batch.length()), tau);
-    out.bits.push_back(d.value);
-    if (d.erased) out.erased_bits.push_back(bit);
-  }
+  out.bits.assign_words(bit_count, [&](std::span<std::uint64_t> words) {
+    std::fill(words.begin(), words.end(), 0);
+    for (std::size_t bit = 0; bit < bit_count; ++bit) {
+      const std::size_t h = batch.hamming_lane(lane, chips, start + bit * batch.length());
+      if (h < bounds.hit_below) {
+        words[bit / 64] |= (std::uint64_t{1} << 63) >> (bit % 64);
+      } else if (h < bounds.hit_from) {
+        out.erased_bits.push_back(bit);
+      }
+    }
+  });
 }
 
 }  // namespace jrsnd::dsss

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "ecc/gf256.hpp"
 #include "obs/metrics_registry.hpp"
@@ -30,34 +31,25 @@ void trim(Poly& p) {
 
 [[nodiscard]] bool is_zero(const Poly& p) { return degree(p) < 0; }
 
-[[nodiscard]] Poly poly_mul(const Poly& a, const Poly& b) {
-  Poly out(a.size() + b.size() - 1, 0);
+/// out = a * b. `out` must alias neither operand.
+void poly_mul(const Poly& a, const Poly& b, Poly& out) {
+  out.assign(a.size() + b.size() - 1, 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i] == 0) continue;
     for (std::size_t j = 0; j < b.size(); ++j) {
       out[i + j] = GF256::add(out[i + j], GF256::mul(a[i], b[j]));
     }
   }
-  return out;
 }
 
-[[nodiscard]] Poly poly_add(const Poly& a, const Poly& b) {
-  Poly out(std::max(a.size(), b.size()), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i];
-  for (std::size_t i = 0; i < b.size(); ++i) out[i] = GF256::add(out[i], b[i]);
-  return out;
+/// acc += b.
+void poly_add_to(Poly& acc, const Poly& b) {
+  if (acc.size() < b.size()) acc.resize(b.size(), 0);
+  for (std::size_t i = 0; i < b.size(); ++i) acc[i] = GF256::add(acc[i], b[i]);
 }
 
-[[nodiscard]] Poly poly_scale(const Poly& a, std::uint8_t s) {
-  Poly out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = GF256::mul(a[i], s);
-  return out;
-}
-
-[[nodiscard]] Poly poly_mod_xn(Poly p, std::size_t n) {
-  if (p.size() > n) p.resize(n);
-  if (p.empty()) p.push_back(0);
-  return p;
+void poly_scale(Poly& a, std::uint8_t s) {
+  for (std::uint8_t& c : a) c = GF256::mul(c, s);
 }
 
 /// Evaluates an ascending-order polynomial at x (Horner from the top).
@@ -67,11 +59,12 @@ void trim(Poly& p) {
   return acc;
 }
 
-/// Polynomial division: returns {quotient, remainder} with a = q*b + r.
-[[nodiscard]] std::pair<Poly, Poly> poly_divmod(Poly a, const Poly& b) {
+/// Polynomial division in place: `a` becomes the remainder r and `q` the
+/// quotient, with a = q*b + r on entry.
+void poly_divmod(Poly& a, const Poly& b, Poly& q) {
   const int db = degree(b);
   assert(db >= 0);
-  Poly q(std::max<std::size_t>(a.size(), 1), 0);
+  q.assign(std::max<std::size_t>(a.size(), 1), 0);
   int da = degree(a);
   const std::uint8_t lead_inv = GF256::inv(b[static_cast<std::size_t>(db)]);
   while (da >= db) {
@@ -87,14 +80,12 @@ void trim(Poly& p) {
   }
   trim(q);
   trim(a);
-  return {q, a};
 }
 
 /// Formal derivative in characteristic 2: only odd-power terms survive.
-[[nodiscard]] Poly poly_derivative(const Poly& p) {
-  Poly out(std::max<std::size_t>(p.size() - 1, 1), 0);
+void poly_derivative(const Poly& p, Poly& out) {
+  out.assign(std::max<std::size_t>(p.size() - 1, 1), 0);
   for (std::size_t j = 1; j < p.size(); j += 2) out[j - 1] = p[j];
-  return out;
 }
 
 /// Counts the decode outcome on scope exit, whichever return path fires.
@@ -230,54 +221,69 @@ bool ReedSolomon::decode_into(std::span<const std::uint8_t> received,
     return true;
   }
 
-  // Full errata pipeline (cold path: jammed or corrupted words; allocates
-  // its polynomial workspaces).
-  const Poly syndromes(scratch.syndromes.begin(), scratch.syndromes.end());
+  // Full errata pipeline (jammed or corrupted words), in the scratch's
+  // polynomial workspaces.
+  const Poly& syndromes = scratch.syndromes;
 
-  // Erasure locator Gamma(x) = prod (1 + X_i x), X_i = alpha^{n-1-pos}.
-  Poly gamma = {1};
+  // Erasure locator Gamma(x) = prod (1 + X_i x), X_i = alpha^{n-1-pos}:
+  // each factor multiplies in place, top coefficient first.
+  Poly& gamma = scratch.gamma;
+  gamma.assign(1, 1);
   for (int pos = 0; pos < n_; ++pos) {
     if (scratch.erased[static_cast<std::size_t>(pos)] == 0) continue;
     const std::uint8_t X = GF256::exp(n_ - 1 - pos);
-    gamma = poly_mul(gamma, Poly{1, X});
+    gamma.push_back(0);
+    for (std::size_t i = gamma.size() - 1; i > 0; --i) {
+      gamma[i] = GF256::add(gamma[i], GF256::mul(X, gamma[i - 1]));
+    }
   }
 
   // Modified syndrome Xi(x) = S(x) * Gamma(x) mod x^{2t}.
-  const Poly xi = poly_mod_xn(poly_mul(syndromes, gamma), static_cast<std::size_t>(two_t));
+  Poly& r_cur = scratch.r_cur;
+  poly_mul(syndromes, gamma, r_cur);
+  if (r_cur.size() > static_cast<std::size_t>(two_t)) r_cur.resize(static_cast<std::size_t>(two_t));
+  if (r_cur.empty()) r_cur.push_back(0);
 
   // Sugiyama (extended Euclid) on (x^{2t}, Xi): stop when 2*deg(r) < 2t + f.
-  Poly r_prev(static_cast<std::size_t>(two_t) + 1, 0);
+  // Each step divides r_prev by r_cur in place (r_prev becomes the
+  // remainder) and folds q * t_cur into t_prev; the swaps then shift the
+  // pairs down one step.
+  Poly& r_prev = scratch.r_prev;
+  r_prev.assign(static_cast<std::size_t>(two_t) + 1, 0);
   r_prev.back() = 1;  // x^{2t}
-  Poly r_cur = xi;
   trim(r_cur);
-  Poly t_prev = {0};
-  Poly t_cur = {1};
+  Poly& t_prev = scratch.t_prev;
+  Poly& t_cur = scratch.t_cur;
+  t_prev.assign(1, 0);
+  t_cur.assign(1, 1);
   while (!is_zero(r_cur) && 2 * degree(r_cur) >= two_t + f) {
-    auto [q, r_next] = poly_divmod(r_prev, r_cur);
-    Poly t_next = poly_add(t_prev, poly_mul(q, t_cur));
-    r_prev = std::move(r_cur);
-    r_cur = std::move(r_next);
-    t_prev = std::move(t_cur);
-    t_cur = std::move(t_next);
+    poly_divmod(r_prev, r_cur, scratch.q);
+    poly_mul(scratch.q, t_cur, scratch.product);
+    poly_add_to(t_prev, scratch.product);
+    std::swap(r_prev, r_cur);
+    std::swap(t_prev, t_cur);
   }
-  Poly lambda = t_cur;   // error locator (up to a scalar)
-  Poly omega = r_cur;    // errata evaluator (same scalar)
+  Poly& lambda = t_cur;  // error locator (up to a scalar)
+  Poly& omega = r_cur;   // errata evaluator (same scalar)
   trim(lambda);
   trim(omega);
   if (lambda.empty() || lambda[0] == 0) return false;
   const std::uint8_t norm = GF256::inv(lambda[0]);
-  lambda = poly_scale(lambda, norm);
-  omega = poly_scale(omega, norm);
+  poly_scale(lambda, norm);
+  poly_scale(omega, norm);
 
   // Combined errata locator Psi = Lambda * Gamma.
-  const Poly psi = poly_mul(lambda, gamma);
+  Poly& psi = scratch.psi;
+  poly_mul(lambda, gamma, psi);
   const int errata_count = degree(psi);
   const int error_count = degree(lambda);
   if (error_count < 0 || 2 * error_count + f > two_t) return false;
 
   // Chien search: position power p corresponds to codeword index n-1-p.
-  std::vector<int> errata_indices;
-  std::vector<std::uint8_t> errata_locators;  // X = alpha^p
+  std::vector<int>& errata_indices = scratch.errata_indices;
+  std::vector<std::uint8_t>& errata_locators = scratch.errata_locators;  // X = alpha^p
+  errata_indices.clear();
+  errata_locators.clear();
   for (int p = 0; p < n_; ++p) {
     const std::uint8_t x_inv = GF256::exp(-p);
     if (poly_eval(psi, x_inv) == 0) {
@@ -289,7 +295,8 @@ bool ReedSolomon::decode_into(std::span<const std::uint8_t> received,
 
   // Forney magnitudes (roots start at alpha^0, so b = 0):
   //   e = X * Omega(X^{-1}) / Psi'(X^{-1}).
-  const Poly psi_deriv = poly_derivative(psi);
+  Poly& psi_deriv = scratch.psi_deriv;
+  poly_derivative(psi, psi_deriv);
   for (std::size_t idx = 0; idx < errata_indices.size(); ++idx) {
     const std::uint8_t X = errata_locators[idx];
     const std::uint8_t x_inv = GF256::inv(X);

@@ -18,8 +18,9 @@
 //     construction, so encode is one XOR-row per data symbol;
 //   * the decoder exits right after the syndrome pass when every syndrome is
 //     zero (the overwhelmingly common clean-channel case), skipping
-//     Sugiyama/Chien/Forney entirely; with a caller-reused DecodeScratch the
-//     clean path allocates nothing.
+//     Sugiyama/Chien/Forney entirely;
+//   * with a caller-reused DecodeScratch neither path allocates: the errata
+//     pipeline's polynomials live in the scratch too.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +32,21 @@ namespace jrsnd::ecc {
 
 class ReedSolomon {
  public:
-  /// Reusable decode workspace. The clean (all-zero-syndrome) path touches
-  /// only these buffers, so reusing one scratch across calls makes that path
-  /// allocation-free in the steady state. The errata path still allocates
-  /// its polynomial workspaces — it only runs on jammed/corrupted words.
+  /// Reusable decode workspace. Every path — the clean (all-zero-syndrome)
+  /// exit and the errata pipeline run on jammed or corrupted words alike —
+  /// works only in these buffers, so reusing one scratch across calls makes
+  /// decoding allocation-free in the steady state. Polynomials are
+  /// ascending-order coefficient vectors.
   struct DecodeScratch {
     std::vector<std::uint8_t> cw;         ///< working codeword copy
     std::vector<std::uint8_t> erased;     ///< per-position erasure flags (dedupe)
     std::vector<std::uint8_t> syndromes;  ///< S_j, j = 0..2t-1
+    std::vector<std::uint8_t> gamma;      ///< erasure locator
+    std::vector<std::uint8_t> r_prev, r_cur, t_prev, t_cur;  ///< Sugiyama pairs
+    std::vector<std::uint8_t> q, product;                     ///< one Euclid step
+    std::vector<std::uint8_t> psi, psi_deriv;                 ///< errata locator, Psi'
+    std::vector<int> errata_indices;              ///< Chien roots as codeword indices
+    std::vector<std::uint8_t> errata_locators;    ///< their X = alpha^p
   };
 
   /// Decode strategy: kAuto takes the all-zero-syndrome early exit; kForceFull

@@ -4,6 +4,7 @@
 
 #include "adversary/jammer.hpp"
 #include "dsss/spreader.hpp"
+#include "oracle/dsss_reference.hpp"
 
 namespace jrsnd::dsss {
 namespace {
@@ -149,6 +150,89 @@ TEST(ChipChannel, AmplitudeTwoJammingOverwritesCoveredBits) {
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < 10; ++i) mismatches += result.bits.get(i) != message.get(i);
   EXPECT_GE(mismatches, 1u);
+}
+
+// --- ChipChannelOracle -------------------------------------------------------
+//
+// The bit-sliced channel against the per-chip soft-sum oracle: random
+// superpositions of 0-6 signals at random (unaligned, clipped, even
+// out-of-window) offsets, with repeated and inverted patterns so
+// cancellations, ties and multi-signal majorities all occur. One channel is
+// reset and reused across cases, as ChipPhy's scratch arena reuses it.
+
+/// The chip pattern of a case's next signal: fresh, or a copy or the
+/// inverse of an earlier signal's pattern, so the planes see equal and
+/// opposite contributions on the same chips.
+BitVector oracle_pattern(Rng& rng, const std::vector<BitVector>& earlier, std::size_t max_len) {
+  if (!earlier.empty() && rng.bernoulli(0.5)) {
+    const BitVector& base = earlier[static_cast<std::size_t>(rng.uniform(earlier.size()))];
+    return rng.bernoulli(0.5) ? base : base.inverted();
+  }
+  return random_bits(rng, 1 + static_cast<std::size_t>(rng.uniform(max_len)));
+}
+
+void expect_matches_oracle(ChipChannel& channel, std::size_t duration,
+                           const std::vector<std::pair<std::size_t, BitVector>>& signals,
+                           std::uint64_t rng_seed, int case_id) {
+  channel.reset(duration);
+  oracle::ReferenceChipChannel reference(duration);
+  for (const auto& [start, chips] : signals) {
+    channel.add(start, chips);
+    reference.add(start, chips);
+  }
+  ASSERT_EQ(channel.soft(), reference.soft()) << "case " << case_id;
+  ASSERT_EQ(channel.active(), reference.active()) << "case " << case_id;
+  Rng rng(rng_seed);
+  Rng reference_rng(rng_seed);
+  BitVector received;
+  channel.receive_into(rng, received);
+  ASSERT_EQ(received, reference.receive(reference_rng)) << "case " << case_id;
+  ASSERT_EQ(rng.next(), reference_rng.next()) << "case " << case_id << ": rng draw order";
+}
+
+TEST(ChipChannelOracle, RandomSuperpositionsMatchPerChipSoftSums) {
+  Rng rng(2024);
+  ChipChannel channel;
+  for (int c = 0; c < 600; ++c) {
+    // Mostly ragged window lengths, sometimes whole words.
+    std::size_t duration = 1 + static_cast<std::size_t>(rng.uniform(700));
+    if (c % 7 == 0) duration = 64 * (1 + static_cast<std::size_t>(rng.uniform(10)));
+    const auto count = static_cast<std::size_t>(rng.uniform(7));
+    std::vector<BitVector> patterns;
+    std::vector<std::pair<std::size_t, BitVector>> signals;
+    for (std::size_t s = 0; s < count; ++s) {
+      patterns.push_back(oracle_pattern(rng, patterns, duration + 100));
+      // Starts cluster on earlier starts (same-offset stacking) or land
+      // anywhere, past the window end included.
+      const std::size_t start = !signals.empty() && rng.bernoulli(0.3)
+                                    ? signals[static_cast<std::size_t>(rng.uniform(signals.size()))]
+                                          .first
+                                    : static_cast<std::size_t>(rng.uniform(duration + 64));
+      signals.emplace_back(start, patterns.back());
+    }
+    expect_matches_oracle(channel, duration, signals, rng.next(), c);
+  }
+}
+
+TEST(ChipChannelOracle, DeepStacksGrowThePlanes) {
+  // Up to 6 copies of one pattern at one offset, plus an inverse: counts
+  // reach 6 on one side, so the planes grow to three bits and every carry
+  // ripples through all of them.
+  Rng rng(77);
+  ChipChannel channel;
+  for (std::size_t copies = 1; copies <= 6; ++copies) {
+    const BitVector chips = random_bits(rng, 333);
+    std::vector<std::pair<std::size_t, BitVector>> signals;
+    for (std::size_t k = 0; k < copies; ++k) signals.emplace_back(70, chips);
+    signals.emplace_back(101, chips.inverted());
+    expect_matches_oracle(channel, 450, signals, rng.next(), static_cast<int>(copies));
+  }
+}
+
+TEST(ChipChannelOracle, SilentWindowDrawsEveryChip) {
+  ChipChannel channel;
+  expect_matches_oracle(channel, 1, {}, 5, 0);
+  expect_matches_oracle(channel, 200, {}, 6, 1);
 }
 
 }  // namespace

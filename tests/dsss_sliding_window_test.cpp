@@ -161,5 +161,21 @@ TEST_P(WindowOffsetSweep, SyncAtAnyOffset) {
 INSTANTIATE_TEST_SUITE_P(Offsets, WindowOffsetSweep,
                          ::testing::Values(0, 1, 2, 17, 63, 64, 65, 127, 128, 500));
 
+TEST(HammingBounds, AgreeWithTheCorrelationThresholdAtEveryDistance) {
+  // The integer bounds the scan and the despreader compare against must
+  // classify every Hamming distance exactly as decide_bit classifies its
+  // correlation, including thresholds at or below zero and above one.
+  for (const std::size_t n : {1u, 7u, 64u, 127u, 512u}) {
+    for (const double tau : {-0.5, 0.0, 0.05, 0.15, 0.3, 1.0, 1.5}) {
+      const HammingBounds b = hamming_bounds(n, tau);
+      for (std::size_t h = 0; h <= n; ++h) {
+        const DespreadBit d = decide_bit(correlation_from_hamming(n, h), tau);
+        EXPECT_EQ(h < b.hit_below, d.value) << "n=" << n << " tau=" << tau << " h=" << h;
+        EXPECT_EQ((b.past(h) >> 63) == 0, d.erased) << "n=" << n << " tau=" << tau << " h=" << h;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace jrsnd::dsss

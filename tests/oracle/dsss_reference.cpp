@@ -13,6 +13,25 @@ using dsss::DespreadResult;
 using dsss::SpreadCode;
 using dsss::SyncHit;
 
+void ReferenceChipChannel::add(std::size_t start_chip, const BitVector& chips) {
+  for (std::size_t i = 0; i < chips.size() && start_chip + i < soft_.size(); ++i) {
+    soft_[start_chip + i] += chips.get(i) ? 1 : -1;
+    active_[start_chip + i] = 1;
+  }
+}
+
+BitVector ReferenceChipChannel::receive(Rng& rng) const {
+  BitVector out(soft_.size());
+  for (std::size_t i = 0; i < soft_.size(); ++i) {
+    if (soft_[i] > 0) {
+      out.set(i, true);
+    } else if (soft_[i] == 0) {
+      out.set(i, rng.bernoulli(0.5));  // tie or silence: thermal noise
+    }
+  }
+  return out;
+}
+
 ShiftTable::ShiftTable(const SpreadCode& code)
     : length_(code.length()), stride_((kWordBits - 1 + length_ + kWordBits - 1) / kWordBits) {
   rows_.resize(kWordBits * stride_);

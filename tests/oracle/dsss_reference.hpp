@@ -1,7 +1,9 @@
-// Reference oracles for the chip-level scan (paper §V-B): the per-code
-// ShiftTable kernel and the slice-based sliding-window scans. The batched
-// correlator (dsss/sync_kernel.hpp, dsss/sliding_window.hpp) is tested and
-// benchmarked against them; production code never calls them.
+// Reference oracles for the chip-level receive path (paper §§III-V): the
+// per-chip soft-sum channel, the per-code ShiftTable kernel and the
+// slice-based sliding-window scans. The bit-sliced channel
+// (dsss/chip_channel.hpp) and the batched correlator (dsss/sync_kernel.hpp,
+// dsss/sliding_window.hpp) are tested and benchmarked against them;
+// production code never calls them.
 #pragma once
 
 #include <bit>
@@ -12,12 +14,38 @@
 #include <vector>
 
 #include "common/bit_vector.hpp"
+#include "common/rng.hpp"
 #include "dsss/correlator.hpp"
 #include "dsss/sliding_window.hpp"
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
 
 namespace jrsnd::oracle {
+
+/// The textbook chip channel: one signed soft sum per chip, every
+/// transmission added chip by chip, and a hard sign decision per chip on
+/// receive (ties and silence draw rng.bernoulli(0.5), in chip order). The
+/// semantics dsss::ChipChannel must reproduce bit for bit, Rng draw for
+/// Rng draw.
+class ReferenceChipChannel {
+ public:
+  explicit ReferenceChipChannel(std::size_t duration_chips)
+      : soft_(duration_chips, 0), active_(duration_chips, 0) {}
+
+  /// Superposes `chips` at `start_chip`; parts outside the window are
+  /// clipped.
+  void add(std::size_t start_chip, const BitVector& chips);
+
+  [[nodiscard]] const std::vector<int>& soft() const noexcept { return soft_; }
+  [[nodiscard]] const std::vector<std::uint8_t>& active() const noexcept { return active_; }
+
+  /// Positive sum -> 1, negative -> 0, zero -> rng.bernoulli(0.5).
+  [[nodiscard]] BitVector receive(Rng& rng) const;
+
+ private:
+  std::vector<int> soft_;
+  std::vector<std::uint8_t> active_;
+};
 
 /// A candidate code precomputed at all 64 word alignments. Row s holds the
 /// code's chips shifted to start at bit s of a word boundary; correlating

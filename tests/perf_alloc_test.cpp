@@ -5,7 +5,7 @@
 // This test links the counting global allocator (tests/oracle/counting_alloc,
 // which is why it lives in its own binary) and asserts the count stays flat across repeated
 // clean-channel transmissions — both the HELLO codebook-scan path and the
-// monitored-code path.
+// monitored-code path — and across transmissions a jammer strikes.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -40,6 +40,16 @@ BitVector fixed_payload(std::size_t bits) {
   for (std::size_t i = 0; i < bits; ++i) v.push_back(rng.bernoulli(0.5));
   return v;
 }
+
+/// Strikes every message, whatever its code or class.
+class AlwaysJammer final : public adversary::Jammer {
+ public:
+  [[nodiscard]] bool jams(CodeId /*code*/, adversary::MessageClass /*cls*/,
+                          Rng& /*rng*/) const override {
+    return true;
+  }
+  [[nodiscard]] const char* name() const noexcept override { return "always"; }
+};
 
 TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
   core::Params params = core::Params::defaults();
@@ -91,6 +101,34 @@ TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
   EXPECT_EQ(delivered, 100);
   EXPECT_TRUE(payload_intact);
   EXPECT_EQ(after - before, 0u) << "transmit_into allocated on the steady-state hot path";
+
+  // Jammed leg: every frame is struck, so each transmit also spreads the
+  // jam pattern and superposes it twice on the victim's chips, and the
+  // receiver rescans the jammed buffer until it gives up.
+  const AlwaysJammer always;
+  core::ChipPhy jammed(
+      params, topology, always,
+      [&prepared](NodeId) -> const dsss::PreparedCodebook& { return prepared; }, rng);
+  const auto strike_round = [&] {
+    jammed.begin_subsession(node_id(0), node_id(1), code_id(0));
+    int got = 0;
+    for (const core::TxClass cls : {core::TxClass::Hello, core::TxClass::Confirm,
+                                    core::TxClass::SessionUnicast}) {
+      got += jammed.transmit_into(node_id(0), node_id(1), tx, cls, payload, out) ? 1 : 0;
+    }
+    return got;
+  };
+  for (int i = 0; i < 16; ++i) (void)strike_round();
+  const std::uint64_t jams_before = jammed.chip_jams();
+  const std::uint64_t jammed_before = oracle::allocation_count();
+  int jammed_delivered = 0;
+  for (int i = 0; i < 30; ++i) jammed_delivered += strike_round();
+  const std::uint64_t jammed_after = oracle::allocation_count();
+
+  EXPECT_EQ(jammed.chip_jams() - jams_before, 90u);
+  EXPECT_EQ(jammed_delivered, 0);
+  EXPECT_EQ(jammed_after - jammed_before, 0u)
+      << "transmit_into allocated on the steady-state jammed path";
 }
 
 TEST(SimHotPath, ZeroSteadyStateAllocationsForIndexAndEventLoop) {
