@@ -1,14 +1,20 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
+#include "dsss/sync_kernel.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/prof/perf_counters.hpp"
+#include "obs/sinks.hpp"
 
 namespace jrsnd::bench {
 
@@ -87,6 +93,55 @@ void write_csv_if_requested(const std::string& name, const core::Table& table) {
   }
   snap.write_json(metrics_out);
   std::printf("(wrote %s)\n", metrics_path.c_str());
+}
+
+namespace {
+
+std::string quoted(std::string_view s) { return '"' + obs::json_escape(s) + '"'; }
+
+/// Shortest round-trip form of a finite number; null otherwise.
+std::string number(std::optional<double> v) {
+  if (!v || !std::isfinite(*v)) return "null";
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, *v);
+  return std::string(buf, res.ptr);
+}
+
+}  // namespace
+
+bool write_results(const std::string& path, const std::string& bench, bool smoke,
+                   std::span<const Result> results) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "FAIL: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  const std::string workload = quoted(smoke ? bench + ".smoke" : bench);
+  const std::string host_tail =
+      ",\"simd_dsss\":" + quoted(dsss::simd_backend_name(dsss::simd_backend())) +
+      ",\"prof_backend\":" + quoted(obs::prof::backend_name(obs::prof::prof_backend())) +
+      ",\"build_type\":" + quoted(JRSND_BENCH_BUILD_TYPE) +
+      ",\"compiler\":" + quoted(JRSND_BENCH_COMPILER) + "}}";
+  const std::string cores = std::to_string(std::thread::hardware_concurrency());
+  out << '[';
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Result& r = results[i];
+    const std::string value = number(r.value);
+    out << (i == 0 ? "\n" : ",\n") << "{\"name\":" << quoted(r.name)
+        << ",\"layer\":" << quoted(r.layer) << ",\"workload\":" << workload
+        << ",\"value\":" << value << ",\"unit\":" << quoted(r.unit)
+        << ",\"better\":" << (r.lower_is_better ? "\"lower\"" : "\"higher\"")
+        << ",\"measured\":" << (value == "null" ? "false" : "true")
+        << ",\"host\":{\"cores\":" << cores << ",\"threads\":" << r.threads << host_tail;
+  }
+  out << "\n]\n";
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "FAIL: writing %s failed\n", path.c_str());
+    return false;
+  }
+  std::printf("(wrote %zu results to %s)\n", results.size(), path.c_str());
+  return true;
 }
 
 }  // namespace jrsnd::bench

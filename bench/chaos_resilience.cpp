@@ -11,14 +11,16 @@
 //  [3] A mixed plan (drop + corrupt + duplicate + reorder + crash windows)
 //      as a smoke point for the full fault palette.
 //
-// Writes a machine-readable summary to BENCH_chaos.json (path overridable as
-// argv[1]) so CI can archive the envelope next to the commit.
+// Writes its results (bench_util.hpp, write_results) to
+// chaos_resilience.json, path overridable as argv[1]. Exits nonzero on a
+// no-op-plan mismatch, outside the envelope, or when the results cannot be
+// written.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/discovery_sim.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
@@ -61,7 +63,7 @@ RunSummary sweep_runs(const core::ExperimentConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_chaos.json";
+  const std::string json_path = argc > 1 ? argv[1] : "chaos_resilience.json";
 
   core::ExperimentConfig cfg;
   cfg.params.n = 500;
@@ -149,34 +151,29 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r_mixed.faults),
               static_cast<unsigned long long>(r_mixed.retransmissions));
 
-  // --- machine-readable summary --------------------------------------------
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    return envelope_ok ? 0 : 1;
+  std::vector<bench::Result> results = {
+      {"fault.baseline_p_dndp", "fault", baseline.p_dndp, "ratio"},
+  };
+  for (const SweepPoint& pt : points) {
+    char drop[16];
+    std::snprintf(drop, sizeof drop, ".drop%.2f", pt.drop);
+    results.insert(
+        results.end(),
+        {{std::string("fault.p_dndp_retx") + drop, "fault", pt.p_retx, "ratio"},
+         {std::string("fault.p_dndp_noretx") + drop, "fault", pt.p_noretx, "ratio"},
+         {std::string("fault.recovery") + drop, "fault", pt.recovery, "ratio"},
+         {std::string("fault.retransmissions") + drop, "fault",
+          static_cast<double>(pt.retransmissions), "frames", true},
+         {std::string("fault.faults_injected") + drop, "fault", static_cast<double>(pt.faults),
+          "faults"}});
   }
-  json << "{\n"
-       << "  \"config\": {\"n\": " << cfg.params.n << ", \"m\": " << cfg.params.m
-       << ", \"l\": " << cfg.params.l << ", \"runs\": " << cfg.params.runs
-       << ", \"seed\": " << cfg.base_seed << ", \"retx\": " << kRetx << "},\n"
-       << "  \"noop_plan_identical\": " << (noop_identical ? "true" : "false") << ",\n"
-       << "  \"baseline_p_dndp\": " << baseline.p_dndp << ",\n"
-       << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& pt = points[i];
-    json << "    {\"drop\": " << pt.drop << ", \"p_dndp_retx\": " << pt.p_retx
-         << ", \"p_dndp_noretx\": " << pt.p_noretx << ", \"recovery\": " << pt.recovery
-         << ", \"retransmissions\": " << pt.retransmissions
-         << ", \"faults_injected\": " << pt.faults << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"mixed_plan\": {\"p_dndp\": " << r_mixed.p_dndp
-       << ", \"recovery\": " << mixed_recovery << ", \"faults_injected\": " << r_mixed.faults
-       << ", \"retransmissions\": " << r_mixed.retransmissions << "},\n"
-       << "  \"envelope\": {\"max_drop\": 0.2, \"min_recovery\": " << kEnvelopeRecovery
-       << ", \"pass\": " << (envelope_ok ? "true" : "false") << "}\n"
-       << "}\n";
-  std::printf("(wrote %s)\n", json_path.c_str());
-  return envelope_ok ? 0 : 1;
+  results.insert(results.end(),
+                 {{"fault.mixed.p_dndp", "fault", r_mixed.p_dndp, "ratio"},
+                  {"fault.mixed.recovery", "fault", mixed_recovery, "ratio"},
+                  {"fault.mixed.faults_injected", "fault", static_cast<double>(r_mixed.faults),
+                   "faults"},
+                  {"fault.mixed.retransmissions", "fault",
+                   static_cast<double>(r_mixed.retransmissions), "frames", true}});
+  const bool written = bench::write_results(json_path, "chaos_resilience", false, results);
+  return envelope_ok && written ? 0 : 1;
 }

@@ -16,21 +16,23 @@
 //      tests/oracle/counting_alloc — which is why this lives in its own
 //      binary, like tests/perf_alloc_test).
 //  [3] Throughput: handshake verifications per second, one-shot vs batched,
-//      at attacker:honest ratios 1:1, 10:1, and 100:1. The committed
-//      BENCH_dos.json must show >= 5x at 10:1 (gated by
-//      scripts/check_perf.py --dos-baseline).
+//      at attacker:honest ratios 1:1, 10:1, and 100:1. A full run exits
+//      nonzero below 5x at 10:1.
 //
-// Writes BENCH_dos.json (path overridable as argv[1]); --smoke shortens the
-// timing windows for CI smoke runs and marks the JSON so check_perf.py skips
-// the absolute floor.
+// Writes its results (bench_util.hpp, write_results) to dos_throughput.json,
+// path overridable as argv[1]; scripts/check_perf.py judges them against the
+// committed baseline. --smoke shortens the timing windows for CI smoke runs,
+// skips the 5x floor and names the workload dos_throughput.smoke, which no
+// baseline holds. Exits nonzero on any identity or allocation violation,
+// the 5x floor, or when the results cannot be written.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "adversary/dos_attacker.hpp"
+#include "bench_util.hpp"
 #include "core/messages.hpp"
 #include "crypto/verify_queue.hpp"
 #include "obs/metrics_registry.hpp"
@@ -59,7 +61,7 @@ constexpr const char* kDecisionCounters[] = {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_dos.json";
+  std::string json_path = "dos_throughput.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -246,46 +248,23 @@ int main(int argc, char** argv) {
                 point.batched_hps, point.speedup);
   }
   const double speedup_at_10 = points[1].speedup;
-  if (!smoke && speedup_at_10 < 5.0) {
-    std::fprintf(stderr,
-                 "WARNING: batched speedup %.1fx at 10:1 below the 5x acceptance floor\n",
+  const bool floor_ok = smoke || speedup_at_10 >= 5.0;
+  if (!floor_ok) {
+    std::fprintf(stderr, "FAIL: batched speedup %.1fx at 10:1 below the 5x acceptance floor\n",
                  speedup_at_10);
   }
 
-  // --- machine-readable summary --------------------------------------------
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    return 0;
+  std::vector<bench::Result> results = {
+      {"crypto.reject_path_allocs", "crypto", static_cast<double>(reject_path_allocs), "allocs",
+       true},
+  };
+  for (const FloodPoint& p : points) {
+    const std::string r = ".r" + std::to_string(p.ratio);
+    results.insert(results.end(),
+                   {{"crypto.one_shot_hps" + r, "crypto", p.one_shot_hps, "h/s"},
+                    {"crypto.batched_hps" + r, "crypto", p.batched_hps, "h/s"},
+                    {"crypto.batched_speedup" + r, "crypto", p.speedup, "x"}});
   }
-  json << "{\n"
-       << "  \"config\": {\n"
-       << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "    \"peers\": " << kPeers << ",\n"
-       << "    \"frame_bits\": " << vw.frame_bits() << ",\n"
-       << "    \"identity_frames\": " << kIdentityFrames << ",\n"
-       << "    \"timing_frames\": " << kTimingFrames << "\n"
-       << "  },\n"
-       << "  \"identity\": {\n"
-       << "    \"frames\": " << identity_flood.size() << ",\n"
-       << "    \"bit_identical\": true,\n"
-       << "    \"counters_identical\": true\n"
-       << "  },\n"
-       << "  \"zero_alloc\": {\n"
-       << "    \"frames_per_cycle\": " << reject_flood.size() << ",\n"
-       << "    \"cycles\": " << kAllocCycles << ",\n"
-       << "    \"reject_path_allocs\": " << reject_path_allocs << "\n"
-       << "  },\n"
-       << "  \"flood\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    json << "    {\"ratio\": " << points[i].ratio
-         << ", \"one_shot_hps\": " << points[i].one_shot_hps
-         << ", \"batched_hps\": " << points[i].batched_hps
-         << ", \"speedup\": " << points[i].speedup << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n"
-       << "}\n";
-  std::printf("(wrote %s)\n", json_path.c_str());
-  return 0;
+  const bool written = bench::write_results(json_path, "dos_throughput", smoke, results);
+  return floor_ok && written ? 0 : 1;
 }

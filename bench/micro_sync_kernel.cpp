@@ -15,19 +15,22 @@
 //  [2] run_all() serial vs parallel wall time, with the results verified
 //      identical (the engine's determinism contract).
 //
-// Writes a machine-readable summary to BENCH_sync.json (path overridable as
-// argv[1]) so CI can archive throughput next to the commit.
+// Writes its results (bench_util.hpp, write_results) to
+// micro_sync_kernel.json, path overridable as argv[1]; scripts/check_perf.py
+// judges them against the committed baseline. Exits nonzero on any identity
+// mismatch or when the results cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/discovery_sim.hpp"
@@ -86,7 +89,8 @@ ScanTiming time_scan(std::size_t offsets, std::size_t m, std::size_t chips_per_w
 
 int main(int argc, char** argv) {
   using namespace jrsnd;
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_sync.json";
+  const std::string json_path = argc > 1 ? argv[1] : "micro_sync_kernel.json";
+  std::vector<bench::Result> results;
 
   // --- [1] scan throughput --------------------------------------------------
   constexpr std::size_t kN = 512;    // Table-I spreading-code length
@@ -208,9 +212,9 @@ int main(int argc, char** argv) {
   // A fixed pass count under a PerfCounterSet turns the throughput numbers
   // into architecture-level ones: cycles per scan, instructions per chip,
   // IPC, LLC misses. Under the clock fallback (no PMU: containers, VMs)
-  // cycles are estimated from thread CPU time and the miss/IPC numbers read
-  // 0 — the "backend"/"estimated" fields tell check_perf.py whether the
-  // numbers are gateable.
+  // cycles are only estimated from thread CPU time and the instruction and
+  // miss counters never tick, so every counter-derived value is reported
+  // n/a here and written unmeasured.
   obs::prof::PerfCounterSet counter_set;
   constexpr std::size_t kCounterPasses = 16;
   const obs::prof::CounterTotals scan_counters = counter_set.measure([&] {
@@ -222,12 +226,12 @@ int main(int argc, char** argv) {
       static_cast<double>(kCounterPasses * offsets * kM) * static_cast<double>(kN);
   const double cycles_per_scan =
       static_cast<double>(scan_counters.cycles) / static_cast<double>(kCounterPasses);
-  // Under the clock fallback the instruction and miss counters never tick:
-  // the derived rates are not measurements (they would read 0), so they are
-  // reported n/a here and null in the JSON instead of masquerading as data.
   const bool counters_real = counter_set.backend() == obs::prof::ProfBackend::kPerfEvent;
+  const auto pmu = [counters_real](double v) {
+    return counters_real ? std::optional<double>(v) : std::nullopt;
+  };
   const double instructions_per_chip =
-      counters_real ? static_cast<double>(scan_counters.instructions) / counted_chips : 0.0;
+      static_cast<double>(scan_counters.instructions) / counted_chips;
   if (counters_real) {
     std::printf("  counters  [%s%s] %.3g cycles/scan  %.3g instr/chip  IPC %.2f  "
                 "%.3g LLC-miss/kinst\n",
@@ -241,6 +245,23 @@ int main(int argc, char** argv) {
                 obs::prof::backend_name(counter_set.backend()),
                 scan_counters.estimated ? ", estimated" : "", cycles_per_scan);
   }
+  results.insert(
+      results.end(),
+      {{"dsss.naive_mchips_per_s", "dsss", naive.chips_per_sec / 1e6, "Mchip/s"},
+       {"dsss.reference_mchips_per_s", "dsss", reference.chips_per_sec / 1e6, "Mchip/s"},
+       {"dsss.kernel_mchips_per_s", "dsss", kernel.chips_per_sec / 1e6, "Mchip/s"},
+       {"dsss.kernel_speedup_vs_naive", "dsss", speedup_vs_naive, "x"},
+       {"dsss.kernel_speedup_vs_reference", "dsss", speedup_vs_reference, "x"},
+       {"dsss.scan_cycles", "dsss", pmu(cycles_per_scan), "cycles/scan", true},
+       {"dsss.scan_ipc", "dsss", pmu(scan_counters.ipc()), "instr/cycle"},
+       {"dsss.scan_instructions_per_chip", "dsss", pmu(instructions_per_chip), "instr/chip",
+        true},
+       {"dsss.scan_llc_misses_per_kinst", "dsss", pmu(scan_counters.llc_misses_per_kinst()),
+        "misses/kinst", true},
+       {"dsss.scan_task_clock_ms", "dsss",
+        static_cast<double>(scan_counters.task_clock_ns) / 1e6 /
+            static_cast<double>(kCounterPasses),
+        "ms/scan", true}});
 
   // --- [1c] SIMD-batched multi-code scan ------------------------------------
   // One buffer pass scores the whole candidate group: as m grows the
@@ -248,22 +269,29 @@ int main(int argc, char** argv) {
   // once. Timed per supported SIMD backend (forced via set_simd_backend —
   // the same dispatch JRSND_SIMD drives), with the batched Hammings verified
   // bit-identical to the per-code kernel at every (offset, code) first.
-  struct MultiCodeEntry {
-    const char* backend = "";
-    std::size_t m = 0;
-    double single_ms = 0.0;
-    double batched_ms = 0.0;
-    double single_gchips = 0.0;
-    double batched_gchips = 0.0;
-    double speedup = 0.0;
-    double batched_cycles_per_scan = 0.0;
-    bool cycles_estimated = true;
+  // A backend this host lacks still gets its entries, unmeasured, so the
+  // baseline comparison says so instead of finding them missing.
+  constexpr std::size_t kGroupSizes[] = {5, 20, 40};
+  const auto add_batched = [&results](dsss::SimdBackend b, std::size_t m,
+                                      std::optional<double> gchips, std::optional<double> speedup,
+                                      std::optional<double> cycles) {
+    const std::string key =
+        std::string(".") + dsss::simd_backend_name(b) + ".m" + std::to_string(m);
+    results.insert(results.end(),
+                   {{"dsss.batched_gchips_per_s" + key, "dsss", gchips, "Gchip/s"},
+                    {"dsss.batched_speedup" + key, "dsss", speedup, "x"},
+                    {"dsss.batched_cycles" + key, "dsss", cycles, "cycles/scan", true}});
   };
-  std::vector<MultiCodeEntry> multi_entries;
   std::vector<dsss::SimdBackend> backends;
   for (const dsss::SimdBackend b : {dsss::SimdBackend::kScalar, dsss::SimdBackend::kAvx2,
                                     dsss::SimdBackend::kAvx512, dsss::SimdBackend::kNeon}) {
-    if (dsss::simd_backend_supported(b)) backends.push_back(b);
+    if (dsss::simd_backend_supported(b)) {
+      backends.push_back(b);
+    } else {
+      for (const std::size_t m : kGroupSizes) {
+        add_batched(b, m, std::nullopt, std::nullopt, std::nullopt);
+      }
+    }
   }
   const dsss::SimdBackend default_backend = dsss::simd_backend();
   const char* best_backend_name = dsss::simd_backend_name(default_backend);
@@ -273,7 +301,7 @@ int main(int argc, char** argv) {
   for (const dsss::SimdBackend b : backends) std::printf(" %s", dsss::simd_backend_name(b));
   std::printf(" (best: %s)\n", best_backend_name);
 
-  for (const std::size_t m : {std::size_t{5}, std::size_t{20}, std::size_t{40}}) {
+  for (const std::size_t m : kGroupSizes) {
     std::vector<dsss::SpreadCode> group;
     for (std::size_t i = 0; i < m; ++i) group.push_back(dsss::SpreadCode::random(rng, kN));
     const std::vector<oracle::ShiftTable> tables = oracle::build_shift_tables(group);
@@ -304,6 +332,8 @@ int main(int argc, char** argv) {
     };
 
     const ScanTiming single = time_scan(offsets, m, kN, single_scan);
+    results.push_back({"dsss.single_gchips_per_s.m" + std::to_string(m), "dsss",
+                       single.chips_per_sec / 1e9, "Gchip/s"});
 
     for (const dsss::SimdBackend b : backends) {
       dsss::set_simd_backend(b);
@@ -331,25 +361,18 @@ int main(int argc, char** argv) {
         if (sink == static_cast<std::size_t>(-1)) std::abort();  // defeat DCE
       });
 
-      MultiCodeEntry entry;
-      entry.backend = dsss::simd_backend_name(b);
-      entry.m = m;
-      entry.single_ms = single.secs_per_scan * 1e3;
-      entry.batched_ms = batched.secs_per_scan * 1e3;
-      entry.single_gchips = single.chips_per_sec / 1e9;
-      entry.batched_gchips = batched.chips_per_sec / 1e9;
-      entry.speedup = single.secs_per_scan / batched.secs_per_scan;
-      entry.batched_cycles_per_scan =
+      const double batched_gchips = batched.chips_per_sec / 1e9;
+      const double speedup = single.secs_per_scan / batched.secs_per_scan;
+      const double batched_cycles =
           static_cast<double>(batch_counters.cycles) / static_cast<double>(kBatchCounterPasses);
-      entry.cycles_estimated = batch_counters.estimated;
-      multi_entries.push_back(entry);
-      if (m == 40 && b == default_backend) best_speedup_at_40 = entry.speedup;
+      if (m == 40 && b == default_backend) best_speedup_at_40 = speedup;
+      add_batched(b, m, batched_gchips, speedup, pmu(batched_cycles));
 
       std::printf("  m=%-2zu %-6s single %8.3f ms  batched %8.3f ms  %6.2f Gchip/s  "
                   "%.2fx  %.3g cycles/scan%s\n",
-                  m, entry.backend, entry.single_ms, entry.batched_ms, entry.batched_gchips,
-                  entry.speedup, entry.batched_cycles_per_scan,
-                  entry.cycles_estimated ? " (est)" : "");
+                  m, dsss::simd_backend_name(b), single.secs_per_scan * 1e3,
+                  batched.secs_per_scan * 1e3, batched_gchips, speedup, batched_cycles,
+                  batch_counters.estimated ? " (est)" : "");
     }
   }
   dsss::set_simd_backend(default_backend);
@@ -402,13 +425,11 @@ int main(int argc, char** argv) {
 
   // --- [3] saturated run_all -------------------------------------------------
   // Every hardware thread busy — the configuration a sweep actually runs
-  // under. CI archives both this and the single-core number so a regression
-  // in either the per-run cost or the scaling shows up in BENCH_sync.json.
-  // The section is ALWAYS recorded with its explicit thread count: a
-  // single-core host honestly labels the measurement threads=1 (where
-  // "saturated" and serial coincide) instead of omitting it, and
-  // check_perf.py only gates saturated throughput when the baseline was
-  // taken at the same thread count.
+  // under. Both this and the single-core rate are results, so a regression
+  // in either the per-run cost or the scaling shows up. The result carries
+  // its thread count: a single-core host honestly labels it threads=1
+  // (where "saturated" and serial coincide), and check_perf.py compares it
+  // only against a baseline taken at the same thread count.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const double single_core_runs_per_sec = static_cast<double>(cfg.params.runs) / serial_secs;
   if (hw < 2) {
@@ -430,83 +451,11 @@ int main(int argc, char** argv) {
   std::printf("run_all saturated: %u threads  %.2f s  %.2f runs/s (single-core %.2f runs/s)\n",
               hw, saturated_secs, saturated_runs_per_sec, single_core_runs_per_sec);
 
-  // --- machine-readable summary --------------------------------------------
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    return 0;
-  }
-  // Rates derived from counters that never tick under the clock fallback
-  // are written as JSON null, not 0 — see [1b].
-  const auto real_or_null = [&](double value) {
-    return counters_real ? std::to_string(value) : std::string("null");
-  };
-  json << "{\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"simd_backend\": \"" << best_backend_name << "\",\n"
-       << "  \"scan\": {\n"
-       << "    \"N\": " << kN << ",\n"
-       << "    \"m\": " << kM << ",\n"
-       << "    \"buffer_bits\": " << kBufferBits << ",\n"
-       << "    \"offsets\": " << offsets << ",\n"
-       << "    \"naive_ms_per_scan\": " << naive.secs_per_scan * 1e3 << ",\n"
-       << "    \"reference_ms_per_scan\": " << reference.secs_per_scan * 1e3 << ",\n"
-       << "    \"kernel_ms_per_scan\": " << kernel.secs_per_scan * 1e3 << ",\n"
-       << "    \"naive_mchips_per_sec\": " << naive.chips_per_sec / 1e6 << ",\n"
-       << "    \"reference_mchips_per_sec\": " << reference.chips_per_sec / 1e6 << ",\n"
-       << "    \"kernel_mchips_per_sec\": " << kernel.chips_per_sec / 1e6 << ",\n"
-       << "    \"speedup_vs_naive\": " << speedup_vs_naive << ",\n"
-       << "    \"speedup_vs_reference\": " << speedup_vs_reference << ",\n"
-       << "    \"counters\": {\n"
-       << "      \"backend\": \"" << obs::prof::backend_name(counter_set.backend()) << "\",\n"
-       << "      \"estimated\": " << (scan_counters.estimated ? "true" : "false") << ",\n"
-       << "      \"passes\": " << kCounterPasses << ",\n"
-       << "      \"cycles_per_scan\": " << cycles_per_scan << ",\n"
-       << "      \"instructions_per_chip\": " << real_or_null(instructions_per_chip) << ",\n"
-       << "      \"ipc\": " << real_or_null(scan_counters.ipc()) << ",\n"
-       << "      \"llc_misses_per_kinst\": " << real_or_null(scan_counters.llc_misses_per_kinst())
-       << ",\n"
-       << "      \"task_clock_ms\": " << static_cast<double>(scan_counters.task_clock_ns) / 1e6
-       << "\n"
-       << "    }\n"
-       << "  },\n"
-       << "  \"multi_code\": {\n"
-       << "    \"N\": " << kN << ",\n"
-       << "    \"buffer_bits\": " << kBufferBits << ",\n"
-       << "    \"best_backend\": \"" << best_backend_name << "\",\n"
-       << "    \"best_speedup_at_m40\": " << best_speedup_at_40 << ",\n"
-       << "    \"entries\": [\n";
-  for (std::size_t i = 0; i < multi_entries.size(); ++i) {
-    const MultiCodeEntry& e = multi_entries[i];
-    json << "      {\"backend\": \"" << e.backend << "\", \"m\": " << e.m
-         << ", \"single_ms_per_scan\": " << e.single_ms
-         << ", \"batched_ms_per_scan\": " << e.batched_ms
-         << ", \"single_gchips_per_sec\": " << e.single_gchips
-         << ", \"batched_gchips_per_sec\": " << e.batched_gchips
-         << ", \"speedup_vs_single\": " << e.speedup
-         << ", \"batched_cycles_per_scan\": " << e.batched_cycles_per_scan
-         << ", \"cycles_estimated\": " << (e.cycles_estimated ? "true" : "false") << "}"
-         << (i + 1 < multi_entries.size() ? "," : "") << "\n";
-  }
-  json << "    ]\n"
-       << "  },\n"
-       << "  \"run_all\": {\n"
-       << "    \"n\": " << cfg.params.n << ",\n"
-       << "    \"runs\": " << cfg.params.runs << ",\n"
-       << "    \"threads\": " << threads << ",\n"
-       << "    \"serial_seconds\": " << serial_secs << ",\n"
-       << "    \"parallel_seconds\": " << parallel_secs << ",\n"
-       << "    \"speedup\": " << run_speedup << ",\n"
-       << "    \"results_identical\": " << (identical ? "true" : "false") << ",\n"
-       << "    \"single_core_runs_per_sec\": " << single_core_runs_per_sec << "\n"
-       << "  },\n";
-  json << "  \"saturated\": {\n"
-       << "    \"threads\": " << hw << ",\n"
-       << "    \"seconds\": " << saturated_secs << ",\n"
-       << "    \"runs_per_sec\": " << saturated_runs_per_sec << ",\n"
-       << "    \"single_core_runs_per_sec\": " << single_core_runs_per_sec << "\n"
-       << "  }\n"
-       << "}\n";
-  std::printf("(wrote %s)\n", json_path.c_str());
-  return 0;
+  results.insert(
+      results.end(),
+      {{"core.run_all.single_core_runs_per_s", "core", single_core_runs_per_sec, "runs/s"},
+       {"core.run_all.parallel_speedup", "core", run_speedup, "x", false, threads},
+       {"core.run_all.saturated_runs_per_s", "core", saturated_runs_per_sec, "runs/s", false,
+        hw}});
+  return bench::write_results(json_path, "micro_sync_kernel", false, results) ? 0 : 1;
 }

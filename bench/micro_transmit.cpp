@@ -13,17 +13,21 @@
 //      the full Sugiyama/Chien/Forney pipeline on clean codewords.
 //  [4] Seal throughput: midstate-cached Sealer vs an uncached reference
 //      (fresh key schedules + per-field info-string concatenation per frame).
+//  [5] Observability overhead on the cached transmit: exits nonzero above
+//      10% (twice the 5% acceptance budget it warns at, for noisy hosts).
 //
-// Writes a machine-readable summary to BENCH_transmit.json (path overridable
-// as argv[1]) so CI can archive throughput next to the commit.
+// Writes its results (bench_util.hpp, write_results) to micro_transmit.json,
+// path overridable as argv[1]; scripts/check_perf.py judges them against the
+// committed baseline. Exits nonzero on any identity mismatch, an overhead
+// above 10%, or when the results cannot be written.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "adversary/jammer.hpp"
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/chip_phy.hpp"
 #include "crypto/stream.hpp"
@@ -156,7 +160,7 @@ jrsnd::crypto::SealedMessage baseline_seal(const jrsnd::crypto::SymmetricKey& pa
 
 int main(int argc, char** argv) {
   using namespace jrsnd;
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_transmit.json";
+  const std::string json_path = argc > 1 ? argv[1] : "micro_transmit.json";
 
   // --- [1] end-to-end HELLO transmit ---------------------------------------
   core::Params params = core::Params::defaults();
@@ -237,9 +241,9 @@ int main(int argc, char** argv) {
 
   // --- [1b] hardware counters over the cached transmit ----------------------
   // Architecture-level numbers for the committed hot path: cycles per
-  // message and IPC over a fixed batch. Fallback semantics as in
-  // micro_sync_kernel — "backend"/"estimated" gate what check_perf.py
-  // may compare.
+  // message and IPC over a fixed batch. Under the clock fallback every
+  // counter-derived value is reported n/a and written unmeasured, as in
+  // micro_sync_kernel.
   obs::prof::PerfCounterSet counter_set;
   constexpr std::size_t kCounterMessages = 64;
   const obs::prof::CounterTotals tx_counters = counter_set.measure([&] {
@@ -251,10 +255,20 @@ int main(int argc, char** argv) {
   });
   const double cycles_per_msg =
       static_cast<double>(tx_counters.cycles) / static_cast<double>(kCounterMessages);
-  std::printf("  counters  [%s%s] %.3g cycles/msg  IPC %.2f  %.3g LLC-miss/kinst\n",
-              obs::prof::backend_name(counter_set.backend()),
-              tx_counters.estimated ? ", estimated" : "", cycles_per_msg, tx_counters.ipc(),
-              tx_counters.llc_misses_per_kinst());
+  const bool counters_real = counter_set.backend() == obs::prof::ProfBackend::kPerfEvent;
+  const auto pmu = [counters_real](double v) {
+    return counters_real ? std::optional<double>(v) : std::nullopt;
+  };
+  if (counters_real) {
+    std::printf("  counters  [%s%s] %.3g cycles/msg  IPC %.2f  %.3g LLC-miss/kinst\n",
+                obs::prof::backend_name(counter_set.backend()),
+                tx_counters.estimated ? ", estimated" : "", cycles_per_msg, tx_counters.ipc(),
+                tx_counters.llc_misses_per_kinst());
+  } else {
+    std::printf("  counters  [%s%s] %.3g cycles/msg  IPC n/a  LLC-miss/kinst n/a\n",
+                obs::prof::backend_name(counter_set.backend()),
+                tx_counters.estimated ? ", estimated" : "", cycles_per_msg);
+  }
 
   // --- [2] rescan iteration: cached tables vs per-call rebuild -------------
   Rng rescan_rng(9);
@@ -361,58 +375,38 @@ int main(int argc, char** argv) {
                  obs_overhead_pct);
   }
 
-  // --- machine-readable summary --------------------------------------------
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-    return 0;
+  constexpr double kOverheadGatePct = 10.0;
+  const bool overhead_ok = obs_overhead_pct <= kOverheadGatePct;
+  if (!overhead_ok) {
+    std::fprintf(stderr, "FAIL: obs overhead %.1f%% above the %.0f%% gate\n", obs_overhead_pct,
+                 kOverheadGatePct);
   }
-  json << "{\n"
-       << "  \"obs_overhead\": {\n"
-       << "    \"recorder_off_ms_per_msg\": " << obs_off_secs * 1e3 << ",\n"
-       << "    \"recorder_on_ms_per_msg\": " << obs_on_secs * 1e3 << ",\n"
-       << "    \"overhead_pct\": " << obs_overhead_pct << "\n"
-       << "  },\n"
-       << "  \"transmit\": {\n"
-       << "    \"N\": " << params.N << ",\n"
-       << "    \"codebook\": " << kCodebook << ",\n"
-       << "    \"payload_bits\": " << kPayloadBits << ",\n"
-       << "    \"messages_verified\": " << kVerifyMessages << ",\n"
-       << "    \"bit_identical\": true,\n"
-       << "    \"uncached_ms_per_msg\": " << baseline_secs * 1e3 << ",\n"
-       << "    \"cached_ms_per_msg\": " << cached_secs * 1e3 << ",\n"
-       << "    \"speedup\": " << transmit_speedup << ",\n"
-       << "    \"counters\": {\n"
-       << "      \"backend\": \"" << obs::prof::backend_name(counter_set.backend()) << "\",\n"
-       << "      \"estimated\": " << (tx_counters.estimated ? "true" : "false") << ",\n"
-       << "      \"messages\": " << kCounterMessages << ",\n"
-       << "      \"cycles_per_msg\": " << cycles_per_msg << ",\n"
-       << "      \"ipc\": " << tx_counters.ipc() << ",\n"
-       << "      \"llc_misses_per_kinst\": " << tx_counters.llc_misses_per_kinst() << ",\n"
-       << "      \"task_clock_ms\": " << static_cast<double>(tx_counters.task_clock_ns) / 1e6
-       << "\n"
-       << "    }\n"
-       << "  },\n"
-       << "  \"rescan\": {\n"
-       << "    \"buffer_chips\": " << noise.size() << ",\n"
-       << "    \"per_call_tables_us_per_scan\": " << rescan_uncached_secs * 1e6 << ",\n"
-       << "    \"cached_tables_us_per_scan\": " << rescan_cached_secs * 1e6 << ",\n"
-       << "    \"speedup\": " << rescan_speedup << "\n"
-       << "  },\n"
-       << "  \"rs_decode_clean\": {\n"
-       << "    \"n\": 64,\n"
-       << "    \"k\": 32,\n"
-       << "    \"full_us_per_decode\": " << rs_full_secs * 1e6 << ",\n"
-       << "    \"early_exit_us_per_decode\": " << rs_clean_secs * 1e6 << ",\n"
-       << "    \"speedup\": " << rs_speedup << "\n"
-       << "  },\n"
-       << "  \"seal\": {\n"
-       << "    \"frame_bytes\": " << plaintext.size() << ",\n"
-       << "    \"uncached_us_per_frame\": " << seal_uncached_secs * 1e6 << ",\n"
-       << "    \"cached_us_per_frame\": " << seal_cached_secs * 1e6 << ",\n"
-       << "    \"speedup\": " << seal_speedup << "\n"
-       << "  }\n"
-       << "}\n";
-  std::printf("(wrote %s)\n", json_path.c_str());
-  return 0;
+
+  const std::vector<bench::Result> results = {
+      {"phy.transmit.uncached_ms_per_msg", "phy", baseline_secs * 1e3, "ms/msg", true},
+      {"phy.transmit.cached_ms_per_msg", "phy", cached_secs * 1e3, "ms/msg", true},
+      {"phy.transmit.speedup", "phy", transmit_speedup, "x"},
+      {"phy.transmit.cycles", "phy", pmu(cycles_per_msg), "cycles/msg", true},
+      {"phy.transmit.ipc", "phy", pmu(tx_counters.ipc()), "instr/cycle"},
+      {"phy.transmit.llc_misses_per_kinst", "phy", pmu(tx_counters.llc_misses_per_kinst()),
+       "misses/kinst", true},
+      {"phy.transmit.task_clock_ms", "phy",
+       static_cast<double>(tx_counters.task_clock_ns) / 1e6 /
+           static_cast<double>(kCounterMessages),
+       "ms/msg", true},
+      {"dsss.rescan.per_call_tables_us", "dsss", rescan_uncached_secs * 1e6, "us/scan", true},
+      {"dsss.rescan.cached_tables_us", "dsss", rescan_cached_secs * 1e6, "us/scan", true},
+      {"dsss.rescan.speedup", "dsss", rescan_speedup, "x"},
+      {"ecc.rs_decode_clean.full_us", "ecc", rs_full_secs * 1e6, "us/decode", true},
+      {"ecc.rs_decode_clean.early_exit_us", "ecc", rs_clean_secs * 1e6, "us/decode", true},
+      {"ecc.rs_decode_clean.speedup", "ecc", rs_speedup, "x"},
+      {"crypto.seal.uncached_us", "crypto", seal_uncached_secs * 1e6, "us/frame", true},
+      {"crypto.seal.cached_us", "crypto", seal_cached_secs * 1e6, "us/frame", true},
+      {"crypto.seal.speedup", "crypto", seal_speedup, "x"},
+      {"obs.recorder_off_ms_per_msg", "obs", obs_off_secs * 1e3, "ms/msg", true},
+      {"obs.recorder_on_ms_per_msg", "obs", obs_on_secs * 1e3, "ms/msg", true},
+      {"obs.overhead_pct", "obs", obs_overhead_pct, "%", true},
+  };
+  const bool written = bench::write_results(json_path, "micro_transmit", false, results);
+  return overhead_ok && written ? 0 : 1;
 }
