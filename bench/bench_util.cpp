@@ -66,7 +66,6 @@ core::PointResult run_point(const core::ExperimentConfig& config, const std::str
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
   std::printf("  [%s] %.2f s\n", label.c_str(), wall.count());
   std::fflush(stdout);
-  JRSND_OBSERVE("bench.point.seconds", wall.count());
   if (obs::metrics_enabled()) obs::registry().gauge("bench.wall.seconds").add(wall.count());
   return result;
 }

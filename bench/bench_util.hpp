@@ -35,9 +35,8 @@ void print_banner(const std::string& experiment_id, const std::string& descripti
                   const core::Params& params);
 
 /// Runs one sweep point (`DiscoverySimulator(config).run_all()`) and times
-/// it: prints "  [label] <wall> s", observes the wall time into the
-/// `bench.point.seconds` histogram, and accumulates `bench.wall.seconds` —
-/// both land in the .metrics.json snapshot next to each CSV.
+/// it: prints "  [label] <wall> s" and accumulates the `bench.wall.seconds`
+/// gauge, which lands in the .metrics.json snapshot next to each CSV.
 [[nodiscard]] core::PointResult run_point(const core::ExperimentConfig& config,
                                           const std::string& label);
 

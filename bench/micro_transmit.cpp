@@ -13,13 +13,15 @@
 //      the full Sugiyama/Chien/Forney pipeline on clean codewords.
 //  [4] Seal throughput: midstate-cached Sealer vs an uncached reference
 //      (fresh key schedules + per-field info-string concatenation per frame).
-//  [5] Observability overhead on the cached transmit: exits nonzero above
-//      10% (twice the 5% acceptance budget it warns at, for noisy hosts).
+//  [5] Observability overhead on the cached transmit, the median of 9
+//      interleaved recorder-off/on window pairs: exits nonzero above 10%
+//      (twice the 5% acceptance budget it warns at, for noisy hosts).
 //
 // Writes its results (bench_util.hpp, write_results) to micro_transmit.json,
 // path overridable as argv[1]; scripts/check_perf.py judges them against the
 // committed baseline. Exits nonzero on any identity mismatch, an overhead
 // above 10%, or when the results cannot be written.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -57,9 +59,9 @@ BitVector random_bits(Rng& rng, std::size_t n) {
   return v;
 }
 
-/// Repeats `op` until ~0.3 s elapsed; returns seconds per operation.
+/// Repeats `op` until `window_s` elapsed; returns seconds per operation.
 template <typename Op>
-double time_op(Op&& op) {
+double time_op(Op&& op, double window_s = 0.3) {
   op();  // warm-up
   std::size_t passes = 0;
   const auto start = Clock::now();
@@ -68,8 +70,14 @@ double time_op(Op&& op) {
     op();
     ++passes;
     elapsed = seconds_since(start);
-  } while (elapsed < 0.3);
+  } while (elapsed < window_s);
   return elapsed / static_cast<double>(passes);
+}
+
+/// Median of an odd-sized sample.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 /// The transmit pipeline as it stood before the caching layer, reconstructed
@@ -354,20 +362,35 @@ int main(int argc, char** argv) {
   // flipping the recorder off isolates its steady-state cost. Budget: the
   // always-on planes (flight ring + span bookkeeping, JSONL tracing off)
   // must stay under 5% of the committed transmit baseline.
-  obs::set_flight_enabled(false);
-  const double obs_off_secs = time_op([&] {
+  // One back-to-back off/on pair swings -12%..+20% on a shared host, so the
+  // overhead is the median of interleaved pairs, alternating which side runs
+  // first so neither side always gets the warmer cache or the quieter slot.
+  const auto transmit_once = [&] {
     if (!phy.transmit_into(node_id(0), node_id(1), tx, core::TxClass::Hello, payload, out)) {
       std::abort();
     }
-  });
+  };
+  constexpr int kOverheadPairs = 9;
+  std::vector<double> off_windows;
+  std::vector<double> on_windows;
+  std::vector<double> overhead_pcts;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    double off = 0.0;
+    double on = 0.0;
+    for (const bool recorder_on : {pair % 2 == 1, pair % 2 == 0}) {
+      obs::set_flight_enabled(recorder_on);
+      (recorder_on ? on : off) = time_op(transmit_once, 0.1);
+    }
+    off_windows.push_back(off);
+    on_windows.push_back(on);
+    overhead_pcts.push_back(100.0 * (on - off) / off);
+  }
   obs::set_flight_enabled(true);
-  const double obs_on_secs = time_op([&] {
-    if (!phy.transmit_into(node_id(0), node_id(1), tx, core::TxClass::Hello, payload, out)) {
-      std::abort();
-    }
-  });
-  const double obs_overhead_pct = 100.0 * (obs_on_secs - obs_off_secs) / obs_off_secs;
-  std::printf("obs overhead (span + flight recorder, tracing off):\n");
+  const double obs_off_secs = median(off_windows);
+  const double obs_on_secs = median(on_windows);
+  const double obs_overhead_pct = median(overhead_pcts);
+  std::printf("obs overhead (span + flight recorder, tracing off; median of %d pairs):\n",
+              kOverheadPairs);
   std::printf("  recorder off %8.3f ms/msg\n", obs_off_secs * 1e3);
   std::printf("  recorder on  %8.3f ms/msg  (%+.1f%%)\n", obs_on_secs * 1e3, obs_overhead_pct);
   if (obs_overhead_pct > 5.0) {

@@ -269,8 +269,8 @@ PointResult DiscoverySimulator::run_all() const {
   //   * reduction order — results land in a seed-indexed vector and are
   //     folded serially below, making the Stats bit-identical to serial;
   //   * obs metrics — each worker records into its own scratch registry
-  //     (thread-local override), merged and absorbed into the process
-  //     registry afterwards so totals match the serial run;
+  //     (thread-local override), absorbed into the process registry
+  //     afterwards so totals match the serial run;
   //   * trace time — run_once stamps its own events with the run index via
   //     ScopedSimTime, so a seed-ordered sort (obs::normalize_trace) makes
   //     the parallel trace byte-identical to the serial one.
@@ -291,11 +291,7 @@ PointResult DiscoverySimulator::run_all() const {
     const std::uint32_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
     if (progress != nullptr) progress->set(static_cast<double>(done));
   });
-  if (metrics) {
-    obs::MetricsSnapshot merged;
-    for (const auto& reg : scratch) merged.merge(reg->snapshot());
-    obs::registry().absorb(merged);
-  }
+  for (const auto& reg : scratch) obs::registry().absorb(reg->snapshot());
   for (const RunResult& r : results) accumulate(agg, r);
   return agg;
 }

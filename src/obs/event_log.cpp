@@ -49,8 +49,6 @@ void set_tracing_enabled(bool enabled) noexcept {
   g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-EventLog::EventLog(std::size_t ring_capacity) : ring_capacity_(ring_capacity) {}
-
 void EventLog::attach(std::shared_ptr<EventSink> sink) {
   if (sink == nullptr) return;
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -80,20 +78,6 @@ void EventLog::emit(TraceEvent event) {
   event.seq = next_seq_++;
   if (event.t == 0.0 && !overridden) event.t = sim_time_.load(std::memory_order_relaxed);
   for (const auto& sink : sinks_) sink->write(event);
-  if (ring_capacity_ == 0) return;
-  if (ring_.size() == ring_capacity_) ring_.pop_front();
-  ring_.push_back(std::move(event));
-}
-
-void EventLog::set_ring_capacity(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_capacity_ = capacity;
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
-}
-
-std::vector<TraceEvent> EventLog::recent() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<TraceEvent>(ring_.begin(), ring_.end());
 }
 
 std::uint64_t EventLog::emitted() const noexcept {
@@ -104,11 +88,6 @@ std::uint64_t EventLog::emitted() const noexcept {
 void EventLog::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& sink : sinks_) sink->flush();
-}
-
-void EventLog::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
 }
 
 EventLog& event_log() {

@@ -5,11 +5,10 @@
 //   {"t":0.000,"seq":17,"sev":"info","event":"dndp.pair","a":4,"b":9,...}
 //
 // The process-wide EventLog stamps each event with a monotonic sequence
-// number and the current simulated time, keeps a capped in-memory ring of
-// recent events, and fans out to attached sinks (stderr pretty-printer,
-// JSONL file — see obs/sinks.hpp). Tracing is off by default; call sites
-// guard event construction behind tracing_enabled() so a disabled run pays
-// one relaxed load per site.
+// number and the current simulated time and fans out to attached sinks
+// (JSONL stream or file — see obs/sinks.hpp). Tracing is off by default;
+// call sites guard event construction behind tracing_enabled() so a
+// disabled run pays one relaxed load per site.
 //
 // Time semantics: event-queue simulations publish the queue clock via
 // set_sim_time(); Monte-Carlo drivers (discovery_sim) publish the run index,
@@ -19,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -73,8 +71,6 @@ void set_tracing_enabled(bool enabled) noexcept;
 
 class EventLog {
  public:
-  explicit EventLog(std::size_t ring_capacity = 1024);
-
   void attach(std::shared_ptr<EventSink> sink);
   void detach_all();
 
@@ -83,24 +79,17 @@ class EventLog {
   void set_sim_time(double t) noexcept;
   [[nodiscard]] double sim_time() const noexcept;
 
-  /// Stamps seq (+ t if the event left it at 0), appends to the ring, and
-  /// fans out to every attached sink. Thread-safe.
+  /// Stamps seq (+ t if the event left it at 0) and fans out to every
+  /// attached sink. Thread-safe.
   void emit(TraceEvent event);
 
-  void set_ring_capacity(std::size_t capacity);
-  /// Copy of the ring contents, oldest first.
-  [[nodiscard]] std::vector<TraceEvent> recent() const;
   [[nodiscard]] std::uint64_t emitted() const noexcept;
 
   void flush();
-  /// Empties the ring (sequence numbering continues).
-  void clear();
 
  private:
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<EventSink>> sinks_;
-  std::deque<TraceEvent> ring_;
-  std::size_t ring_capacity_;
   std::uint64_t next_seq_ = 1;
   std::atomic<double> sim_time_{0.0};
 };
@@ -130,10 +119,5 @@ class ScopedSimTime {
 /// innermost ScopedSimTime override if one is active, else the global
 /// event_log() clock.
 [[nodiscard]] double current_sim_time() noexcept;
-
-/// Emits through the global log iff tracing is enabled.
-inline void trace_event(TraceEvent event) {
-  if (tracing_enabled()) event_log().emit(std::move(event));
-}
 
 }  // namespace jrsnd::obs

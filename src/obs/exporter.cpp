@@ -5,13 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "obs/event_log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
+#include "obs/span.hpp"
 
 namespace jrsnd::obs {
 
@@ -41,11 +40,6 @@ void write_prom_value(std::ostream& os, double v) {
   }
 }
 
-double uptime_s() {
-  static const std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 }  // namespace
 
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
@@ -59,36 +53,6 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
     os << "# TYPE " << name << " gauge\n" << name << " ";
     write_prom_value(os, g.value);
     os << "\n";
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    const std::string name = prom_name(prefix, h.name);
-    os << "# TYPE " << name << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += i < h.buckets.size() ? h.buckets[i] : 0;
-      os << name << "_bucket{le=\"";
-      write_prom_value(os, h.bounds[i]);
-      os << "\"} " << cumulative << "\n";
-    }
-    os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << name << "_sum ";
-    write_prom_value(os, h.sum);
-    os << "\n" << name << "_count " << h.count << "\n";
-    // Precomputed bucket-interpolated percentiles: dashboards get latency
-    // quantiles without histogram_quantile() (and with the exact same
-    // interpolation `jrsnd report` and print_table use). Empty histograms
-    // are skipped — NaN is not a useful scrape value.
-    if (h.count > 0) {
-      const struct {
-        const char* suffix;
-        double value;
-      } quantiles[] = {{"_p50", h.p50()}, {"_p95", h.p95()}, {"_p99", h.p99()}};
-      for (const auto& q : quantiles) {
-        os << "# TYPE " << name << q.suffix << " gauge\n" << name << q.suffix << " ";
-        write_prom_value(os, q.value);
-        os << "\n";
-      }
-    }
   }
 }
 
@@ -159,7 +123,7 @@ bool MetricsExporter::append_heartbeat(const MetricsSnapshot& snapshot) {
   TraceEvent ev("export.heartbeat");
   ev.t = event_log().sim_time();
   ev.seq = exports_.load(std::memory_order_relaxed) + 1;
-  ev.with("uptime_s", uptime_s());
+  ev.with("uptime_s", wall_seconds());
   if (!options_.source.empty()) ev.with("source", options_.source);
   for (const CounterSample& c : snapshot.counters) ev.with(c.name, c.value);
   for (const GaugeSample& g : snapshot.gauges) {

@@ -27,8 +27,7 @@
 namespace jrsnd::obs {
 
 /// Serializes a snapshot in Prometheus text exposition format. Metric names
-/// are prefixed and sanitized (non-alphanumerics become '_'); histograms
-/// expose cumulative `_bucket{le="..."}` series plus `_sum` / `_count`.
+/// are prefixed and sanitized (non-alphanumerics become '_').
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot,
                       std::string_view prefix = "jrsnd");
 

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -28,12 +27,6 @@ namespace {
 std::atomic<bool> g_flight_enabled{true};
 std::atomic<std::size_t> g_capacity_override{0};
 
-// Wall clock origin: first call wins; steady_clock so time never jumps.
-std::chrono::steady_clock::time_point process_start() noexcept {
-  static const std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  return t0;
-}
-
 /// One thread's ring. Lives forever in the global intrusive list below;
 /// `in_use` flips false when the owning thread exits so a later thread can
 /// adopt it (bounding memory across repeated thread-pool churn) while its
@@ -53,6 +46,10 @@ struct Ring {
   std::uint64_t pushed = 0;  // guarded by spin
   const std::size_t capacity;
   std::vector<FlightRecord> records;  // guarded by spin
+  // dump_flight_fd's merge cursor over [fd_next, fd_end) — touched only by
+  // that dumper, which can neither allocate nor take the spinlock.
+  std::uint64_t fd_next = 0;
+  std::uint64_t fd_end = 0;
 };
 
 std::atomic<Ring*> g_rings{nullptr};
@@ -170,8 +167,7 @@ void flight_note(const char* name, std::uint64_t arg) noexcept {
   if (!flight_enabled()) return;
   const SpanContext ctx = current_span();
   FlightRecord rec;
-  rec.t_wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - process_start())
-                   .count();
+  rec.t_wall = wall_seconds();
   rec.t_sim = current_sim_time();
   rec.trace_id = ctx.trace_id;
   rec.span_id = ctx.span_id;
@@ -276,23 +272,46 @@ void write_all(int fd, const char* buf, std::size_t len) noexcept {
 }  // namespace
 
 void dump_flight_fd(int fd) {
+  // Same lines as dump_flight: each ring is already in wall-clock order, so
+  // a merge that takes the oldest head (ties to the earlier ring) reproduces
+  // dump_flight's stable sort without sorting or allocating.
+  Ring* const head = g_rings.load(std::memory_order_acquire);
+  for (Ring* r = head; r != nullptr; r = r->next) {
+    r->fd_end = r->pushed;
+    r->fd_next = r->fd_end - std::min<std::uint64_t>(r->fd_end, r->capacity);
+  }
+  const auto head_of = [](const Ring* r) -> const FlightRecord& {
+    return r->records[r->fd_next % r->capacity];
+  };
   char buf[512];
-  for (Ring* r = g_rings.load(std::memory_order_acquire); r != nullptr; r = r->next) {
-    const std::uint64_t pushed = r->pushed;
-    const std::uint64_t live = std::min<std::uint64_t>(pushed, r->capacity);
-    for (std::uint64_t i = 0; i < live; ++i) {
-      const FlightRecord& rec = r->records[(pushed - live + i) % r->capacity];
-      const int n = std::snprintf(
-          buf, sizeof(buf),
-          "{\"t\":%.6f,\"seq\":%llu,\"sev\":\"%s\",\"event\":\"flight.%s\",\"wall_s\":%.6f,"
-          "\"name\":\"%s\",\"trace\":%llu,\"span\":%u,\"parent\":%u,\"ok\":%s,\"loss\":\"%s\"}\n",
-          rec.t_sim, static_cast<unsigned long long>(i + 1),
-          rec.ok ? "info" : "warn", flight_kind_name(rec.kind), rec.t_wall,
-          rec.name != nullptr ? rec.name : "?",
-          static_cast<unsigned long long>(rec.trace_id), rec.span_id, rec.parent_id,
-          rec.ok ? "true" : "false", loss_stage_name(rec.loss));
-      if (n > 0) write_all(fd, buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
+  std::uint64_t seq = 0;
+  while (true) {
+    Ring* oldest = nullptr;
+    for (Ring* r = head; r != nullptr; r = r->next) {
+      if (r->fd_next >= r->fd_end) continue;  // >=: two crashing threads may race here
+      if (oldest == nullptr || head_of(r).t_wall < head_of(oldest).t_wall) oldest = r;
     }
+    if (oldest == nullptr) return;
+    const FlightRecord& rec = head_of(oldest);
+    ++oldest->fd_next;
+    int n = std::snprintf(
+        buf, sizeof(buf),
+        "{\"t\":%g,\"seq\":%llu,\"sev\":\"%s\",\"event\":\"flight.%s\",\"wall_s\":%.6f,"
+        "\"name\":\"%s\",\"trace\":%llu,\"span\":%u,\"parent\":%u",
+        rec.t_sim, static_cast<unsigned long long>(++seq), rec.ok ? "info" : "warn",
+        flight_kind_name(rec.kind), rec.t_wall, rec.name != nullptr ? rec.name : "?",
+        static_cast<unsigned long long>(rec.trace_id), rec.span_id, rec.parent_id);
+    const auto append = [&](const char* fmt, auto value) {
+      if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return;
+      n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n), fmt, value);
+    };
+    if (rec.kind == FlightKind::SpanEnd) append(",\"ok\":%s", rec.ok ? "true" : "false");
+    if (rec.loss != LossStage::None) append(",\"loss\":\"%s\"", loss_stage_name(rec.loss));
+    if (rec.kind == FlightKind::Note && rec.arg != 0) {
+      append(",\"arg\":%llu", static_cast<unsigned long long>(rec.arg));
+    }
+    append("%s", "}\n");
+    if (n > 0) write_all(fd, buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
   }
 }
 

@@ -35,7 +35,7 @@ enum class FlightKind : std::uint8_t { SpanBegin = 0, SpanEnd = 1, Note = 2 };
 /// One binary trace record. `name` must point at static storage (string
 /// literals) — the ring stores the pointer, never a copy.
 struct FlightRecord {
-  double t_wall = 0.0;  ///< seconds since process start (steady clock)
+  double t_wall = 0.0;  ///< wall_seconds() at record time
   double t_sim = 0.0;   ///< event-log sim time / run index at record time
   std::uint64_t trace_id = 0;
   std::uint64_t arg = 0;  ///< note argument / span annotation
@@ -92,7 +92,8 @@ bool dump_flight_now();
 void flight_on_crash_event();
 
 /// Async-signal-safe dump onto a raw fd (snprintf + write only) — the
-/// primitive the signal handler uses; exposed for tests.
+/// primitive the signal handler uses; exposed for tests. Writes the same
+/// events as dump_flight, with wall_s rounded to the microsecond.
 void dump_flight_fd(int fd);
 
 /// Installs SIGSEGV/SIGABRT/SIGBUS handlers and a std::terminate hook that

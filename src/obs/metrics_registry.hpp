@@ -1,4 +1,4 @@
-// Process-wide metrics: named counters, gauges, and fixed-bucket histograms.
+// Process-wide metrics: named counters and gauges.
 //
 // Design constraints (DESIGN.md §observability):
 //   * Hot-path cheap. Updates are relaxed atomics on pre-resolved handles;
@@ -6,8 +6,8 @@
 //     so a disabled build pays a single relaxed load per site. Defining
 //     JRSND_OBS_DISABLED compiles every macro to nothing.
 //   * Multi-seed friendly. A run snapshots the registry into plain data
-//     (MetricsSnapshot), which can be merged across seeds/processes:
-//     counters and histogram buckets add, gauges keep the high-water mark.
+//     (MetricsSnapshot), which another registry can absorb: counters add,
+//     gauges keep the high-water mark.
 //   * Stable handles. The registry hands out references that stay valid for
 //     the registry's lifetime, so call sites may cache them in static locals.
 //
@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,53 +61,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-struct HistogramSample;
-
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper edges; an
-/// implicit overflow bucket catches everything above the last edge. Also
-/// tracks count/sum/min/max so snapshots can report means and extremes.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v) noexcept;
-
-  /// Adds a snapshot sample's buckets/count/sum and widens min/max — the
-  /// registry-absorption half of the cross-thread merge path. Samples whose
-  /// bounds do not match are dropped (a schema mismatch, not data).
-  void merge_from(const HistogramSample& sample) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double min() const noexcept;  ///< NaN when empty
-  [[nodiscard]] double max() const noexcept;  ///< NaN when empty
-  /// Bucket counts, one per bound plus the overflow bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  /// Bucket-interpolated quantile on the live buckets, q in [0, 1]. NaN when
-  /// empty. Convenience mirrors of HistogramSample::quantile for callers that
-  /// hold the registry handle (timers, tests) rather than a snapshot.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double p50() const { return quantile(0.50); }
-  [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
-  void reset() noexcept;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-};
-
-/// Log-spaced latency edges in seconds: 1us .. 30s (the range a discovery
-/// phase or a whole multi-seed sweep can span).
-[[nodiscard]] const std::vector<double>& default_latency_bounds();
-
 // --- snapshots -------------------------------------------------------------
 
 struct CounterSample {
@@ -121,52 +73,25 @@ struct GaugeSample {
   double value = 0.0;
 };
 
-struct HistogramSample {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  // bounds.size() + 1
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  ///< NaN when empty
-  double max = 0.0;  ///< NaN when empty
-
-  [[nodiscard]] double mean() const noexcept;
-  /// Bucket-interpolated quantile, q in [0, 1]. NaN when empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
-  /// Canonical latency percentiles (the ones reports and exporters surface).
-  [[nodiscard]] double p50() const noexcept { return quantile(0.50); }
-  [[nodiscard]] double p95() const noexcept { return quantile(0.95); }
-  [[nodiscard]] double p99() const noexcept { return quantile(0.99); }
-};
-
-/// Plain-data view of a registry at one instant; mergeable across seeds.
+/// Plain-data view of a registry at one instant.
 struct MetricsSnapshot {
-  std::vector<CounterSample> counters;      // sorted by name
-  std::vector<GaugeSample> gauges;          // sorted by name
-  std::vector<HistogramSample> histograms;  // sorted by name
+  std::vector<CounterSample> counters;  // sorted by name
+  std::vector<GaugeSample> gauges;      // sorted by name
 
   [[nodiscard]] bool empty() const noexcept;
 
-  /// Counters and histogram buckets add; gauges keep the maximum (high-water
-  /// semantics — the only cross-seed reduction that is always meaningful).
-  /// Histograms with mismatched bounds are kept side by side under the name
-  /// of the first occurrence (mismatch means a schema change; don't hide it).
-  void merge(const MetricsSnapshot& other);
-
-  /// Aligned human-readable table (counters, gauges, then histograms with
-  /// count/mean/p50/p95/max columns).
+  /// Aligned human-readable table (counters, then gauges).
   void print_table(std::ostream& os) const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"gauges":{...}}.
   void write_json(std::ostream& os) const;
 };
 
 /// Named-metric registry. Thread-safe registration; returned references are
 /// stable for the registry's lifetime. Re-requesting a name returns the same
-/// object (histogram bounds from the first registration win). Requesting a
-/// name already registered as a *different* kind throws std::logic_error
-/// naming both kinds — one logical metric must not silently split across
-/// snapshot sections.
+/// object. Requesting a name already registered as the other kind throws
+/// std::logic_error naming both kinds — one logical metric must not silently
+/// split across snapshot sections.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -175,15 +100,13 @@ class MetricsRegistry {
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::span<const double> bounds = {});
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  /// Adds a snapshot into this registry's live metrics: counters and
-  /// histograms accumulate, gauges keep the high-water mark (the same
-  /// reduction MetricsSnapshot::merge applies). This is how per-thread
-  /// scratch registries are folded back into the process registry after a
-  /// parallel Monte-Carlo run — totals end up identical to a serial run.
+  /// Adds a snapshot into this registry's live metrics: counters accumulate,
+  /// gauges keep the high-water mark (the only cross-seed reduction that is
+  /// always meaningful). This is how per-thread scratch registries are
+  /// folded back into the process registry after a parallel Monte-Carlo
+  /// run — totals end up identical to a serial run.
   void absorb(const MetricsSnapshot& snapshot);
   /// Zeroes every registered metric (names stay registered).
   void reset();
@@ -192,7 +115,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// The process-wide registry all instrumentation macros feed.
@@ -249,16 +171,14 @@ void preregister_core_metrics();
 #if defined(JRSND_OBS_DISABLED)
 
 #define JRSND_COUNT_N(name, n) ((void)0)
-#define JRSND_GAUGE_SET(name, v) ((void)0)
 #define JRSND_GAUGE_MAX(name, v) ((void)0)
-#define JRSND_OBSERVE(name, v) ((void)0)
 
 #else
 
-// Resolves `name` of metric kind Type (counter/gauge/histogram accessor
-// `getter`) against the active registry, caching per (site, thread) until
-// the registry generation moves. generation starts at 1, so 0 marks a
-// never-resolved cache.
+// Resolves `name` of metric kind Type (counter/gauge accessor `getter`)
+// against the active registry, caching per (site, thread) until the registry
+// generation moves. generation starts at 1, so 0 marks a never-resolved
+// cache.
 #define JRSND_OBS_RESOLVE(Type, getter, name, out)                                \
   static thread_local ::jrsnd::obs::Type* out = nullptr;                          \
   static thread_local std::uint64_t JRSND_OBS_CONCAT(out, _gen) = 0;              \
@@ -278,27 +198,11 @@ void preregister_core_metrics();
     }                                                                             \
   } while (0)
 
-#define JRSND_GAUGE_SET(name, v)                                                  \
-  do {                                                                            \
-    if (::jrsnd::obs::metrics_enabled()) {                                        \
-      JRSND_OBS_RESOLVE(Gauge, gauge, name, jrsnd_obs_g)                          \
-      jrsnd_obs_g->set(static_cast<double>(v));                                   \
-    }                                                                             \
-  } while (0)
-
 #define JRSND_GAUGE_MAX(name, v)                                                  \
   do {                                                                            \
     if (::jrsnd::obs::metrics_enabled()) {                                        \
       JRSND_OBS_RESOLVE(Gauge, gauge, name, jrsnd_obs_g)                          \
       jrsnd_obs_g->update_max(static_cast<double>(v));                            \
-    }                                                                             \
-  } while (0)
-
-#define JRSND_OBSERVE(name, v)                                                    \
-  do {                                                                            \
-    if (::jrsnd::obs::metrics_enabled()) {                                        \
-      JRSND_OBS_RESOLVE(Histogram, histogram, name, jrsnd_obs_h)                  \
-      jrsnd_obs_h->observe(static_cast<double>(v));                               \
     }                                                                             \
   } while (0)
 

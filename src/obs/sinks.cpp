@@ -4,10 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <limits>
-#include <iostream>
-#include <sstream>
 
 namespace jrsnd::obs {
 
@@ -51,14 +48,6 @@ void write_value(std::ostream& os, const FieldValue& value) {
     os << *u;
   } else if (const auto* b = std::get_if<bool>(&value)) {
     os << (*b ? "true" : "false");
-  }
-}
-
-void format_value(std::ostream& os, const FieldValue& value) {
-  if (const auto* s = std::get_if<std::string>(&value)) {
-    os << *s;
-  } else {
-    write_value(os, value);
   }
 }
 
@@ -251,24 +240,6 @@ std::optional<TraceEvent> parse_jsonl_line(std::string_view line) {
 }
 
 // --- sinks ------------------------------------------------------------------
-
-PrettyPrintSink::PrettyPrintSink(std::ostream& os) : os_(os) {}
-
-PrettyPrintSink::PrettyPrintSink() : os_(std::cerr) {}
-
-void PrettyPrintSink::write(const TraceEvent& event) {
-  std::ostringstream line;  // assemble first so concurrent writers don't interleave
-  line << "[t=" << std::fixed << std::setprecision(3) << event.t << ' ' << std::left
-       << std::setw(5) << severity_name(event.severity) << "] " << event.name;
-  line.unsetf(std::ios::floatfield);
-  for (const auto& [key, value] : event.fields) {
-    line << ' ' << key << '=';
-    format_value(line, value);
-  }
-  os_ << line.str() << '\n';
-}
-
-void PrettyPrintSink::flush() { os_.flush(); }
 
 void JsonlStreamSink::write(const TraceEvent& event) { write_jsonl(os_, event); }
 

@@ -27,21 +27,6 @@ void write_jsonl(std::ostream& os, const TraceEvent& event);
 /// input (the reserved keys may be absent; unknown keys become fields).
 [[nodiscard]] std::optional<TraceEvent> parse_jsonl_line(std::string_view line);
 
-/// Human-readable one-line-per-event sink:
-///   [t=12.000 info ] dndp.pair a=4 b=9 discovered=true
-class PrettyPrintSink final : public EventSink {
- public:
-  /// Writes to `os`; the default is std::cerr (figure output stays on stdout).
-  explicit PrettyPrintSink(std::ostream& os);
-  PrettyPrintSink();
-
-  void write(const TraceEvent& event) override;
-  void flush() override;
-
- private:
-  std::ostream& os_;
-};
-
 /// JSONL onto any ostream the caller keeps alive.
 class JsonlStreamSink final : public EventSink {
  public:

@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <atomic>
+#include <chrono>
 
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -24,12 +25,18 @@ thread_local TraceState t_trace;
 thread_local LossStage t_loss = LossStage::None;
 std::atomic<bool> g_span_wall{false};
 
-double wall_now() noexcept {
-  static const std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+/// The wall-clock reading a span record needs now: one read shared by the
+/// flight record and `wall_us`, none when both are off.
+double span_wall_now() noexcept {
+  return flight_enabled() || span_wall_clock_enabled() ? wall_seconds() : 0.0;
 }
 
 }  // namespace
+
+double wall_seconds() noexcept {
+  static const std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
 
 const char* loss_stage_name(LossStage stage) noexcept {
   const auto idx = static_cast<std::uint8_t>(stage);
@@ -92,11 +99,11 @@ Span::Span(const char* name, std::uint64_t trace_id) noexcept : name_(name), is_
 }
 
 void Span::begin(const char* name) noexcept {
-  start_ = std::chrono::steady_clock::now();
+  start_wall_ = span_wall_now();
   JRSND_COUNT("obs.span.started");
   if (flight_enabled()) {
     FlightRecord rec;
-    rec.t_wall = wall_now();
+    rec.t_wall = start_wall_;
     rec.t_sim = current_sim_time();
     rec.trace_id = ctx_.trace_id;
     rec.span_id = ctx_.span_id;
@@ -129,9 +136,10 @@ Span::~Span() {
   t_trace.current = saved_current_;
   t_trace.next_span = is_root_ ? saved_next_span_ : t_trace.next_span;
   JRSND_COUNT("obs.span.ended");
+  const double end_wall = span_wall_now();
   if (flight_enabled()) {
     FlightRecord rec;
-    rec.t_wall = wall_now();
+    rec.t_wall = end_wall;
     rec.t_sim = current_sim_time();
     rec.trace_id = ctx_.trace_id;
     rec.span_id = ctx_.span_id;
@@ -154,12 +162,7 @@ Span::~Span() {
     for (std::size_t i = 0; i < 2; ++i) {
       if (ann_key_[i] != nullptr) ev.with(ann_key_[i], ann_val_[i]);
     }
-    if (span_wall_clock_enabled()) {
-      const double us =
-          std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start_)
-              .count();
-      ev.with("wall_us", us);
-    }
+    if (span_wall_clock_enabled()) ev.with("wall_us", (end_wall - start_wall_) * 1e6);
     event_log().emit(std::move(ev));
   }
 }

@@ -21,7 +21,6 @@
 // off by default for exactly this reason).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 
 namespace jrsnd::obs {
@@ -77,6 +76,11 @@ struct SpanContext {
 [[nodiscard]] bool span_wall_clock_enabled() noexcept;
 void set_span_wall_clock(bool enabled) noexcept;
 
+/// Seconds on the steady clock since the process's first call. The one wall
+/// origin shared by span records, flight notes and exporter heartbeats, so
+/// records from all of them order correctly in one dump.
+[[nodiscard]] double wall_seconds() noexcept;
+
 /// Deterministic trace-id mix (splitmix64 over the xor-folded inputs) —
 /// the helper engines use to derive attempt trace ids from (seed, a, b, k).
 [[nodiscard]] std::uint64_t derive_trace_id(std::uint64_t salt, std::uint64_t a,
@@ -126,7 +130,7 @@ class Span {
   double dur_ = 0.0;
   const char* ann_key_[2] = {nullptr, nullptr};
   std::uint64_t ann_val_[2] = {0, 0};
-  std::chrono::steady_clock::time_point start_{};
+  double start_wall_ = 0.0;  ///< wall_seconds() at begin; 0 when nothing reads it
 };
 
 }  // namespace jrsnd::obs

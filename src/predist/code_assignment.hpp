@@ -40,7 +40,7 @@ class CodeAssignment {
   /// or slightly above after late joins).
   [[nodiscard]] std::size_t max_holders() const;
 
-  /// Histogram[x] = number of node pairs sharing exactly x codes, computed
+  /// Entry x = number of node pairs sharing exactly x codes, computed
   /// over every unordered pair (O(n^2 * m) — test/bench sizes only).
   [[nodiscard]] std::vector<std::size_t> shared_count_histogram() const;
 

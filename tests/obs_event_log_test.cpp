@@ -59,22 +59,6 @@ TEST(EventLog, EmitStampsSequenceAndSimTime) {
   EXPECT_EQ(log.emitted(), 2u);
 }
 
-TEST(EventLog, RingIsCappedOldestFirst) {
-  EventLog log(/*ring_capacity=*/2);
-  log.emit(TraceEvent("e1"));
-  log.emit(TraceEvent("e2"));
-  log.emit(TraceEvent("e3"));
-  const std::vector<TraceEvent> recent = log.recent();
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].name, "e2");
-  EXPECT_EQ(recent[1].name, "e3");
-
-  log.clear();
-  EXPECT_TRUE(log.recent().empty());
-  log.emit(TraceEvent("e4"));
-  EXPECT_EQ(log.recent().front().seq, 4u);  // numbering continues
-}
-
 TEST(EventLog, DetachAllStopsFanOut) {
   EventLog log;
   auto sink = std::make_shared<CaptureSink>();
@@ -153,33 +137,6 @@ TEST(Sinks, JsonlStreamSinkWritesParseableLines) {
     ++count;
   }
   EXPECT_EQ(count, 2u);
-}
-
-TEST(Sinks, PrettyPrintSinkRendersHumanReadably) {
-  std::ostringstream os;
-  PrettyPrintSink sink(os);
-  TraceEvent ev("dndp.pair", Severity::Warn);
-  ev.t = 2.0;
-  ev.with("a", std::uint64_t{4}).with("discovered", false);
-  sink.write(ev);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("dndp.pair"), std::string::npos);
-  EXPECT_NE(out.find("warn"), std::string::npos);
-  EXPECT_NE(out.find("a=4"), std::string::npos);
-  EXPECT_NE(out.find("discovered=false"), std::string::npos);
-}
-
-TEST(Tracing, GlobalHelperRespectsEnabledFlag) {
-  const bool before = tracing_enabled();
-  set_tracing_enabled(false);
-  const std::uint64_t emitted_before = event_log().emitted();
-  trace_event(TraceEvent("obs_test.dropped"));
-  EXPECT_EQ(event_log().emitted(), emitted_before);
-
-  set_tracing_enabled(true);
-  trace_event(TraceEvent("obs_test.kept"));
-  EXPECT_EQ(event_log().emitted(), emitted_before + 1);
-  set_tracing_enabled(before);
 }
 
 }  // namespace

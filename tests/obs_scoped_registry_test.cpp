@@ -60,17 +60,17 @@ TEST_F(ScopedRegistryTest, MacrosFollowTheOverride) {
     const ScopedMetricsRegistry guard(&scratch);
     JRSND_COUNT("test.scoped.macro.count");
     JRSND_COUNT("test.scoped.macro.count");
-    JRSND_OBSERVE("test.scoped.macro.hist", 0.5);
+    JRSND_GAUGE_MAX("test.scoped.macro.gauge", 0.5);
   }
   // Same sites after the override is gone: the generation bump forces the
   // cached handles to re-resolve against the process registry.
   JRSND_COUNT("test.scoped.macro.count");
-  JRSND_OBSERVE("test.scoped.macro.hist", 2.0);
+  JRSND_GAUGE_MAX("test.scoped.macro.gauge", 2.0);
 
   EXPECT_EQ(scratch.counter("test.scoped.macro.count").value(), 2u);
-  EXPECT_EQ(scratch.histogram("test.scoped.macro.hist").count(), 1u);
+  EXPECT_DOUBLE_EQ(scratch.gauge("test.scoped.macro.gauge").value(), 0.5);
   EXPECT_EQ(registry().counter("test.scoped.macro.count").value(), 1u);
-  EXPECT_EQ(registry().histogram("test.scoped.macro.hist").count(), 1u);
+  EXPECT_DOUBLE_EQ(registry().gauge("test.scoped.macro.gauge").value(), 2.0);
 }
 
 TEST_F(ScopedRegistryTest, OverrideIsPerThread) {
@@ -83,26 +83,18 @@ TEST_F(ScopedRegistryTest, OverrideIsPerThread) {
   EXPECT_EQ(&active_registry(), &scratch);
 }
 
-TEST_F(ScopedRegistryTest, AbsorbAddsCountersAndHistograms) {
+TEST_F(ScopedRegistryTest, AbsorbAddsCounters) {
   MetricsRegistry target;
   target.counter("test.absorb.count").inc(5);
-  target.histogram("test.absorb.hist").observe(1.0);
 
   MetricsRegistry scratch;
   scratch.counter("test.absorb.count").inc(3);
   scratch.counter("test.absorb.fresh").inc(7);
-  scratch.histogram("test.absorb.hist").observe(3.0);
-  scratch.histogram("test.absorb.hist").observe(0.25);
 
   target.absorb(scratch.snapshot());
 
   EXPECT_EQ(target.counter("test.absorb.count").value(), 8u);
   EXPECT_EQ(target.counter("test.absorb.fresh").value(), 7u);
-  Histogram& h = target.histogram("test.absorb.hist");
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 4.25);
-  EXPECT_DOUBLE_EQ(h.min(), 0.25);
-  EXPECT_DOUBLE_EQ(h.max(), 3.0);
 }
 
 TEST_F(ScopedRegistryTest, AbsorbKeepsGaugeHighWater) {
@@ -130,39 +122,16 @@ TEST_F(ScopedRegistryTest, AbsorbedTotalsEqualSingleRegistry) {
     for (int i = 0; i <= w; ++i) {
       expected.counter("test.fold.count").inc(2);
       scratch.counter("test.fold.count").inc(2);
-      const double v = 0.1 * (w + 1) * (i + 1);
-      expected.histogram("test.fold.hist").observe(v);
-      scratch.histogram("test.fold.hist").observe(v);
+      const double depth = static_cast<double>((w * 7 + i * 3) % 5);
+      expected.gauge("test.fold.highwater").update_max(depth);
+      scratch.gauge("test.fold.highwater").update_max(depth);
     }
     merged.absorb(scratch.snapshot());
   }
   EXPECT_EQ(merged.counter("test.fold.count").value(),
             expected.counter("test.fold.count").value());
-  Histogram& hm = merged.histogram("test.fold.hist");
-  Histogram& he = expected.histogram("test.fold.hist");
-  EXPECT_EQ(hm.count(), he.count());
-  EXPECT_DOUBLE_EQ(hm.sum(), he.sum());
-  EXPECT_DOUBLE_EQ(hm.min(), he.min());
-  EXPECT_DOUBLE_EQ(hm.max(), he.max());
-  EXPECT_EQ(hm.bucket_counts(), he.bucket_counts());
-}
-
-TEST_F(ScopedRegistryTest, MergeFromDropsMismatchedBounds) {
-  const double edges_a[] = {1.0, 2.0};
-  const double edges_b[] = {5.0, 10.0, 20.0};
-  MetricsRegistry a;
-  a.histogram("test.mismatch", edges_a).observe(1.5);
-  MetricsRegistry b;
-  b.histogram("test.mismatch", edges_b).observe(7.0);
-
-  // Registry-level absorb registers under b's bounds on first sight; a's
-  // sample has different edges, so Histogram::merge_from drops it instead of
-  // mixing incompatible bucket schemas.
-  MetricsRegistry target;
-  target.absorb(b.snapshot());
-  EXPECT_EQ(target.histogram("test.mismatch").count(), 1u);
-  target.absorb(a.snapshot());
-  EXPECT_EQ(target.histogram("test.mismatch").count(), 1u);  // dropped, not mixed
+  EXPECT_DOUBLE_EQ(merged.gauge("test.fold.highwater").value(),
+                   expected.gauge("test.fold.highwater").value());
 }
 
 }  // namespace

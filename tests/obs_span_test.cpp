@@ -3,6 +3,7 @@
 // the FaultyPhy crash-event dump path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -260,6 +261,119 @@ TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
   }
   EXPECT_TRUE(found);
   std::remove(path.c_str());
+}
+
+/// Every line of a flight dump, parsed.
+std::vector<TraceEvent> parse_dump(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<TraceEvent> events;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto ev = parse_jsonl_line(line);
+    EXPECT_TRUE(ev.has_value()) << line;
+    if (ev.has_value()) events.push_back(*ev);
+  }
+  return events;
+}
+
+double number_field(const TraceEvent& ev, const char* key) {
+  const FieldValue* f = ev.field(key);
+  if (f == nullptr) return -1.0;
+  if (const auto* d = std::get_if<double>(f)) return *d;
+  if (const auto* u = std::get_if<std::uint64_t>(f)) return static_cast<double>(*u);
+  return -1.0;
+}
+
+TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
+  // Span records and notes are stamped against one wall origin, so a note
+  // taken 10 ms after the first span sorts after every span record.
+  flight_reset();
+  { Span first("order.first"); }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  { Span second("order.second"); }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  flight_note("order.note", 1);
+
+  std::ostringstream os;
+  (void)dump_flight(os);
+  std::vector<std::string> order;
+  std::vector<double> wall;
+  for (const TraceEvent& ev : parse_dump(os.str())) {
+    const std::string name = str_field(ev, "name");
+    if (name.rfind("order.", 0) != 0) continue;
+    order.push_back(ev.name + " " + name);
+    wall.push_back(number_field(ev, "wall_s"));
+  }
+  const std::vector<std::string> expected = {
+      "flight.begin order.first",  "flight.end order.first", "flight.begin order.second",
+      "flight.end order.second", "flight.note order.note"};
+  EXPECT_EQ(order, expected);
+  ASSERT_EQ(wall.size(), 5u);
+  EXPECT_GE(wall[4] - wall[0], 0.009);
+}
+
+TEST(FlightRecorder, DumpFdWritesTheSameEventsAsDumpFlight) {
+  flight_reset();
+  const auto record_on_main = [](std::uint64_t trace, double t) {
+    const ScopedSimTime at(t);
+    Span root("parity.root", trace);
+    {
+      Span child("parity.child");
+      child.set_ok(false);
+      child.set_loss(LossStage::Jammed);
+    }
+    flight_note("parity.note", trace);
+    flight_note("parity.zero_arg", 0);
+  };
+  // Main, another thread, main again: the dump must interleave the two rings
+  // by wall clock and number seq across both.
+  record_on_main(41, 2.0);
+  std::thread([] {
+    const ScopedSimTime at(3.5);
+    Span other("parity.thread", 42);
+    flight_note("parity.thread.note", 9);
+  }).join();
+  record_on_main(43, 4.0);
+
+  std::ostringstream os;
+  (void)dump_flight(os);
+  const std::vector<TraceEvent> streamed = parse_dump(os.str());
+
+  const std::string path = ::testing::TempDir() + "jrsnd_flight_parity.jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  dump_flight_fd(fileno(f));
+  std::fclose(f);
+  std::ifstream in(path);
+  std::ostringstream fd_text;
+  fd_text << in.rdbuf();
+  const std::vector<TraceEvent> from_fd = parse_dump(fd_text.str());
+  std::remove(path.c_str());
+
+  ASSERT_EQ(streamed.size(), 15u);
+  ASSERT_EQ(from_fd.size(), streamed.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    const TraceEvent& a = streamed[i];
+    const TraceEvent& b = from_fd[i];
+    SCOPED_TRACE("record " + std::to_string(i) + " " + str_field(a, "name"));
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.seq, i + 1);
+    EXPECT_EQ(b.seq, i + 1);
+    EXPECT_EQ(a.severity, b.severity);
+    EXPECT_DOUBLE_EQ(a.t, b.t);
+    ASSERT_EQ(a.fields.size(), b.fields.size());
+    for (std::size_t k = 0; k < a.fields.size(); ++k) {
+      EXPECT_EQ(a.fields[k].first, b.fields[k].first);
+      if (a.fields[k].first == "wall_s") {
+        // The fd path prints microseconds; the stream path six digits.
+        const double wa = number_field(a, "wall_s");
+        EXPECT_NEAR(wa, number_field(b, "wall_s"), 1e-6 + 1e-5 * wa);
+      } else {
+        EXPECT_EQ(a.fields[k].second, b.fields[k].second) << a.fields[k].first;
+      }
+    }
+  }
+  EXPECT_EQ(str_field(streamed[6], "name"), "parity.thread");  // rings interleave
 }
 
 /// Inner PHY that always delivers — isolates FaultyPhy's crash behavior.

@@ -379,76 +379,51 @@ int cmd_report(const Args& args) {
     return 2;
   }
 
+  std::vector<obs::TraceEvent> events;
+  obs::TraceReadError error;
+  if (!obs::read_trace_jsonl(in, events, &error)) {
+    // Strict by contract: a trace with a broken line is a broken trace. Name
+    // the line so the producer can be fixed instead of a skip silently
+    // biasing every count below.
+    std::fprintf(stderr, "error: %s:%zu: %s\n", path.c_str(), error.line,
+                 error.message.c_str());
+    return 2;
+  }
+
   std::map<std::string, std::uint64_t> by_event;
   std::uint64_t by_severity[4] = {0, 0, 0, 0};
-  std::uint64_t total = 0;
-  double t_min = 0.0;
-  double t_max = 0.0;
+  const std::uint64_t total = events.size();
+  double t_min = events.empty() ? 0.0 : events.front().t;
+  double t_max = t_min;
   std::uint64_t dndp_pairs = 0;
   std::uint64_t dndp_discovered = 0;
   std::uint64_t phy_tx = 0;
   std::uint64_t phy_delivered = 0;
+  for (const obs::TraceEvent& ev : events) {
+    t_min = std::min(t_min, ev.t);
+    t_max = std::max(t_max, ev.t);
+    ++by_event[ev.name];
+    ++by_severity[static_cast<int>(ev.severity)];
+    const auto bool_field = [&ev](const char* key) {
+      const obs::FieldValue* f = ev.field(key);
+      const bool* b = f != nullptr ? std::get_if<bool>(f) : nullptr;
+      return b != nullptr && *b;
+    };
+    if (ev.name == "dndp.pair") {
+      ++dndp_pairs;
+      if (bool_field("discovered")) ++dndp_discovered;
+    } else if (ev.name == "phy.tx") {
+      ++phy_tx;
+      if (bool_field("delivered")) ++phy_delivered;
+    }
+  }
   // span.end latency distributions: wall_us when the trace was recorded with
   // --trace-wall, sim-time `dur` otherwise. Kept separate — the units differ.
   std::map<std::string, std::vector<double>> span_wall_us;
   std::map<std::string, std::vector<double>> span_dur_sim;
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto ev = obs::parse_jsonl_line(line);
-    if (!ev.has_value()) {
-      // Strict by contract: a trace with a broken line is a broken trace.
-      // Name the line so the producer can be fixed instead of the skip
-      // silently biasing every count below.
-      std::fprintf(stderr, "error: %s:%zu: malformed JSONL trace line\n", path.c_str(),
-                   line_no);
-      return 2;
-    }
-    if (total == 0) {
-      t_min = ev->t;
-      t_max = ev->t;
-    } else {
-      t_min = std::min(t_min, ev->t);
-      t_max = std::max(t_max, ev->t);
-    }
-    ++total;
-    ++by_event[ev->name];
-    ++by_severity[static_cast<int>(ev->severity)];
-    const auto bool_field = [&ev](const char* key) {
-      const obs::FieldValue* f = ev->field(key);
-      const bool* b = f != nullptr ? std::get_if<bool>(f) : nullptr;
-      return b != nullptr && *b;
-    };
-    if (ev->name == "dndp.pair") {
-      ++dndp_pairs;
-      if (bool_field("discovered")) ++dndp_discovered;
-    } else if (ev->name == "phy.tx") {
-      ++phy_tx;
-      if (bool_field("delivered")) ++phy_delivered;
-    } else if (ev->name == "span.end") {
-      const auto num_field = [&ev](const char* key) -> std::optional<double> {
-        const obs::FieldValue* f = ev->field(key);
-        if (f == nullptr) return std::nullopt;
-        if (const double* d = std::get_if<double>(f)) return *d;
-        if (const std::uint64_t* u = std::get_if<std::uint64_t>(f)) {
-          return static_cast<double>(*u);
-        }
-        if (const std::int64_t* i = std::get_if<std::int64_t>(f)) {
-          return static_cast<double>(*i);
-        }
-        return std::nullopt;
-      };
-      const obs::FieldValue* name_field = ev->field("name");
-      const std::string* span_name =
-          name_field != nullptr ? std::get_if<std::string>(name_field) : nullptr;
-      if (span_name != nullptr) {
-        if (const auto wall = num_field("wall_us")) span_wall_us[*span_name].push_back(*wall);
-        if (const auto dur = num_field("dur")) span_dur_sim[*span_name].push_back(*dur);
-      }
-    }
+  for (const obs::SpanRecord& span : obs::analyze_trace(events).spans) {
+    if (span.has_wall) span_wall_us[span.name].push_back(span.wall_us);
+    if (span.has_dur) span_dur_sim[span.name].push_back(span.dur);
   }
 
   std::printf("trace: %s\n", path.c_str());
@@ -476,8 +451,7 @@ int cmd_report(const Args& args) {
                 static_cast<unsigned long long>(phy_tx),
                 100.0 * static_cast<double>(phy_delivered) / static_cast<double>(phy_tx));
   }
-  // Exact offline percentiles (sorted samples, nearest-rank) — unlike the
-  // live histograms there is no bucketing error here.
+  // Exact offline percentiles (sorted samples, nearest-rank).
   const auto print_percentiles = [](const char* title,
                                     std::map<std::string, std::vector<double>>& by_span) {
     if (by_span.empty()) return;
