@@ -7,7 +7,8 @@
 //      all-pairs list, reconstructed below verbatim — vs the CSR build
 //      (counting-sorted cell grid, symmetric half scan, two flat arrays).
 //      Adjacency and the pair stream are verified element-identical before
-//      timing; the acceptance target is >= 5x.
+//      timing; the acceptance target is a median speedup >= 5x over
+//      interleaved timing windows.
 //  [2] Mobility hot loop: RandomWaypoint steps driving SpatialIndex::update
 //      for every node plus within_into range queries into reused scratch.
 //      The global allocator is replaced with the counting one the
@@ -20,8 +21,8 @@
 // path overridable via argv; scripts/check_perf.py judges them against the
 // committed baseline. --smoke runs n=5k and names the workload
 // scale_sim.smoke. Exits nonzero on an identity mismatch, any steady-state
-// allocation, a full-size rebuild speedup below 5x, or when the results
-// cannot be written.
+// allocation, a full-size median rebuild speedup below 5x, or when the
+// results cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -55,6 +56,12 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Median of an odd-sized sample.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 // --- the seed implementation, reconstructed as the baseline ----------------
@@ -172,6 +179,7 @@ int main(int argc, char** argv) {
       std::sqrt(static_cast<double>(n) * 3.14159265358979323846 * radius * radius / target_degree);
   const sim::Field field{side, side};
   const std::size_t rebuilds = smoke ? 3 : 5;
+  const std::size_t rebuild_windows = smoke ? 3 : 9;
   const std::size_t mobility_steps = smoke ? 10 : 20;
   const std::size_t queries_per_step = 256;
   const std::uint64_t storm_batch = 4096;
@@ -199,33 +207,49 @@ int main(int argc, char** argv) {
                 csr_once.average_degree());
   }
 
-  double seed_secs = 0.0;
-  {
-    const auto start = Clock::now();
-    for (std::size_t k = 0; k < rebuilds; ++k) {
-      const LegacyTopology t(field, snapshot, radius);
-      if (t.pairs.empty()) return 1;  // defeat dead-code elimination
-    }
-    seed_secs = seconds_since(start);
-  }
-  double csr_secs = 0.0;
+  // One window of `rebuilds` per side read 4.2-5.1x on a shared 4-vCPU
+  // host, straddling the floor. So the two paths run in interleaved windows,
+  // alternating which goes first so neither always gets the warmer cache or
+  // the quieter slot, and every reported build figure is a median over them.
+  std::vector<double> seed_window_ms;
+  std::vector<double> csr_window_ms;
+  std::vector<double> window_speedups;
   obs::prof::CounterTotals build_counters{};
-  {
-    const auto start = Clock::now();
-    build_counters = counter_set.measure([&] {
-      for (std::size_t k = 0; k < rebuilds; ++k) {
-        const sim::Topology t(field, snapshot, radius);
-        if (t.pair_count() == 0) std::exit(1);
+  for (std::size_t w = 0; w < rebuild_windows; ++w) {
+    double seed_window = 0.0;
+    double csr_window = 0.0;
+    for (const bool csr_side : {w % 2 == 1, w % 2 == 0}) {
+      const auto start = Clock::now();
+      if (csr_side) {
+        build_counters += counter_set.measure([&] {
+          for (std::size_t k = 0; k < rebuilds; ++k) {
+            const sim::Topology t(field, snapshot, radius);
+            if (t.pair_count() == 0) std::exit(1);
+          }
+        });
+        csr_window = 1e3 * seconds_since(start) / static_cast<double>(rebuilds);
+      } else {
+        for (std::size_t k = 0; k < rebuilds; ++k) {
+          const LegacyTopology t(field, snapshot, radius);
+          if (t.pairs.empty()) return 1;  // defeat dead-code elimination
+        }
+        seed_window = 1e3 * seconds_since(start) / static_cast<double>(rebuilds);
       }
-    });
-    csr_secs = seconds_since(start);
+    }
+    seed_window_ms.push_back(seed_window);
+    csr_window_ms.push_back(csr_window);
+    window_speedups.push_back(seed_window / csr_window);
   }
-  const double seed_ms = 1e3 * seed_secs / static_cast<double>(rebuilds);
-  const double csr_ms = 1e3 * csr_secs / static_cast<double>(rebuilds);
-  const double speedup = seed_ms / csr_ms;
+  const double seed_ms = median(seed_window_ms);
+  const double csr_ms = median(csr_window_ms);
+  const double speedup = median(window_speedups);
   const double rebuilds_per_sec = 1e3 / csr_ms;
-  std::printf("rebuild: seed %.2f ms, csr %.2f ms -> %.2fx (%.1f rebuilds/s)\n", seed_ms, csr_ms,
-              speedup, rebuilds_per_sec);
+  const auto [min_speedup, max_speedup] =
+      std::minmax_element(window_speedups.begin(), window_speedups.end());
+  std::printf("rebuild (median of %zu windows): seed %.2f ms, csr %.2f ms -> %.2fx "
+              "[%.2fx..%.2fx] (%.1f rebuilds/s)\n",
+              rebuild_windows, seed_ms, csr_ms, speedup, *min_speedup, *max_speedup,
+              rebuilds_per_sec);
 
   // --- [2] mobility hot loop: incremental updates + range queries ----------
   Rng mobility_rng(7);
@@ -346,7 +370,7 @@ int main(int argc, char** argv) {
     gates_ok = false;
   }
   if (!smoke && speedup < 5.0) {
-    std::fprintf(stderr, "FAIL: rebuild speedup %.2fx below the 5x acceptance floor\n",
+    std::fprintf(stderr, "FAIL: median rebuild speedup %.2fx below the 5x acceptance floor\n",
                  speedup);
     gates_ok = false;
   }
@@ -361,7 +385,7 @@ int main(int argc, char** argv) {
       {"sim.build.csr_ms_per_rebuild", "sim", csr_ms, "ms", true},
       {"sim.build.speedup_vs_seed", "sim", speedup, "x"},
       {"sim.build.rebuilds_per_s", "sim", rebuilds_per_sec, "rebuilds/s"},
-      {"sim.build.cycles", "sim", pmu(build_counters.cycles), "cycles", true},
+      {"sim.build.cycles", "sim", pmu(build_counters.cycles / rebuild_windows), "cycles", true},
       {"sim.mobility.updates_per_s", "sim", updates_per_sec, "updates/s"},
       {"sim.mobility.steps_per_s", "sim", steps_per_sec, "steps/s"},
       {"sim.mobility.cell_moves", "sim", count(counter_value("sim.index.cell_moves")), "moves"},

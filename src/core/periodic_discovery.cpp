@@ -37,9 +37,12 @@ PeriodicDiscoveryRunner::PeriodicDiscoveryRunner(Config config,
   nodes_ = issue_nodes(authority_, ibc_, config_.params.n, config_.params.gamma, node_rng);
 }
 
-void PeriodicDiscoveryRunner::refresh_contacts(const sim::Topology& topology, TimePoint now) {
+void PeriodicDiscoveryRunner::record_contacts(const sim::Topology& topology, TimePoint now) {
+  // Runs after the epoch's discovery, so a link made this epoch is stamped
+  // with it: links form only over in-range delivery, so their endpoints are
+  // adjacent here. A one-sided link (an M-NDP confirm lost) is stamped too.
   for (const auto& [a, b] : topology.pairs()) {
-    if (nodes_[raw(a)].knows(b) && nodes_[raw(b)].knows(a)) {
+    if (nodes_[raw(a)].knows(b) || nodes_[raw(b)].knows(a)) {
       last_contact_[pair_key(a, b)] = now;
     }
   }
@@ -52,8 +55,8 @@ void PeriodicDiscoveryRunner::expire_links(const sim::Topology& topology, TimePo
     report.links_expired += nodes_[i].remove_logical_neighbors_if([&](NodeId b) {
       if (raw(b) <= i) return false;  // handle each pair once
       if (topology.are_neighbors(a, b)) return false;  // still in contact
-      const auto it = last_contact_.find(pair_key(a, b));
-      const TimePoint last = it == last_contact_.end() ? now : it->second;
+      // record_contacts stamped every link in the epoch that made it.
+      const TimePoint last = last_contact_.at(pair_key(a, b));
       // Strictly greater: a link whose silence equals the threshold exactly
       // is still live this tick, so a same-tick rediscovery cannot count the
       // pair as both expired and discovered in one epoch report.
@@ -87,7 +90,6 @@ std::vector<PeriodicDiscoveryRunner::EpochReport> PeriodicDiscoveryRunner::run()
     report.physical_pairs = topology.pairs().size();
 
     expire_links(topology, start, report);
-    refresh_contacts(topology, start);
 
     AbstractPhy phy(topology, *jammer_, phy_rng);
 
@@ -144,6 +146,7 @@ std::vector<PeriodicDiscoveryRunner::EpochReport> PeriodicDiscoveryRunner::run()
     queue_.run_until(start + config_.interval);
     // The fault layer (if any) dies with this epoch; drop the hook first.
     if (faulty.has_value()) queue_.set_step_hook(nullptr);
+    record_contacts(topology, start);
 
     for (const auto& [a, b] : topology.pairs()) {
       report.logical_pairs += nodes_[raw(a)].knows(b) && nodes_[raw(b)].knows(a);

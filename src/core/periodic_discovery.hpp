@@ -10,8 +10,8 @@
 // The runner drives this on the discrete-event queue over a mobility model,
 // producing per-epoch reports: how much of the instantaneous physical
 // neighborhood is covered by authenticated logical links, how many links
-// expired, and what the protocols cost. It is the library-level version of
-// what examples/battlefield_patrol.cpp does by hand.
+// expired, and what the protocols cost. examples/battlefield_patrol.cpp runs
+// it over random-waypoint mobility.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class PeriodicDiscoveryRunner {
 
  private:
   void expire_links(const sim::Topology& topology, TimePoint now, EpochReport& report);
-  void refresh_contacts(const sim::Topology& topology, TimePoint now);
+  void record_contacts(const sim::Topology& topology, TimePoint now);
 
   Config config_;
   const sim::MobilityModel& mobility_;

@@ -3,9 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsss/spread_code.hpp"
-#include "obs/metrics_registry.hpp"
-
 namespace jrsnd::dsss {
 
 namespace {
@@ -51,44 +48,6 @@ double false_sync_probability(std::size_t code_length, double tau) {
   const double sigma = correlation_noise_sigma(code_length);
   // Two-sided tail: P(|corr| >= tau) = erfc(tau / (sigma * sqrt(2))).
   return std::erfc(tau / (sigma * std::sqrt(2.0)));
-}
-
-namespace {
-
-/// The code's chips rotated left by `shift`, as a packed window.
-BitVector cyclic_shift(const BitVector& bits, std::size_t shift) {
-  const std::size_t n = bits.size();
-  shift %= n;
-  if (shift == 0) return bits;
-  BitVector out = bits.slice(shift, n - shift);
-  out.append(bits.slice(0, shift));
-  return out;
-}
-
-}  // namespace
-
-CorrelationProfile autocorrelation_profile(const SpreadCode& code) {
-  JRSND_COUNT("dsss.correlator.profile_evals");
-  CorrelationProfile profile;
-  const std::size_t n = code.length();
-  double total = 0.0;
-  for (std::size_t shift = 1; shift < n; ++shift) {
-    const double corr = std::abs(code.correlate(cyclic_shift(code.bits(), shift)));
-    profile.max_off_peak = std::max(profile.max_off_peak, corr);
-    total += corr;
-  }
-  profile.mean_abs_off_peak = n > 1 ? total / static_cast<double>(n - 1) : 0.0;
-  return profile;
-}
-
-double max_cross_correlation(const SpreadCode& a, const SpreadCode& b) {
-  assert(a.length() == b.length());
-  JRSND_COUNT("dsss.correlator.cross_evals");
-  double worst = 0.0;
-  for (std::size_t shift = 0; shift < b.length(); ++shift) {
-    worst = std::max(worst, std::abs(a.correlate(cyclic_shift(b.bits(), shift))));
-  }
-  return worst;
 }
 
 }  // namespace jrsnd::dsss

@@ -63,23 +63,4 @@ struct HammingBounds {
 /// the sliding-window search.
 [[nodiscard]] double false_sync_probability(std::size_t code_length, double tau);
 
-/// Quality metrics of a concrete spread code: the sliding-window
-/// synchronizer depends on the peak autocorrelation standing far above
-/// every off-peak shift, and code pools depend on low pairwise
-/// cross-correlation. Computed over cyclic shifts.
-struct CorrelationProfile {
-  double peak = 1.0;           ///< autocorrelation at shift 0 (always 1)
-  double max_off_peak = 0.0;   ///< max |autocorrelation| over shifts != 0
-  double mean_abs_off_peak = 0.0;
-};
-
-class SpreadCode;  // dsss/spread_code.hpp
-
-/// Cyclic autocorrelation profile of `code`.
-[[nodiscard]] CorrelationProfile autocorrelation_profile(const SpreadCode& code);
-
-/// Max |cross-correlation| of a and b over all cyclic shifts of b.
-/// Precondition: equal lengths.
-[[nodiscard]] double max_cross_correlation(const SpreadCode& a, const SpreadCode& b);
-
 }  // namespace jrsnd::dsss

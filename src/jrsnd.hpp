@@ -43,18 +43,12 @@
 #include "ecc/reed_solomon.hpp"
 
 // dsss
-#include "dsss/buffer_schedule.hpp"
 #include "dsss/chip_channel.hpp"
 #include "dsss/correlator.hpp"
 #include "dsss/sliding_window.hpp"
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
 #include "dsss/timing.hpp"
-
-// fhss
-#include "fhss/fhss_channel.hpp"
-#include "fhss/fhss_link.hpp"
-#include "fhss/hop_sequence.hpp"
 
 // predist
 #include "predist/authority.hpp"

@@ -203,8 +203,7 @@ void preregister_core_metrics() {
            "fault.injected.reorder", "fault.injected.corrupt",
            "fault.injected.truncate", "fault.injected.crash_blocked",
            "dsss.sync.scans", "dsss.sync.hits", "dsss.sync.misses",
-           "dsss.sync.windows_below_tau", "dsss.correlator.profile_evals",
-           "dsss.correlator.cross_evals",
+           "dsss.sync.windows_below_tau",
            "ecc.rs.encode.calls", "ecc.rs.decode.calls", "ecc.rs.decode.ok",
            "ecc.rs.decode.fail", "ecc.rs.decode.erasures", "ecc.rs.decode.errors_corrected",
            "phy.tx.total", "phy.tx.delivered", "phy.tx.jammed", "phy.tx.out_of_range",

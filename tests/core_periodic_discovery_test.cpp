@@ -177,6 +177,36 @@ TEST(PeriodicDiscovery, LinkExpiryBoundaryIsStrict) {
       << "one tick past the boundary the link must expire";
 }
 
+TEST(PeriodicDiscovery, LinkPartedBeforeNextEpochExpires) {
+  // The LinkExpiryBoundaryIsStrict pair, but apart from t=30: the link made
+  // in epoch 0 is never seen adjacent at a later epoch start, so its
+  // silence counts from epoch 0. t=30 and t=60 are within the 60 s
+  // timeout; t=90 is past it.
+  PeriodicDiscoveryRunner::Config cfg;
+  cfg.params = Params::defaults();
+  cfg.params.n = 2;
+  cfg.params.m = 2;
+  cfg.params.l = 2;
+  cfg.params.q = 0;
+  cfg.params.field_width = 2000.0;
+  cfg.params.field_height = 100.0;
+  cfg.params.tx_range = 100.0;
+  cfg.interval = seconds(30.0);
+  cfg.link_timeout = seconds(60.0);
+  cfg.epochs = 10;
+  cfg.seed = 21;
+
+  const TwoNodeScript script(TimePoint{30.0});
+  PeriodicDiscoveryRunner runner(cfg, script);
+  const auto reports = runner.run();
+  ASSERT_EQ(reports.size(), 10u);
+
+  EXPECT_GT(reports[0].dndp_successes, 0u) << "pair must discover while adjacent";
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    EXPECT_EQ(reports[k].links_expired, k == 3 ? 1u : 0u) << "epoch " << k;
+  }
+}
+
 TEST(PeriodicDiscovery, ReportsAreInternallyConsistent) {
   const auto cfg = small_config();
   const sim::Field field(cfg.params.field_width, cfg.params.field_height);

@@ -1,11 +1,12 @@
-#include "dsss/buffer_schedule.hpp"
-
 #include <gtest/gtest.h>
 
 #include "core/params.hpp"
+#include "oracle/dsss_models.hpp"
 
 namespace jrsnd::dsss {
 namespace {
+
+using oracle::BufferSchedule;
 
 TimingModel paper_timing() { return TimingModel(core::Params::defaults().timing()); }
 

@@ -5,9 +5,14 @@
 #include <stdexcept>
 
 #include "dsss/correlator.hpp"
+#include "oracle/dsss_models.hpp"
 
 namespace jrsnd::dsss {
 namespace {
+
+using oracle::autocorrelation_profile;
+using oracle::CorrelationProfile;
+using oracle::max_cross_correlation;
 
 TEST(SpreadCode, RejectsEmptyPattern) {
   EXPECT_THROW((void)SpreadCode{BitVector()}, std::invalid_argument);

@@ -1,43 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <set>
 #include <stdexcept>
 
-#include "fhss/fhss_link.hpp"
+#include "oracle/fhss_reference.hpp"
 
-namespace jrsnd::fhss {
+namespace jrsnd::oracle {
 namespace {
-
-crypto::SymmetricKey key_of(std::uint8_t fill) {
-  crypto::SymmetricKey k;
-  k.fill(fill);
-  return k;
-}
-
-TEST(HopSequence, KeyedIsDeterministicAndKeySeparated) {
-  const KeyedHopSequence a(key_of(1), 100);
-  const KeyedHopSequence a2(key_of(1), 100);
-  const KeyedHopSequence b(key_of(2), 100);
-  int same_ab = 0;
-  for (std::uint64_t t = 0; t < 200; ++t) {
-    EXPECT_EQ(a.channel(t), a2.channel(t));
-    EXPECT_LT(a.channel(t), 100u);
-    same_ab += a.channel(t) == b.channel(t);
-  }
-  // Independent keys coincide ~1/c of the time.
-  EXPECT_LT(same_ab, 12);
-}
-
-TEST(HopSequence, KeyedIsRoughlyUniform) {
-  const KeyedHopSequence seq(key_of(7), 16);
-  std::vector<int> counts(16, 0);
-  constexpr int kSlots = 16000;
-  for (std::uint64_t t = 0; t < kSlots; ++t) ++counts[seq.channel(t)];
-  for (const int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c) / kSlots, 1.0 / 16.0, 0.01);
-  }
-}
 
 TEST(HopSequence, RandomSequencesDifferBySeed) {
   const RandomHopSequence a(1, 50);
@@ -49,7 +17,6 @@ TEST(HopSequence, RandomSequencesDifferBySeed) {
 }
 
 TEST(HopSequence, RejectsZeroChannels) {
-  EXPECT_THROW(KeyedHopSequence(key_of(0), 0), std::invalid_argument);
   EXPECT_THROW(RandomHopSequence(1, 0), std::invalid_argument);
 }
 
@@ -107,29 +74,6 @@ TEST(FhssChannel, BoundsChecked) {
   EXPECT_THROW(medium.jam(4), std::out_of_range);
 }
 
-TEST(FhssLink, KeyedLinkSurvivesRandomJamming) {
-  // Delivery rate ~ 1 - z/c when the jammer cannot predict the hops.
-  const FhssLink link(key_of(9), 100);
-  Rng rng(2);
-  const auto result = link.run(20000, 10, /*jammer_has_key=*/false, rng);
-  EXPECT_NEAR(result.delivery_rate(), 0.9, 0.01);
-}
-
-TEST(FhssLink, LeakedKeyIsFatal) {
-  // The FH analogue of a compromised spread code: lockstep jamming.
-  const FhssLink link(key_of(9), 100);
-  Rng rng(3);
-  const auto result = link.run(2000, 1, /*jammer_has_key=*/true, rng);
-  EXPECT_EQ(result.delivered, 0u);
-}
-
-TEST(FhssLink, NoJammerFullDelivery) {
-  const FhssLink link(key_of(4), 64);
-  Rng rng(4);
-  const auto result = link.run(5000, 0, false, rng);
-  EXPECT_EQ(result.delivered, result.slots);
-}
-
 TEST(UfhChannelExchange, TransfersAndMatchesSlotModel) {
   // The channel-level exchange must reproduce the slot-probability model's
   // expected transfer time (same validation pattern as ChipPhy vs
@@ -171,4 +115,4 @@ TEST(UfhChannelExchange, RejectsOverwhelmedChannels) {
 }
 
 }  // namespace
-}  // namespace jrsnd::fhss
+}  // namespace jrsnd::oracle
