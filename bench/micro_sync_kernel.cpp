@@ -212,9 +212,8 @@ int main(int argc, char** argv) {
   // A fixed pass count under a PerfCounterSet turns the throughput numbers
   // into architecture-level ones: cycles per scan, instructions per chip,
   // IPC, LLC misses. Under the clock fallback (no PMU: containers, VMs)
-  // cycles are only estimated from thread CPU time and the instruction and
-  // miss counters never tick, so every counter-derived value is reported
-  // n/a here and written unmeasured.
+  // only thread CPU time is measured, so every counter-derived value is
+  // reported n/a here and written unmeasured.
   obs::prof::PerfCounterSet counter_set;
   constexpr std::size_t kCounterPasses = 16;
   const obs::prof::CounterTotals scan_counters = counter_set.measure([&] {
@@ -233,17 +232,15 @@ int main(int argc, char** argv) {
   const double instructions_per_chip =
       static_cast<double>(scan_counters.instructions) / counted_chips;
   if (counters_real) {
-    std::printf("  counters  [%s%s] %.3g cycles/scan  %.3g instr/chip  IPC %.2f  "
+    std::printf("  counters  [%s] %.3g cycles/scan  %.3g instr/chip  IPC %.2f  "
                 "%.3g LLC-miss/kinst\n",
-                obs::prof::backend_name(counter_set.backend()),
-                scan_counters.estimated ? ", estimated" : "", cycles_per_scan,
+                obs::prof::backend_name(counter_set.backend()), cycles_per_scan,
                 instructions_per_chip, scan_counters.ipc(),
                 scan_counters.llc_misses_per_kinst());
   } else {
-    std::printf("  counters  [%s%s] %.3g cycles/scan  instr/chip n/a  IPC n/a  "
+    std::printf("  counters  [%s] cycles/scan n/a  instr/chip n/a  IPC n/a  "
                 "LLC-miss/kinst n/a\n",
-                obs::prof::backend_name(counter_set.backend()),
-                scan_counters.estimated ? ", estimated" : "", cycles_per_scan);
+                obs::prof::backend_name(counter_set.backend()));
   }
   results.insert(
       results.end(),
@@ -369,10 +366,14 @@ int main(int argc, char** argv) {
       add_batched(b, m, batched_gchips, speedup, pmu(batched_cycles));
 
       std::printf("  m=%-2zu %-6s single %8.3f ms  batched %8.3f ms  %6.2f Gchip/s  "
-                  "%.2fx  %.3g cycles/scan%s\n",
+                  "%.2fx  ",
                   m, dsss::simd_backend_name(b), single.secs_per_scan * 1e3,
-                  batched.secs_per_scan * 1e3, batched_gchips, speedup, batched_cycles,
-                  batch_counters.estimated ? " (est)" : "");
+                  batched.secs_per_scan * 1e3, batched_gchips, speedup);
+      if (counters_real) {
+        std::printf("%.3g cycles/scan\n", batched_cycles);
+      } else {
+        std::printf("cycles/scan n/a\n");
+      }
     }
   }
   dsss::set_simd_backend(default_backend);

@@ -268,14 +268,12 @@ int main(int argc, char** argv) {
     return counters_real ? std::optional<double>(v) : std::nullopt;
   };
   if (counters_real) {
-    std::printf("  counters  [%s%s] %.3g cycles/msg  IPC %.2f  %.3g LLC-miss/kinst\n",
-                obs::prof::backend_name(counter_set.backend()),
-                tx_counters.estimated ? ", estimated" : "", cycles_per_msg, tx_counters.ipc(),
-                tx_counters.llc_misses_per_kinst());
+    std::printf("  counters  [%s] %.3g cycles/msg  IPC %.2f  %.3g LLC-miss/kinst\n",
+                obs::prof::backend_name(counter_set.backend()), cycles_per_msg,
+                tx_counters.ipc(), tx_counters.llc_misses_per_kinst());
   } else {
-    std::printf("  counters  [%s%s] %.3g cycles/msg  IPC n/a  LLC-miss/kinst n/a\n",
-                obs::prof::backend_name(counter_set.backend()),
-                tx_counters.estimated ? ", estimated" : "", cycles_per_msg);
+    std::printf("  counters  [%s] cycles/msg n/a  IPC n/a  LLC-miss/kinst n/a\n",
+                obs::prof::backend_name(counter_set.backend()));
   }
 
   // --- [2] rescan iteration: cached tables vs per-call rebuild -------------

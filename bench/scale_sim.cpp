@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
     gates_ok = false;
   }
 
-  // Cycle counts are only estimates under the clock fallback: unmeasured.
+  // The clock fallback measures no cycles: unmeasured.
   const auto pmu = [counters_real](std::uint64_t cycles) {
     return counters_real ? std::optional<double>(static_cast<double>(cycles)) : std::nullopt;
   };

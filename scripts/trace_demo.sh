@@ -2,7 +2,7 @@
 # End-to-end observability demo (docs/observability.md):
 #   1. build the CLI if needed,
 #   2. run a small jammed discovery sweep with tracing + metrics on,
-#   3. summarize the captured JSONL with `jrsnd report`,
+#   3. summarize the captured JSONL with `jrsnd analyze`,
 #   4. show a single chip-free D-NDP handshake as phy.tx events.
 set -euo pipefail
 
@@ -26,8 +26,8 @@ if [[ ! -s "$out" ]]; then
 fi
 
 echo
-echo "== report =="
-"$jrsnd" report "$out"
+echo "== analyze =="
+"$jrsnd" analyze "$out"
 
 echo
 echo "== one D-NDP handshake as phy.tx events =="

@@ -1,7 +1,5 @@
 #include "core/discovery_sim.hpp"
 
-#include <atomic>
-
 #include "common/thread_pool.hpp"
 #include "core/analysis.hpp"
 #include "core/dndp.hpp"
@@ -242,16 +240,6 @@ PointResult DiscoverySimulator::run_all() const {
   const std::size_t threads = ThreadPool::default_thread_count();
   PointResult agg;
 
-  // Sweep progress, published on the *process* registry so a live
-  // MetricsExporter sees it even while workers record into scratch
-  // registries (the thread-local override would otherwise swallow it).
-  obs::Gauge* progress = nullptr;
-  if (obs::metrics_enabled()) {
-    obs::registry().gauge("sim.runs.total").set(static_cast<double>(runs));
-    progress = &obs::registry().gauge("sim.runs.completed");
-    progress->set(0.0);
-  }
-
   // JRSND_THREADS=1 restores the historical fully-serial behavior.
   if (threads <= 1 || runs <= 1) {
     for (std::uint32_t run = 0; run < runs; ++run) {
@@ -259,7 +247,6 @@ PointResult DiscoverySimulator::run_all() const {
       // trace events still carry a monotone `t`.
       if (obs::tracing_enabled()) obs::event_log().set_sim_time(static_cast<double>(run));
       accumulate(agg, run_once(config_.base_seed + run));
-      if (progress != nullptr) progress->set(static_cast<double>(run + 1));
     }
     return agg;
   }
@@ -284,12 +271,9 @@ PointResult DiscoverySimulator::run_all() const {
       scratch.push_back(std::make_unique<obs::MetricsRegistry>());
     }
   }
-  std::atomic<std::uint32_t> completed{0};
   pool.parallel_for(runs, [&](std::size_t run, std::size_t worker) {
     const obs::ScopedMetricsRegistry guard(metrics ? scratch[worker].get() : nullptr);
     results[run] = run_once(config_.base_seed + run);
-    const std::uint32_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (progress != nullptr) progress->set(static_cast<double>(done));
   });
   for (const auto& reg : scratch) obs::registry().absorb(reg->snapshot());
   for (const RunResult& r : results) accumulate(agg, r);

@@ -67,7 +67,7 @@ class TracingPhy final : public PhyModel {
 
   /// Renders the trace as JSONL "phy.tx" events in the obs trace schema
   /// (docs/observability.md): one flat object per line with reserved keys
-  /// t/seq/sev/event — the same format `jrsnd report` reads.
+  /// t/seq/sev/event — the same format `jrsnd analyze` reads.
   void print_jsonl(std::ostream& os) const;
 
  private:

@@ -20,7 +20,6 @@
 
 // obs
 #include "obs/event_log.hpp"
-#include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"

@@ -9,15 +9,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <mutex>
-#include <ostream>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/parse.hpp"
 #include "obs/event_log.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
 
 namespace jrsnd::obs {
@@ -91,26 +88,10 @@ Ring& this_thread_ring() {
   return *t_ring;
 }
 
+// The one dump destination. The mutex orders setting it against on-demand
+// dumps; the crash handlers read the plain array without locking.
 std::mutex g_dump_path_mutex;
-std::string g_dump_path;
-
-/// Copy of every ring's surviving records, oldest first within each ring.
-std::vector<FlightRecord> collect_records() {
-  std::vector<FlightRecord> out;
-  for (Ring* r = g_rings.load(std::memory_order_acquire); r != nullptr; r = r->next) {
-    r->lock();
-    const std::uint64_t live = std::min<std::uint64_t>(r->pushed, r->capacity);
-    for (std::uint64_t i = 0; i < live; ++i) {
-      out.push_back(r->records[(r->pushed - live + i) % r->capacity]);
-    }
-    r->unlock();
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FlightRecord& a, const FlightRecord& b) { return a.t_wall < b.t_wall; });
-  return out;
-}
-
-}  // namespace
+char g_dump_path[512] = {0};
 
 const char* flight_kind_name(FlightKind kind) noexcept {
   switch (kind) {
@@ -120,6 +101,8 @@ const char* flight_kind_name(FlightKind kind) noexcept {
   }
   return "?";
 }
+
+}  // namespace
 
 bool flight_enabled() noexcept { return g_flight_enabled.load(std::memory_order_relaxed); }
 
@@ -160,7 +143,6 @@ void flight_record(const FlightRecord& record) noexcept {
   ring.records[ring.pushed % ring.capacity] = record;
   ++ring.pushed;
   ring.unlock();
-  JRSND_COUNT("obs.flight.records");
 }
 
 void flight_note(const char* name, std::uint64_t arg) noexcept {
@@ -206,59 +188,19 @@ void flight_reset() {
   }
 }
 
-std::size_t dump_flight(std::ostream& os) {
-  const std::vector<FlightRecord> records = collect_records();
-  std::uint64_t seq = 0;
-  for (const FlightRecord& rec : records) {
-    TraceEvent ev(std::string("flight.") + flight_kind_name(rec.kind),
-                  rec.ok ? Severity::Info : Severity::Warn);
-    ev.t = rec.t_sim;
-    ev.seq = ++seq;
-    ev.with("wall_s", rec.t_wall)
-        .with("name", std::string(rec.name != nullptr ? rec.name : "?"))
-        .with("trace", rec.trace_id)
-        .with("span", static_cast<std::uint64_t>(rec.span_id))
-        .with("parent", static_cast<std::uint64_t>(rec.parent_id));
-    if (rec.kind == FlightKind::SpanEnd) ev.with("ok", rec.ok);
-    if (rec.loss != LossStage::None) ev.with("loss", std::string(loss_stage_name(rec.loss)));
-    if (rec.kind == FlightKind::Note && rec.arg != 0) ev.with("arg", rec.arg);
-    write_jsonl(os, ev);
-  }
-  JRSND_COUNT("obs.flight.dumps");
-  return records.size();
-}
-
-void set_flight_dump_path(std::string path) {
+void set_flight_dump_path(const std::string& path) {
   const std::lock_guard<std::mutex> lock(g_dump_path_mutex);
-  g_dump_path = std::move(path);
-}
-
-std::string flight_dump_path() {
-  const std::lock_guard<std::mutex> lock(g_dump_path_mutex);
-  return g_dump_path;
-}
-
-bool dump_flight_now() {
-  const std::string path = flight_dump_path();
-  if (path.empty()) return false;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  dump_flight(out);
-  return static_cast<bool>(out);
-}
-
-void flight_on_crash_event() {
-  flight_note("fault.crash_window", 1);
-  (void)dump_flight_now();
+  std::snprintf(g_dump_path, sizeof(g_dump_path), "%s", path.c_str());
 }
 
 namespace {
 
 // --- async-signal-safe dumper ----------------------------------------------
 //
-// Only snprintf into a stack buffer + write(2); walks the ring list without
-// taking spinlocks (a crashed thread may hold one) — records are PODs, so a
-// torn read at worst garbles the line being overwritten at crash time.
+// Only snprintf/to_chars into a stack buffer + write(2); walks the ring list
+// without taking spinlocks (a crashed thread may hold one) — records are
+// PODs, so a torn read at worst garbles the line being overwritten at crash
+// time.
 
 void write_all(int fd, const char* buf, std::size_t len) noexcept {
   std::size_t off = 0;
@@ -269,13 +211,16 @@ void write_all(int fd, const char* buf, std::size_t len) noexcept {
   }
 }
 
-}  // namespace
+/// `value` as a NUL-terminated shortest round-trip JSON number.
+struct JsonDouble {
+  explicit JsonDouble(double value) noexcept { *format_json_double(text, value) = '\0'; }
+  char text[kJsonDoubleChars + 1];
+};
 
-void dump_flight_fd(int fd) {
-  // Same lines as dump_flight: each ring is already in wall-clock order, so
-  // a merge that takes the oldest head (ties to the earlier ring) reproduces
-  // dump_flight's stable sort without sorting or allocating.
-  Ring* const head = g_rings.load(std::memory_order_acquire);
+/// The one dump writer: merges the rings listed from `head`. Each ring is
+/// already in wall-clock order, so taking the oldest head (ties to the
+/// earlier ring) orders every thread's records without sorting or allocating.
+void write_rings(int fd, Ring* head) noexcept {
   for (Ring* r = head; r != nullptr; r = r->next) {
     r->fd_end = r->pushed;
     r->fd_next = r->fd_end - std::min<std::uint64_t>(r->fd_end, r->capacity);
@@ -296,11 +241,12 @@ void dump_flight_fd(int fd) {
     ++oldest->fd_next;
     int n = std::snprintf(
         buf, sizeof(buf),
-        "{\"t\":%g,\"seq\":%llu,\"sev\":\"%s\",\"event\":\"flight.%s\",\"wall_s\":%.6f,"
+        "{\"t\":%s,\"seq\":%llu,\"sev\":\"%s\",\"event\":\"flight.%s\",\"wall_s\":%s,"
         "\"name\":\"%s\",\"trace\":%llu,\"span\":%u,\"parent\":%u",
-        rec.t_sim, static_cast<unsigned long long>(++seq), rec.ok ? "info" : "warn",
-        flight_kind_name(rec.kind), rec.t_wall, rec.name != nullptr ? rec.name : "?",
-        static_cast<unsigned long long>(rec.trace_id), rec.span_id, rec.parent_id);
+        JsonDouble(rec.t_sim).text, static_cast<unsigned long long>(++seq),
+        rec.ok ? "info" : "warn", flight_kind_name(rec.kind), JsonDouble(rec.t_wall).text,
+        rec.name != nullptr ? rec.name : "?", static_cast<unsigned long long>(rec.trace_id),
+        rec.span_id, rec.parent_id);
     const auto append = [&](const char* fmt, auto value) {
       if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return;
       n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n), fmt, value);
@@ -315,18 +261,44 @@ void dump_flight_fd(int fd) {
   }
 }
 
+/// Opens `path` (truncating) and writes the dump; false if the open failed.
+bool dump_flight_to(const char* path, Ring* head) noexcept {
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  write_rings(fd, head);
+  return ::close(fd) == 0;
+}
+
+}  // namespace
+
+bool dump_flight_now() {
+  const std::lock_guard<std::mutex> lock(g_dump_path_mutex);
+  if (g_dump_path[0] == '\0') return false;
+  // Unlike the crash handlers, this dump runs beside live writers, so it
+  // holds every ring it reads (pushers spin until it is done).
+  Ring* const head = g_rings.load(std::memory_order_acquire);
+  for (Ring* r = head; r != nullptr; r = r->next) r->lock();
+  const bool ok = dump_flight_to(g_dump_path, head);
+  for (Ring* r = head; r != nullptr; r = r->next) r->unlock();
+  return ok;
+}
+
+void flight_on_crash_event() {
+  flight_note("fault.crash_window", 1);
+  (void)dump_flight_now();
+}
+
+void dump_flight_fd(int fd) { write_rings(fd, g_rings.load(std::memory_order_acquire)); }
+
 namespace {
 
-char g_crash_path[512] = {0};
 std::atomic<bool> g_handler_installed{false};
 std::terminate_handler g_prev_terminate = nullptr;
 
 void dump_to_crash_path() noexcept {
-  if (g_crash_path[0] == '\0') return;
-  const int fd = ::open(g_crash_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  dump_flight_fd(fd);
-  ::close(fd);
+  if (g_dump_path[0] != '\0') {
+    (void)dump_flight_to(g_dump_path, g_rings.load(std::memory_order_acquire));
+  }
 }
 
 void crash_signal_handler(int sig) {
@@ -343,8 +315,8 @@ void crash_signal_handler(int sig) {
 
 }  // namespace
 
-void install_flight_crash_handler(std::string path) {
-  std::snprintf(g_crash_path, sizeof(g_crash_path), "%s", path.c_str());
+void install_flight_crash_handler(const std::string& path) {
+  set_flight_dump_path(path);
   bool expected = false;
   if (!g_handler_installed.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
     return;  // already installed; only the path was refreshed above

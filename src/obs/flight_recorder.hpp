@@ -9,8 +9,9 @@
 // reusable but keeps its contents, so postmortems still see the last N
 // records of finished workers.
 //
-// Dump triggers:
-//   * on demand — dump_flight(ostream) / dump_flight_now();
+// Every dump goes through the one signal-safe merge writer behind
+// dump_flight_fd(). Dump triggers:
+//   * on demand — dump_flight_now() to the configured path;
 //   * on injected crashes — FaultyPhy notifies flight_on_crash_event() the
 //     first time a crash window blocks traffic, which dumps to the
 //     configured path (set_flight_dump_path);
@@ -19,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,8 +29,6 @@
 namespace jrsnd::obs {
 
 enum class FlightKind : std::uint8_t { SpanBegin = 0, SpanEnd = 1, Note = 2 };
-
-[[nodiscard]] const char* flight_kind_name(FlightKind kind) noexcept;
 
 /// One binary trace record. `name` must point at static storage (string
 /// literals) — the ring stores the pointer, never a copy.
@@ -75,14 +73,9 @@ void flight_note(const char* name, std::uint64_t arg = 0) noexcept;
 /// Empties every ring (capacity and ownership unchanged). Test helper.
 void flight_reset();
 
-/// Writes every surviving record, oldest wall-clock first, as JSONL
-/// `flight.*` events in the standard trace schema. Returns records written.
-std::size_t dump_flight(std::ostream& os);
-
-/// Destination for trigger-driven dumps (crash events, signal handler).
-/// Empty (the default) disables those dumps.
-void set_flight_dump_path(std::string path);
-[[nodiscard]] std::string flight_dump_path();
+/// Destination of every dump: dump_flight_now(), crash events and the
+/// signal handlers. Empty (the default) disables them; at most 511 bytes.
+void set_flight_dump_path(const std::string& path);
 
 /// Dumps to the configured path now; false if no path or the open failed.
 bool dump_flight_now();
@@ -91,13 +84,16 @@ bool dump_flight_now();
 /// dumps to the configured path (at most once per call site's choosing).
 void flight_on_crash_event();
 
-/// Async-signal-safe dump onto a raw fd (snprintf + write only) — the
-/// primitive the signal handler uses; exposed for tests. Writes the same
-/// events as dump_flight, with wall_s rounded to the microsecond.
+/// Writes every surviving record, oldest wall-clock first across all rings,
+/// as JSONL `flight.*` events in the standard trace schema onto a raw fd.
+/// Signal-path safe (snprintf/to_chars + write only; no locks, no heap):
+/// dump_flight_now() and the crash handlers write through the same merge.
+/// `t` and `wall_s` are written as shortest round-trip doubles.
 void dump_flight_fd(int fd);
 
-/// Installs SIGSEGV/SIGABRT/SIGBUS handlers and a std::terminate hook that
-/// dump the rings to `path` before re-raising. Idempotent.
-void install_flight_crash_handler(std::string path);
+/// Sets the dump path to `path` and installs SIGSEGV/SIGABRT/SIGBUS handlers
+/// and a std::terminate hook that dump the rings there before re-raising.
+/// Idempotent.
+void install_flight_crash_handler(const std::string& path);
 
 }  // namespace jrsnd::obs

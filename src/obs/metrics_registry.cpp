@@ -208,15 +208,10 @@ void preregister_core_metrics() {
            "ecc.rs.decode.fail", "ecc.rs.decode.erasures", "ecc.rs.decode.errors_corrected",
            "phy.tx.total", "phy.tx.delivered", "phy.tx.jammed", "phy.tx.out_of_range",
            "sim.events.processed",
-           "obs.span.started", "obs.span.ended",
-           "obs.flight.records", "obs.flight.dumps",
-           "export.heartbeats",
        }) {
     (void)r.counter(name);
   }
   (void)r.gauge("sim.queue.depth.highwater");
-  (void)r.gauge("sim.runs.completed");
-  (void)r.gauge("sim.runs.total");
 }
 
 }  // namespace jrsnd::obs

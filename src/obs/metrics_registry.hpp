@@ -3,8 +3,7 @@
 // Design constraints (DESIGN.md §observability):
 //   * Hot-path cheap. Updates are relaxed atomics on pre-resolved handles;
 //     every instrumentation macro first checks one process-wide enabled flag,
-//     so a disabled build pays a single relaxed load per site. Defining
-//     JRSND_OBS_DISABLED compiles every macro to nothing.
+//     so a disabled build pays a single relaxed load per site.
 //   * Multi-seed friendly. A run snapshots the registry into plain data
 //     (MetricsSnapshot), which another registry can absorb: counters add,
 //     gauges keep the high-water mark.
@@ -168,13 +167,6 @@ void preregister_core_metrics();
 #define JRSND_OBS_CONCAT_INNER(a, b) a##b
 #define JRSND_OBS_CONCAT(a, b) JRSND_OBS_CONCAT_INNER(a, b)
 
-#if defined(JRSND_OBS_DISABLED)
-
-#define JRSND_COUNT_N(name, n) ((void)0)
-#define JRSND_GAUGE_MAX(name, v) ((void)0)
-
-#else
-
 // Resolves `name` of metric kind Type (counter/gauge accessor `getter`)
 // against the active registry, caching per (site, thread) until the registry
 // generation moves. generation starts at 1, so 0 marks a never-resolved
@@ -205,7 +197,5 @@ void preregister_core_metrics();
       jrsnd_obs_g->update_max(static_cast<double>(v));                            \
     }                                                                             \
   } while (0)
-
-#endif  // JRSND_OBS_DISABLED
 
 #define JRSND_COUNT(name) JRSND_COUNT_N(name, 1)

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/logging.hpp"
-#include "common/parse.hpp"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -28,18 +27,6 @@ void publish_backend_gauge(ProfBackend backend) {
   // Direct registry write (not the macro): the gauge must reflect the live
   // backend even when general metrics collection is disabled.
   registry().gauge("prof.backend").set(static_cast<double>(backend));
-}
-
-double fallback_ghz_from_env() {
-  static const double ghz = [] {
-    const char* env = std::getenv("JRSND_PROF_GHZ");
-    if (env == nullptr || env[0] == '\0') return 1.0;
-    if (const auto parsed = parse_prof_ghz(env)) return *parsed;
-    JRSND_WARN("prof") << "invalid JRSND_PROF_GHZ value '" << env
-                       << "' (want a number > 0); using 1.0";
-    return 1.0;
-  }();
-  return ghz;
 }
 
 #if defined(__linux__)
@@ -121,12 +108,6 @@ std::optional<ProfBackend> parse_prof_backend(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-std::optional<double> parse_prof_ghz(std::string_view text) noexcept {
-  const std::optional<double> ghz = parse_double(text);
-  if (!ghz.has_value() || *ghz <= 0.0) return std::nullopt;
-  return ghz;
-}
-
 const char* backend_name(ProfBackend backend) noexcept {
   switch (backend) {
     case ProfBackend::kOff: return "off";
@@ -155,12 +136,12 @@ void set_prof_enabled(bool enabled) {
 }
 
 double CounterTotals::ipc() const noexcept {
-  if (estimated || cycles == 0 || instructions == 0) return 0.0;
+  if (cycles == 0 || instructions == 0) return 0.0;
   return static_cast<double>(instructions) / static_cast<double>(cycles);
 }
 
 double CounterTotals::llc_misses_per_kinst() const noexcept {
-  if (estimated || instructions == 0) return 0.0;
+  if (instructions == 0) return 0.0;
   return 1000.0 * static_cast<double>(cache_misses) / static_cast<double>(instructions);
 }
 
@@ -170,12 +151,10 @@ CounterTotals& CounterTotals::operator+=(const CounterTotals& other) noexcept {
   cache_misses += other.cache_misses;
   branch_misses += other.branch_misses;
   task_clock_ns += other.task_clock_ns;
-  estimated = estimated || other.estimated;
   return *this;
 }
 
-PerfCounterSet::PerfCounterSet() : fallback_ghz_(fallback_ghz_from_env()) {
-  backend_ = resolve_backend();
+PerfCounterSet::PerfCounterSet() : backend_(resolve_backend()) {
 #if defined(__linux__)
   if (backend_ == ProfBackend::kPerfEvent) {
     // Open each counter independently so a host that lacks (say) LLC-miss
@@ -226,13 +205,9 @@ CounterTotals PerfCounterSet::read() const noexcept {
       totals.task_clock_ns = read_counter(fds_[4]);
 #endif
       return totals;
-    case ProfBackend::kClockFallback: {
-      const std::uint64_t ns = thread_cpu_ns();
-      totals.task_clock_ns = ns;
-      totals.cycles = static_cast<std::uint64_t>(static_cast<double>(ns) * fallback_ghz_);
-      totals.estimated = true;
+    case ProfBackend::kClockFallback:
+      totals.task_clock_ns = thread_cpu_ns();
       return totals;
-    }
   }
   return totals;
 }
@@ -258,11 +233,12 @@ void resolve_region_metrics(std::string_view name, RegionMetrics& cache) {
     return &reg.counter(base);
   };
   cache.count = resolve(".count");
-  cache.cycles = resolve(".cycles");
-  cache.instructions = resolve(".instructions");
-  cache.cache_misses = resolve(".cache_misses");
-  cache.branch_misses = resolve(".branch_misses");
   cache.task_clock_ns = resolve(".task_clock_ns");
+  const bool pmu = PerfCounterSet::this_thread().backend() == ProfBackend::kPerfEvent;
+  cache.cycles = pmu ? resolve(".cycles") : nullptr;
+  cache.instructions = pmu ? resolve(".instructions") : nullptr;
+  cache.cache_misses = pmu ? resolve(".cache_misses") : nullptr;
+  cache.branch_misses = pmu ? resolve(".branch_misses") : nullptr;
   cache.generation = now;
 }
 
@@ -280,11 +256,12 @@ PerfRegion::~PerfRegion() {
   const CounterTotals end = PerfCounterSet::this_thread().read();
   resolve_region_metrics(name_, cache_);
   cache_.count->inc(1);
+  cache_.task_clock_ns->inc(end.task_clock_ns - start_.task_clock_ns);
+  if (cache_.cycles == nullptr) return;  // clock fallback: no PMU counters
   cache_.cycles->inc(end.cycles - start_.cycles);
   cache_.instructions->inc(end.instructions - start_.instructions);
   cache_.cache_misses->inc(end.cache_misses - start_.cache_misses);
   cache_.branch_misses->inc(end.branch_misses - start_.branch_misses);
-  cache_.task_clock_ns->inc(end.task_clock_ns - start_.task_clock_ns);
 }
 
 }  // namespace jrsnd::obs::prof

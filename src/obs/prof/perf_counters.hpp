@@ -12,10 +12,11 @@
 // set_prof_backend):
 //   * kPerfEvent    — real hardware counters. Requires a PMU and a
 //                     perf_event_paranoid level that admits self-profiling.
-//   * kClockFallback — clock_gettime(CLOCK_THREAD_CPUTIME_ID). task_clock_ns
-//                     is exact; cycles are *estimated* (ns x JRSND_PROF_GHZ,
-//                     default 1.0); instructions and miss counts read 0.
-//                     Containers, VMs without vPMU, and non-Linux land here.
+//   * kClockFallback — clock_gettime(CLOCK_THREAD_CPUTIME_ID). Only
+//                     task_clock_ns is measured; regions record no cycle,
+//                     instruction or miss counters at all, so nothing
+//                     unmeasured reads as 0. Containers, VMs without vPMU,
+//                     and non-Linux land here.
 // Every API below stays callable under either backend — callers never need
 // to know which one is live; the `prof.backend` gauge (2 = perf_event,
 // 1 = clock fallback, 0 = off) says which numbers mean what.
@@ -47,9 +48,6 @@ enum class ProfBackend : std::uint8_t { kOff = 0, kClockFallback = 1, kPerfEvent
 /// The JRSND_PROF_BACKEND parse: "perf" | "clock" | "off", else nullopt
 /// (the probe then decides, after a warning).
 [[nodiscard]] std::optional<ProfBackend> parse_prof_backend(std::string_view text) noexcept;
-/// The JRSND_PROF_GHZ parse: a finite number > 0, else nullopt (the clock
-/// fallback then estimates at 1 GHz, after a warning).
-[[nodiscard]] std::optional<double> parse_prof_ghz(std::string_view text) noexcept;
 
 /// Forces the backend (tests, benches). kPerfEvent is a *request* — it
 /// re-probes and may still degrade to the fallback. Updates the
@@ -62,15 +60,14 @@ void set_prof_backend(ProfBackend backend);
 void set_prof_enabled(bool enabled);
 
 /// Accumulated counter values over a measured interval. With the clock
-/// fallback, `estimated` is true: cycles are derived from thread CPU time,
-/// instructions/misses read 0 and must not be interpreted as "zero misses".
+/// fallback only task_clock_ns is measured: the PMU fields stay 0 and must
+/// not be read as "zero misses" (check the set's backend()).
 struct CounterTotals {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t branch_misses = 0;
   std::uint64_t task_clock_ns = 0;
-  bool estimated = false;
 
   /// Instructions per cycle; 0 when either counter is unavailable.
   [[nodiscard]] double ipc() const noexcept;
@@ -118,11 +115,11 @@ class PerfCounterSet {
  private:
   ProfBackend backend_ = ProfBackend::kClockFallback;
   int fds_[5] = {-1, -1, -1, -1, -1};  // cycles, instr, cache, branch, task-clock
-  double fallback_ghz_ = 1.0;
 };
 
 /// Pre-resolved `prof.<name>.*` handles for one region site, revalidated
 /// against registry_generation() so scoped scratch registries are honored.
+/// The four PMU handles stay null unless this thread's set reads perf_event.
 struct RegionMetrics {
   Counter* count = nullptr;
   Counter* cycles = nullptr;

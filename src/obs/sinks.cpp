@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 namespace jrsnd::obs {
@@ -31,17 +32,26 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+char* format_json_double(char* first, double value) noexcept {
+  if (!std::isfinite(value)) {
+    std::memcpy(first, "null", 4);
+    return first + 4;
+  }
+  return std::to_chars(first, first + kJsonDoubleChars, value).ptr;
+}
+
 namespace {
+
+void write_double(std::ostream& os, double value) {
+  char buf[kJsonDoubleChars];
+  os.write(buf, format_json_double(buf, value) - buf);
+}
 
 void write_value(std::ostream& os, const FieldValue& value) {
   if (const auto* s = std::get_if<std::string>(&value)) {
     os << '"' << json_escape(*s) << '"';
   } else if (const auto* d = std::get_if<double>(&value)) {
-    if (std::isnan(*d) || std::isinf(*d)) {
-      os << "null";
-    } else {
-      os << *d;
-    }
+    write_double(os, *d);
   } else if (const auto* i = std::get_if<std::int64_t>(&value)) {
     os << *i;
   } else if (const auto* u = std::get_if<std::uint64_t>(&value)) {
@@ -54,7 +64,9 @@ void write_value(std::ostream& os, const FieldValue& value) {
 }  // namespace
 
 void write_jsonl(std::ostream& os, const TraceEvent& event) {
-  os << "{\"t\":" << event.t << ",\"seq\":" << event.seq << ",\"sev\":\""
+  os << "{\"t\":";
+  write_double(os, event.t);
+  os << ",\"seq\":" << event.seq << ",\"sev\":\""
      << severity_name(event.severity) << "\",\"event\":\"" << json_escape(event.name) << '"';
   for (const auto& [key, value] : event.fields) {
     os << ",\"" << json_escape(key) << "\":";

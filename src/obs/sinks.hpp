@@ -3,10 +3,12 @@
 // One trace event = one flat JSON object per line. Reserved keys `t` (sim
 // time, number), `seq` (number), `sev` (string), `event` (string); every
 // other key is a user field. parse_jsonl_line() inverts write_jsonl()
-// exactly, so `jrsnd report` and the round-trip tests read what any sink
-// wrote — including TracingPhy's print_jsonl, which shares this schema.
+// exactly — doubles are written as the shortest string that parses back to
+// the same value — so `jrsnd analyze` and the round-trip tests read what any
+// sink wrote, including TracingPhy's print_jsonl, which shares this schema.
 #pragma once
 
+#include <cstddef>
 #include <fstream>
 #include <iosfwd>
 #include <optional>
@@ -19,6 +21,14 @@ namespace jrsnd::obs {
 
 /// JSON string-escapes `s` (quotes, backslashes, control characters).
 [[nodiscard]] std::string json_escape(std::string_view s);
+
+/// Longest text format_json_double() writes.
+inline constexpr std::size_t kJsonDoubleChars = 32;
+
+/// Writes `value` into [first, first + kJsonDoubleChars) as the shortest JSON
+/// number that parses back to it ("null" for NaN and infinities); returns the
+/// end. Allocation- and lock-free, so the signal-path flight dump uses it too.
+char* format_json_double(char* first, double value) noexcept;
 
 /// Writes one event as a single JSONL line (with trailing newline).
 void write_jsonl(std::ostream& os, const TraceEvent& event);

@@ -5,7 +5,6 @@
 
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics_registry.hpp"
 
 namespace jrsnd::obs {
 
@@ -100,7 +99,6 @@ Span::Span(const char* name, std::uint64_t trace_id) noexcept : name_(name), is_
 
 void Span::begin(const char* name) noexcept {
   start_wall_ = span_wall_now();
-  JRSND_COUNT("obs.span.started");
   if (flight_enabled()) {
     FlightRecord rec;
     rec.t_wall = start_wall_;
@@ -135,7 +133,6 @@ void Span::with_u64(const char* key, std::uint64_t value) noexcept {
 Span::~Span() {
   t_trace.current = saved_current_;
   t_trace.next_span = is_root_ ? saved_next_span_ : t_trace.next_span;
-  JRSND_COUNT("obs.span.ended");
   const double end_wall = span_wall_now();
   if (flight_enabled()) {
     FlightRecord rec;

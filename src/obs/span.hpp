@@ -77,8 +77,8 @@ struct SpanContext {
 void set_span_wall_clock(bool enabled) noexcept;
 
 /// Seconds on the steady clock since the process's first call. The one wall
-/// origin shared by span records, flight notes and exporter heartbeats, so
-/// records from all of them order correctly in one dump.
+/// origin shared by span records and flight notes, so records from both
+/// order correctly in one dump.
 [[nodiscard]] double wall_seconds() noexcept;
 
 /// Deterministic trace-id mix (splitmix64 over the xor-folded inputs) —

@@ -1,10 +1,10 @@
 #include "obs/trace_analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <tuple>
 
 #include "obs/sinks.hpp"
@@ -49,6 +49,12 @@ bool field_double(const TraceEvent& ev, std::string_view key, double& out) {
   return false;
 }
 
+bool field_true(const TraceEvent& ev, std::string_view key) {
+  const FieldValue* v = ev.field(key);
+  const bool* b = v != nullptr ? std::get_if<bool>(v) : nullptr;
+  return b != nullptr && *b;
+}
+
 LossStage parse_loss(const TraceEvent& ev) {
   const FieldValue* v = ev.field("loss");
   if (v == nullptr) return LossStage::None;
@@ -89,9 +95,16 @@ void normalize_trace(std::vector<TraceEvent>& events) {
   for (TraceEvent& ev : events) ev.seq = ++seq;
 }
 
+double nearest_rank(const std::vector<double>& sorted, std::uint32_t percent) noexcept {
+  if (sorted.empty()) return std::nan("");
+  const std::size_t rank = (std::size_t{percent} * sorted.size() + 99) / 100;
+  return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+}
+
 TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events) {
   TraceAnalysis analysis;
   analysis.events = events.size();
+  if (!events.empty()) analysis.t_min = analysis.t_max = events.front().t;
 
   // Open begins keyed by (trace, span, t): span ids restart per trace, and
   // detached spans all share trace 0, so the run index disambiguates.
@@ -100,6 +113,12 @@ TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events) {
   std::map<std::uint64_t, std::size_t> spans_per_trace;
 
   for (const TraceEvent& ev : events) {
+    analysis.t_min = std::min(analysis.t_min, ev.t);
+    analysis.t_max = std::max(analysis.t_max, ev.t);
+    ++analysis.by_event[ev.name];
+    ++analysis.by_severity[static_cast<std::size_t>(ev.severity)];
+    if (ev.name == "dndp.pair") analysis.dndp_pairs.add(field_true(ev, "discovered"));
+    if (ev.name == "phy.tx") analysis.phy_tx.add(field_true(ev, "delivered"));
     if (ev.name != "span.begin" && ev.name != "span.end") continue;
     ++analysis.span_events;
     std::uint64_t trace = 0;
@@ -162,7 +181,6 @@ TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events) {
       attempt.loss = rec.loss;
       attempt.dur = rec.dur;
       attempt.wall_us = rec.wall_us;
-      attempt.has_wall = rec.has_wall;
       analysis.attempts.push_back(std::move(attempt));
       if (!rec.ok) {
         ++analysis.failed_attempts;
@@ -184,9 +202,63 @@ TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events) {
   return analysis;
 }
 
+namespace {
+
+void print_ratio(std::ostream& os, const char* label, const DeliveryCount& count,
+                 const char* ok_word) {
+  if (count.total == 0) return;
+  os << label << count.ok << " " << ok_word << " / " << count.total << " total (" << std::fixed
+     << std::setprecision(1)
+     << 100.0 * static_cast<double>(count.ok) / static_cast<double>(count.total) << "%)\n";
+}
+
+/// Per-stage p50/p95/p99/max of wall_us (`by_wall`) or of dur.
+void print_stage_latency(std::ostream& os, const TraceAnalysis& analysis, std::size_t width,
+                         bool by_wall) {
+  std::map<std::string, std::vector<double>> samples;
+  for (const SpanRecord& span : analysis.spans) {
+    if (by_wall ? span.has_wall : span.has_dur) {
+      samples[span.name].push_back(by_wall ? span.wall_us : span.dur);
+    }
+  }
+  if (samples.empty()) return;
+  os << (by_wall ? "\nstage latency (wall_us):\n" : "\nstage latency (dur, s):\n") << "  "
+     << std::left << std::setw(static_cast<int>(width)) << "stage" << std::right << std::setw(8)
+     << "count";
+  for (const char* label : {"p50", "p95", "p99", "max"}) os << "  " << std::setw(10) << label;
+  os << "\n";
+  for (auto& [name, values] : samples) {
+    std::sort(values.begin(), values.end());
+    os << "  " << std::left << std::setw(static_cast<int>(width)) << name << std::right
+       << std::setw(8) << values.size() << std::fixed << std::setprecision(by_wall ? 3 : 6);
+    for (const std::uint32_t percent : {50u, 95u, 99u, 100u}) {
+      os << "  " << std::setw(10) << nearest_rank(values, percent);
+    }
+    os << "\n";
+  }
+}
+
+}  // namespace
+
 void print_analysis(std::ostream& os, const TraceAnalysis& analysis, std::size_t top_k) {
+  const bool by_wall = std::any_of(analysis.spans.begin(), analysis.spans.end(),
+                                   [](const SpanRecord& s) { return s.has_wall; });
   os << "trace: " << analysis.events << " events, " << analysis.span_events
      << " span records, " << analysis.spans.size() << " spans closed\n";
+  if (analysis.events > 0) {
+    os << "t range: [" << std::fixed << std::setprecision(3) << analysis.t_min << ", "
+       << analysis.t_max << "]\n";
+    os << "severity:";
+    for (std::size_t i = 0; i < analysis.by_severity.size(); ++i) {
+      os << " " << severity_name(static_cast<Severity>(i)) << "=" << analysis.by_severity[i];
+    }
+    os << "\nevents:\n";
+    for (const auto& [name, count] : analysis.by_event) {
+      os << "  " << std::left << std::setw(24) << name << std::right << " " << count << "\n";
+    }
+    print_ratio(os, "dndp.pair: ", analysis.dndp_pairs, "discovered");
+    print_ratio(os, "phy.tx: ", analysis.phy_tx, "delivered");
+  }
   os << "attempts: " << analysis.attempts.size() << " total, "
      << analysis.attempts.size() - analysis.failed_attempts << " ok, "
      << analysis.failed_attempts << " failed";
@@ -228,14 +300,13 @@ void print_analysis(std::ostream& os, const TraceAnalysis& analysis, std::size_t
          << std::setprecision(6) << std::setw(10) << mean << "  " << std::setw(10)
          << stats.max_dur << "\n";
     }
+    print_stage_latency(os, analysis, width, by_wall);
   }
 
   if (!analysis.attempts.empty() && top_k > 0) {
     std::vector<const AttemptSummary*> slowest;
     slowest.reserve(analysis.attempts.size());
     for (const AttemptSummary& a : analysis.attempts) slowest.push_back(&a);
-    const bool by_wall =
-        std::any_of(slowest.begin(), slowest.end(), [](const auto* a) { return a->has_wall; });
     std::stable_sort(slowest.begin(), slowest.end(),
                      [by_wall](const AttemptSummary* a, const AttemptSummary* b) {
                        return (by_wall ? a->wall_us : a->dur) > (by_wall ? b->wall_us : b->dur);

@@ -1,10 +1,14 @@
-// Offline span reconstruction for `jrsnd analyze` (docs/observability.md).
+// The one offline reader of a JSONL trace: `jrsnd analyze FILE`
+// (docs/observability.md).
 //
 // Reads a JSONL trace (strictly: the first malformed line is an error with
 // its line number, not a skip), pairs span.begin/span.end records back into
 // a span tree per trace id, and derives:
+//   * event and severity counts, the t range, and the dndp.pair / phy.tx
+//     delivery ratios;
 //   * per-attempt summaries — a root span is one discovery attempt;
-//   * stage-level statistics (count, failures, deterministic durations);
+//   * stage-level statistics (count, failures, durations, nearest-rank
+//     latency percentiles);
 //   * loss attribution — every failed attempt maps to exactly one LossStage;
 //   * the top-K slowest attempts by critical-path duration.
 #pragma once
@@ -68,13 +72,31 @@ struct AttemptSummary {
   LossStage loss = LossStage::None;
   double dur = 0.0;  ///< critical path: the root span's own duration
   double wall_us = 0.0;
-  bool has_wall = false;
   std::size_t spans = 0;  ///< spans recorded under this trace id
+};
+
+/// Nearest-rank percentile of ascending `sorted` samples: the value at rank
+/// ceil(percent * n / 100) (at least 1), computed in integers so a whole
+/// q * n never rounds up a rank. NaN when empty. percent in [0, 100].
+[[nodiscard]] double nearest_rank(const std::vector<double>& sorted,
+                                  std::uint32_t percent) noexcept;
+
+/// Successes out of all occurrences of one event kind.
+struct DeliveryCount {
+  std::uint64_t total = 0;
+  std::uint64_t ok = 0;
+  void add(bool success) noexcept { ++total; if (success) ++ok; }
 };
 
 struct TraceAnalysis {
   std::size_t events = 0;       ///< total events examined
   std::size_t span_events = 0;  ///< span.begin + span.end among them
+  std::map<std::string, std::uint64_t> by_event;  ///< event name -> count
+  std::array<std::uint64_t, 4> by_severity{};     ///< indexed by Severity
+  double t_min = 0.0;  ///< t range over all events (0 when empty)
+  double t_max = 0.0;
+  DeliveryCount dndp_pairs;  ///< dndp.pair events, ok = `discovered`
+  DeliveryCount phy_tx;      ///< phy.tx events, ok = `delivered`
   std::vector<SpanRecord> spans;
   std::vector<AttemptSummary> attempts;      ///< root spans, file order
   std::map<std::string, StageStats> stages;  ///< keyed by span name
@@ -95,9 +117,10 @@ struct TraceAnalysis {
 /// other trace events; non-span events only count toward `events`).
 [[nodiscard]] TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events);
 
-/// Human-readable report: totals, loss-attribution table, per-stage
-/// breakdown, top-K slowest attempts (wall-clock when present, else the
-/// deterministic duration).
+/// Human-readable report: event/severity counts, t range, delivery ratios,
+/// attempt totals, loss-attribution table, per-stage breakdown, per-stage
+/// p50/p95/p99/max latency, top-K slowest attempts. Latencies are wall-clock
+/// (`wall_us`) when the trace has them, else the deterministic `dur`.
 void print_analysis(std::ostream& os, const TraceAnalysis& analysis, std::size_t top_k = 10);
 
 }  // namespace jrsnd::obs

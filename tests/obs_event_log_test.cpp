@@ -78,7 +78,11 @@ TEST(Jsonl, WriteThenParseRoundTripsAllFieldTypes) {
       .with("d", 2.5)
       .with("i", std::int64_t{-3})
       .with("u", std::uint64_t{18446744073709551615ull})
-      .with("b", true);
+      .with("b", true)
+      // Doubles that six significant digits would not carry back.
+      .with("tenth", 0.1)
+      .with("nine_digits", 0.123456789)
+      .with("big", 1234567.8);
 
   std::ostringstream os;
   write_jsonl(os, ev);
@@ -96,6 +100,16 @@ TEST(Jsonl, WriteThenParseRoundTripsAllFieldTypes) {
   EXPECT_EQ(std::get<std::int64_t>(*parsed->field("i")), -3);
   EXPECT_EQ(std::get<std::uint64_t>(*parsed->field("u")), 18446744073709551615ull);
   EXPECT_EQ(std::get<bool>(*parsed->field("b")), true);
+  EXPECT_EQ(std::get<double>(*parsed->field("tenth")), 0.1);
+  EXPECT_EQ(std::get<double>(*parsed->field("nine_digits")), 0.123456789);
+  EXPECT_EQ(std::get<double>(*parsed->field("big")), 1234567.8);
+
+  ev.t = 1234567.8;
+  std::ostringstream big_t;
+  write_jsonl(big_t, ev);
+  const auto reparsed = parse_jsonl_line(big_t.str());
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(reparsed->t, 1234567.8);
 }
 
 TEST(Jsonl, ParseRejectsMalformedLines) {

@@ -4,6 +4,7 @@
 // sampling profiler end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <regex>
 #include <sstream>
@@ -55,6 +56,12 @@ std::uint64_t counter_value(MetricsRegistry& reg, const std::string& name) {
   return 0;
 }
 
+bool has_counter(MetricsRegistry& reg, const std::string& name) {
+  const MetricsSnapshot snap = reg.snapshot();
+  return std::any_of(snap.counters.begin(), snap.counters.end(),
+                     [&](const CounterSample& c) { return c.name == name; });
+}
+
 TEST(ProfBackendTest, ForcedFallbackReportsThroughGauge) {
   ProfStateGuard guard;
   set_prof_backend(ProfBackend::kClockFallback);
@@ -85,7 +92,7 @@ TEST(ProfBackendTest, OffBackendDisarmsRegions) {
   set_prof_backend(ProfBackend::kClockFallback);
 }
 
-// --- JRSND_PROF_BACKEND / JRSND_PROF_GHZ / JRSND_FLIGHT_CAPACITY -----------
+// --- JRSND_PROF_BACKEND / JRSND_FLIGHT_CAPACITY ------------------------------
 
 TEST(EnvKnobs, ProfBackendAcceptsTheThreeNames) {
   EXPECT_EQ(parse_prof_backend("perf"), ProfBackend::kPerfEvent);
@@ -99,29 +106,6 @@ TEST(EnvKnobs, ProfBackendRejectsUnknownName) {
 
 TEST(EnvKnobs, ProfBackendRejectsOtherCase) {
   EXPECT_FALSE(parse_prof_backend("PERF").has_value());
-}
-
-TEST(EnvKnobs, ProfGhzRejectsNonNumber) {
-  EXPECT_FALSE(parse_prof_ghz("fast").has_value());
-}
-
-TEST(EnvKnobs, ProfGhzRejectsTrailingJunk) {
-  EXPECT_FALSE(parse_prof_ghz("2.5GHz").has_value());
-}
-
-TEST(EnvKnobs, ProfGhzRejectsZeroAndNegative) {
-  EXPECT_FALSE(parse_prof_ghz("0").has_value());
-  EXPECT_FALSE(parse_prof_ghz("-3").has_value());
-}
-
-TEST(EnvKnobs, ProfGhzRejectsNonFinite) {
-  EXPECT_FALSE(parse_prof_ghz("inf").has_value());
-  EXPECT_FALSE(parse_prof_ghz("nan").has_value());
-}
-
-TEST(EnvKnobs, ProfGhzAcceptsPositiveNumbers) {
-  EXPECT_EQ(parse_prof_ghz("2.5"), 2.5);
-  EXPECT_EQ(parse_prof_ghz("3"), 3.0);
 }
 
 TEST(EnvKnobs, FlightCapacityRejectsTrailingJunk) {
@@ -142,18 +126,17 @@ TEST(EnvKnobs, FlightCapacityAcceptsPositiveCounts) {
   EXPECT_EQ(obs::parse_flight_capacity("4096"), 4096u);
 }
 
-TEST(PerfCounterSetTest, FallbackCountersAreMonotoneAndEstimated) {
+TEST(PerfCounterSetTest, FallbackMeasuresOnlyTaskClock) {
   ProfStateGuard guard;
   set_prof_backend(ProfBackend::kClockFallback);
   const PerfCounterSet set;  // constructed after the force: binds the fallback
   ASSERT_EQ(set.backend(), ProfBackend::kClockFallback);
 
   const CounterTotals delta = set.measure([] { (void)burn_cpu(2'000'000); });
-  EXPECT_TRUE(delta.estimated);
   EXPECT_GT(delta.task_clock_ns, 0u) << "thread CPU clock must advance under load";
-  EXPECT_GT(delta.cycles, 0u) << "fallback cycles are derived from task_clock_ns";
-  // Honest zeros: the fallback cannot see the PMU, so derived rates must
-  // refuse to invent IPC or miss rates from estimated cycles.
+  // The fallback cannot see the PMU: it invents no cycles, and derived
+  // rates refuse to report IPC or miss rates.
+  EXPECT_EQ(delta.cycles, 0u);
   EXPECT_EQ(delta.instructions, 0u);
   EXPECT_EQ(delta.ipc(), 0.0);
   EXPECT_EQ(delta.llc_misses_per_kinst(), 0.0);
@@ -162,7 +145,6 @@ TEST(PerfCounterSetTest, FallbackCountersAreMonotoneAndEstimated) {
   (void)burn_cpu(100'000);
   const CounterTotals b = set.read();
   EXPECT_GE(b.task_clock_ns, a.task_clock_ns);
-  EXPECT_GE(b.cycles, a.cycles);
 }
 
 TEST(PerfCounterSetTest, TotalsAccumulate) {
@@ -180,12 +162,8 @@ TEST(PerfCounterSetTest, TotalsAccumulate) {
   EXPECT_EQ(sum.cache_misses, 6u);
   EXPECT_EQ(sum.branch_misses, 8u);
   EXPECT_EQ(sum.task_clock_ns, 100u);
-  EXPECT_FALSE(sum.estimated);
   EXPECT_DOUBLE_EQ(sum.ipc(), 2.5);
-  CounterTotals estimated;
-  estimated.estimated = true;
-  sum += estimated;
-  EXPECT_TRUE(sum.estimated) << "an estimated part taints the whole total";
+  EXPECT_DOUBLE_EQ(sum.llc_misses_per_kinst(), 12.0);
 }
 
 TEST(PerfRegionTest, DisabledRegionRecordsNothing) {
@@ -216,7 +194,11 @@ TEST(PerfRegionTest, RegionsAggregateIntoScopedRegistry) {
   }
   EXPECT_EQ(counter_value(scratch, "prof.test.region.count"), 5u);
   EXPECT_GT(counter_value(scratch, "prof.test.region.task_clock_ns"), 0u);
-  EXPECT_GT(counter_value(scratch, "prof.test.region.cycles"), 0u);
+  // The fallback measures no PMU events, so it records none: an unmeasured
+  // value is absent, never a 0 or an estimate.
+  for (const char* pmu : {"cycles", "instructions", "cache_misses", "branch_misses"}) {
+    EXPECT_FALSE(has_counter(scratch, std::string("prof.test.region.") + pmu)) << pmu;
+  }
   // Scoped isolation: nothing leaked into the process registry.
   EXPECT_EQ(counter_value(registry(), "prof.test.region.count"), 0u);
 

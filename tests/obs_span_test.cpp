@@ -3,6 +3,7 @@
 // the FaultyPhy crash-event dump path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -178,6 +179,42 @@ TEST(Span, WallClockFieldAppearsWhenOptedIn) {
   EXPECT_GE(std::get<double>(*tracing.events()[1].field("wall_us")), 0.0);
 }
 
+/// Every line of a flight dump, parsed.
+std::vector<TraceEvent> parse_dump(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<TraceEvent> events;
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto ev = parse_jsonl_line(line);
+    EXPECT_TRUE(ev.has_value()) << line;
+    if (ev.has_value()) events.push_back(*ev);
+  }
+  return events;
+}
+
+/// The rings as dump_flight_fd writes them, read back from a temp file.
+std::vector<TraceEvent> dump_flight_events() {
+  const std::string path = ::testing::TempDir() + "jrsnd_flight_dump.jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return {};
+  dump_flight_fd(fileno(f));
+  std::fclose(f);
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  return parse_dump(text.str());
+}
+
+double number_field(const TraceEvent& ev, const char* key) {
+  const FieldValue* f = ev.field(key);
+  if (f == nullptr) return -1.0;
+  if (const auto* d = std::get_if<double>(f)) return *d;
+  if (const auto* u = std::get_if<std::uint64_t>(f)) return static_cast<double>(*u);
+  return -1.0;
+}
+
 TEST(FlightRecorder, RingWrapsAtCapacityAndSurvivesThreadExit) {
   set_flight_capacity(8);
   flight_reset();
@@ -189,18 +226,12 @@ TEST(FlightRecorder, RingWrapsAtCapacityAndSurvivesThreadExit) {
   }).join();
   EXPECT_GE(flight_records_dropped() - dropped_before, 12u);
 
-  std::ostringstream os;
-  (void)dump_flight(os);
-  std::istringstream in(os.str());
-  std::string line;
   std::size_t wrap_notes = 0;
   std::uint64_t last_arg = 0;
-  while (std::getline(in, line)) {
-    const auto ev = parse_jsonl_line(line);
-    ASSERT_TRUE(ev.has_value()) << line;
-    if (ev->name == "flight.note" && str_field(*ev, "name") == "wrap.note") {
+  for (const TraceEvent& ev : dump_flight_events()) {
+    if (ev.name == "flight.note" && str_field(ev, "name") == "wrap.note") {
       ++wrap_notes;
-      last_arg = u64_field(*ev, "arg");
+      last_arg = u64_field(ev, "arg");
     }
   }
   // Only the newest `capacity` records survive the wrap, oldest first.
@@ -225,19 +256,13 @@ TEST(FlightRecorder, SpanContextRidesOnNotes) {
     Span root("dndp.attempt", 77);
     flight_note("hs.retx", 3);
   }
-  std::ostringstream os;
-  (void)dump_flight(os);
-  std::istringstream in(os.str());
-  std::string line;
   bool found = false;
-  while (std::getline(in, line)) {
-    const auto ev = parse_jsonl_line(line);
-    ASSERT_TRUE(ev.has_value()) << line;
-    if (ev->name == "flight.note" && str_field(*ev, "name") == "hs.retx") {
+  for (const TraceEvent& ev : dump_flight_events()) {
+    if (ev.name == "flight.note" && str_field(ev, "name") == "hs.retx") {
       found = true;
-      EXPECT_EQ(u64_field(*ev, "trace"), 77u);
-      EXPECT_EQ(u64_field(*ev, "span"), 1u);
-      EXPECT_EQ(u64_field(*ev, "arg"), 3u);
+      EXPECT_EQ(u64_field(ev, "trace"), 77u);
+      EXPECT_EQ(u64_field(ev, "span"), 1u);
+      EXPECT_EQ(u64_field(ev, "arg"), 3u);
     }
   }
   EXPECT_TRUE(found);
@@ -263,27 +288,6 @@ TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
   std::remove(path.c_str());
 }
 
-/// Every line of a flight dump, parsed.
-std::vector<TraceEvent> parse_dump(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<TraceEvent> events;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto ev = parse_jsonl_line(line);
-    EXPECT_TRUE(ev.has_value()) << line;
-    if (ev.has_value()) events.push_back(*ev);
-  }
-  return events;
-}
-
-double number_field(const TraceEvent& ev, const char* key) {
-  const FieldValue* f = ev.field(key);
-  if (f == nullptr) return -1.0;
-  if (const auto* d = std::get_if<double>(f)) return *d;
-  if (const auto* u = std::get_if<std::uint64_t>(f)) return static_cast<double>(*u);
-  return -1.0;
-}
-
 TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
   // Span records and notes are stamped against one wall origin, so a note
   // taken 10 ms after the first span sorts after every span record.
@@ -294,11 +298,9 @@ TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   flight_note("order.note", 1);
 
-  std::ostringstream os;
-  (void)dump_flight(os);
   std::vector<std::string> order;
   std::vector<double> wall;
-  for (const TraceEvent& ev : parse_dump(os.str())) {
+  for (const TraceEvent& ev : dump_flight_events()) {
     const std::string name = str_field(ev, "name");
     if (name.rfind("order.", 0) != 0) continue;
     order.push_back(ev.name + " " + name);
@@ -312,7 +314,7 @@ TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
   EXPECT_GE(wall[4] - wall[0], 0.009);
 }
 
-TEST(FlightRecorder, DumpFdWritesTheSameEventsAsDumpFlight) {
+TEST(FlightRecorder, DumpInterleavesRingsByWallClock) {
   flight_reset();
   const auto record_on_main = [](std::uint64_t trace, double t) {
     const ScopedSimTime at(t);
@@ -326,54 +328,94 @@ TEST(FlightRecorder, DumpFdWritesTheSameEventsAsDumpFlight) {
     flight_note("parity.zero_arg", 0);
   };
   // Main, another thread, main again: the dump must interleave the two rings
-  // by wall clock and number seq across both.
+  // by wall clock and number seq across both. The thread's sim time needs
+  // all 8 significant digits to read back exactly.
   record_on_main(41, 2.0);
   std::thread([] {
-    const ScopedSimTime at(3.5);
+    const ScopedSimTime at(1234567.8);
     Span other("parity.thread", 42);
     flight_note("parity.thread.note", 9);
   }).join();
   record_on_main(43, 4.0);
 
-  std::ostringstream os;
-  (void)dump_flight(os);
-  const std::vector<TraceEvent> streamed = parse_dump(os.str());
+  struct Expected {
+    const char* event;
+    const char* name;
+    double t;
+    std::uint64_t arg;  // 0 = no `arg` field
+  };
+  const Expected expected[] = {
+      {"flight.begin", "parity.root", 2.0, 0},      {"flight.begin", "parity.child", 2.0, 0},
+      {"flight.end", "parity.child", 2.0, 0},       {"flight.note", "parity.note", 2.0, 41},
+      {"flight.note", "parity.zero_arg", 2.0, 0},   {"flight.end", "parity.root", 2.0, 0},
+      {"flight.begin", "parity.thread", 1234567.8, 0},
+      {"flight.note", "parity.thread.note", 1234567.8, 9},
+      {"flight.end", "parity.thread", 1234567.8, 0},
+      {"flight.begin", "parity.root", 4.0, 0},      {"flight.begin", "parity.child", 4.0, 0},
+      {"flight.end", "parity.child", 4.0, 0},       {"flight.note", "parity.note", 4.0, 43},
+      {"flight.note", "parity.zero_arg", 4.0, 0},   {"flight.end", "parity.root", 4.0, 0},
+  };
+  const std::vector<TraceEvent> dumped = dump_flight_events();
+  ASSERT_EQ(dumped.size(), std::size(expected));
+  double last_wall = 0.0;
+  for (std::size_t i = 0; i < dumped.size(); ++i) {
+    const TraceEvent& ev = dumped[i];
+    const Expected& want = expected[i];
+    SCOPED_TRACE("record " + std::to_string(i) + " " + str_field(ev, "name"));
+    EXPECT_EQ(ev.name, want.event);
+    EXPECT_EQ(str_field(ev, "name"), want.name);
+    EXPECT_EQ(ev.seq, i + 1) << "seq runs on across rings";
+    EXPECT_EQ(ev.t, want.t) << "t reads back exactly";
+    const double wall = number_field(ev, "wall_s");
+    EXPECT_GE(wall, last_wall) << "rings merge in wall-clock order";
+    last_wall = wall;
+    // `ok` only on end records; the failed child is the one warn/jammed.
+    const bool is_end = ev.name == "flight.end";
+    ASSERT_EQ(ev.field("ok") != nullptr, is_end);
+    const bool failed = str_field(ev, "name") == "parity.child" && is_end;
+    if (is_end) {
+      EXPECT_EQ(std::get<bool>(*ev.field("ok")), !failed);
+    }
+    EXPECT_EQ(ev.severity, failed ? Severity::Warn : Severity::Info);
+    EXPECT_EQ(str_field(ev, "loss"), failed ? "jammed" : "");
+    // `arg` only on notes whose argument is nonzero.
+    if (want.arg != 0) {
+      EXPECT_EQ(u64_field(ev, "arg"), want.arg);
+    } else {
+      EXPECT_EQ(ev.field("arg"), nullptr);
+    }
+  }
+}
 
-  const std::string path = ::testing::TempDir() + "jrsnd_flight_parity.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  dump_flight_fd(fileno(f));
-  std::fclose(f);
-  std::ifstream in(path);
-  std::ostringstream fd_text;
-  fd_text << in.rdbuf();
-  const std::vector<TraceEvent> from_fd = parse_dump(fd_text.str());
-  std::remove(path.c_str());
-
-  ASSERT_EQ(streamed.size(), 15u);
-  ASSERT_EQ(from_fd.size(), streamed.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    const TraceEvent& a = streamed[i];
-    const TraceEvent& b = from_fd[i];
-    SCOPED_TRACE("record " + std::to_string(i) + " " + str_field(a, "name"));
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.seq, i + 1);
-    EXPECT_EQ(b.seq, i + 1);
-    EXPECT_EQ(a.severity, b.severity);
-    EXPECT_DOUBLE_EQ(a.t, b.t);
-    ASSERT_EQ(a.fields.size(), b.fields.size());
-    for (std::size_t k = 0; k < a.fields.size(); ++k) {
-      EXPECT_EQ(a.fields[k].first, b.fields[k].first);
-      if (a.fields[k].first == "wall_s") {
-        // The fd path prints microseconds; the stream path six digits.
-        const double wa = number_field(a, "wall_s");
-        EXPECT_NEAR(wa, number_field(b, "wall_s"), 1e-6 + 1e-5 * wa);
-      } else {
-        EXPECT_EQ(a.fields[k].second, b.fields[k].second) << a.fields[k].first;
+TEST(FlightRecorder, DumpNowBesideLiveWritersReadsWholeRecords) {
+  // An on-demand dump holds every ring it reads, so records pushed by other
+  // threads meanwhile are never torn (the thread sanitizer leg checks the
+  // locking itself).
+  flight_reset();
+  const std::string path = ::testing::TempDir() + "jrsnd_flight_live.jsonl";
+  set_flight_dump_path(path);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) flight_note("live.note", 7);
+    });
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(dump_flight_now());
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (const TraceEvent& ev : parse_dump(text.str())) {
+      if (str_field(ev, "name") == "live.note") {
+        EXPECT_EQ(u64_field(ev, "arg"), 7u);
       }
     }
   }
-  EXPECT_EQ(str_field(streamed[6], "name"), "parity.thread");  // rings interleave
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : writers) t.join();
+  set_flight_dump_path("");
+  std::remove(path.c_str());
 }
 
 /// Inner PHY that always delivers — isolates FaultyPhy's crash behavior.

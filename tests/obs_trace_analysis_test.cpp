@@ -4,6 +4,7 @@
 // seed-ordered normalization.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -139,6 +140,75 @@ TEST(TraceAnalysis, FlagsUnattributedFailuresAndUnmatchedRecords) {
   EXPECT_FALSE(analysis.attribution_complete());
   EXPECT_EQ(analysis.unmatched_begin, 1u);
   EXPECT_EQ(analysis.unmatched_end, 1u);
+}
+
+TEST(TraceAnalysis, NearestRankUsesRankCeilQn) {
+  // A whole q * n is the rank itself, not the one above it.
+  EXPECT_EQ(nearest_rank({1.0, 2.0}, 50), 1.0);
+  std::vector<double> hundred;
+  for (int i = 1; i <= 100; ++i) hundred.push_back(i);
+  EXPECT_EQ(nearest_rank(hundred, 95), 95.0);
+  EXPECT_EQ(nearest_rank(hundred, 99), 99.0);
+  EXPECT_EQ(nearest_rank(hundred, 100), 100.0);
+  // A fractional q * n rounds up; a zero rank clamps to the first sample.
+  EXPECT_EQ(nearest_rank({1.0, 2.0, 3.0}, 50), 2.0);
+  EXPECT_EQ(nearest_rank({1.0, 2.0, 3.0}, 0), 1.0);
+  EXPECT_TRUE(std::isnan(nearest_rank({}, 50)));
+}
+
+TEST(TraceAnalysis, CountsEventsSeveritiesAndDeliveryRatios) {
+  std::vector<TraceEvent> events;
+  events.emplace_back("dndp.pair");
+  events.back().with("discovered", true);
+  events.back().t = 3.0;
+  events.emplace_back("dndp.pair", Severity::Warn);
+  events.back().with("discovered", false);
+  events.emplace_back("phy.tx");
+  events.back().with("delivered", true);
+  events.back().t = 1.5;
+  events.push_back(span_begin(0.5, 100, 1, 0, "dndp.attempt"));
+  events.push_back(span_end(0.5, 100, 1, 0, "dndp.attempt", true, nullptr, 0.25));
+
+  const TraceAnalysis analysis = analyze_trace(events);
+  EXPECT_EQ(analysis.by_event.at("dndp.pair"), 2u);
+  EXPECT_EQ(analysis.by_event.at("phy.tx"), 1u);
+  EXPECT_EQ(analysis.by_event.at("span.end"), 1u);
+  EXPECT_EQ(analysis.by_severity[static_cast<std::size_t>(Severity::Info)], 4u);
+  EXPECT_EQ(analysis.by_severity[static_cast<std::size_t>(Severity::Warn)], 1u);
+  EXPECT_EQ(analysis.t_min, 0.0);
+  EXPECT_EQ(analysis.t_max, 3.0);
+  EXPECT_EQ(analysis.dndp_pairs.total, 2u);
+  EXPECT_EQ(analysis.dndp_pairs.ok, 1u);
+  EXPECT_EQ(analysis.phy_tx.total, 1u);
+  EXPECT_EQ(analysis.phy_tx.ok, 1u);
+
+  std::ostringstream os;
+  print_analysis(os, analysis, 5);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("t range: [0.000, 3.000]"), std::string::npos) << text;
+  EXPECT_NE(text.find("severity: debug=0 info=4 warn=1 error=0"), std::string::npos) << text;
+  EXPECT_NE(text.find("dndp.pair: 1 discovered / 2 total (50.0%)"), std::string::npos) << text;
+  EXPECT_NE(text.find("phy.tx: 1 delivered / 1 total (100.0%)"), std::string::npos) << text;
+  EXPECT_NE(text.find("stage latency (dur, s):"), std::string::npos) << text;
+}
+
+TEST(TraceAnalysis, StageLatencyPrefersWallClock) {
+  std::vector<TraceEvent> events;
+  for (int i = 1; i <= 100; ++i) {
+    events.push_back(span_begin(0.0, 100 + static_cast<std::uint64_t>(i), 1, 0, "dndp.attempt"));
+    events.push_back(span_end(0.0, 100 + static_cast<std::uint64_t>(i), 1, 0, "dndp.attempt",
+                              true, nullptr, 0.5));
+    events.back().with("wall_us", static_cast<double>(i));
+  }
+  std::ostringstream os;
+  print_analysis(os, analyze_trace(events), 0);
+  const std::string text = os.str();
+  EXPECT_EQ(text.find("stage latency (dur, s):"), std::string::npos) << text;
+  // count, then p50 p95 p99 max of wall_us 1..100 at ranks 50, 95, 99, 100.
+  EXPECT_NE(text.find("stage latency (wall_us):"), std::string::npos) << text;
+  EXPECT_NE(text.find("     100      50.000      95.000      99.000     100.000"),
+            std::string::npos)
+      << text;
 }
 
 TEST(TraceAnalysis, PrintsReportWithLossTable) {

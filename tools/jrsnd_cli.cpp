@@ -1,13 +1,12 @@
 // jrsnd — command-line driver for the library.
 //
 //   jrsnd analyze   [--n --m --l --q --z --mu --nu]   closed-form numbers
-//   jrsnd analyze   FILE [--top K]                     span-trace analysis:
-//                                                      latency breakdown +
-//                                                      loss attribution
+//   jrsnd analyze   FILE [--top K]                     the one JSONL trace
+//                                                      reader (strict: exits 2
+//                                                      on a malformed line)
 //   jrsnd simulate  [--n --m --l --q --nu --runs --seed --jammer]
 //                   [--trace-out FILE] [--trace-wall] [--metrics]
-//                   [--export-prom FILE] [--heartbeat FILE]
-//                   [--export-interval SECS] [--flight-dump FILE]
+//                   [--flight-dump FILE]
 //                   [--profile-out FILE] [--profile-hz N]
 //                                                      Monte-Carlo discovery
 //   jrsnd profile   --out FILE [--hz N] [simulate flags]
@@ -16,17 +15,14 @@
 //                                                      regions (prof.*)
 //   jrsnd trace     [--seed] [--jsonl]                 one D-NDP handshake,
 //                                                      message by message
-//   jrsnd report    FILE                               summarize a JSONL trace
-//                                                      (strict: exits 2 with
-//                                                      the offending line on
-//                                                      malformed input)
 //   jrsnd provision --node <id> [--n --m --l --chips]  hex provisioning blob
+//   jrsnd chaos     [--n --m --l --q --runs --seed ...] fault-injection sweep
 //
 // Every flag defaults to Table I. Flags without a value ("--metrics") are
-// booleans. Exit code 0 on success, 2 on usage error.
+// booleans; a flag the subcommand does not read is a usage error. Exit code
+// 0 on success, 2 on usage error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -35,7 +31,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 #include "jrsnd.hpp"
@@ -83,19 +79,16 @@ struct Args {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: jrsnd <analyze|simulate|profile|trace|report|provision|chaos> "
+               "usage: jrsnd <analyze|simulate|profile|trace|provision|chaos> "
                "[--flag [value]]...\n"
                "  analyze   --n --m --l --q --z --mu --nu       closed forms (Thms 1-4)\n"
-               "  analyze   FILE [--top K]                       span-trace analysis: per-\n"
-               "            attempt latency, stage stats, loss attribution\n"
+               "  analyze   FILE [--top K]                       summarize a JSONL trace: counts,\n"
+               "            delivery ratios, stage latency percentiles, loss attribution\n"
                "  simulate  --n --m --l --q --nu --runs --seed --jammer {none,random,\n"
                "            reactive,intelligent}                Monte-Carlo discovery\n"
                "            --trace-out FILE    write a JSONL event trace\n"
                "            --trace-wall        add wall_us to span.end events\n"
                "            --metrics           print the metrics table afterwards\n"
-               "            --export-prom FILE  publish Prometheus text metrics\n"
-               "            --heartbeat FILE    append JSONL heartbeat events\n"
-               "            --export-interval S background export period (default 1)\n"
                "            --flight-dump FILE  flight-recorder dump destination\n"
                "                                (crash events + fatal signals)\n"
                "            --profile-out FILE  folded-stack CPU profile + prof.* counter\n"
@@ -103,7 +96,6 @@ int usage() {
                "            --profile-hz N      sample rate (default 199)\n"
                "  profile   --out FILE [--hz N] [simulate flags] profiled simulate run\n"
                "  trace     --seed [--jsonl]                     one traced D-NDP run\n"
-               "  report    FILE                                 summarize a JSONL trace\n"
                "  provision --node <id> --n --m --l --chips      provisioning blob (hex)\n"
                "  chaos     --n --m --l --q --runs --seed --retx sweep injected message\n"
                "            drop and assert the retry discipline's recovery envelope\n"
@@ -127,9 +119,18 @@ core::Params params_from(const Args& args) {
   return p;
 }
 
-/// `jrsnd analyze FILE` — offline span-trace analysis. Strict read: any
-/// malformed line aborts with its 1-based number (exit 2), mirroring
-/// `jrsnd report`.
+/// The --jammer value by its jammer_name(); nullopt for an unknown name.
+std::optional<core::JammerKind> jammer_from(const std::string& name) {
+  for (const core::JammerKind kind : {core::JammerKind::None, core::JammerKind::Random,
+                                      core::JammerKind::Reactive, core::JammerKind::Intelligent}) {
+    if (name == core::jammer_name(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
+/// `jrsnd analyze FILE` — the offline trace reader. Strict read: a trace
+/// with a broken line is a broken trace, so the first malformed line aborts
+/// with its 1-based number (exit 2) instead of a skip biasing every count.
 int cmd_analyze_trace(const Args& args) {
   const std::string& path = args.positionals.front();
   std::ifstream in(path);
@@ -208,18 +209,9 @@ int cmd_simulate(const Args& args) {
   core::ExperimentConfig cfg;
   cfg.params = params_from(args);
   cfg.base_seed = args.u64("seed", 1);
-  const std::string jammer = args.str("jammer", "reactive");
-  if (jammer == "none") {
-    cfg.jammer = core::JammerKind::None;
-  } else if (jammer == "random") {
-    cfg.jammer = core::JammerKind::Random;
-  } else if (jammer == "reactive") {
-    cfg.jammer = core::JammerKind::Reactive;
-  } else if (jammer == "intelligent") {
-    cfg.jammer = core::JammerKind::Intelligent;
-  } else {
-    return usage();
-  }
+  const std::optional<core::JammerKind> jammer = jammer_from(args.str("jammer", "reactive"));
+  if (!jammer.has_value()) return usage();
+  cfg.jammer = *jammer;
 
   std::shared_ptr<obs::JsonlFileSink> trace_sink;
   if (args.has("trace-out")) {
@@ -236,11 +228,9 @@ int cmd_simulate(const Args& args) {
   if (args.has("flight-dump")) {
     // Crash-event dumps (FaultyPhy) and fatal-signal postmortems both land
     // at this path.
-    obs::set_flight_dump_path(args.str("flight-dump", ""));
     obs::install_flight_crash_handler(args.str("flight-dump", ""));
   }
-  const bool want_export = args.has("export-prom") || args.has("heartbeat");
-  const bool want_metrics = args.has("metrics") || want_export;
+  const bool want_metrics = args.has("metrics");
   const bool want_profile = args.has("profile-out");
   if (want_profile) {
     // Counter regions flow through the metrics registry; the sampler is
@@ -262,16 +252,6 @@ int cmd_simulate(const Args& args) {
     // Exercise the chip-level pipeline once so the dsss/ecc counters reflect
     // a real sync + decode, not just preregistered zeros.
     run_chip_calibration(cfg.base_seed);
-  }
-  std::optional<obs::MetricsExporter> exporter;
-  if (want_export) {
-    obs::ExporterOptions opts;
-    opts.prometheus_path = args.str("export-prom", "");
-    opts.heartbeat_path = args.str("heartbeat", "");
-    opts.interval_s = args.real("export-interval", 1.0);
-    opts.source = "simulate";
-    exporter.emplace(std::move(opts));
-    exporter->start();
   }
 
   std::printf("config: %s, jammer=%s, seed=%llu\n", cfg.params.summary().c_str(),
@@ -298,16 +278,7 @@ int cmd_simulate(const Args& args) {
                 static_cast<unsigned long long>(obs::prof::profiler_dropped()), path.c_str(),
                 obs::prof::backend_name(obs::prof::prof_backend()));
   }
-  if (exporter.has_value()) {
-    exporter.reset();  // stop + one final synchronous export
-    if (args.has("export-prom")) {
-      std::printf("metrics: prometheus -> %s\n", args.str("export-prom", "").c_str());
-    }
-    if (args.has("heartbeat")) {
-      std::printf("metrics: heartbeats -> %s\n", args.str("heartbeat", "").c_str());
-    }
-  }
-  if (args.has("metrics")) {
+  if (want_metrics) {
     std::printf("\n");
     obs::registry().snapshot().print_table(std::cout);
   }
@@ -324,14 +295,15 @@ int cmd_simulate(const Args& args) {
 
 /// `jrsnd profile` — a profiled `simulate`. Sugar: `--out`/`--hz` map onto
 /// `--profile-out`/`--profile-hz`, every other simulate flag passes through.
-int cmd_profile(Args args) {
+int cmd_profile(const Args& args) {
   if (!args.has("out") && !args.has("profile-out")) {
     std::fprintf(stderr, "error: profile needs --out FILE\n");
     return usage();
   }
-  if (args.has("out")) args.flags["profile-out"] = args.flags["out"];
-  if (args.has("hz")) args.flags["profile-hz"] = args.flags["hz"];
-  return cmd_simulate(args);
+  Args simulate = args;
+  if (args.has("out")) simulate.flags["profile-out"] = args.str("out", "");
+  if (args.has("hz")) simulate.flags["profile-hz"] = args.str("hz", "");
+  return cmd_simulate(simulate);
 }
 
 int cmd_trace(const Args& args) {
@@ -364,114 +336,6 @@ int cmd_trace(const Args& args) {
     std::printf("session code: %s...\n",
                 nodes[0].neighbor(node_id(1))->session_code.slice(0, 48).to_string().c_str());
   }
-  return 0;
-}
-
-int cmd_report(const Args& args) {
-  if (args.positionals.empty()) {
-    std::fprintf(stderr, "error: report needs a trace file\n");
-    return usage();
-  }
-  const std::string& path = args.positionals.front();
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
-    return 2;
-  }
-
-  std::vector<obs::TraceEvent> events;
-  obs::TraceReadError error;
-  if (!obs::read_trace_jsonl(in, events, &error)) {
-    // Strict by contract: a trace with a broken line is a broken trace. Name
-    // the line so the producer can be fixed instead of a skip silently
-    // biasing every count below.
-    std::fprintf(stderr, "error: %s:%zu: %s\n", path.c_str(), error.line,
-                 error.message.c_str());
-    return 2;
-  }
-
-  std::map<std::string, std::uint64_t> by_event;
-  std::uint64_t by_severity[4] = {0, 0, 0, 0};
-  const std::uint64_t total = events.size();
-  double t_min = events.empty() ? 0.0 : events.front().t;
-  double t_max = t_min;
-  std::uint64_t dndp_pairs = 0;
-  std::uint64_t dndp_discovered = 0;
-  std::uint64_t phy_tx = 0;
-  std::uint64_t phy_delivered = 0;
-  for (const obs::TraceEvent& ev : events) {
-    t_min = std::min(t_min, ev.t);
-    t_max = std::max(t_max, ev.t);
-    ++by_event[ev.name];
-    ++by_severity[static_cast<int>(ev.severity)];
-    const auto bool_field = [&ev](const char* key) {
-      const obs::FieldValue* f = ev.field(key);
-      const bool* b = f != nullptr ? std::get_if<bool>(f) : nullptr;
-      return b != nullptr && *b;
-    };
-    if (ev.name == "dndp.pair") {
-      ++dndp_pairs;
-      if (bool_field("discovered")) ++dndp_discovered;
-    } else if (ev.name == "phy.tx") {
-      ++phy_tx;
-      if (bool_field("delivered")) ++phy_delivered;
-    }
-  }
-  // span.end latency distributions: wall_us when the trace was recorded with
-  // --trace-wall, sim-time `dur` otherwise. Kept separate — the units differ.
-  std::map<std::string, std::vector<double>> span_wall_us;
-  std::map<std::string, std::vector<double>> span_dur_sim;
-  for (const obs::SpanRecord& span : obs::analyze_trace(events).spans) {
-    if (span.has_wall) span_wall_us[span.name].push_back(span.wall_us);
-    if (span.has_dur) span_dur_sim[span.name].push_back(span.dur);
-  }
-
-  std::printf("trace: %s\n", path.c_str());
-  std::printf("events   : %llu\n", static_cast<unsigned long long>(total));
-  if (total == 0) return 0;
-  std::printf("t range  : [%.3f, %.3f]\n", t_min, t_max);
-  std::printf("severity : debug=%llu info=%llu warn=%llu error=%llu\n",
-              static_cast<unsigned long long>(by_severity[0]),
-              static_cast<unsigned long long>(by_severity[1]),
-              static_cast<unsigned long long>(by_severity[2]),
-              static_cast<unsigned long long>(by_severity[3]));
-  std::printf("by event :\n");
-  for (const auto& [name, count] : by_event) {
-    std::printf("  %-24s %llu\n", name.c_str(), static_cast<unsigned long long>(count));
-  }
-  if (dndp_pairs > 0) {
-    std::printf("dndp.pair: %llu discovered / %llu total (%.1f%%)\n",
-                static_cast<unsigned long long>(dndp_discovered),
-                static_cast<unsigned long long>(dndp_pairs),
-                100.0 * static_cast<double>(dndp_discovered) / static_cast<double>(dndp_pairs));
-  }
-  if (phy_tx > 0) {
-    std::printf("phy.tx   : %llu delivered / %llu total (%.1f%%)\n",
-                static_cast<unsigned long long>(phy_delivered),
-                static_cast<unsigned long long>(phy_tx),
-                100.0 * static_cast<double>(phy_delivered) / static_cast<double>(phy_tx));
-  }
-  // Exact offline percentiles (sorted samples, nearest-rank).
-  const auto print_percentiles = [](const char* title,
-                                    std::map<std::string, std::vector<double>>& by_span) {
-    if (by_span.empty()) return;
-    std::printf("%s:\n", title);
-    std::printf("  %-24s %8s %12s %12s %12s %12s\n", "span", "count", "p50", "p95", "p99",
-                "max");
-    for (auto& [name, samples] : by_span) {
-      std::sort(samples.begin(), samples.end());
-      const auto pct = [&samples](double q) {
-        const std::size_t rank = static_cast<std::size_t>(
-            std::min<double>(static_cast<double>(samples.size()) - 1.0,
-                             q * static_cast<double>(samples.size())));
-        return samples[rank];
-      };
-      std::printf("  %-24s %8zu %12.3f %12.3f %12.3f %12.3f\n", name.c_str(), samples.size(),
-                  pct(0.50), pct(0.95), pct(0.99), samples.back());
-    }
-  };
-  print_percentiles("span wall latency (us)", span_wall_us);
-  if (span_wall_us.empty()) print_percentiles("span sim latency (s)", span_dur_sim);
   return 0;
 }
 
@@ -511,12 +375,9 @@ int cmd_chaos(const Args& args) {
 
   // Default jammer: none — the sweep isolates the injected faults so the
   // degradation envelope measures the retry discipline, not Theorem 1.
-  const std::string jammer = args.str("jammer", "none");
-  if (jammer == "none") cfg.jammer = core::JammerKind::None;
-  else if (jammer == "random") cfg.jammer = core::JammerKind::Random;
-  else if (jammer == "reactive") cfg.jammer = core::JammerKind::Reactive;
-  else if (jammer == "intelligent") cfg.jammer = core::JammerKind::Intelligent;
-  else return usage();
+  const std::optional<core::JammerKind> jammer = jammer_from(args.str("jammer", "none"));
+  if (!jammer.has_value()) return usage();
+  cfg.jammer = *jammer;
 
   const std::uint32_t retx = args.u32("retx", 3);
 
@@ -662,6 +523,32 @@ int cmd_provision(const Args& args) {
   return 0;
 }
 
+/// Space-separated flag lists, combined per subcommand below.
+constexpr std::string_view kParamFlags = "n m l q z nu mu runs";
+constexpr std::string_view kSimulateFlags =
+    "seed jammer trace-out trace-wall metrics flight-dump profile-out profile-hz";
+
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::string_view flags[3];  ///< every flag the subcommand reads
+};
+
+constexpr Command kCommands[] = {
+    {"analyze", cmd_analyze, {kParamFlags, "top"}},
+    {"simulate", cmd_simulate, {kParamFlags, kSimulateFlags}},
+    {"profile", cmd_profile, {kParamFlags, kSimulateFlags, "out hz"}},
+    {"trace", cmd_trace, {"seed jsonl"}},
+    {"provision", cmd_provision, {"node n m l chips seed"}},
+    {"chaos", cmd_chaos, {kParamFlags, "smoke seed jammer retx plan drops json"}},
+};
+
+bool reads_flag(const Command& command, const std::string& flag) {
+  return std::any_of(std::begin(command.flags), std::end(command.flags), [&](auto list) {
+    return (" " + std::string(list) + " ").find(" " + flag + " ") != std::string::npos;
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -682,18 +569,20 @@ int main(int argc, char** argv) {
       args.positionals.emplace_back(arg);
     }
   }
+  const auto command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                    [&](const Command& c) { return c.name == args.command; });
+  if (command == std::end(kCommands)) return usage();
+  for (const auto& [flag, value] : args.flags) {
+    if (!reads_flag(*command, flag)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", flag.c_str());
+      return 2;
+    }
+  }
   try {
-    if (args.command == "analyze") return cmd_analyze(args);
-    if (args.command == "simulate") return cmd_simulate(args);
-    if (args.command == "profile") return cmd_profile(args);
-    if (args.command == "trace") return cmd_trace(args);
-    if (args.command == "report") return cmd_report(args);
-    if (args.command == "provision") return cmd_provision(args);
-    if (args.command == "chaos") return cmd_chaos(args);
+    return command->run(args);
   } catch (const BadFlagValue& bad) {
     std::fprintf(stderr, "error: invalid value for --%s: '%s'\n", bad.flag.c_str(),
                  bad.text.c_str());
     return 2;
   }
-  return usage();
 }
