@@ -20,11 +20,17 @@
 //
 // GoldenChip: D-NDP over the chip-accurate ChipPhy, and one ChipChannel
 // superposition, pinned chip for chip and Rng draw for draw.
+//
+// GoldenPeriodic: the operational loop, PeriodicDiscoveryRunner, over
+// random-waypoint mobility (the battlefield_patrol configuration) and over a
+// static placement. Every EpochReport field of every epoch is pinned, so the
+// order in which the epoch's D-NDP and M-NDP initiations run must not change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "jrsnd.hpp"
 
@@ -286,6 +292,108 @@ TEST(GoldenMndp, RunAllIdenticalAtOneAndFourThreads) {
   expect_same_stat(serial.latency_jrsnd, parallel.latency_jrsnd, "latency_jrsnd");
   expect_same_stat(serial.degree, parallel.degree, "degree");
   expect_same_stat(serial.compromised_codes, parallel.compromised_codes, "compromised_codes");
+}
+
+// --- GoldenPeriodic -------------------------------------------------------------
+
+/// examples/battlefield_patrol's configuration: n = 120, m = 12, l = 10,
+/// q = 8, nu = 3 on a 2 km field, 8 epochs of T = 30 s.
+PeriodicDiscoveryRunner::Config golden_patrol_config() {
+  PeriodicDiscoveryRunner::Config cfg;
+  cfg.params = Params::defaults();
+  cfg.params.n = 120;
+  cfg.params.m = 12;
+  cfg.params.l = 10;
+  cfg.params.q = 8;
+  cfg.params.nu = 3;
+  cfg.params.field_width = 2000.0;
+  cfg.params.field_height = 2000.0;
+  cfg.interval = seconds(30.0);
+  cfg.epochs = 8;
+  cfg.seed = 7;
+  return cfg;
+}
+
+struct GoldenEpoch {
+  double at;
+  std::size_t physical_pairs;
+  std::size_t logical_pairs;
+  std::size_t dndp_attempts;
+  std::size_t dndp_successes;
+  std::size_t links_expired;
+  MndpStats mndp;
+};
+
+void expect_golden_epochs(const std::vector<PeriodicDiscoveryRunner::EpochReport>& got,
+                          const std::vector<GoldenEpoch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    const PeriodicDiscoveryRunner::EpochReport& r = got[e];
+    const GoldenEpoch& w = want[e];
+    SCOPED_TRACE(testing::Message() << "epoch " << e);
+    EXPECT_EQ(r.at.seconds(), w.at);
+    EXPECT_EQ(r.physical_pairs, w.physical_pairs);
+    EXPECT_EQ(r.logical_pairs, w.logical_pairs);
+    EXPECT_EQ(r.dndp_attempts, w.dndp_attempts);
+    EXPECT_EQ(r.dndp_successes, w.dndp_successes);
+    EXPECT_EQ(r.links_expired, w.links_expired);
+    EXPECT_EQ(r.coverage,
+              static_cast<double>(w.logical_pairs) / static_cast<double>(w.physical_pairs));
+    EXPECT_EQ(r.mndp.requests_sent, w.mndp.requests_sent);
+    EXPECT_EQ(r.mndp.responses_sent, w.mndp.responses_sent);
+    EXPECT_EQ(r.mndp.signature_verifications, w.mndp.signature_verifications);
+    EXPECT_EQ(r.mndp.signatures_created, w.mndp.signatures_created);
+    EXPECT_EQ(r.mndp.requests_dropped, w.mndp.requests_dropped);
+    EXPECT_EQ(r.mndp.discoveries, w.mndp.discoveries);
+    EXPECT_EQ(r.mndp.false_positive_responses, w.mndp.false_positive_responses);
+    EXPECT_EQ(r.mndp.max_hops_seen, w.mndp.max_hops_seen);
+    EXPECT_EQ(r.mndp.retransmissions, w.mndp.retransmissions);
+    EXPECT_EQ(r.mndp.timeouts, w.mndp.timeouts);
+  }
+}
+
+TEST(GoldenPeriodic, BattlefieldPatrolRandomWaypoint) {
+  const PeriodicDiscoveryRunner::Config cfg = golden_patrol_config();
+  const sim::Field field(cfg.params.field_width, cfg.params.field_height);
+  Rng mobility_rng(11);
+  const sim::RandomWaypoint mobility(field, cfg.params.n, {2.0, 12.0, 5.0}, mobility_rng);
+  PeriodicDiscoveryRunner runner(cfg, mobility);
+  expect_golden_epochs(
+      runner.run(),
+      {
+          {0, 460, 357, 753, 167, 0, MndpStats{3152, 190, 3813, 1645, 0, 190, 0, 3, 0, 0}},
+          {30, 623, 534, 643, 117, 0, MndpStats{11099, 174, 8668, 2645, 0, 174, 0, 3, 0, 0}},
+          {60, 734, 622, 768, 142, 0, MndpStats{22728, 201, 10577, 3149, 0, 201, 0, 3, 0, 0}},
+          {90, 766, 663, 795, 141, 111, MndpStats{33016, 224, 10916, 3479, 0, 224, 0, 3, 0, 0}},
+          {120, 738, 635, 654, 126, 250, MndpStats{28818, 161, 9264, 3028, 0, 161, 0, 3, 0, 0}},
+          {150, 734, 631, 606, 94, 311, MndpStats{26804, 153, 9646, 3011, 0, 153, 0, 3, 0, 0}},
+          {180, 727, 645, 538, 106, 286, MndpStats{28846, 134, 10846, 3235, 0, 134, 0, 3, 0, 0}},
+          {210, 777, 694, 634, 122, 265, MndpStats{32516, 173, 11646, 3541, 0, 173, 0, 3, 0, 0}},
+      });
+}
+
+TEST(GoldenPeriodic, StaticUniformPlacement) {
+  const PeriodicDiscoveryRunner::Config cfg = golden_patrol_config();
+  const sim::Field field(cfg.params.field_width, cfg.params.field_height);
+  Rng placement_rng(11);
+  const sim::UniformPlacement placement(field, cfg.params.n, placement_rng);
+  PeriodicDiscoveryRunner runner(cfg, placement);
+  // Static nodes: the first epoch does most of the work, the second patches
+  // three more pairs through M-NDP, and every later epoch repeats the same
+  // fruitless attempts on the pairs the reactive jammer holds apart.
+  const MndpStats settled{4345, 0, 4436, 1592, 0, 0, 0, 3, 0, 0};
+  expect_golden_epochs(
+      runner.run(),
+      {
+          {0, 461, 339, 763, 159, 0, MndpStats{3275, 180, 4541, 1699, 0, 180, 0, 3, 0, 0}},
+          {30, 461, 342, 244, 0, 0, MndpStats{4340, 3, 4446, 1597, 0, 3, 0, 3, 0, 0}},
+          {60, 461, 342, 238, 0, 0, settled},
+          {90, 461, 342, 238, 0, 0, settled},
+          {120, 461, 342, 238, 0, 0, settled},
+          {150, 461, 342, 238, 0, 0, settled},
+          {180, 461, 342, 238, 0, 0, settled},
+          {210, 461, 342, 238, 0, 0, settled},
+      });
 }
 
 // --- GoldenChip ----------------------------------------------------------------
