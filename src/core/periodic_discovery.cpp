@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/abstract_phy.hpp"
-#include "fault/faulty_phy.hpp"
 #include "obs/event_log.hpp"
 #include "obs/span.hpp"
 #include "sim/topology.hpp"
@@ -11,6 +10,10 @@
 namespace jrsnd::core {
 
 namespace {
+
+// The periodic loop runs M-NDP with the GPS filter on: a responder its
+// position check places out of range sends no response (see MndpEngine).
+constexpr bool kGpsFilter = true;
 
 std::uint64_t pair_key(NodeId a, NodeId b) {
   const std::uint64_t lo = std::min(raw(a), raw(b));
@@ -74,6 +77,15 @@ std::vector<PeriodicDiscoveryRunner::EpochReport> PeriodicDiscoveryRunner::run()
   Rng schedule_rng = root_.split();
   Rng phy_rng = root_.split();
 
+  // One epoch's initiations: each node's D-NDP and M-NDP instants.
+  struct Initiation {
+    TimePoint at;
+    std::uint32_t node;
+    bool mndp;
+  };
+  std::vector<Initiation> schedule;
+  schedule.reserve(2 * nodes_.size());
+
   for (std::uint32_t epoch = 0; epoch < config_.epochs; ++epoch) {
     const TimePoint start{static_cast<double>(epoch) * config_.interval.seconds()};
     const sim::Topology topology(field, mobility_.snapshot(start), config_.params.tx_range);
@@ -92,60 +104,45 @@ std::vector<PeriodicDiscoveryRunner::EpochReport> PeriodicDiscoveryRunner::run()
     expire_links(topology, start, report);
 
     AbstractPhy phy(topology, *jammer_, phy_rng);
-
-    // Optional fault layer: the queue's step hook keeps its clock (and so
-    // the crash schedule) in lockstep with simulated time for this epoch.
-    std::optional<fault::FaultyPhy> faulty;
-    PhyModel* active_phy = &phy;
-    const HandshakeClock* hs_clock = nullptr;
-    if (config_.faults.has_value()) {
-      faulty.emplace(phy, *config_.faults, config_.seed + epoch);
-      faulty->set_now(start);
-      active_phy = &*faulty;
-      hs_clock = &faulty->clocks();
-      queue_.set_step_hook([f = &*faulty](TimePoint t) { f->set_now(t); });
-    }
-
-    DndpEngine dndp(config_.params, *active_phy, /*redundancy=*/true,
-                    config_.seed + epoch, hs_clock);
-    MndpEngine mndp(config_.params, *active_phy, topology, ibc_.oracle(),
-                    config_.gps_filter, config_.seed + epoch);
+    DndpEngine dndp(config_.params, phy, /*redundancy=*/true, config_.seed + epoch);
+    MndpEngine mndp(config_.params, phy, topology, ibc_.oracle(), kGpsFilter,
+                    config_.seed + epoch);
 
     // Each node initiates D-NDP once, at a random instant of the interval
     // (paper §V-B); M-NDP initiations ride the interval's fresh links, so
-    // they are drawn from its final fifth.
+    // they are drawn from its final fifth. The stable sort keeps draw order
+    // among equal instants.
     const double T = config_.interval.seconds();
+    schedule.clear();
     for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-      const TimePoint dndp_at = start + Duration(schedule_rng.uniform_real(0.0, 0.8 * T));
-      queue_.schedule_at(dndp_at, [this, i, &topology, &dndp, &report] {
-        NodeState& initiator = nodes_[i];
+      schedule.push_back({start + Duration(schedule_rng.uniform_real(0.0, 0.8 * T)), i, false});
+      schedule.push_back({start + Duration(schedule_rng.uniform_real(0.8 * T, T)), i, true});
+    }
+    std::stable_sort(schedule.begin(), schedule.end(),
+                     [](const Initiation& x, const Initiation& y) { return x.at < y.at; });
+
+    for (const Initiation& init : schedule) {
+      NodeState& initiator = nodes_[init.node];
+      if (!init.mndp) {
         for (const NodeId peer : topology.neighbors(initiator.id())) {
           if (initiator.knows(peer)) continue;
           ++report.dndp_attempts;
           if (dndp.run(initiator, nodes_[raw(peer)]).discovered) ++report.dndp_successes;
         }
-      });
-
-      const TimePoint mndp_at = start + Duration(schedule_rng.uniform_real(0.8 * T, T));
-      queue_.schedule_at(mndp_at, [this, i, &mndp, &report] {
-        const MndpStats stats =
-            mndp.initiate(nodes_[i], std::span<NodeState>(nodes_));
-        report.mndp.requests_sent += stats.requests_sent;
-        report.mndp.responses_sent += stats.responses_sent;
-        report.mndp.signature_verifications += stats.signature_verifications;
-        report.mndp.signatures_created += stats.signatures_created;
-        report.mndp.requests_dropped += stats.requests_dropped;
-        report.mndp.discoveries += stats.discoveries;
-        report.mndp.false_positive_responses += stats.false_positive_responses;
-        report.mndp.max_hops_seen = std::max(report.mndp.max_hops_seen, stats.max_hops_seen);
-        report.mndp.retransmissions += stats.retransmissions;
-        report.mndp.timeouts += stats.timeouts;
-      });
+        continue;
+      }
+      const MndpStats stats = mndp.initiate(initiator, std::span<NodeState>(nodes_));
+      report.mndp.requests_sent += stats.requests_sent;
+      report.mndp.responses_sent += stats.responses_sent;
+      report.mndp.signature_verifications += stats.signature_verifications;
+      report.mndp.signatures_created += stats.signatures_created;
+      report.mndp.requests_dropped += stats.requests_dropped;
+      report.mndp.discoveries += stats.discoveries;
+      report.mndp.false_positive_responses += stats.false_positive_responses;
+      report.mndp.max_hops_seen = std::max(report.mndp.max_hops_seen, stats.max_hops_seen);
+      report.mndp.retransmissions += stats.retransmissions;
+      report.mndp.timeouts += stats.timeouts;
     }
-
-    queue_.run_until(start + config_.interval);
-    // The fault layer (if any) dies with this epoch; drop the hook first.
-    if (faulty.has_value()) queue_.set_step_hook(nullptr);
     record_contacts(topology, start);
 
     for (const auto& [a, b] : topology.pairs()) {

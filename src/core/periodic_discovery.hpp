@@ -7,11 +7,12 @@
 //     (the logical link expires);
 //   * M-NDP initiations follow and patch the pairs D-NDP could not reach.
 //
-// The runner drives this on the discrete-event queue over a mobility model,
-// producing per-epoch reports: how much of the instantaneous physical
-// neighborhood is covered by authenticated logical links, how many links
-// expired, and what the protocols cost. examples/battlefield_patrol.cpp runs
-// it over random-waypoint mobility.
+// The runner draws each epoch's initiation instants, runs them in time order
+// against the epoch-start snapshot of a mobility model, and produces
+// per-epoch reports: how much of the instantaneous physical neighborhood is
+// covered by authenticated logical links, how many links expired, and what
+// the protocols cost. examples/battlefield_patrol.cpp runs it over
+// random-waypoint mobility.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,6 @@
 #include "core/dndp.hpp"
 #include "core/mndp.hpp"
 #include "core/params.hpp"
-#include "fault/fault_plan.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/mobility.hpp"
 
 namespace jrsnd::core {
@@ -36,12 +35,7 @@ class PeriodicDiscoveryRunner {
     Duration interval{30.0};      ///< the paper's discovery interval T
     Duration link_timeout{60.0};  ///< silence threshold before link expiry
     std::uint32_t epochs = 5;
-    bool gps_filter = true;
     std::uint64_t seed = 1;
-    /// When set, the PHY is wrapped in a FaultyPhy applying this plan; the
-    /// event queue's step hook keeps the fault clock (crash windows) in
-    /// lockstep with simulated time.
-    std::optional<fault::FaultPlan> faults;
   };
 
   struct EpochReport {
@@ -59,8 +53,8 @@ class PeriodicDiscoveryRunner {
   /// the runner.
   PeriodicDiscoveryRunner(Config config, const sim::MobilityModel& mobility);
 
-  /// Runs config.epochs intervals on the event queue and returns one
-  /// report per epoch. Deterministic in config.seed.
+  /// Runs config.epochs intervals and returns one report per epoch.
+  /// Deterministic in config.seed.
   [[nodiscard]] std::vector<EpochReport> run();
 
  private:
@@ -70,7 +64,6 @@ class PeriodicDiscoveryRunner {
   Config config_;
   const sim::MobilityModel& mobility_;
   Rng root_;
-  sim::EventQueue queue_;
 
   predist::CodePoolAuthority authority_;
   crypto::IbcAuthority ibc_;

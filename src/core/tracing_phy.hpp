@@ -57,8 +57,8 @@ class TracingPhy final : public PhyModel {
   /// Delivered / total counts.
   [[nodiscard]] std::size_t delivered_count() const noexcept;
 
-  /// Sets the simulated time stamped onto subsequent records. Drivers with a
-  /// timeline (event-queue sims) call this as their clock advances.
+  /// Sets the simulated time stamped onto subsequent records, for drivers
+  /// that keep a timeline.
   void set_time(TimePoint now) noexcept { now_ = now; }
   [[nodiscard]] TimePoint time() const noexcept { return now_; }
 

@@ -5,9 +5,9 @@
 // chip-burst corruption and truncation, per-node clock skew/drift, and
 // crash/restart windows. Plans are plain data — parsed from JSON
 // (`FaultPlan::from_json`) or assembled from CLI flags — and are applied by
-// the FaultyPhy decorator (src/fault/faulty_phy.*) plus the simulators'
-// EventQueue hooks. Given the same plan and the same seed, every injected
-// fault lands identically on every run and thread count.
+// the FaultyPhy decorator (src/fault/faulty_phy.*), whose fault clock
+// advances by `auto_tick` per transmission. Given the same plan and the same
+// seed, every injected fault lands identically on every run and thread count.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +52,8 @@ struct FaultPlan {
   double clock_drift_max = 0.0; ///< per-node rate error, uniform in +-max (fraction)
 
   /// When > 0, FaultyPhy advances its own clock by this many seconds per
-  /// transmit — lets Monte-Carlo drivers (no event queue) exercise the
-  /// crash schedule deterministically.
+  /// transmit — lets Monte-Carlo drivers exercise the crash schedule
+  /// deterministically.
   double auto_tick = 0.0;
 
   std::vector<CrashEvent> crashes;

@@ -38,9 +38,8 @@ class FaultyPhy final : public core::PhyModel {
                                                   core::TxCode code, core::TxClass cls,
                                                   const BitVector& payload) override;
 
-  /// Advances the fault clock (drives the crash schedule). Event-queue
-  /// simulators call this from the queue's step hook; Monte-Carlo drivers
-  /// rely on plan.auto_tick instead.
+  /// Sets the fault clock (drives the crash schedule). Monte-Carlo drivers
+  /// advance it through plan.auto_tick instead.
   void set_now(TimePoint now) noexcept { now_ = now; }
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 

@@ -57,10 +57,8 @@
 #include "predist/revocation.hpp"
 
 // sim
-#include "sim/event_queue.hpp"
 #include "sim/field.hpp"
 #include "sim/mobility.hpp"
-#include "sim/spatial_index.hpp"
 #include "sim/topology.hpp"
 
 // adversary

@@ -10,10 +10,10 @@
 // call sites guard event construction behind tracing_enabled() so a
 // disabled run pays one relaxed load per site.
 //
-// Time semantics: event-queue simulations publish the queue clock via
-// set_sim_time(); Monte-Carlo drivers (discovery_sim) publish the run index,
-// since each seeded run is an independent world. Either way `t` is monotone
-// over one process run.
+// Time semantics: the periodic loop stamps each epoch's events with the
+// epoch start through ScopedSimTime; Monte-Carlo drivers (discovery_sim)
+// publish the run index, since each seeded run is an independent world.
+// Either way `t` is monotone over one process run.
 #pragma once
 
 #include <atomic>

@@ -207,11 +207,9 @@ void preregister_core_metrics() {
            "ecc.rs.encode.calls", "ecc.rs.decode.calls", "ecc.rs.decode.ok",
            "ecc.rs.decode.fail", "ecc.rs.decode.erasures", "ecc.rs.decode.errors_corrected",
            "phy.tx.total", "phy.tx.delivered", "phy.tx.jammed", "phy.tx.out_of_range",
-           "sim.events.processed",
        }) {
     (void)r.counter(name);
   }
-  (void)r.gauge("sim.queue.depth.highwater");
 }
 
 }  // namespace jrsnd::obs

@@ -1,13 +1,12 @@
 // Physical-neighbor topology: who is in whose transmission range.
 //
-// Built from a placement snapshot (or a live SpatialIndex) + transmission
-// radius. Adjacency is stored in CSR form — one offsets array plus one flat
-// neighbor slab — so a 10^5-10^6-node graph is two allocations, not n inner
-// vectors. Exposes the queries the protocols and analysis need: adjacency
-// spans, an iterator view over the physical-neighbor pairs (the denominator
-// of every P-hat figure, no longer materialized), average degree g
-// (Theorem 3), and bounded-depth BFS over the logical graph with reusable
-// epoch-stamped scratch.
+// Built from a placement snapshot + transmission radius. Adjacency is stored
+// in CSR form — one offsets array plus one flat neighbor slab — so the graph
+// is two allocations, not n inner vectors. Exposes the queries the protocols
+// and analysis need: adjacency spans, an iterator view over the
+// physical-neighbor pairs (the denominator of every P-hat figure, never
+// materialized), average degree g (Theorem 3), and bounded-hop reachability
+// over the logical graph with reusable epoch-stamped scratch.
 #pragma once
 
 #include <cstddef>
@@ -22,18 +21,10 @@
 
 namespace jrsnd::sim {
 
-class SpatialIndex;
-
 class Topology {
  public:
   /// Builds the neighbor graph of `positions` with transmission `radius`.
   Topology(const Field& field, std::vector<Position> positions, double radius);
-
-  /// Builds the neighbor graph from a live (possibly incrementally updated)
-  /// index: the rebuild path mobility workloads take each step. Produces
-  /// bit-identical adjacency to the snapshot constructor over the same
-  /// positions. Precondition: every node was inserted.
-  Topology(const Field& field, const SpatialIndex& index, double radius);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return positions_.size(); }
   [[nodiscard]] double radius() const noexcept { return radius_; }
@@ -138,10 +129,10 @@ class Topology {
 /// other iff the logical graph connects them within nu hops.
 ///
 /// Adjacency is arena-backed: per-node chains threaded through one flat
-/// half-edge slab, so add_edge never allocates per node. BFS queries reuse
-/// epoch-stamped scratch — repeated reachability probes on a shared graph
-/// allocate nothing after the first — which also makes the query methods
-/// unsafe to call concurrently on one instance.
+/// half-edge slab, so add_edge never allocates per node. Reachability
+/// queries reuse epoch-stamped BFS scratch — repeated probes on a shared
+/// graph allocate nothing after the first — which also makes them unsafe to
+/// call concurrently on one instance.
 class LogicalGraph {
  public:
   explicit LogicalGraph(std::size_t node_count);
@@ -151,9 +142,6 @@ class LogicalGraph {
   [[nodiscard]] std::size_t node_count() const noexcept { return head_.size(); }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
-  /// Neighbors of `node` in insertion order, appended to a cleared `out`.
-  void neighbors_into(NodeId node, std::vector<NodeId>& out) const;
-
   /// True when a path of at most `max_hops` edges connects a and b.
   /// With `exclude_direct`, the single edge a-b (if present) is ignored —
   /// the M-NDP question "could A and B meet through intermediaries?" asked
@@ -161,22 +149,13 @@ class LogicalGraph {
   [[nodiscard]] bool reachable_within(NodeId a, NodeId b, std::size_t max_hops,
                                       bool exclude_direct = false) const;
 
-  /// Hop distances from `source` up to `max_hops` (SIZE_MAX = unreachable).
-  [[nodiscard]] std::vector<std::size_t> bfs_distances(NodeId source,
-                                                       std::size_t max_hops) const;
-
  private:
   static constexpr std::uint32_t kNoEdge = 0xffffffffu;
-  static constexpr std::uint32_t kUnreached32 = 0xffffffffu;
 
   struct HalfEdge {
     NodeId to;
     std::uint32_t next;  // arena index of the row's next half-edge
   };
-
-  /// Claims a fresh scratch epoch, sizing/resetting the stamp arrays as
-  /// needed, and seeds the BFS at `source`.
-  void begin_search(NodeId source) const;
 
   std::vector<std::uint32_t> head_;  // per node: first half-edge or kNoEdge
   std::vector<std::uint32_t> tail_;  // per node: last half-edge (append O(1))

@@ -1,5 +1,5 @@
 // Heap-allocation counter for the zero-allocation gates (perf_alloc_test,
-// bench/scale_sim, bench/dos_throughput).
+// bench/dos_throughput).
 //
 // Linking the jrsnd_counting_alloc object library replaces the global
 // operator new/delete with malloc/free wrappers that count every allocation.

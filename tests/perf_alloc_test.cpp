@@ -27,8 +27,6 @@
 #include "obs/prof/sampling_profiler.hpp"
 #include "obs/span.hpp"
 #include "oracle/counting_alloc.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/spatial_index.hpp"
 #include "sim/topology.hpp"
 
 namespace jrsnd {
@@ -129,69 +127,6 @@ TEST(TransmitHotPath, ZeroSteadyStateAllocations) {
   EXPECT_EQ(jammed_delivered, 0);
   EXPECT_EQ(jammed_after - jammed_before, 0u)
       << "transmit_into allocated on the steady-state jammed path";
-}
-
-TEST(SimHotPath, ZeroSteadyStateAllocationsForIndexAndEventLoop) {
-  // The city-scale steady state: incremental index updates, range queries
-  // into caller scratch, and an event schedule/cancel/drain cycle — none of
-  // it may touch the heap once every slab has reached working size.
-  const sim::Field field(1000.0, 1000.0);
-  const double radius = 60.0;
-  const std::size_t n = 400;
-  Rng rng(21);
-  std::vector<sim::Position> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    positions.push_back({rng.uniform_real(0, 1000), rng.uniform_real(0, 1000)});
-  }
-  sim::SpatialIndex index(field, positions, radius);
-  std::vector<NodeId> scratch;
-  scratch.reserve(n);  // worst case: everyone in range
-
-  sim::EventQueue queue;
-  // Warm-up: resolve the JRSND_COUNT handle caches inside update/within_into
-  // and schedule_at/cancel, grow the heap + slab + free list to the working
-  // set, and fault in the mobility targets.
-  std::vector<sim::EventQueue::EventHandle> handles;
-  handles.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    handles.push_back(queue.schedule_after(seconds(1.0), [] {}));
-  }
-  for (std::size_t i = 0; i < handles.size(); i += 2) queue.cancel(handles[i]);
-  queue.run();
-  handles.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    index.update(node_id(static_cast<std::uint32_t>(i)), positions[i]);
-    index.within_into(positions[i], radius, node_id(static_cast<std::uint32_t>(i)), scratch);
-  }
-
-  const std::uint64_t before = oracle::allocation_count();
-  std::size_t total_neighbors = 0;
-  std::uint64_t fired = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sim::Position p = positions[i];
-      p.x += (round % 2 == 0) ? 35.0 : -35.0;  // guaranteed cell moves
-      p = field.clamp(p);
-      index.update(node_id(static_cast<std::uint32_t>(i)), p);
-      positions[i] = p;
-      index.within_into(p, radius, node_id(static_cast<std::uint32_t>(i)), scratch);
-      total_neighbors += scratch.size();
-    }
-    for (int i = 0; i < 64; ++i) {
-      handles.push_back(queue.schedule_after(seconds(1.0), [&fired] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 4) queue.cancel(handles[i]);
-    queue.run();
-    handles.clear();
-  }
-  const std::uint64_t after = oracle::allocation_count();
-
-  EXPECT_GT(total_neighbors, 0u);
-  EXPECT_EQ(fired, 50u * 48u);  // 64 scheduled, every 4th of 64 cancelled
-  EXPECT_EQ(queue.pending(), 0u);
-  EXPECT_EQ(after - before, 0u)
-      << "index update/query or event schedule/cancel/drain allocated on the "
-         "steady-state hot path";
 }
 
 TEST(VerifyQueueHotPath, ZeroSteadyStateAllocationsOnRejectPath) {

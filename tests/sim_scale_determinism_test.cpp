@@ -1,61 +1,13 @@
-// City-scale determinism: the incremental spatial index is a pure
-// optimization, so every result derived from it must be bit-identical to the
-// historical snapshot-rebuild path — under sustained RandomWaypoint mobility
-// at 2000 nodes, and through a full run_all() across thread counts.
+// Paper-scale determinism: a full run_all() at 2000 nodes must be
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "core/discovery_sim.hpp"
-#include "sim/mobility.hpp"
-#include "sim/spatial_index.hpp"
-#include "sim/topology.hpp"
 
 namespace jrsnd {
 namespace {
-
-// 2000 RandomWaypoint nodes stepped for a minute of simulated time: at every
-// step the Topology built from the incrementally maintained index must match
-// the one rebuilt from a fresh position snapshot, row for row and bit for
-// bit (same slab, same offsets, same pair stream).
-TEST(ScaleDeterminism, IncrementalIndexTopologyMatchesSnapshotRebuild) {
-  const sim::Field field(5000.0, 5000.0);
-  const std::size_t n = 2000;
-  const double radius = 300.0;
-  Rng rng(97);
-  const sim::RandomWaypoint mobility(field, n, {1.0, 12.0, 3.0}, rng);
-
-  sim::SpatialIndex index(field, mobility.snapshot(TimePoint(0.0)), radius);
-  for (int step = 0; step <= 12; ++step) {
-    const TimePoint t(step * 5.0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      index.update(node_id(i), mobility.position(node_id(i), t));
-    }
-    const sim::Topology incremental(field, index, radius);
-    const sim::Topology snapshot(field, mobility.snapshot(t), radius);
-
-    ASSERT_EQ(incremental.node_count(), snapshot.node_count());
-    ASSERT_EQ(incremental.pair_count(), snapshot.pair_count()) << "t=" << t.seconds();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto a = incremental.neighbors(node_id(i));
-      const auto b = snapshot.neighbors(node_id(i));
-      ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-                std::vector<NodeId>(b.begin(), b.end()))
-          << "t=" << t.seconds() << " node " << i;
-    }
-    auto it = incremental.pairs().begin();
-    const auto end = incremental.pairs().end();
-    for (const auto& [pa, pb] : snapshot.pairs()) {
-      ASSERT_NE(it, end);
-      ASSERT_EQ((*it).first, pa);
-      ASSERT_EQ((*it).second, pb);
-      ++it;
-    }
-    ASSERT_EQ(it, end);
-  }
-}
 
 // Full pipeline at 2000 nodes: run_all() folds the same RunResults in the
 // same order no matter how many worker threads execute it, so every Stat is

@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <algorithm>
+#include <vector>
 #include <stdexcept>
 
 #include "common/rng.hpp"
 #include "sim/mobility.hpp"
-#include "sim/spatial_index.hpp"
 
 namespace jrsnd::sim {
 namespace {
@@ -90,25 +90,6 @@ TEST(LogicalGraph, DisconnectedComponentsUnreachable) {
   EXPECT_FALSE(g.reachable_within(node_id(0), node_id(2), 100));
 }
 
-TEST(LogicalGraph, BfsDistances) {
-  // Star: 0 at center, leaves 1-4; plus 5 isolated.
-  LogicalGraph g(6);
-  for (std::uint32_t leaf = 1; leaf <= 4; ++leaf) g.add_edge(node_id(0), node_id(leaf));
-  const auto dist = g.bfs_distances(node_id(1), 2);
-  EXPECT_EQ(dist[1], 0u);
-  EXPECT_EQ(dist[0], 1u);
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[5], std::numeric_limits<std::size_t>::max());
-}
-
-TEST(LogicalGraph, BfsRespectsHopLimit) {
-  LogicalGraph g(5);
-  for (std::uint32_t i = 0; i + 1 < 5; ++i) g.add_edge(node_id(i), node_id(i + 1));
-  const auto dist = g.bfs_distances(node_id(0), 2);
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[3], std::numeric_limits<std::size_t>::max());
-}
-
 // CSR adjacency vs the O(n^2) oracle: every row must hold exactly the nodes
 // strictly within radius, ascending, and pairs() must stream exactly the
 // upper-triangle pairs in lexicographic order.
@@ -160,37 +141,6 @@ TEST(Topology, PropertyMatchesBruteForceOracle) {
   }
 }
 
-// The index-backed constructor must produce the same adjacency as the
-// snapshot constructor for identical positions.
-TEST(Topology, BuildFromSpatialIndexMatchesSnapshot) {
-  Rng rng(19);
-  const Field field(600.0, 600.0);
-  const double radius = 80.0;
-  std::vector<Position> positions;
-  for (int i = 0; i < 200; ++i) {
-    positions.push_back({rng.uniform_real(0, 600), rng.uniform_real(0, 600)});
-  }
-  const SpatialIndex index(field, positions, radius);
-  const Topology from_snapshot(field, positions, radius);
-  const Topology from_index(field, index, radius);
-  ASSERT_EQ(from_index.node_count(), from_snapshot.node_count());
-  for (std::uint32_t i = 0; i < positions.size(); ++i) {
-    const auto a = from_snapshot.neighbors(node_id(i));
-    const auto b = from_index.neighbors(node_id(i));
-    ASSERT_EQ(std::vector<NodeId>(a.begin(), a.end()),
-              std::vector<NodeId>(b.begin(), b.end()))
-        << "node " << i;
-  }
-  EXPECT_EQ(from_index.pairs().size(), from_snapshot.pairs().size());
-}
-
-TEST(Topology, IndexConstructorRejectsPartialIndex) {
-  const Field field(100.0, 100.0);
-  SpatialIndex index(field, std::size_t{3}, 10.0);
-  index.insert(node_id(0), {1, 1});  // nodes 1 and 2 never inserted
-  EXPECT_THROW(Topology(field, index, 10.0), std::invalid_argument);
-}
-
 TEST(Topology, EmptyAndSingleNode) {
   const Field field(100.0, 100.0);
   const Topology empty(field, std::vector<Position>{}, 10.0);
@@ -201,9 +151,9 @@ TEST(Topology, EmptyAndSingleNode) {
   EXPECT_TRUE(one.neighbors(node_id(0)).empty());
 }
 
-// Repeated BFS queries share epoch-stamped scratch; answers must be
-// identical no matter how many searches ran before (including interleaved
-// bfs_distances and reachable_within on the same graph).
+// Repeated reachability queries share epoch-stamped scratch; answers must be
+// identical no matter how many searches ran before, including searches from
+// other sources and at other hop limits on the same graph.
 TEST(LogicalGraph, RepeatedQueriesWithSharedScratchAreIdentical) {
   Rng rng(5);
   LogicalGraph g(60);
@@ -212,33 +162,26 @@ TEST(LogicalGraph, RepeatedQueriesWithSharedScratchAreIdentical) {
     const auto b = static_cast<std::uint32_t>(rng.uniform_int(0, 59));
     if (a != b) g.add_edge(node_id(a), node_id(b));
   }
-  const auto first = g.bfs_distances(node_id(0), 6);
-  std::vector<bool> reach_first;
-  for (std::uint32_t v = 0; v < 60; ++v) {
-    reach_first.push_back(g.reachable_within(node_id(0), node_id(v), 3));
-  }
-  for (int round = 0; round < 5; ++round) {
-    EXPECT_EQ(g.bfs_distances(node_id(0), 6), first) << "round " << round;
-    for (std::uint32_t v = 0; v < 60; ++v) {
-      EXPECT_EQ(g.reachable_within(node_id(0), node_id(v), 3), reach_first[v])
-          << "round " << round << " target " << v;
+  const auto probe = [&g] {
+    std::vector<bool> reach;
+    for (std::size_t hops = 1; hops <= 4; ++hops) {
+      for (std::uint32_t v = 0; v < 60; ++v) {
+        reach.push_back(g.reachable_within(node_id(0), node_id(v), hops));
+      }
     }
-    // Interleave searches from other sources to churn the epoch counter.
-    (void)g.bfs_distances(node_id(static_cast<std::uint32_t>(round) % 60), 4);
+    return reach;
+  };
+  const std::vector<bool> first = probe();
+  EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
+  EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
+  for (int round = 0; round < 5; ++round) {
+    // Churn the search epoch with queries from other sources.
+    const auto source = node_id(static_cast<std::uint32_t>(7 * round + 1) % 60);
+    for (std::uint32_t v = 0; v < 60; ++v) {
+      (void)g.reachable_within(source, node_id(v), 6, /*exclude_direct=*/v % 2 == 0);
+    }
+    EXPECT_EQ(probe(), first) << "round " << round;
   }
-}
-
-TEST(LogicalGraph, NeighborsIntoPreservesInsertionOrder) {
-  LogicalGraph g(4);
-  g.add_edge(node_id(1), node_id(3));
-  g.add_edge(node_id(1), node_id(0));
-  g.add_edge(node_id(2), node_id(1));
-  std::vector<NodeId> out;
-  g.neighbors_into(node_id(1), out);
-  EXPECT_EQ(out, (std::vector<NodeId>{node_id(3), node_id(0), node_id(2)}));
-  g.neighbors_into(node_id(0), out);  // reuses scratch, replaces contents
-  EXPECT_EQ(out, std::vector<NodeId>{node_id(1)});
-  EXPECT_THROW(g.neighbors_into(node_id(4), out), std::out_of_range);
 }
 
 TEST(LogicalGraph, TriangleVsTwoHop) {
