@@ -39,6 +39,7 @@ std::optional<BitVector> DndpEngine::transmit_with_retry(
     HandshakeStateMachine& hs, NodeId a, NodeId b, CodeId code, NodeId from,
     NodeId to, const TxCode& tx, TxClass cls, const BitVector& payload) {
   hs.on_send();
+  subsession_bits_ += payload.size();
   auto rx = phy_.transmit(from, to, tx, cls, payload);
   if (rx) {
     hs.on_delivered();
@@ -62,6 +63,7 @@ std::optional<BitVector> DndpEngine::transmit_with_retry(
     // is a fresh radio event, not a replay of the already-drawn loss.
     phy_.begin_subsession(a, b, code);
     hs.on_send();
+    subsession_bits_ += payload.size();
     rx = phy_.transmit(from, to, tx, cls, payload);
     if (rx) {
       JRSND_COUNT("dndp.retx.recovered");
@@ -191,6 +193,7 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
     ++attempted;
     phy_.begin_subsession(a.id(), b.id(), code);
     HandshakeStateMachine hs(params_.retry, retry_rng_, clock_rate);
+    subsession_bits_ = 0;
 
     obs::Span sub("dndp.subsession");
     sub.with_u64("code", raw(code));
@@ -222,8 +225,13 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
       last_loss = sub_loss != obs::LossStage::None ? sub_loss : obs::LossStage::DecodeFail;
       sub.set_loss(last_loss);
     }
-    sub.set_dur(hs.elapsed().seconds());
-    elapsed_total += hs.elapsed();
+    // The sub-session's duration: its timeouts and backoffs plus the air
+    // time of every frame it sent, ECC expansion included.
+    const Duration sub_dur =
+        hs.elapsed() + Duration((1.0 + params_.mu) * static_cast<double>(subsession_bits_) *
+                                static_cast<double>(params_.N) / params_.R);
+    sub.set_dur(sub_dur.seconds());
+    elapsed_total += sub_dur;
     result.retransmissions += hs.retransmissions();
     result.timeouts += hs.timeouts();
     // The naive variant commits to the first delivered HELLO's code,

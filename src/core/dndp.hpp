@@ -89,7 +89,8 @@ class DndpEngine {
   /// waits out the stage timeout, re-arms the sub-session's jamming fate
   /// (each retransmission is a fresh radio event), and retransmits until
   /// delivery or budget exhaustion. With retries disabled this is exactly
-  /// one `phy_.transmit` — no extra draws, no extra counters.
+  /// one `phy_.transmit` — no extra draws, no extra counters. Every
+  /// transmission adds its frame's bits to `subsession_bits_`.
   [[nodiscard]] std::optional<BitVector> transmit_with_retry(
       HandshakeStateMachine& hs, NodeId a, NodeId b, CodeId code, NodeId from,
       NodeId to, const TxCode& tx, TxClass cls, const BitVector& payload);
@@ -114,6 +115,9 @@ class DndpEngine {
   const HandshakeClock* clock_;
   std::uint64_t trace_salt_;  ///< retry_seed; keys per-attempt trace ids
   std::uint64_t attempts_ = 0;
+  /// Frame bits the current sub-session put on the air, retransmissions
+  /// included: its span's `dur` charges them at (1+mu) N / R seconds a bit.
+  std::uint64_t subsession_bits_ = 0;
 };
 
 }  // namespace jrsnd::core

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "adversary/compromise.hpp"
 #include "adversary/jammer.hpp"
 #include "core/abstract_phy.hpp"
+#include "obs/event_log.hpp"
 #include "sim/topology.hpp"
 
 namespace jrsnd::core {
@@ -286,6 +290,69 @@ TEST(Dndp, RunIsIdempotentOnTables) {
   EXPECT_EQ(w.nodes[raw(a)].neighbor(b)->session_code,
             w.nodes[raw(b)].neighbor(a)->session_code);
   EXPECT_NE(w.nodes[raw(a)].neighbor(b)->session_code, first_code);
+}
+
+class CaptureSink final : public obs::EventSink {
+ public:
+  void write(const obs::TraceEvent& event) override { events.push_back(event); }
+  std::vector<obs::TraceEvent> events;
+};
+
+/// The `dur` of every span.end event named `name`, in emission order.
+std::vector<double> span_durs(const std::vector<obs::TraceEvent>& events, const char* name) {
+  std::vector<double> out;
+  for (const obs::TraceEvent& ev : events) {
+    const obs::FieldValue* span_name = ev.field("name");
+    if (ev.name != "span.end" || span_name == nullptr ||
+        std::get<std::string>(*span_name) != name) {
+      continue;
+    }
+    const obs::FieldValue* dur = ev.field("dur");
+    out.push_back(dur != nullptr ? std::get<double>(*dur) : -1.0);
+  }
+  return out;
+}
+
+TEST(Dndp, SpanDurationIsTheAirTimeOfEveryFrame) {
+  // Jammer-free, no retries: a sub-session's duration is the air time of
+  // its four frames, (1+mu) N / R per frame bit, and the attempt's is the
+  // sum over its x sub-sessions.
+  SmallWorld w(3);
+  adversary::NullJammer jammer;
+  AbstractPhy phy(w.topology, jammer, w.phy_rng);
+  DndpEngine engine(w.params, phy);
+  const auto [a, b] = w.pair_sharing(2);
+
+  auto sink = std::make_shared<CaptureSink>();
+  obs::event_log().attach(sink);
+  obs::set_tracing_enabled(true);
+  const DndpResult result = engine.run(w.nodes[raw(a)], w.nodes[raw(b)]);
+  obs::set_tracing_enabled(false);
+  obs::event_log().detach_all();
+
+  ASSERT_TRUE(result.discovered);
+  const std::uint32_t x = result.shared_codes;
+  ASSERT_GE(x, 2u);
+  ASSERT_EQ(result.subsessions_completed, x);
+
+  WireConfig wire;
+  wire.l_t = w.params.l_t;
+  wire.l_id = w.params.l_id;
+  wire.l_n = w.params.l_n;
+  wire.l_mac = w.params.l_mac;
+  const double frame_bits =
+      static_cast<double>(HelloMessage::payload_bits(wire) + ConfirmMessage::payload_bits(wire) +
+                          2 * AuthMessage::payload_bits(wire));
+  const double per_sub = (1.0 + w.params.mu) * static_cast<double>(w.params.N) /
+                         w.params.R * frame_bits;
+  ASSERT_GT(per_sub, 0.0);
+
+  const std::vector<double> subs = span_durs(sink->events, "dndp.subsession");
+  ASSERT_EQ(subs.size(), x);
+  for (const double dur : subs) EXPECT_NEAR(dur, per_sub, 1e-12 * per_sub);
+  const std::vector<double> attempts = span_durs(sink->events, "dndp.attempt");
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_NEAR(attempts[0], static_cast<double>(x) * per_sub, 1e-12 * per_sub);
 }
 
 }  // namespace
