@@ -11,6 +11,7 @@
 #include "common/logging.hpp"
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
+#include "crypto/sha256.hpp"
 #include "dsss/sync_kernel.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/prof/perf_counters.hpp"
@@ -118,6 +119,7 @@ bool write_results(const std::string& path, const std::string& bench, bool smoke
   const std::string workload = quoted(smoke ? bench + ".smoke" : bench);
   const std::string host_tail =
       ",\"simd_dsss\":" + quoted(dsss::simd_backend_name(dsss::simd_backend())) +
+      ",\"sha256\":" + quoted(crypto::sha256_backend_name(crypto::sha256_backend())) +
       ",\"prof_backend\":" + quoted(obs::prof::backend_name(obs::prof::prof_backend())) +
       ",\"build_type\":" + quoted(JRSND_BENCH_BUILD_TYPE) +
       ",\"compiler\":" + quoted(JRSND_BENCH_COMPILER) + "}}";

@@ -35,16 +35,20 @@ CpuFeatures probe() noexcept {
   std::uint32_t edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return f;
   const bool osxsave = (ecx & (1U << 27)) != 0;
-  if (!osxsave) return f;  // OS saves no extended state: scalar only
-
-  const std::uint64_t xsave = xcr0();
-  const bool ymm_ok = (xsave & 0x6) == 0x6;           // XMM + YMM
-  const bool zmm_ok = (xsave & 0xE6) == 0xE6;         // + opmask/ZMM
+  const bool cpu_sse41 = (ecx & (1U << 19)) != 0;
 
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return f;
   const bool cpu_avx2 = (ebx & (1U << 5)) != 0;
   const bool cpu_avx512f = (ebx & (1U << 16)) != 0;
+  const bool cpu_sha = (ebx & (1U << 29)) != 0;
   const bool cpu_vpopcntdq = (ecx & (1U << 14)) != 0;
+
+  f.sha = cpu_sha && cpu_sse41;  // XMM only: no XCR0 requirement
+  if (!osxsave) return f;  // OS saves no extended state: no YMM/ZMM backend
+
+  const std::uint64_t xsave = xcr0();
+  const bool ymm_ok = (xsave & 0x6) == 0x6;           // XMM + YMM
+  const bool zmm_ok = (xsave & 0xE6) == 0xE6;         // + opmask/ZMM
 
   f.avx2 = cpu_avx2 && ymm_ok;
   f.avx512_vpopcntdq = cpu_avx512f && cpu_vpopcntdq && zmm_ok;

@@ -1,16 +1,20 @@
 // Runtime CPU feature probe and the process-wide SIMD dispatch level.
 //
-// Two kernels vectorize: the batched sync correlator (dsss/sync_kernel.hpp:
-// AVX-512/VPOPCNTDQ, AVX2, NEON or scalar popcount) and the 8-lane SHA-256
-// behind the AUTH MAC check (crypto/sha256_multi.hpp: AVX2 or scalar lanes).
-// Both dispatch on the one level resolved here, so a single JRSND_SIMD
-// override or set_simd_backend() call moves both, and one `simd.backend`
-// gauge says where they run.
+// Three kernels dispatch on it: the batched sync correlator
+// (dsss/sync_kernel.hpp: AVX-512/VPOPCNTDQ, AVX2, NEON or scalar popcount),
+// the 8-lane SHA-256 behind the AUTH MAC check (crypto/sha256_multi.hpp:
+// AVX2 or scalar lanes), and the single-stream SHA-256 compression under
+// every MAC, PRF and signature (crypto/sha256.hpp: SHA-NI when the CPU has
+// it and the level is not scalar, the scalar body otherwise). All three read
+// the one level resolved here, so a single JRSND_SIMD override or
+// set_simd_backend() call moves them together, and one `simd.backend` gauge
+// says where they run.
 //
 // The probe checks both the CPU capability bits (CPUID leaf 7) and the OS
 // context-save support (OSXSAVE + XCR0): a kernel that does not preserve
 // ZMM state makes the AVX-512 bits in CPUID meaningless, so both must agree
-// before a vector backend is reported usable.
+// before a vector backend is reported usable. SHA-NI touches only XMM
+// registers, which every x86-64 OS saves, so its bit needs no XCR0 check.
 #pragma once
 
 #include <atomic>
@@ -22,6 +26,7 @@ struct CpuFeatures {
   bool avx2 = false;              ///< AVX2 usable (CPUID + OS YMM state)
   bool avx512_vpopcntdq = false;  ///< AVX-512F + VPOPCNTDQ usable (+ OS ZMM state)
   bool neon = false;              ///< Advanced SIMD (always true on aarch64)
+  bool sha = false;               ///< SHA extensions + SSE4.1 (XMM state only)
 };
 
 /// The probed feature set, resolved once per process. Never throws; on

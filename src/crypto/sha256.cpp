@@ -3,6 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#include "common/cpu_features.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace jrsnd::crypto {
 
 namespace {
@@ -29,14 +35,137 @@ std::uint32_t load_be32(const std::uint8_t* p) noexcept {
          (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
 }
 
+// Big-endian stores as one word write each. The padded block and the digest
+// are read back a word or 16 bytes at a time (the compression, the outer
+// HMAC hash), and a wide load over byte stores stalls store forwarding.
 void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof v);
 }
 
+void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+void compress_scalar(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
+    const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t temp2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + temp1;
+    d = c;
+    c = b;
+    b = a;
+    a = temp1 + temp2;
+  }
+
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+/// The same compression on the SHA extensions. sha256rnds2 runs two rounds
+/// on the state split as {A,B,E,F} / {C,D,G,H}; each 16-byte step feeds it
+/// four schedule words plus constants, and msg1/msg2 extend the schedule
+/// four words at a time from the rolling window m[0..3].
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(std::array<std::uint32_t, 8>& state,
+                                                          const std::uint8_t* block) noexcept {
+  // Byte swap within each dword: the block is big-endian.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data()));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i m[4];
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    __m128i& cur = m[i % 4];
+    if (i < 4) {
+      cur = _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+                             bswap);
+    }
+    __m128i wk = _mm_add_epi32(
+        cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants.data() + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (i >= 3 && i < 15) {  // finish the next group: + w[t-7], then sigma1
+      __m128i& next = m[(i + 1) % 4];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(cur, m[(i + 3) % 4], 4));
+      next = _mm_sha256msg2_epu32(next, cur);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (i >= 1 && i < 13) {  // start the group after next: sigma0
+      __m128i& prev = m[(i + 3) % 4];
+      prev = _mm_sha256msg1_epu32(prev, cur);
+    }
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif
+
 }  // namespace
+
+const char* sha256_backend_name(Sha256Backend backend) noexcept {
+  switch (backend) {
+    case Sha256Backend::kScalar:
+      return "scalar";
+    case Sha256Backend::kShaNi:
+      return "sha-ni";
+  }
+  return "unknown";
+}
+
+Sha256Backend sha256_backend() {
+  return cpu_features().sha && simd_backend() != SimdBackend::kScalar ? Sha256Backend::kShaNi
+                                                                      : Sha256Backend::kScalar;
+}
+
+void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
+#if defined(__x86_64__)
+  if (sha256_backend() == Sha256Backend::kShaNi) {
+    compress_sha_ni(state, block);
+    return;
+  }
+#endif
+  compress_scalar(state, block);
+}
 
 Sha256::Sha256() noexcept { reset(); }
 
@@ -79,60 +208,23 @@ void Sha256::update(const std::string& text) noexcept {
 
 Sha256Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian length.
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  static constexpr std::uint8_t kZeros[64] = {};
-  while (buffer_len_ != 56) {
-    const std::size_t need = buffer_len_ < 56 ? 56 - buffer_len_ : 64 - buffer_len_ + 56;
-    update(std::span<const std::uint8_t>(kZeros, std::min<std::size_t>(need, 64)));
+  // Padding, written in place: 0x80, zeros up to byte 56 of a block (a
+  // second block when the first has no room for the length), then the
+  // 64-bit big-endian length. update() leaves buffer_len_ below 64.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t length_be[8];
-  for (int i = 0; i < 8; ++i) length_be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  update(std::span<const std::uint8_t>(length_be, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be64(buffer_.data() + 56, bit_length);
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[static_cast<std::size_t>(i)]);
   return digest;
-}
-
-void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state[0] += a;
-  state[1] += b;
-  state[2] += c;
-  state[3] += d;
-  state[4] += e;
-  state[5] += f;
-  state[6] += g;
-  state[7] += h;
 }
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {

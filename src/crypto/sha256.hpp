@@ -4,6 +4,13 @@
 // pairing-oracle IBC, and the session-spread-code derivation h_K(.) of the
 // paper are all built on it. Verified against the FIPS test vectors in
 // tests/crypto_sha256_test.cpp.
+//
+// The compression has two backends, chosen per call by sha256_backend():
+// SHA-NI (the x86 SHA extensions) when the CPU has them and the process-wide
+// SIMD level (common/cpu_features.hpp) is not scalar, and the portable
+// scalar body otherwise — so JRSND_SIMD=scalar or
+// set_simd_backend(kScalar) forces the scalar body at once. Both compute the
+// identical function; digests do not depend on the backend.
 #pragma once
 
 #include <array>
@@ -17,6 +24,17 @@ namespace jrsnd::crypto {
 
 inline constexpr std::size_t kSha256DigestSize = 32;
 using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
+
+/// Backend of the single-stream compression.
+enum class Sha256Backend : std::uint8_t { kScalar = 0, kShaNi = 1 };
+
+[[nodiscard]] const char* sha256_backend_name(Sha256Backend backend) noexcept;
+
+/// The backend sha256_compress runs on this call: kShaNi when
+/// cpu_features().sha is set and simd_backend() is not kScalar, kScalar
+/// otherwise. sha256_compress dispatches on this same predicate, so the name
+/// it reports is the backend that runs.
+[[nodiscard]] Sha256Backend sha256_backend();
 
 /// One FIPS 180-4 compression: folds a single 64-byte block into `state`.
 /// The low-level primitive Sha256 runs per block — exposed so the multi-
