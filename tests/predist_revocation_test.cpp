@@ -28,6 +28,28 @@ TEST(Revocation, UnknownCodeIsNotUsable) {
   EXPECT_EQ(state.invalid_count(code_id(99)), 0u);
 }
 
+TEST(Revocation, DuplicateAndUnsortedHeldCodesCollapse) {
+  RevocationState state(2, {code_id(7), code_id(3), code_id(7), code_id(5), code_id(3)});
+  EXPECT_EQ(state.usable_codes(), (std::vector<CodeId>{code_id(3), code_id(5), code_id(7)}));
+  EXPECT_FALSE(state.report_invalid(code_id(7)));
+  EXPECT_FALSE(state.report_invalid(code_id(7)));
+  EXPECT_TRUE(state.report_invalid(code_id(7)));  // 3 > gamma: one counter, not two
+  EXPECT_EQ(state.invalid_count(code_id(7)), 3u);
+  EXPECT_TRUE(state.is_revoked(code_id(7)));
+  EXPECT_FALSE(state.is_usable(code_id(7)));
+  EXPECT_TRUE(state.revoke(code_id(3)));
+  EXPECT_FALSE(state.revoke(code_id(3)));  // already revoked
+  EXPECT_FALSE(state.revoke(code_id(4)));  // not held
+  EXPECT_TRUE(state.is_revoked(code_id(3)));
+  EXPECT_FALSE(state.is_revoked(code_id(4)));
+  EXPECT_FALSE(state.is_usable(code_id(4)));
+  EXPECT_TRUE(state.is_usable(code_id(5)));
+  EXPECT_EQ(state.invalid_count(code_id(5)), 0u);
+  EXPECT_EQ(state.invalid_count(code_id(3)), 0u);
+  EXPECT_EQ(state.usable_codes(), (std::vector<CodeId>{code_id(5)}));
+  EXPECT_EQ(state.total_invalid_verifications(), 3u);
+}
+
 TEST(Revocation, ThresholdCrossingRevokes) {
   RevocationState state(3, three_codes());
   EXPECT_FALSE(state.report_invalid(code_id(1)));  // 1
