@@ -13,21 +13,14 @@ CompromiseModel::CompromiseModel(const predist::CodeAssignment& assignment, std:
       rng.sample_without_replacement(static_cast<std::uint32_t>(all.size()), q);
   for (const std::uint32_t pick : picks) {
     const NodeId node = all[pick];
-    compromised_nodes_.insert(node);
-    for (const CodeId code : assignment.codes_of(node)) compromised_codes_.insert(code);
+    compromised_nodes_.push_back(node);
+    const std::vector<CodeId>& codes = assignment.codes_of(node);
+    compromised_codes_.insert(compromised_codes_.end(), codes.begin(), codes.end());
   }
-}
-
-std::vector<NodeId> CompromiseModel::compromised_nodes() const {
-  std::vector<NodeId> out(compromised_nodes_.begin(), compromised_nodes_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<CodeId> CompromiseModel::compromised_codes() const {
-  std::vector<CodeId> out(compromised_codes_.begin(), compromised_codes_.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(compromised_nodes_.begin(), compromised_nodes_.end());
+  std::sort(compromised_codes_.begin(), compromised_codes_.end());
+  compromised_codes_.erase(std::unique(compromised_codes_.begin(), compromised_codes_.end()),
+                           compromised_codes_.end());
 }
 
 }  // namespace jrsnd::adversary

@@ -7,8 +7,8 @@
 // attacker need.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,10 +23,10 @@ class CompromiseModel {
   CompromiseModel(const predist::CodeAssignment& assignment, std::uint32_t q, Rng& rng);
 
   [[nodiscard]] bool is_node_compromised(NodeId node) const {
-    return compromised_nodes_.contains(node);
+    return std::binary_search(compromised_nodes_.begin(), compromised_nodes_.end(), node);
   }
   [[nodiscard]] bool is_code_compromised(CodeId code) const {
-    return compromised_codes_.contains(code);
+    return std::binary_search(compromised_codes_.begin(), compromised_codes_.end(), code);
   }
 
   [[nodiscard]] std::size_t compromised_node_count() const noexcept {
@@ -37,12 +37,13 @@ class CompromiseModel {
     return compromised_codes_.size();
   }
 
-  [[nodiscard]] std::vector<NodeId> compromised_nodes() const;
-  [[nodiscard]] std::vector<CodeId> compromised_codes() const;
+  /// Ascending.
+  [[nodiscard]] std::vector<NodeId> compromised_nodes() const { return compromised_nodes_; }
+  [[nodiscard]] std::vector<CodeId> compromised_codes() const { return compromised_codes_; }
 
  private:
-  std::unordered_set<NodeId> compromised_nodes_;
-  std::unordered_set<CodeId> compromised_codes_;
+  std::vector<NodeId> compromised_nodes_;  ///< ascending
+  std::vector<CodeId> compromised_codes_;  ///< ascending, unique
 };
 
 }  // namespace jrsnd::adversary

@@ -1,7 +1,7 @@
 #include "adversary/dos_attacker.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace jrsnd::adversary {
 
@@ -9,16 +9,25 @@ DosCampaign::DosCampaign(const predist::CodeAssignment& assignment,
                          const std::vector<CodeId>& attack_codes,
                          const std::vector<NodeId>& compromised_nodes, std::uint32_t gamma,
                          double t_ver_s)
-    : assignment_(assignment), attack_codes_(attack_codes), gamma_(gamma), t_ver_s_(t_ver_s) {
-  const std::unordered_set<NodeId> compromised(compromised_nodes.begin(),
-                                               compromised_nodes.end());
+    : attack_codes_(attack_codes), gamma_(gamma), t_ver_s_(t_ver_s) {
   for (const CodeId code : attack_codes_) {
-    for (const NodeId holder : assignment_.holders_of(code)) {
-      if (compromised.contains(holder)) continue;  // J need not attack itself
-      victims_per_code_[code].push_back(holder);
-      if (!victims_.contains(holder)) {
-        victims_.emplace(holder,
-                         predist::RevocationState(gamma_, assignment_.codes_of(holder)));
+    for (const NodeId holder : assignment.holders_of(code)) {
+      if (std::find(compromised_nodes.begin(), compromised_nodes.end(), holder) ==
+          compromised_nodes.end()) {
+        victims_.push_back(holder);  // J need not attack itself
+      }
+    }
+  }
+  std::sort(victims_.begin(), victims_.end());
+  victims_.erase(std::unique(victims_.begin(), victims_.end()), victims_.end());
+  states_.reserve(victims_.size());
+  for (const NodeId victim : victims_) states_.emplace_back(gamma_, assignment.codes_of(victim));
+  for (const CodeId code : attack_codes_) {
+    std::vector<std::size_t>& indices = victims_per_code_.emplace_back();
+    for (const NodeId holder : assignment.holders_of(code)) {
+      const auto it = std::lower_bound(victims_.begin(), victims_.end(), holder);
+      if (it != victims_.end() && *it == holder) {
+        indices.push_back(static_cast<std::size_t>(it - victims_.begin()));
       }
     }
   }
@@ -26,22 +35,30 @@ DosCampaign::DosCampaign(const predist::CodeAssignment& assignment,
 
 DosCampaignResult DosCampaign::run(std::uint64_t requests_per_code) {
   DosCampaignResult result;
-  for (const CodeId code : attack_codes_) {
-    const auto it = victims_per_code_.find(code);
-    if (it == victims_per_code_.end() || it->second.empty()) continue;
-    const std::vector<NodeId>& holders = it->second;
-    for (std::uint64_t r = 0; r < requests_per_code; ++r) {
+  for (std::size_t k = 0; k < attack_codes_.size(); ++k) {
+    const CodeId code = attack_codes_[k];
+    const std::vector<std::size_t>& holders = victims_per_code_[k];
+    for (std::uint64_t r = 0; r < requests_per_code && !holders.empty(); ++r) {
       ++result.requests_sent;
       // One broadcast request reaches every in-range holder; we charge the
       // worst case where all holders of the code hear it.
-      for (const NodeId victim : holders) {
-        predist::RevocationState& state = victims_.at(victim);
+      std::size_t listening = 0;
+      for (const std::size_t victim : holders) {
+        predist::RevocationState& state = states_[victim];
         if (state.is_revoked(code)) {
           ++result.requests_ignored;
           continue;  // victim no longer de-spreads this code: zero cost
         }
         ++result.verifications;  // the (failing) signature verification
-        if (state.report_invalid(code)) ++result.revocations;
+        const bool revoked = state.report_invalid(code);
+        result.revocations += revoked;
+        listening += !revoked;
+      }
+      if (listening == 0) {  // every holder revoked `code`: the rest cost nothing
+        const std::uint64_t rest = requests_per_code - r - 1;
+        result.requests_sent += rest;
+        result.requests_ignored += rest * holders.size();
+        break;
       }
     }
   }
@@ -50,14 +67,17 @@ DosCampaignResult DosCampaign::run(std::uint64_t requests_per_code) {
 }
 
 std::uint64_t DosCampaign::per_code_verification_bound(CodeId code) const {
-  const auto it = victims_per_code_.find(code);
-  if (it == victims_per_code_.end()) return 0;
-  return static_cast<std::uint64_t>(it->second.size()) * (gamma_ + 1);
+  const auto it = std::find(attack_codes_.begin(), attack_codes_.end(), code);
+  if (it == attack_codes_.end()) return 0;
+  const std::size_t k = static_cast<std::size_t>(it - attack_codes_.begin());
+  return static_cast<std::uint64_t>(victims_per_code_[k].size()) * (gamma_ + 1);
 }
 
 std::uint64_t DosCampaign::total_verification_bound() const {
   std::uint64_t total = 0;
-  for (const CodeId code : attack_codes_) total += per_code_verification_bound(code);
+  for (const auto& holders : victims_per_code_) {
+    total += static_cast<std::uint64_t>(holders.size()) * (gamma_ + 1);
+  }
   return total;
 }
 

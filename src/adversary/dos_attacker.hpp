@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bit_vector.hpp"
@@ -38,8 +37,10 @@ struct DosCampaignResult {
 
 class DosCampaign {
  public:
-  /// Victims are every non-compromised holder of each attack code. `gamma`
-  /// is the revocation threshold, `t_ver_s` the per-verification cost.
+  /// Victims are every non-compromised holder of each attack code. The
+  /// attack codes are distinct (as CompromiseModel::compromised_codes()
+  /// gives them). `gamma` is the revocation threshold, `t_ver_s` the
+  /// per-verification cost.
   DosCampaign(const predist::CodeAssignment& assignment,
               const std::vector<CodeId>& attack_codes,
               const std::vector<NodeId>& compromised_nodes, std::uint32_t gamma,
@@ -59,10 +60,11 @@ class DosCampaign {
   [[nodiscard]] std::uint64_t total_verification_bound() const;
 
  private:
-  const predist::CodeAssignment& assignment_;
   std::vector<CodeId> attack_codes_;
-  std::unordered_map<NodeId, predist::RevocationState> victims_;
-  std::unordered_map<CodeId, std::vector<NodeId>> victims_per_code_;
+  std::vector<NodeId> victims_;                   ///< ascending
+  std::vector<predist::RevocationState> states_;  ///< states_[i]: victims_[i]'s
+  /// victims_per_code_[k]: indices into victims_ of attack_codes_[k]'s victims.
+  std::vector<std::vector<std::size_t>> victims_per_code_;
   std::uint32_t gamma_;
   double t_ver_s_;
 };

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 namespace jrsnd {
@@ -83,17 +82,3 @@ class TimePoint {
 constexpr TimePoint kSimStart{0.0};
 
 }  // namespace jrsnd
-
-template <>
-struct std::hash<jrsnd::NodeId> {
-  std::size_t operator()(jrsnd::NodeId id) const noexcept {
-    return std::hash<std::uint32_t>{}(jrsnd::raw(id));
-  }
-};
-
-template <>
-struct std::hash<jrsnd::CodeId> {
-  std::size_t operator()(jrsnd::CodeId id) const noexcept {
-    return std::hash<std::uint32_t>{}(jrsnd::raw(id));
-  }
-};

@@ -9,25 +9,10 @@
 
 namespace jrsnd::core {
 
-namespace {
-
-WireConfig wire_from_params(const Params& params) noexcept {
-  WireConfig wire;
-  wire.l_t = params.l_t;
-  wire.l_id = params.l_id;
-  wire.l_n = params.l_n;
-  wire.l_mac = params.l_mac;
-  wire.l_nu = params.l_nu;
-  wire.l_sig = params.l_sig;
-  return wire;
-}
-
-}  // namespace
-
 DndpEngine::DndpEngine(const Params& params, PhyModel& phy, bool redundancy,
                        std::uint64_t retry_seed, const HandshakeClock* clock)
     : params_(params),
-      wire_(wire_from_params(params)),
+      wire_(params.wire()),
       verifier_(wire_),
       phy_(phy),
       redundancy_(redundancy),

@@ -9,12 +9,9 @@ NodeState::NodeState(NodeId id, crypto::IbcPrivateKey key, std::vector<CodeId> c
                      const predist::CodePoolAuthority& authority, std::uint32_t gamma, Rng rng)
     : id_(id),
       key_(std::move(key)),
-      codes_(std::move(codes)),
       authority_(&authority),
-      revocation_(gamma, codes_),
-      rng_(rng) {
-  std::sort(codes_.begin(), codes_.end());
-}
+      revocation_(gamma, std::move(codes)),
+      rng_(rng) {}
 
 std::vector<NodeState> issue_nodes(const predist::CodePoolAuthority& authority,
                                    const crypto::IbcAuthority& ibc, std::uint32_t n,
@@ -30,7 +27,7 @@ std::vector<NodeState> issue_nodes(const predist::CodePoolAuthority& authority,
 }
 
 const dsss::SpreadCode& NodeState::code_pattern(CodeId code) const {
-  if (!std::binary_search(codes_.begin(), codes_.end(), code)) {
+  if (!std::binary_search(all_codes().begin(), all_codes().end(), code)) {
     throw std::invalid_argument("NodeState::code_pattern: code not held");
   }
   return authority_->code(code);
@@ -43,26 +40,27 @@ BitVector NodeState::make_nonce(std::uint32_t bits) {
 }
 
 void NodeState::add_logical_neighbor(NodeId peer, LogicalNeighbor info) {
-  if (neighbors_.insert_or_assign(peer, std::move(info)).second) logical_stale_ = true;
+  const auto it = std::lower_bound(logical_.begin(), logical_.end(), peer);
+  const auto i = it - logical_.begin();
+  if (it != logical_.end() && *it == peer) {
+    links_[static_cast<std::size_t>(i)] = std::move(info);
+    return;
+  }
+  logical_.insert(it, peer);
+  links_.insert(links_.begin() + i, std::move(info));
 }
 
 const LogicalNeighbor* NodeState::neighbor(NodeId peer) const {
-  const auto it = neighbors_.find(peer);
-  return it == neighbors_.end() ? nullptr : &it->second;
-}
-
-const std::vector<NodeId>& NodeState::logical_neighbors() const {
-  if (logical_stale_) {
-    logical_.clear();
-    for (const auto& entry : neighbors_) logical_.push_back(entry.first);
-    std::sort(logical_.begin(), logical_.end());
-    logical_stale_ = false;
-  }
-  return logical_;
+  const auto it = std::lower_bound(logical_.begin(), logical_.end(), peer);
+  if (it == logical_.end() || *it != peer) return nullptr;
+  return &links_[static_cast<std::size_t>(it - logical_.begin())];
 }
 
 void NodeState::remove_logical_neighbor(NodeId peer) {
-  if (neighbors_.erase(peer) != 0) logical_stale_ = true;
+  const auto it = std::lower_bound(logical_.begin(), logical_.end(), peer);
+  if (it == logical_.end() || *it != peer) return;
+  links_.erase(links_.begin() + (it - logical_.begin()));
+  logical_.erase(it);
 }
 
 }  // namespace jrsnd::core

@@ -3,11 +3,14 @@
 //
 // One NodeState instance backs both protocol engines; the Monte-Carlo driver
 // creates n of them per run, and examples/tests create a handful.
+//
+// The neighbor table is two aligned vectors: the ascending peer ids (the
+// paper's L_A) and what is held for each. Any add or remove on a node
+// invalidates its neighbor() pointers and its logical_neighbors() reference.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bit_vector.hpp"
@@ -44,7 +47,10 @@ class NodeState {
     return revocation_.usable_codes();
   }
 
-  [[nodiscard]] const std::vector<CodeId>& all_codes() const noexcept { return codes_; }
+  /// Every held pool code, revoked or not, ascending.
+  [[nodiscard]] const std::vector<CodeId>& all_codes() const noexcept {
+    return revocation_.held_codes();
+  }
 
   /// Chip pattern of a held pool code.
   [[nodiscard]] const dsss::SpreadCode& code_pattern(CodeId code) const;
@@ -64,16 +70,15 @@ class NodeState {
 
   /// Adds `peer` or replaces what is held for it (the list gains no duplicate).
   void add_logical_neighbor(NodeId peer, LogicalNeighbor info);
-  [[nodiscard]] bool knows(NodeId peer) const { return neighbors_.contains(peer); }
+  [[nodiscard]] bool knows(NodeId peer) const { return neighbor(peer) != nullptr; }
+  /// What is held for `peer`, or null. Invalidated by any add or remove on
+  /// this node.
   [[nodiscard]] const LogicalNeighbor* neighbor(NodeId peer) const;
 
-  /// Logical neighbor ids, ascending (the paper's L_A): the table's keys,
-  /// kept sorted beside it. The list is built on the first read after the
-  /// table changed (runs that never read it, such as the graph-level
-  /// figures, never allocate it). The reference is invalidated by any add
-  /// or remove on this node — to drop neighbors while walking the list,
-  /// use remove_logical_neighbors_if.
-  [[nodiscard]] const std::vector<NodeId>& logical_neighbors() const;
+  /// Logical neighbor ids, ascending (the paper's L_A). The reference is
+  /// invalidated by any add or remove on this node — to drop neighbors while
+  /// walking the list, use remove_logical_neighbors_if.
+  [[nodiscard]] const std::vector<NodeId>& logical_neighbors() const noexcept { return logical_; }
 
   /// Drops a logical neighbor (used when a node moves out of range); an
   /// unknown peer is a no-op.
@@ -84,31 +89,27 @@ class NodeState {
   /// add or remove neighbors of this node (other nodes' tables are fine).
   template <class Pred>
   std::size_t remove_logical_neighbors_if(Pred pred) {
-    (void)logical_neighbors();  // build it if stale; the walk keeps it current
     std::size_t kept = 0;
     for (std::size_t i = 0; i < logical_.size(); ++i) {
-      const NodeId peer = logical_[i];
-      if (pred(peer)) {
-        neighbors_.erase(peer);
-      } else {
-        logical_[kept++] = peer;
-      }
+      if (pred(logical_[i])) continue;
+      logical_[kept] = logical_[i];
+      if (kept != i) links_[kept] = std::move(links_[i]);
+      ++kept;
     }
     const std::size_t removed = logical_.size() - kept;
     logical_.resize(kept);
+    links_.resize(kept);
     return removed;
   }
 
  private:
   NodeId id_;
   crypto::IbcPrivateKey key_;
-  std::vector<CodeId> codes_;
   const predist::CodePoolAuthority* authority_;
   predist::RevocationState revocation_;
   Rng rng_;
-  std::unordered_map<NodeId, LogicalNeighbor> neighbors_;
-  mutable std::vector<NodeId> logical_;  ///< neighbors_'s keys, ascending
-  mutable bool logical_stale_ = false;   ///< neighbors_ changed since built
+  std::vector<NodeId> logical_;         ///< known peers, ascending
+  std::vector<LogicalNeighbor> links_;  ///< links_[i]: what is held for logical_[i]
 };
 
 /// Nodes 0..n-1, each with its IBC private key, its pre-distributed codes

@@ -24,18 +24,12 @@ MndpEngine::MndpEngine(const Params& params, PhyModel& phy, const sim::Topology&
                        std::shared_ptr<const crypto::PairingOracle> oracle, bool gps_filter,
                        std::uint64_t retry_seed)
     : params_(params),
+      wire_(params.wire()),
       phy_(phy),
       topology_(topology),
       oracle_(std::move(oracle)),
       gps_filter_(gps_filter),
-      retry_rng_(retry_seed ^ 0xA24BAED4963EE407ULL) {
-  wire_.l_t = params.l_t;
-  wire_.l_id = params.l_id;
-  wire_.l_n = params.l_n;
-  wire_.l_mac = params.l_mac;
-  wire_.l_nu = params.l_nu;
-  wire_.l_sig = params.l_sig;
-}
+      retry_rng_(retry_seed ^ 0xA24BAED4963EE407ULL) {}
 
 std::optional<BitVector> MndpEngine::transmit_with_retry(NodeId from, NodeId to,
                                                          const TxCode& code, TxClass cls,

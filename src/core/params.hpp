@@ -63,6 +63,9 @@ struct Params {
 
   // --- derived quantities ------------------------------------------------
 
+  /// The message field widths both protocol engines encode with.
+  [[nodiscard]] WireConfig wire() const noexcept { return {l_t, l_id, l_n, l_mac, l_nu, l_sig}; }
+
   /// HELLO payload bits: l_t + l_id.
   [[nodiscard]] std::uint32_t hello_payload_bits() const noexcept { return l_t + l_id; }
 

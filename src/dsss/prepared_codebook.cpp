@@ -51,7 +51,12 @@ const PreparedCodebook& NodeCodebookCache::prepare(NodeId id, std::span<const Sp
 
 PreparedCodebook& NodeCodebookCache::entry(NodeId id) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_[id];
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
+                             [](const auto& entry, NodeId key) { return entry.first < key; });
+  if (it == entries_.end() || it->first != id) {
+    it = entries_.emplace(it, id, std::make_unique<PreparedCodebook>());
+  }
+  return *it->second;
 }
 
 }  // namespace jrsnd::dsss

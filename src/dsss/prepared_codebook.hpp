@@ -20,9 +20,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -106,7 +107,7 @@ class PreparedCodebook {
 /// and tools look up (or create) the prepared form of node `id`'s codebook
 /// and refresh it only when the underlying codes changed. Entries are
 /// pointer-stable, so the returned references survive later lookups.
-/// The map itself is mutex-guarded; concurrent mutation of one *entry*
+/// The entry table itself is mutex-guarded; concurrent mutation of one *entry*
 /// follows PreparedCodebook's snapshot rules (single writer).
 class NodeCodebookCache {
  public:
@@ -117,7 +118,9 @@ class NodeCodebookCache {
   PreparedCodebook& entry(NodeId id);
 
  private:
-  std::unordered_map<NodeId, PreparedCodebook> entries_;
+  /// Ascending by id; each entry is heap-held, so inserting keeps the
+  /// others where they are.
+  std::vector<std::pair<NodeId, std::unique_ptr<PreparedCodebook>>> entries_;
   std::mutex mutex_;
 };
 

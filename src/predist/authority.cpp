@@ -6,11 +6,19 @@
 
 namespace jrsnd::predist {
 
-CodePoolAuthority::CodePoolAuthority(const PredistParams& params, Rng rng)
-    : params_(params), rng_(rng) {
+namespace {
+
+const PredistParams& validated(const PredistParams& params) {
   if (params.node_count == 0 || params.codes_per_node == 0 || params.holders_per_code == 0) {
     throw std::invalid_argument("CodePoolAuthority: zero parameter");
   }
+  return params;
+}
+
+}  // namespace
+
+CodePoolAuthority::CodePoolAuthority(const PredistParams& params, Rng rng)
+    : params_(validated(params)), rng_(rng), assignment_(params_.pool_size()) {
   // Generate the secret pool.
   const std::uint32_t s = params_.pool_size();
   pool_.reserve(s);

@@ -1,24 +1,37 @@
 #include "predist/code_assignment.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace jrsnd::predist {
 
 void CodeAssignment::assign(NodeId node, std::vector<CodeId> codes) {
   std::sort(codes.begin(), codes.end());
-  auto [it, inserted] = per_node_.emplace(node, std::move(codes));
-  if (!inserted) throw std::invalid_argument("CodeAssignment::assign: node already assigned");
-  for (const CodeId code : it->second) per_code_[code].push_back(node);
+  if (!codes.empty() && raw(codes.back()) >= per_code_.size()) {
+    throw std::out_of_range("CodeAssignment::assign: code outside the pool");
+  }
+  const auto it = std::lower_bound(per_node_.begin(), per_node_.end(), node);
+  if (it != per_node_.end() && it->node == node) {
+    throw std::invalid_argument("CodeAssignment::assign: node already assigned");
+  }
+  for (const CodeId code : codes) {
+    std::vector<NodeId>& holders = per_code_[raw(code)];
+    holders.insert(std::upper_bound(holders.begin(), holders.end(), node), node);
+  }
+  per_node_.insert(it, NodeCodes{node, std::move(codes)});
 }
 
-bool CodeAssignment::has_node(NodeId node) const { return per_node_.contains(node); }
+bool CodeAssignment::has_node(NodeId node) const {
+  const auto it = std::lower_bound(per_node_.begin(), per_node_.end(), node);
+  return it != per_node_.end() && it->node == node;
+}
 
 const std::vector<CodeId>& CodeAssignment::codes_of(NodeId node) const {
-  const auto it = per_node_.find(node);
-  if (it == per_node_.end()) throw std::out_of_range("CodeAssignment::codes_of: unknown node");
-  return it->second;
+  const auto it = std::lower_bound(per_node_.begin(), per_node_.end(), node);
+  if (it == per_node_.end() || it->node != node) {
+    throw std::out_of_range("CodeAssignment::codes_of: unknown node");
+  }
+  return it->codes;
 }
 
 std::vector<CodeId> CodeAssignment::shared_codes(NodeId a, NodeId b) const {
@@ -30,24 +43,20 @@ std::vector<CodeId> CodeAssignment::shared_codes(NodeId a, NodeId b) const {
 }
 
 std::vector<NodeId> CodeAssignment::holders_of(CodeId code) const {
-  const auto it = per_code_.find(code);
-  if (it == per_code_.end()) return {};
-  std::vector<NodeId> holders = it->second;
-  std::sort(holders.begin(), holders.end());
-  return holders;
+  if (raw(code) >= per_code_.size()) return {};
+  return per_code_[raw(code)];
 }
 
 std::vector<NodeId> CodeAssignment::nodes() const {
   std::vector<NodeId> out;
   out.reserve(per_node_.size());
-  for (const auto& [node, codes] : per_node_) out.push_back(node);
-  std::sort(out.begin(), out.end());
+  for (const NodeCodes& entry : per_node_) out.push_back(entry.node);
   return out;
 }
 
 std::size_t CodeAssignment::max_holders() const {
   std::size_t max_count = 0;
-  for (const auto& [code, holders] : per_code_) max_count = std::max(max_count, holders.size());
+  for (const auto& holders : per_code_) max_count = std::max(max_count, holders.size());
   return max_count;
 }
 

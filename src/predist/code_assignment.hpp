@@ -2,10 +2,14 @@
 // codes (paper §V-A). Provides the queries the protocols and the analysis
 // need — per-node code sets, pairwise shared codes, per-code holder lists —
 // plus distribution statistics used by tests and benches.
+//
+// Per-node code sets live in one vector sorted by node id (the n real nodes
+// append in id order; a join inserts), per-code holder lists in a vector
+// indexed by raw code id. A codes_of() reference is invalidated by a later
+// assign (and so by CodePoolAuthority::join).
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -14,9 +18,12 @@ namespace jrsnd::predist {
 
 class CodeAssignment {
  public:
-  CodeAssignment() = default;
+  /// Codes are pool ids 0..pool_size-1.
+  explicit CodeAssignment(std::size_t pool_size) : per_code_(pool_size) {}
 
-  /// Registers `node` as holding `codes` (sorted internally).
+  /// Registers `node` as holding `codes` (sorted internally). Throws
+  /// std::out_of_range for a code outside the pool and
+  /// std::invalid_argument for a node already assigned.
   void assign(NodeId node, std::vector<CodeId> codes);
 
   [[nodiscard]] bool has_node(NodeId node) const;
@@ -45,8 +52,14 @@ class CodeAssignment {
   [[nodiscard]] std::vector<std::size_t> shared_count_histogram() const;
 
  private:
-  std::unordered_map<NodeId, std::vector<CodeId>> per_node_;
-  std::unordered_map<CodeId, std::vector<NodeId>> per_code_;
+  struct NodeCodes {
+    NodeId node;
+    std::vector<CodeId> codes;  ///< ascending
+    friend bool operator<(const NodeCodes& entry, NodeId id) { return entry.node < id; }
+  };
+
+  std::vector<NodeCodes> per_node_;            ///< ascending by node
+  std::vector<std::vector<NodeId>> per_code_;  ///< per_code_[raw(c)]: holders, ascending
 };
 
 }  // namespace jrsnd::predist

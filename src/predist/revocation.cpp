@@ -5,57 +5,44 @@
 
 namespace jrsnd::predist {
 
-RevocationState::RevocationState(std::uint32_t gamma, const std::vector<CodeId>& codes)
-    : gamma_(gamma) {
-  for (const CodeId code : codes) entries_.emplace(code, Entry{});
-  usable_.reserve(entries_.size());
-  for (const auto& [code, entry] : entries_) usable_.push_back(code);
-  std::sort(usable_.begin(), usable_.end());
-}
-
-void RevocationState::mark_revoked(CodeId code, Entry& entry) {
-  entry.revoked = true;
-  const auto it = std::lower_bound(usable_.begin(), usable_.end(), code);
-  usable_.erase(it);
+RevocationState::RevocationState(std::uint32_t gamma, std::vector<CodeId> codes)
+    : gamma_(gamma), held_(std::move(codes)) {
+  std::sort(held_.begin(), held_.end());
+  held_.erase(std::unique(held_.begin(), held_.end()), held_.end());
+  invalid_.assign(held_.size(), 0);
+  usable_ = held_;
 }
 
 bool RevocationState::report_invalid(CodeId code) {
-  const auto it = entries_.find(code);
-  if (it == entries_.end()) {
+  const auto it = std::lower_bound(held_.begin(), held_.end(), code);
+  if (it == held_.end() || *it != code) {
     throw std::invalid_argument("RevocationState::report_invalid: code not held");
   }
-  Entry& entry = it->second;
-  if (entry.revoked) return false;  // already revoked: no further despreading
+  if (!is_usable(code)) return false;  // already revoked: no further despreading
   ++total_;
-  ++entry.invalid;
-  if (entry.invalid > gamma_) {
-    mark_revoked(code, entry);
-    return true;
-  }
+  if (++invalid_[static_cast<std::size_t>(it - held_.begin())] > gamma_) return revoke(code);
   return false;
 }
 
 bool RevocationState::revoke(CodeId code) {
-  const auto it = entries_.find(code);
-  if (it == entries_.end() || it->second.revoked) return false;
-  mark_revoked(code, it->second);
+  const auto it = std::lower_bound(usable_.begin(), usable_.end(), code);
+  if (it == usable_.end() || *it != code) return false;
+  usable_.erase(it);
   return true;
 }
 
 bool RevocationState::is_revoked(CodeId code) const {
-  const auto it = entries_.find(code);
-  return it != entries_.end() && it->second.revoked;
+  return std::binary_search(held_.begin(), held_.end(), code) && !is_usable(code);
 }
 
 bool RevocationState::is_usable(CodeId code) const {
-  const auto it = entries_.find(code);
-  return it != entries_.end() && !it->second.revoked;
+  return std::binary_search(usable_.begin(), usable_.end(), code);
 }
 
 std::uint32_t RevocationState::invalid_count(CodeId code) const {
-  const auto it = entries_.find(code);
-  if (it == entries_.end()) return 0;
-  return it->second.invalid;
+  const auto it = std::lower_bound(held_.begin(), held_.end(), code);
+  if (it == held_.end() || *it != code) return 0;
+  return invalid_[static_cast<std::size_t>(it - held_.begin())];
 }
 
 }  // namespace jrsnd::predist

@@ -7,10 +7,12 @@
 // compromised a code can therefore waste at most (l-1) * gamma signature
 // verifications network-wide on that code, versus unbounded for schemes with
 // public code sets.
+//
+// A code is revoked when it is held but no longer usable. References from
+// usable_codes() and held_codes() stay valid for the state's lifetime.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -19,8 +21,9 @@ namespace jrsnd::predist {
 
 class RevocationState {
  public:
-  /// `gamma` is the invalid-request threshold; `codes` the node's code set.
-  RevocationState(std::uint32_t gamma, const std::vector<CodeId>& codes);
+  /// `gamma` is the invalid-request threshold; `codes` the node's code set,
+  /// in any order (a duplicate is held once).
+  RevocationState(std::uint32_t gamma, std::vector<CodeId> codes);
 
   /// Records an invalid request received spread with `code`.
   /// Returns true if this report crossed the threshold and revoked the code.
@@ -40,6 +43,9 @@ class RevocationState {
   /// erases its code), so reading it neither allocates nor sorts.
   [[nodiscard]] const std::vector<CodeId>& usable_codes() const noexcept { return usable_; }
 
+  /// Every held code, revoked or not, ascending and duplicate-free.
+  [[nodiscard]] const std::vector<CodeId>& held_codes() const noexcept { return held_; }
+
   [[nodiscard]] std::uint32_t invalid_count(CodeId code) const;
   [[nodiscard]] std::uint32_t gamma() const noexcept { return gamma_; }
 
@@ -47,17 +53,10 @@ class RevocationState {
   [[nodiscard]] std::uint64_t total_invalid_verifications() const noexcept { return total_; }
 
  private:
-  struct Entry {
-    std::uint32_t invalid = 0;
-    bool revoked = false;
-  };
-
-  /// Marks `entry` (for `code`) revoked and drops the code from usable_.
-  void mark_revoked(CodeId code, Entry& entry);
-
   std::uint32_t gamma_;
-  std::unordered_map<CodeId, Entry> entries_;
-  std::vector<CodeId> usable_;  ///< held, non-revoked codes, ascending
+  std::vector<CodeId> held_;            ///< held codes, ascending, unique
+  std::vector<std::uint32_t> invalid_;  ///< invalid_[i]: reports on held_[i]
+  std::vector<CodeId> usable_;          ///< held, non-revoked codes, ascending
   std::uint64_t total_ = 0;
 };
 
