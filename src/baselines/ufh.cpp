@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace jrsnd::baselines {
 

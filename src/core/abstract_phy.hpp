@@ -10,7 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "adversary/jammer.hpp"
 #include "common/rng.hpp"

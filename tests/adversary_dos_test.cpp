@@ -88,6 +88,25 @@ TEST(DosCampaign, VerificationTimeUsesTver) {
               static_cast<double>(result.verifications) * t_ver, 1e-9);
 }
 
+TEST(DosCampaign, FloodPastRevocationChargesEveryRequestToEveryVictim) {
+  const auto authority = make_authority(9);
+  Rng rng(10);
+  const CompromiseModel compromise(authority.assignment(), 3, rng);
+  const auto codes = compromise.compromised_codes();
+  const std::uint32_t gamma = 2;
+  DosCampaign campaign(authority.assignment(), codes, compromise.compromised_nodes(), gamma,
+                       35.5e-3);
+  std::uint64_t attacked = 0;
+  for (const CodeId code : codes) attacked += campaign.per_code_verification_bound(code) > 0;
+  const std::uint64_t victim_slots = campaign.total_verification_bound() / (gamma + 1);
+  const std::uint64_t flood = 50;  // every victim revokes after gamma + 1
+  const DosCampaignResult result = campaign.run(flood);
+  EXPECT_EQ(result.requests_sent, flood * attacked);
+  EXPECT_EQ(result.verifications, campaign.total_verification_bound());
+  EXPECT_EQ(result.revocations, victim_slots);
+  EXPECT_EQ(result.verifications + result.requests_ignored, flood * victim_slots);
+}
+
 TEST(DosCampaign, NoCompromisedCodesNoCost) {
   const auto authority = make_authority(6);
   DosCampaign campaign(authority.assignment(), {}, {}, 5, 35.5e-3);
