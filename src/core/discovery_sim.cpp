@@ -233,6 +233,7 @@ void accumulate(PointResult& agg, const RunResult& r) {
   agg.latency_jrsnd.add(r.latency_jrsnd_s);
   agg.degree.add(r.avg_degree);
   agg.compromised_codes.add(static_cast<double>(r.compromised_codes));
+  agg.signature_verifications.add(static_cast<double>(r.mndp_stats.signature_verifications));
 }
 
 }  // namespace

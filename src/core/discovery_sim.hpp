@@ -140,6 +140,7 @@ struct PointResult {
   Stat latency_jrsnd;
   Stat degree;
   Stat compromised_codes;
+  Stat signature_verifications;  ///< M-NDP's, per run (0 unless full_mndp)
 };
 
 class DiscoverySimulator {

@@ -1,7 +1,9 @@
 #include "core/messages.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 #include "crypto/hmac.hpp"
 
@@ -25,9 +27,20 @@ class BitReader {
     return true;
   }
 
+  /// `width` bits into `out`, reusing its storage.
   [[nodiscard]] bool read_bits(std::size_t width, BitVector& out) {
     if (pos_ + width > bits_.size()) return false;
-    out = bits_.slice(pos_, width);
+    out.clear();
+    for (std::size_t bit = 0; bit < width; bit += 64) {
+      const std::size_t w = std::min<std::size_t>(64, width - bit);
+      out.append_uint(bits_.read_uint(pos_ + bit, w), w);
+    }
+    pos_ += width;
+    return true;
+  }
+
+  [[nodiscard]] bool skip(std::size_t width) {
+    if (pos_ + width > bits_.size()) return false;
     pos_ += width;
     return true;
   }
@@ -240,8 +253,8 @@ void append_mndp_response_block(BitVector& bv, const MndpResponse& resp, const W
 
 /// The wire tail shared by both M-NDP messages: the leader's signature, the
 /// hop count, then each hop's (ID, list, signature).
-void append_signed_hops(BitVector& bv, const crypto::IbcSignature& leader,
-                        const std::vector<HopRecord>& hops, const WireConfig& cfg) {
+void append_signed_hops(BitVector& bv, const crypto::IbcSignature& leader, const HopList& hops,
+                        const WireConfig& cfg) {
   append_tag(bv, leader.tag, cfg.l_sig);
   bv.append_uint(hops.size(), kHopCountBits);
   for (const HopRecord& hop : hops) {
@@ -253,14 +266,15 @@ void append_signed_hops(BitVector& bv, const crypto::IbcSignature& leader,
 
 /// Reads what append_signed_hops wrote; the message must end right after it.
 bool read_signed_hops(BitReader& r, const WireConfig& cfg, crypto::IbcSignature& leader,
-                      std::vector<HopRecord>& hops) {
+                      HopList& hops) {
   std::uint64_t hop_count = 0;
   if (!r.read_tag(cfg.l_sig, leader.tag) || !r.read(kHopCountBits, hop_count) ||
       hop_count * (cfg.l_id + kListCountBits + cfg.l_sig) > r.remaining()) {
     return false;  // a hop needs at least its ID, list count, and signature
   }
-  hops.resize(hop_count);
-  for (HopRecord& hop : hops) {
+  hops.clear();
+  for (std::uint64_t k = 0; k < hop_count; ++k) {
+    HopRecord& hop = hops.append();
     if (!read_id(r, cfg, hop.id) || !read_list(r, cfg, hop.neighbors) ||
         !r.read_tag(cfg.l_sig, hop.signature.tag)) {
       return false;
@@ -269,61 +283,102 @@ bool read_signed_hops(BitReader& r, const WireConfig& cfg, crypto::IbcSignature&
   return r.done();
 }
 
+/// The (source, nonce) dedup key; the nonce contributes its first 32 bits.
+std::uint64_t request_key(NodeId source, std::uint64_t nonce_head) {
+  return (static_cast<std::uint64_t>(raw(source)) << 32) ^ nonce_head;
+}
+
 }  // namespace
 
 BitVector MndpRequest::encode(const WireConfig& cfg) const {
-  assert(nonce.size() == cfg.l_n);
   BitVector bv;
-  append_mndp_request_source_block(bv, *this, cfg);
-  append_signed_hops(bv, source_signature, hops, cfg);
+  encode_into(bv, cfg);
   return bv;
 }
 
+void MndpRequest::encode_into(BitVector& out, const WireConfig& cfg) const {
+  assert(nonce.size() == cfg.l_n);
+  out.clear();
+  append_mndp_request_source_block(out, *this, cfg);
+  append_signed_hops(out, source_signature, hops, cfg);
+}
+
 std::optional<MndpRequest> MndpRequest::decode(const BitVector& bits, const WireConfig& cfg) {
+  MndpRequest msg;
+  if (!decode_into(bits, cfg, msg)) return std::nullopt;
+  return msg;
+}
+
+bool MndpRequest::decode_into(const BitVector& bits, const WireConfig& cfg, MndpRequest& out) {
   BitReader r(bits);
   std::uint64_t type = 0;
-  MndpRequest msg;
-  if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::MndpRequest)) {
-    return std::nullopt;
-  }
   std::uint64_t nu = 0;
-  if (!read_id(r, cfg, msg.source) || !read_list(r, cfg, msg.source_neighbors) ||
-      !r.read_bits(cfg.l_n, msg.nonce) || !r.read(cfg.l_nu, nu) ||
-      !read_signed_hops(r, cfg, msg.source_signature, msg.hops)) {
-    return std::nullopt;
+  if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::MndpRequest) ||
+      !read_id(r, cfg, out.source) || !read_list(r, cfg, out.source_neighbors) ||
+      !r.read_bits(cfg.l_n, out.nonce) || !r.read(cfg.l_nu, nu) ||
+      !read_signed_hops(r, cfg, out.source_signature, out.hops)) {
+    return false;
   }
-  msg.nu = static_cast<std::uint32_t>(nu);
-  return msg;
+  out.nu = static_cast<std::uint32_t>(nu);
+  return true;
 }
 
 std::size_t MndpRequest::payload_bits(const WireConfig& cfg) const {
   return encode(cfg).size();
 }
 
+std::uint64_t MndpRequest::key() const noexcept {
+  return request_key(source, nonce.read_uint(0, std::min<std::size_t>(nonce.size(), 32)));
+}
+
+std::optional<std::uint64_t> MndpRequest::peek_key(const BitVector& bits,
+                                                   const WireConfig& cfg) {
+  BitReader r(bits);
+  std::uint64_t type = 0;
+  std::uint64_t source = 0;
+  std::uint64_t count = 0;
+  std::uint64_t nonce_head = 0;
+  const std::size_t take = std::min<std::size_t>(cfg.l_n, 32);
+  if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::MndpRequest) ||
+      !r.read(cfg.l_id, source) || !r.read(kListCountBits, count) ||
+      !r.skip(count * cfg.l_id) || r.remaining() < cfg.l_n || !r.read(take, nonce_head)) {
+    return std::nullopt;
+  }
+  return request_key(node_id(static_cast<std::uint32_t>(source)), nonce_head);
+}
+
 BitVector MndpResponse::encode(const WireConfig& cfg) const {
-  assert(nonce.size() == cfg.l_n);
   BitVector bv;
-  append_mndp_response_block(bv, *this, cfg);
-  append_signed_hops(bv, responder_signature, hops, cfg);
+  encode_into(bv, cfg);
   return bv;
 }
 
+void MndpResponse::encode_into(BitVector& out, const WireConfig& cfg) const {
+  assert(nonce.size() == cfg.l_n);
+  out.clear();
+  append_mndp_response_block(out, *this, cfg);
+  append_signed_hops(out, responder_signature, hops, cfg);
+}
+
 std::optional<MndpResponse> MndpResponse::decode(const BitVector& bits, const WireConfig& cfg) {
+  MndpResponse msg;
+  if (!decode_into(bits, cfg, msg)) return std::nullopt;
+  return msg;
+}
+
+bool MndpResponse::decode_into(const BitVector& bits, const WireConfig& cfg, MndpResponse& out) {
   BitReader r(bits);
   std::uint64_t type = 0;
-  MndpResponse msg;
-  if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::MndpResponse)) {
-    return std::nullopt;
-  }
   std::uint64_t nu = 0;
-  if (!read_id(r, cfg, msg.source) || !read_id(r, cfg, msg.via) ||
-      !read_id(r, cfg, msg.responder) || !read_list(r, cfg, msg.responder_neighbors) ||
-      !r.read_bits(cfg.l_n, msg.nonce) || !r.read(cfg.l_nu, nu) ||
-      !read_signed_hops(r, cfg, msg.responder_signature, msg.hops)) {
-    return std::nullopt;
+  if (!r.read(cfg.l_t, type) || type != static_cast<std::uint64_t>(MessageType::MndpResponse) ||
+      !read_id(r, cfg, out.source) || !read_id(r, cfg, out.via) ||
+      !read_id(r, cfg, out.responder) || !read_list(r, cfg, out.responder_neighbors) ||
+      !r.read_bits(cfg.l_n, out.nonce) || !r.read(cfg.l_nu, nu) ||
+      !read_signed_hops(r, cfg, out.responder_signature, out.hops)) {
+    return false;
   }
-  msg.nu = static_cast<std::uint32_t>(nu);
-  return msg;
+  out.nu = static_cast<std::uint32_t>(nu);
+  return true;
 }
 
 std::size_t MndpResponse::payload_bits(const WireConfig& cfg) const {
@@ -333,16 +388,27 @@ std::size_t MndpResponse::payload_bits(const WireConfig& cfg) const {
 // --- SignedBody -------------------------------------------------------------
 
 SignedBody::SignedBody(const MndpRequest& req, const WireConfig& cfg) : cfg_(cfg) {
+  assign(req);
+}
+
+SignedBody::SignedBody(const MndpResponse& resp, const WireConfig& cfg) : cfg_(cfg) {
+  assign(resp);
+}
+
+void SignedBody::assign(const MndpRequest& req) {
+  bits_.clear();
   append_mndp_request_source_block(bits_, req, cfg_);
   append_hops(req.hops);
 }
 
-SignedBody::SignedBody(const MndpResponse& resp, const WireConfig& cfg) : cfg_(cfg) {
+void SignedBody::assign(const MndpResponse& resp) {
+  bits_.clear();
   append_mndp_response_block(bits_, resp, cfg_);
   append_hops(resp.hops);
 }
 
-void SignedBody::append_hops(const std::vector<HopRecord>& hops) {
+void SignedBody::append_hops(const HopList& hops) {
+  ends_.clear();
   ends_.reserve(hops.size() + 2);  // room for one forwarder's append_hop
   ends_.push_back(bits_.size());
   for (const HopRecord& hop : hops) {
@@ -364,10 +430,16 @@ void SignedBody::append_hop(NodeId id, std::span<const NodeId> neighbors) {
 }
 
 void SignedBody::pack_from(std::size_t first) {
-  bytes_.resize((bits_.size() + 7) / 8);
+  // Whole words from the one holding byte `first`: a word's eight bytes,
+  // MSB-first, are its big-endian image. The last word stores only the
+  // bytes bits_ reaches (its slack bits are zero).
+  const std::size_t size = (bits_.size() + 7) / 8;
+  bytes_.resize(size);
   const std::span<const std::uint64_t> words = bits_.words();
-  for (std::size_t i = first; i < bytes_.size(); ++i) {
-    bytes_[i] = static_cast<std::uint8_t>(words[i / 8] >> (56 - 8 * (i % 8)));
+  for (std::size_t at = first / 8 * 8; at < size; at += 8) {
+    std::uint64_t word = words[at / 8];
+    if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    std::memcpy(bytes_.data() + at, &word, std::min<std::size_t>(8, size - at));
   }
 }
 

@@ -9,6 +9,7 @@
 // that transmission-time accounting matches the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -108,6 +109,44 @@ struct HopRecord {
   NodeId id = kInvalidNode;
   std::vector<NodeId> neighbors;
   crypto::IbcSignature signature{};
+
+  bool operator==(const HopRecord&) const = default;
+};
+
+/// A message's hop records, in path order. A vector whose clear() keeps the
+/// dropped records (and their list storage) for the next append(), so a
+/// message reused as decode scratch reads hop lists without allocating once
+/// it has held as many, as long, before.
+class HopList {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  [[nodiscard]] HopRecord& operator[](std::size_t i) noexcept { return records_[i]; }
+  [[nodiscard]] const HopRecord& operator[](std::size_t i) const noexcept { return records_[i]; }
+  [[nodiscard]] HopRecord& back() noexcept { return records_[size_ - 1]; }
+  [[nodiscard]] const HopRecord& back() const noexcept { return records_[size_ - 1]; }
+  [[nodiscard]] HopRecord* begin() noexcept { return records_.data(); }
+  [[nodiscard]] HopRecord* end() noexcept { return records_.data() + size_; }
+  [[nodiscard]] const HopRecord* begin() const noexcept { return records_.data(); }
+  [[nodiscard]] const HopRecord* end() const noexcept { return records_.data() + size_; }
+
+  /// Appends a record and returns it. It may be a dropped record, still
+  /// holding that record's values: the caller sets every field.
+  HopRecord& append() {
+    if (size_ == records_.size()) records_.emplace_back();
+    return records_[size_++];
+  }
+  void push_back(const HopRecord& hop) { append() = hop; }
+  void clear() noexcept { size_ = 0; }
+
+  bool operator==(const HopList& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  std::vector<HopRecord> records_;
+  std::size_t size_ = 0;
 };
 
 /// {ID_A, L_A, n_A, nu, SIG_A, (ID_C, L_C, SIG_C), ...}: the source's signed
@@ -118,7 +157,7 @@ struct MndpRequest {
   BitVector nonce;  ///< l_n bits
   std::uint32_t nu = 2;
   crypto::IbcSignature source_signature{};
-  std::vector<HopRecord> hops;  ///< forwarders, in path order (excludes source)
+  HopList hops;  ///< forwarders, in path order (excludes source)
 
   /// Number of hops the request has traversed so far (= hops.size() + 1 for
   /// the link it is about to cross).
@@ -130,6 +169,26 @@ struct MndpRequest {
   [[nodiscard]] static std::optional<MndpRequest> decode(const BitVector& bits,
                                                          const WireConfig& cfg);
   [[nodiscard]] std::size_t payload_bits(const WireConfig& cfg) const;
+
+  /// encode() into `out` (cleared first); allocation-free once `out` has
+  /// held a message as long.
+  void encode_into(BitVector& out, const WireConfig& cfg) const;
+  /// decode() into `out`, reusing its storage: on success every field of
+  /// `out` is the decoded message's, whatever `out` held; on failure `out`
+  /// is left in an unspecified (but valid) state.
+  [[nodiscard]] static bool decode_into(const BitVector& bits, const WireConfig& cfg,
+                                        MndpRequest& out);
+
+  /// The dedup key (source, nonce) a relay remembers the request by.
+  [[nodiscard]] std::uint64_t key() const noexcept;
+  /// The same key read from the wire header alone (type, ID, list count,
+  /// the list skipped, nonce), without decoding the rest; nullopt when the
+  /// header is not a request's or is cut short. Equal to decode(bits)->key()
+  /// whenever that decode succeeds.
+  [[nodiscard]] static std::optional<std::uint64_t> peek_key(const BitVector& bits,
+                                                             const WireConfig& cfg);
+
+  bool operator==(const MndpRequest&) const = default;
 };
 
 /// {ID_A, ID_C, ID_B, L_B, n_B, nu, SIG_B, (L_C, SIG_C), ...}: the
@@ -142,12 +201,19 @@ struct MndpResponse {
   BitVector nonce;  ///< n_B, l_n bits
   std::uint32_t nu = 2;
   crypto::IbcSignature responder_signature{};
-  std::vector<HopRecord> hops;  ///< reverse-path forwarders
+  HopList hops;  ///< reverse-path forwarders
 
   [[nodiscard]] BitVector encode(const WireConfig& cfg) const;
   [[nodiscard]] static std::optional<MndpResponse> decode(const BitVector& bits,
                                                           const WireConfig& cfg);
   [[nodiscard]] std::size_t payload_bits(const WireConfig& cfg) const;
+
+  /// As MndpRequest::encode_into / decode_into.
+  void encode_into(BitVector& out, const WireConfig& cfg) const;
+  [[nodiscard]] static bool decode_into(const BitVector& bits, const WireConfig& cfg,
+                                        MndpResponse& out);
+
+  bool operator==(const MndpResponse&) const = default;
 };
 
 /// What an M-NDP message's signatures cover, encoded once per message. The
@@ -161,8 +227,15 @@ struct MndpResponse {
 /// final partial byte, which gives the bytes a prefix packed on its own has.
 class SignedBody {
  public:
+  /// An empty body; assign() a message before use.
+  explicit SignedBody(const WireConfig& cfg) : cfg_(cfg) {}
   SignedBody(const MndpRequest& req, const WireConfig& cfg);
   SignedBody(const MndpResponse& resp, const WireConfig& cfg);
+
+  /// Re-encodes the body for another message, reusing this body's storage:
+  /// the same bytes and prefixes a body constructed from `req` / `resp` has.
+  void assign(const MndpRequest& req);
+  void assign(const MndpResponse& resp);
 
   /// Appends a forwarder's block; its signature is then the last prefix.
   void append_hop(NodeId id, std::span<const NodeId> neighbors);
@@ -188,8 +261,8 @@ class SignedBody {
 
  private:
   /// Marks the leading block's end, appends `hops`' blocks, packs bytes_.
-  void append_hops(const std::vector<HopRecord>& hops);
-  /// Packs bits_ into bytes_ from byte `first` on.
+  void append_hops(const HopList& hops);
+  /// Packs bits_ into bytes_ from byte `first` on, a word at a time.
   void pack_from(std::size_t first);
 
   WireConfig cfg_;

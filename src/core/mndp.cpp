@@ -10,16 +10,6 @@
 
 namespace jrsnd::core {
 
-namespace {
-
-/// Dedup key for (source, nonce).
-std::uint64_t request_key(NodeId source, const BitVector& nonce) {
-  const std::size_t take = std::min<std::size_t>(nonce.size(), 32);
-  return (static_cast<std::uint64_t>(raw(source)) << 32) ^ nonce.read_uint(0, take);
-}
-
-}  // namespace
-
 MndpEngine::MndpEngine(const Params& params, PhyModel& phy, const sim::Topology& topology,
                        std::shared_ptr<const crypto::PairingOracle> oracle, bool gps_filter,
                        std::uint64_t retry_seed)
@@ -29,7 +19,10 @@ MndpEngine::MndpEngine(const Params& params, PhyModel& phy, const sim::Topology&
       topology_(topology),
       oracle_(std::move(oracle)),
       gps_filter_(gps_filter),
-      retry_rng_(retry_seed ^ 0xA24BAED4963EE407ULL) {}
+      retry_rng_(retry_seed ^ 0xA24BAED4963EE407ULL),
+      req_body_(wire_),
+      resp_body_(wire_),
+      pattern_(BitVector(params.N)) {}  // a placeholder until the first unicast
 
 std::optional<BitVector> MndpEngine::transmit_with_retry(NodeId from, NodeId to,
                                                          const TxCode& code, TxClass cls,
@@ -63,9 +56,9 @@ std::optional<BitVector> MndpEngine::session_unicast(NodeState& from, NodeState&
                                                      MndpStats& stats) {
   const LogicalNeighbor* link = from.neighbor(to.id());
   if (link == nullptr) return std::nullopt;
-  const dsss::SpreadCode pattern(link->session_code);
-  const TxCode code{kInvalidCode, &pattern};
-  return transmit_with_retry(from.id(), to.id(), code, cls, payload, stats);
+  pattern_.assign(link->session_code);
+  return transmit_with_retry(from.id(), to.id(), TxCode{kInvalidCode, &pattern_}, cls, payload,
+                             stats);
 }
 
 const crypto::SignerKey& MndpEngine::signer(NodeId id) {
@@ -76,8 +69,8 @@ const crypto::SignerKey& MndpEngine::signer(NodeId id) {
 }
 
 bool MndpEngine::verify_chain(const SignedBody& body, NodeId leader,
-                              const crypto::IbcSignature& leader_sig,
-                              const std::vector<HopRecord>& hops, MndpStats& stats) {
+                              const crypto::IbcSignature& leader_sig, const HopList& hops,
+                              MndpStats& stats) {
   ++stats.signature_verifications;
   if (!body.verify(signer(leader), 0, leader_sig)) return false;
   for (std::size_t i = 0; i < hops.size(); ++i) {
@@ -87,12 +80,13 @@ bool MndpEngine::verify_chain(const SignedBody& body, NodeId leader,
   return true;
 }
 
-void MndpEngine::sign_hop(NodeState& node, SignedBody& body, std::vector<HopRecord>& hops,
-                          MndpStats& stats) {
+void MndpEngine::sign_hop(NodeState& node, SignedBody& body, HopList& hops, MndpStats& stats) {
   const std::vector<NodeId>& neighbors = node.logical_neighbors();
   body.append_hop(node.id(), neighbors);
-  hops.push_back(HopRecord{node.id(), neighbors,
-                           body.sign(node.key(), signer(node.key().id()), body.prefixes() - 1)});
+  HopRecord& hop = hops.append();
+  hop.id = node.id();
+  hop.neighbors = neighbors;
+  hop.signature = body.sign(node.key(), signer(node.key().id()), body.prefixes() - 1);
   ++stats.signatures_created;
 }
 
@@ -120,34 +114,29 @@ MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes)
   if (signers_.size() < nodes.size()) signers_.resize(nodes.size());
   if (seen_.size() < nodes.size()) seen_.resize(nodes.size());
 
-  MndpRequest req;
+  MndpRequest& req = req_;
   req.source = initiator.id();
   req.source_neighbors = initiator.logical_neighbors();
   req.nonce = initiator.make_nonce(params_.l_n);
   req.nu = params_.nu;
-  req.source_signature =
-      SignedBody(req, wire_).sign(initiator.key(), signer(initiator.key().id()), 0);
+  req.hops.clear();
+  req_body_.assign(req);
+  req.source_signature = req_body_.sign(initiator.key(), signer(initiator.key().id()), 0);
   ++stats.signatures_created;
 
-  seen_[raw(initiator.id())].push_back(request_key(req.source, req.nonce));
+  seen_[raw(initiator.id())].push_back(req.key());
 
-  std::deque<PendingRequest> queue;
-  const BitVector encoded = req.encode(wire_);
+  queue_.clear();
+  req.encode_into(req_tx_, wire_);
   for (const NodeId peer : req.source_neighbors) {
     ++stats.requests_sent;
     NodeState& target = nodes[raw(peer)];
-    const auto rx = session_unicast(initiator, target, encoded, TxClass::SessionUnicast, stats);
-    if (!rx) continue;
-    auto decoded = MndpRequest::decode(*rx, wire_);
-    if (!decoded) continue;
-    queue.push_back(PendingRequest{peer, initiator.id(), std::move(*decoded)});
+    auto rx = session_unicast(initiator, target, req_tx_, TxClass::SessionUnicast, stats);
+    if (rx) queue_.push_back(PendingRequest{peer, initiator.id(), std::move(*rx)});
   }
 
-  while (!queue.empty()) {
-    PendingRequest item = std::move(queue.front());
-    queue.pop_front();
-    process_request(std::move(item), nodes, queue, stats);
-  }
+  // Copies are appended while the FIFO is walked, so index it afresh.
+  for (std::size_t at = 0; at < queue_.size(); ++at) process_request(at, nodes, stats);
 
   JRSND_COUNT("mndp.initiations");
   JRSND_COUNT_N("mndp.requests_sent", stats.requests_sent);
@@ -171,21 +160,28 @@ MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes)
   return stats;
 }
 
-void MndpEngine::process_request(PendingRequest&& item, std::span<NodeState> nodes,
-                                 std::deque<PendingRequest>& queue, MndpStats& stats) {
+void MndpEngine::process_request(std::size_t at, std::span<NodeState> nodes, MndpStats& stats) {
+  // Take the copy's bits: forwarding below may grow (and move) queue_.
+  const PendingRequest item = std::move(queue_[at]);
   NodeState& holder = nodes[raw(item.holder)];
-  MndpRequest& req = item.request;
 
-  const std::uint64_t key = request_key(req.source, req.nonce);
+  // Dedup on the wire key before decoding; the key is remembered only once
+  // the copy decodes, so a corrupted copy is dropped exactly as a failed
+  // decode at arrival would drop it.
+  const std::optional<std::uint64_t> key = MndpRequest::peek_key(item.bits, wire_);
+  if (!key) return;
   std::vector<std::uint64_t>& seen = seen_[raw(holder.id())];
-  if (std::find(seen.begin(), seen.end(), key) != seen.end()) return;  // duplicate copy
-  seen.push_back(key);
+  if (std::find(seen.begin(), seen.end(), *key) != seen.end()) return;  // duplicate copy
+  MndpRequest& req = req_;
+  if (!MndpRequest::decode_into(item.bits, wire_, req)) return;
+  seen.push_back(*key);
 
   const std::uint32_t traversed = req.hops_traversed();
   stats.max_hops_seen = std::max(stats.max_hops_seen, traversed);
 
   // Every signature in the request is verified before anything else.
-  SignedBody body(req, wire_);
+  SignedBody& body = req_body_;
+  body.assign(req);
   if (!verify_chain(body, req.source, req.source_signature, req.hops, stats)) {
     ++stats.requests_dropped;
     return;
@@ -224,18 +220,15 @@ void MndpEngine::process_request(PendingRequest&& item, std::span<NodeState> nod
     return false;
   };
 
-  // Extend this copy in place: it is ours, and nothing reads it after.
+  // Extend the decoded copy in place: nothing reads it after.
   sign_hop(holder, body, req.hops, stats);
-  const BitVector encoded = req.encode(wire_);
+  req.encode_into(req_tx_, wire_);
   for (const NodeId next : holder.logical_neighbors()) {
     if (covered(next)) continue;
     ++stats.requests_sent;
     NodeState& target = nodes[raw(next)];
-    const auto rx = session_unicast(holder, target, encoded, TxClass::SessionUnicast, stats);
-    if (!rx) continue;
-    auto decoded = MndpRequest::decode(*rx, wire_);
-    if (!decoded) continue;
-    queue.push_back(PendingRequest{next, holder.id(), std::move(*decoded)});
+    auto rx = session_unicast(holder, target, req_tx_, TxClass::SessionUnicast, stats);
+    if (rx) queue_.push_back(PendingRequest{next, holder.id(), std::move(*rx)});
   }
 }
 
@@ -243,15 +236,17 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
                          std::span<NodeState> nodes, MndpStats& stats) {
   assert(!req.hops.empty());  // direct logical neighbors never respond
 
-  MndpResponse resp;
+  MndpResponse& resp = resp_;
   resp.source = req.source;
   resp.via = reverse_next;
   resp.responder = responder.id();
   resp.responder_neighbors = responder.logical_neighbors();
   resp.nonce = responder.make_nonce(params_.l_n);
   resp.nu = req.nu;
+  resp.hops.clear();
+  resp_body_.assign(resp);
   resp.responder_signature =
-      SignedBody(resp, wire_).sign(responder.key(), signer(responder.key().id()), 0);
+      resp_body_.sign(responder.key(), signer(responder.key().id()), 0);
   ++stats.signatures_created;
   ++stats.responses_sent;
 
@@ -262,30 +257,25 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
       crypto::derive_session_code(key_ba, resp.nonce, req.nonce, params_.N);
 
   // Walk the reverse path: responder -> hops[k] -> ... -> hops[0] -> source.
-  std::vector<NodeId> reverse_path;
-  for (std::size_t i = req.hops.size(); i-- > 0;) reverse_path.push_back(req.hops[i].id);
-  reverse_path.push_back(req.source);
-
+  // Each leg re-encodes resp_ and decodes the received copy back into it.
   NodeState* carrier = &responder;
-  MndpResponse current = std::move(resp);
-  for (std::size_t leg = 0; leg < reverse_path.size(); ++leg) {
-    NodeState& next = nodes[raw(reverse_path[leg])];
-    const auto rx = session_unicast(*carrier, next, current.encode(wire_),
-                                    TxClass::SessionUnicast, stats);
+  for (std::size_t leg = 0; leg <= req.hops.size(); ++leg) {
+    const NodeId next_id =
+        leg < req.hops.size() ? req.hops[req.hops.size() - 1 - leg].id : req.source;
+    NodeState& next = nodes[raw(next_id)];
+    resp.encode_into(resp_tx_, wire_);
+    const auto rx = session_unicast(*carrier, next, resp_tx_, TxClass::SessionUnicast, stats);
     if (!rx) return;  // reverse link lost (e.g. mobility); response dies
-    auto decoded = MndpResponse::decode(*rx, wire_);
-    if (!decoded) return;
-    current = std::move(*decoded);
+    if (!MndpResponse::decode_into(*rx, wire_, resp)) return;
 
-    SignedBody body(current, wire_);
-    if (!verify_chain(body, current.responder, current.responder_signature, current.hops,
-                      stats)) {
+    resp_body_.assign(resp);
+    if (!verify_chain(resp_body_, resp.responder, resp.responder_signature, resp.hops, stats)) {
       return;
     }
     if (next.id() == req.source) break;
 
     // Intermediate node appends its own record and signature.
-    sign_hop(next, body, current.hops, stats);
+    sign_hop(next, resp_body_, resp.hops, stats);
     carrier = &next;
   }
 
@@ -293,20 +283,20 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
   // the responder (the paper's "whether C in L_B"), then derives the same
   // session code and listens on it.
   NodeState& source = nodes[raw(req.source)];
-  if (std::find(current.responder_neighbors.begin(), current.responder_neighbors.end(),
-                current.via) == current.responder_neighbors.end()) {
+  if (std::find(resp.responder_neighbors.begin(), resp.responder_neighbors.end(), resp.via) ==
+      resp.responder_neighbors.end()) {
     ++stats.requests_dropped;
     return;
   }
-  const crypto::SymmetricKey key_ab = source.key().shared_key(current.responder);
+  const crypto::SymmetricKey key_ab = source.key().shared_key(resp.responder);
   const BitVector session_ab =
-      crypto::derive_session_code(key_ab, req.nonce, current.nonce, params_.N);
+      crypto::derive_session_code(key_ab, req.nonce, resp.nonce, params_.N);
   assert(session_ab == session_ba);
 
   // Completion handshake over the fresh session code: B's HELLO physically
   // reaches A only if they really are physical neighbors.
-  const dsss::SpreadCode session_pattern(session_ba);
-  const TxCode session_tx{kInvalidCode, &session_pattern};
+  pattern_.assign(session_ba);
+  const TxCode session_tx{kInvalidCode, &pattern_};
 
   const HelloMessage hello{responder.id()};
   const auto hello_rx = transmit_with_retry(responder.id(), source.id(), session_tx,
@@ -324,8 +314,12 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
   }
 }
 
-MndpStats MndpEngine::run_round(std::span<NodeState> nodes, Rng& rng) {
+void MndpEngine::begin_round() {
   for (std::vector<std::uint64_t>& seen : seen_) seen.clear();
+}
+
+MndpStats MndpEngine::run_round(std::span<NodeState> nodes, Rng& rng) {
+  begin_round();
   std::vector<std::uint32_t> order(nodes.size());
   std::iota(order.begin(), order.end(), 0u);
   rng.shuffle(std::span<std::uint32_t>(order));

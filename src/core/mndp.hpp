@@ -31,11 +31,18 @@
 //     and every signature in the chain hashes a bit prefix of those bytes;
 //     a forwarder appends its block to the body it just verified and signs
 //     the new prefix;
+//   * a request copy is queued as the bits it arrived as; its (source,
+//     nonce) key is read from the wire header, and only a copy new to its
+//     holder is decoded (most copies of a flood are duplicates);
+//   * message handling runs in engine-owned scratch: one decoded message,
+//     one SignedBody and one transmit buffer for requests and another set
+//     for responses (respond() runs while the request's set is live), plus
+//     one spread-code pattern and the request FIFO, so a warm engine's
+//     codecs, bodies and session unicasts do not allocate;
 //   * neighbor lists are read by reference (NodeState keeps L sorted).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -83,11 +90,16 @@ class MndpEngine {
   /// round. Returns aggregate stats.
   MndpStats run_round(std::span<NodeState> nodes, Rng& rng);
 
+  /// Forgets every request key the nodes have seen: the start of a round
+  /// (run_round calls it). A caller that drives initiate() itself decides
+  /// where its rounds begin.
+  void begin_round();
+
  private:
   struct PendingRequest {
     NodeId holder;  ///< node about to process this request copy
     NodeId arrived_from;
-    MndpRequest request;
+    BitVector bits;  ///< as received; decoded only if new to `holder`
   };
 
   /// `id`'s signature schedule, built on first use and kept for the
@@ -100,21 +112,21 @@ class MndpEngine {
   /// then hops[k]'s over prefix k + 1 of `body` — stopping at the first
   /// failure; bumps stats once per signature checked.
   [[nodiscard]] bool verify_chain(const SignedBody& body, NodeId leader,
-                                  const crypto::IbcSignature& leader_sig,
-                                  const std::vector<HopRecord>& hops, MndpStats& stats);
+                                  const crypto::IbcSignature& leader_sig, const HopList& hops,
+                                  MndpStats& stats);
 
   /// Appends `node`'s hop record to `hops` and `body` and signs the new
   /// prefix.
-  void sign_hop(NodeState& node, SignedBody& body, std::vector<HopRecord>& hops,
-                MndpStats& stats);
+  void sign_hop(NodeState& node, SignedBody& body, HopList& hops, MndpStats& stats);
 
   /// The paper's path-legitimacy check: consecutive (claimed) neighbor
   /// lists must chain from the source to `holder` via `arrived_from`.
   [[nodiscard]] bool path_is_legitimate(const MndpRequest& req, NodeId holder,
                                         NodeId arrived_from) const;
 
-  void process_request(PendingRequest&& item, std::span<NodeState> nodes,
-                       std::deque<PendingRequest>& queue, MndpStats& stats);
+  /// Processes queue_[at]: dedup on the wire key, decode, verify, respond,
+  /// forward (appending the forwarded copies to queue_).
+  void process_request(std::size_t at, std::span<NodeState> nodes, MndpStats& stats);
 
   /// B's response: built, signed, and walked back along the reverse path
   /// with per-hop verification; then the session-code HELLO/CONFIRM
@@ -124,6 +136,7 @@ class MndpEngine {
 
   /// Unicast over an established session link; returns the received bits.
   /// Applies the drop-tolerant retry budget when `params.retry` is enabled.
+  /// The link's session code is spread through pattern_.
   [[nodiscard]] std::optional<BitVector> session_unicast(NodeState& from, NodeState& to,
                                                          const BitVector& payload, TxClass cls,
                                                          MndpStats& stats);
@@ -152,6 +165,18 @@ class MndpEngine {
   /// signer(): one lazily built schedule per node id, plus the stray slot.
   std::vector<std::optional<crypto::SignerKey>> signers_;
   std::optional<crypto::SignerKey> stray_signer_;
+
+  /// Scratch reused across copies and initiations (see the header comment).
+  /// The request set is live from a copy's decode until its forwards are
+  /// sent, across respond(), which uses only the response set.
+  MndpRequest req_;
+  SignedBody req_body_;
+  BitVector req_tx_;
+  MndpResponse resp_;
+  SignedBody resp_body_;
+  BitVector resp_tx_;
+  dsss::SpreadCode pattern_;  ///< chips of the session-code transmission in flight
+  std::vector<PendingRequest> queue_;  ///< this initiation's FIFO, in arrival order
 };
 
 }  // namespace jrsnd::core

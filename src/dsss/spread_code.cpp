@@ -10,6 +10,11 @@ SpreadCode::SpreadCode(BitVector chips, CodeId id) : chips_(std::move(chips)), i
   if (chips_.empty()) throw std::invalid_argument("SpreadCode: empty chip pattern");
 }
 
+void SpreadCode::assign(const BitVector& chips) {
+  if (chips.empty()) throw std::invalid_argument("SpreadCode: empty chip pattern");
+  chips_ = chips;
+}
+
 SpreadCode SpreadCode::random(Rng& rng, std::size_t length, CodeId id) {
   BitVector chips(length);
   for (std::size_t i = 0; i < length; ++i) chips.set(i, rng.bernoulli(0.5));

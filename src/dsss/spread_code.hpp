@@ -35,6 +35,10 @@ class SpreadCode {
   /// Packed chip pattern (bit 1 <-> +1).
   [[nodiscard]] const BitVector& bits() const noexcept { return chips_; }
 
+  /// Replaces the chip pattern (same rule as the constructor), reusing this
+  /// code's storage: allocation-free once it has held a pattern as long.
+  void assign(const BitVector& chips);
+
   /// Normalized correlation with a same-length packed chip window, in
   /// [-1, +1]: +1 for identical, -1 for inverted.
   [[nodiscard]] double correlate(const BitVector& window) const;

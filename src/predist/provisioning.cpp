@@ -48,8 +48,9 @@ class Reader {
 }  // namespace
 
 std::vector<std::uint8_t> NodeProvisioning::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  // Built from the magic rather than inserted into an empty vector, which
+  // GCC 12 flags as a -Wstringop-overflow.
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   out.push_back(kVersion);
   append_u32(out, raw(id));
   append_u32(out, static_cast<std::uint32_t>(code_length_chips));

@@ -1,8 +1,12 @@
 // Robustness: decoders must never crash, loop, or accept garbage as valid
 // on adversarial input — every bit pattern a jammer or attacker could put
 // on the air. Random buffers, truncations, bit flips, and hostile length
-// fields are thrown at every message codec.
+// fields are thrown at every message codec. A decode scratch, a signed
+// body or a wire-read dedup key reused across such inputs must read the
+// same as a fresh decode.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "core/messages.hpp"
@@ -226,6 +230,163 @@ TEST(MessageFuzz, RoundTripSurvivesExtremeFieldValues) {
   EXPECT_EQ(decoded->source_neighbors.size(), 200u);
   EXPECT_TRUE(verify_prefix(authority, node_id(0xffff), SignedBody(*decoded, kCfg), 0,
                             decoded->source_signature));
+}
+
+// --- scratch reuse: decode_into, peek_key, SignedBody::assign ---------------
+
+/// A well-formed request with `hop_count` hops and lists of up to `max_list`
+/// ids; signatures are random tags (the codec does not check them).
+MndpRequest random_request(Rng& rng, std::size_t hop_count, std::size_t max_list) {
+  const auto id = [&rng] { return node_id(static_cast<std::uint32_t>(rng.uniform(1u << 16))); };
+  const auto list = [&] {
+    std::vector<NodeId> out(rng.uniform(max_list + 1));
+    for (NodeId& n : out) n = id();
+    return out;
+  };
+  const auto tag = [&rng] {
+    crypto::IbcSignature sig;
+    for (std::uint8_t& b : sig.tag) b = static_cast<std::uint8_t>(rng.uniform(256));
+    return sig;
+  };
+  MndpRequest req;
+  req.source = id();
+  req.source_neighbors = list();
+  req.nonce = random_bits(rng, kCfg.l_n);
+  req.nu = static_cast<std::uint32_t>(rng.uniform(16));
+  req.source_signature = tag();
+  for (std::size_t k = 0; k < hop_count; ++k) req.hops.push_back(HopRecord{id(), list(), tag()});
+  return req;
+}
+
+/// The response carrying `req`'s fields in the same roles.
+MndpResponse response_like(const MndpRequest& req, NodeId via) {
+  MndpResponse resp;
+  resp.source = via;
+  resp.via = via;
+  resp.responder = req.source;
+  resp.responder_neighbors = req.source_neighbors;
+  resp.nonce = req.nonce;
+  resp.nu = req.nu;
+  resp.responder_signature = req.source_signature;
+  resp.hops = req.hops;
+  return resp;
+}
+
+TEST(MessageFuzz, DecodeIntoDirtyScratchEqualsFreshDecode) {
+  Rng rng(21);
+  MndpRequest req_scratch;
+  MndpResponse resp_scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Dirty the scratch: a longer message (more hops, longer lists), then
+    // a decode that fails partway through a copy of it.
+    const MndpRequest longer = random_request(rng, 3 + rng.uniform(3), 40);
+    const BitVector long_bits = longer.encode(kCfg);
+    ASSERT_TRUE(MndpRequest::decode_into(long_bits, kCfg, req_scratch));
+    ASSERT_EQ(req_scratch, longer);
+    const MndpResponse longer_resp = response_like(longer, node_id(static_cast<std::uint32_t>(trial)));
+    const BitVector long_resp_bits = longer_resp.encode(kCfg);
+    ASSERT_TRUE(MndpResponse::decode_into(long_resp_bits, kCfg, resp_scratch));
+    ASSERT_EQ(resp_scratch, longer_resp);
+    if (trial % 2 == 1) {
+      const std::size_t cut = 1 + rng.uniform(long_bits.size() - 1);
+      EXPECT_FALSE(MndpRequest::decode_into(long_bits.slice(0, cut), kCfg, req_scratch)) << cut;
+      const std::size_t resp_cut = 1 + rng.uniform(long_resp_bits.size() - 1);
+      EXPECT_FALSE(
+          MndpResponse::decode_into(long_resp_bits.slice(0, resp_cut), kCfg, resp_scratch))
+          << resp_cut;
+    }
+
+    const MndpRequest shorter = random_request(rng, rng.uniform(3), 8);
+    const BitVector bits = shorter.encode(kCfg);
+    const auto fresh = MndpRequest::decode(bits, kCfg);
+    ASSERT_TRUE(fresh.has_value());
+    ASSERT_TRUE(MndpRequest::decode_into(bits, kCfg, req_scratch));
+    EXPECT_EQ(req_scratch, *fresh);
+    EXPECT_EQ(req_scratch, shorter);
+
+    const BitVector resp_bits = response_like(shorter, node_id(7)).encode(kCfg);
+    const auto fresh_resp = MndpResponse::decode(resp_bits, kCfg);
+    ASSERT_TRUE(fresh_resp.has_value());
+    ASSERT_TRUE(MndpResponse::decode_into(resp_bits, kCfg, resp_scratch));
+    EXPECT_EQ(resp_scratch, *fresh_resp);
+
+    // encode_into a dirty buffer writes exactly encode()'s bits.
+    BitVector out = long_bits;
+    req_scratch.encode_into(out, kCfg);
+    EXPECT_EQ(out, bits);
+    out = long_bits;
+    resp_scratch.encode_into(out, kCfg);
+    EXPECT_EQ(out, resp_bits);
+  }
+}
+
+TEST(MessageFuzz, PeekKeyMatchesDecodedKey) {
+  Rng rng(22);
+  std::size_t decoded_count = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    BitVector bits = random_request(rng, rng.uniform(3), 6).encode(kCfg);
+    if (trial % 3 == 0) {
+      for (std::uint64_t k = 1 + rng.uniform(3); k > 0; --k) bits.flip(rng.uniform(bits.size()));
+    }
+    if (trial % 3 == 1) bits = bits.slice(0, rng.uniform(bits.size() + 1));
+    const auto decoded = MndpRequest::decode(bits, kCfg);
+    if (!decoded.has_value()) continue;
+    ++decoded_count;
+    const auto key = MndpRequest::peek_key(bits, kCfg);
+    ASSERT_TRUE(key.has_value()) << "trial " << trial;
+    EXPECT_EQ(*key, decoded->key()) << "trial " << trial;
+  }
+  EXPECT_GT(decoded_count, 1000u);  // the check was not vacuous
+
+  // The key needs the header through the nonce: absent when it is cut
+  // short, present (and final) from there on.
+  const MndpRequest req = random_request(rng, 1, 5);
+  const BitVector bits = req.encode(kCfg);
+  const std::size_t header =
+      kCfg.l_t + kCfg.l_id + 16 + kCfg.l_id * req.source_neighbors.size() + kCfg.l_n;
+  for (std::size_t cut = 0; cut <= bits.size(); ++cut) {
+    const auto key = MndpRequest::peek_key(bits.slice(0, cut), kCfg);
+    if (cut < header) {
+      EXPECT_FALSE(key.has_value()) << cut;
+    } else {
+      ASSERT_TRUE(key.has_value()) << cut;
+      EXPECT_EQ(*key, req.key()) << cut;
+    }
+  }
+  // Another message type never yields a request key.
+  BitVector other = bits;
+  other.flip(kCfg.l_t - 1);
+  EXPECT_FALSE(MndpRequest::peek_key(other, kCfg).has_value());
+}
+
+void expect_same_body(const SignedBody& reused, const SignedBody& fresh) {
+  ASSERT_EQ(reused.prefixes(), fresh.prefixes());
+  for (std::size_t j = 0; j < fresh.prefixes(); ++j) {
+    EXPECT_EQ(reused.prefix_bits(j), fresh.prefix_bits(j)) << j;
+  }
+  EXPECT_TRUE(std::ranges::equal(reused.bytes(), fresh.bytes()));
+}
+
+TEST(MessageFuzz, SignedBodyAssignMatchesFreshBody) {
+  Rng rng(23);
+  SignedBody body(kCfg);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Alternate long and short messages of both kinds through one body.
+    const MndpRequest req = random_request(rng, rng.uniform(5), trial % 2 == 0 ? 40 : 4);
+    body.assign(req);
+    expect_same_body(body, SignedBody(req, kCfg));
+
+    // A forwarder's append_hop on the reused body still matches.
+    const MndpRequest hop_src = random_request(rng, 0, 12);
+    body.append_hop(hop_src.source, hop_src.source_neighbors);
+    SignedBody grown(req, kCfg);
+    grown.append_hop(hop_src.source, hop_src.source_neighbors);
+    expect_same_body(body, grown);
+
+    const MndpResponse resp = response_like(random_request(rng, rng.uniform(5), 20), node_id(3));
+    body.assign(resp);
+    expect_same_body(body, SignedBody(resp, kCfg));
+  }
 }
 
 }  // namespace

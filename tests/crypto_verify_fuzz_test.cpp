@@ -88,7 +88,9 @@ TEST(VerifyQueueFuzz, SingleBitFlipsNeverValidate) {
     mutated.flip(flip);
     const VerifyStage stage = both_paths(queue, source, mutated, flood[0].frame_code);
     EXPECT_NE(stage, VerifyStage::Accept) << "flip " << flip;
-    if (flip >= l_t) EXPECT_EQ(stage, VerifyStage::RejectMac) << "flip " << flip;
+    if (flip >= l_t) {
+      EXPECT_EQ(stage, VerifyStage::RejectMac) << "flip " << flip;
+    }
   }
 }
 

@@ -77,7 +77,9 @@ TEST(BatchKernel, SetBackendClampsToSupported) {
     EXPECT_TRUE(simd_backend_supported(installed))
         << "request=" << simd_backend_name(request);
     EXPECT_EQ(installed, simd_backend());
-    if (simd_backend_supported(request)) EXPECT_EQ(installed, request);
+    if (simd_backend_supported(request)) {
+      EXPECT_EQ(installed, request);
+    }
   }
   set_simd_backend(original);
 }

@@ -16,7 +16,10 @@
 #include "core/chip_phy.hpp"
 #include "core/dndp.hpp"
 #include "core/jrsnd_node.hpp"
+#include "core/messages.hpp"
+#include "core/mndp.hpp"
 #include "crypto/ibc.hpp"
+#include "crypto/session_code.hpp"
 #include "predist/authority.hpp"
 #include "crypto/verify_queue.hpp"
 #include "dsss/prepared_codebook.hpp"
@@ -326,6 +329,128 @@ TEST(DndpHotPath, WarmRunAllocatesNothingForTheCodeSet) {
   }
   EXPECT_EQ(oracle::allocation_count() - before, 100u * 4u)
       << "a warm run allocated beyond its per-pair nonces and frames";
+}
+
+/// Delivers every frame verbatim except the M-NDP completion HELLO, so
+/// responses never complete and a repeated initiation replays the same
+/// message flow. Counts what it delivers: each delivery is one copy of the
+/// payload (the receiver's bits), the only allocation a transmit makes.
+class NoCompletionPhy final : public core::PhyModel {
+ public:
+  void begin_subsession(NodeId, NodeId, CodeId) override {}
+  std::optional<BitVector> transmit(NodeId, NodeId to, core::TxCode, core::TxClass cls,
+                                    const BitVector& payload) override {
+    if (cls == core::TxClass::SessionHello) return std::nullopt;
+    ++delivered;
+    if (core::peek_type(payload, wire) == core::MessageType::MndpRequest) {
+      ++requests_to[raw(to)];
+    }
+    return payload;
+  }
+
+  core::WireConfig wire;
+  std::uint64_t delivered = 0;
+  std::vector<std::uint64_t> requests_to = std::vector<std::uint64_t>(4);
+};
+
+/// Four nodes with logical links 0-1, 0-2, 1-2, 1-3 and 2-3, all in radio
+/// range. A request from 0 (nu = 2) reaches 1 and 2, which both forward it
+/// to 3: 3 processes the copy from 1, responds to 0 through 1, and drops
+/// the copy from 2 as a duplicate.
+struct MndpHotWorld {
+  core::Params params = make_params();
+  predist::CodePoolAuthority authority{params.predist(), Rng(1)};
+  crypto::IbcAuthority ibc{2};
+  sim::Field field{100.0, 100.0};
+  sim::Topology topology{field, {{10, 10}, {20, 10}, {10, 20}, {20, 20}}, 50.0};
+  std::vector<core::NodeState> nodes;
+
+  MndpHotWorld() {
+    Rng node_rng(3);
+    nodes = core::issue_nodes(authority, ibc, params.n, params.gamma, node_rng);
+    Rng code_rng(4);
+    for (const auto& [a, b] : {std::pair{0u, 1u}, {0u, 2u}, {1u, 2u}, {1u, 3u}, {2u, 3u}}) {
+      const crypto::SymmetricKey key = nodes[a].key().shared_key(node_id(b));
+      BitVector code(params.N);
+      for (std::size_t i = 0; i < params.N; ++i) code.set(i, code_rng.bernoulli(0.5));
+      nodes[a].add_logical_neighbor(node_id(b), core::LogicalNeighbor{key, code, false});
+      nodes[b].add_logical_neighbor(node_id(a), core::LogicalNeighbor{key, code, false});
+    }
+  }
+
+  static core::Params make_params() {
+    core::Params p = core::Params::defaults();
+    p.n = 4;
+    p.m = 2;
+    p.l = 2;
+    p.N = 64;
+    p.nu = 2;
+    return p;
+  }
+};
+
+TEST(MndpHotPath, WarmInitiateAllocatesOnlyItsValuesAndPhyCopies) {
+  MndpHotWorld w;
+  NoCompletionPhy phy;
+  phy.wire = w.params.wire();
+  core::MndpEngine engine(w.params, phy, w.topology, w.ibc.oracle());
+  const std::span<core::NodeState> nodes(w.nodes);
+
+  // Warm-up: grows every scratch buffer, builds the signer schedules and
+  // the dedup lists to this flow's sizes.
+  const core::MndpStats warm = engine.initiate(w.nodes[0], nodes);
+  ASSERT_EQ(warm.responses_sent, 1u);
+  ASSERT_EQ(warm.discoveries, 0u);
+
+  // What one of each per-initiation and per-response value costs: a nonce,
+  // a session-code derivation, the completion HELLO's frame.
+  std::uint64_t before = oracle::allocation_count();
+  const BitVector nonce = w.nodes[3].make_nonce(w.params.l_n);
+  const std::uint64_t nonce_allocs = oracle::allocation_count() - before;
+  before = oracle::allocation_count();
+  const BitVector code = crypto::derive_session_code(w.nodes[0].key().shared_key(node_id(3)),
+                                                     nonce, nonce, w.params.N);
+  const std::uint64_t code_allocs = oracle::allocation_count() - before;
+  before = oracle::allocation_count();
+  const BitVector hello = core::HelloMessage{node_id(3)}.encode(phy.wire);
+  const std::uint64_t hello_allocs = oracle::allocation_count() - before;
+  ASSERT_EQ(code.size(), w.params.N);
+  ASSERT_FALSE(hello.empty());
+
+  constexpr int kInitiations = 20;
+  std::vector<core::MndpStats> stats(kInitiations);
+  std::vector<std::uint64_t> requests_to_3(kInitiations);
+  std::uint64_t expected = 0;
+  std::uint64_t allocations = 0;
+  for (int i = 0; i < kInitiations; ++i) {
+    engine.begin_round();
+    const std::uint64_t delivered = phy.delivered;
+    const std::uint64_t to_3 = phy.requests_to[3];
+    before = oracle::allocation_count();
+    stats[static_cast<std::size_t>(i)] = engine.initiate(w.nodes[0], nodes);
+    allocations += oracle::allocation_count() - before;
+    const core::MndpStats& s = stats[static_cast<std::size_t>(i)];
+    // The initiator's nonce; per response the responder's nonce, both
+    // ends' session-code derivations and the HELLO frame; per delivery the
+    // phy's copy — and nothing for decoding, encoding, signed bodies or
+    // session unicasts, duplicates included.
+    expected += nonce_allocs + s.responses_sent * (nonce_allocs + 2 * code_allocs + hello_allocs) +
+                (phy.delivered - delivered);
+    requests_to_3[static_cast<std::size_t>(i)] = phy.requests_to[3] - to_3;
+  }
+
+  for (int i = 0; i < kInitiations; ++i) {
+    const core::MndpStats& s = stats[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.requests_sent, 4u);  // 0 -> {1, 2}, 1 -> 3, 2 -> 3
+    EXPECT_EQ(s.responses_sent, 1u);
+    // Requests at 1, 2 and 3 (1 + 1 + 2 signatures), the response at 1 and
+    // at 0 (1 + 2): node 3's second copy was dropped before its decode.
+    EXPECT_EQ(s.signature_verifications, 7u);
+    EXPECT_EQ(requests_to_3[static_cast<std::size_t>(i)], 2u);
+    EXPECT_EQ(s.requests_dropped, 0u);
+  }
+  EXPECT_EQ(allocations, expected)
+      << "a warm initiate allocated beyond its values and the phy's copies";
 }
 
 }  // namespace

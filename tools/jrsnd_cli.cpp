@@ -5,6 +5,7 @@
 //                                                      reader (strict: exits 2
 //                                                      on a malformed line)
 //   jrsnd simulate  [--n --m --l --q --nu --runs --seed --jammer]
+//                   [--full-mndp] [--field METRES]
 //                   [--trace-out FILE] [--trace-wall] [--metrics]
 //                   [--flight-dump FILE]
 //                   [--profile-out FILE] [--profile-hz N]
@@ -22,6 +23,7 @@
 // booleans; a flag the subcommand does not read is a usage error. Exit code
 // 0 on success, 2 on usage error.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -86,6 +88,10 @@ int usage() {
                "            delivery ratios, stage latency percentiles, loss attribution\n"
                "  simulate  --n --m --l --q --nu --runs --seed --jammer {none,random,\n"
                "            reactive,intelligent}                Monte-Carlo discovery\n"
+               "            --full-mndp         run the complete M-NDP engine (signed\n"
+               "                                request/response chains) instead of\n"
+               "                                the logical-graph closure\n"
+               "            --field METRES      square field side (default 5000)\n"
                "            --trace-out FILE    write a JSONL event trace\n"
                "            --trace-wall        add wall_us to span.end events\n"
                "            --metrics           print the metrics table afterwards\n"
@@ -212,6 +218,13 @@ int cmd_simulate(const Args& args) {
   const std::optional<core::JammerKind> jammer = jammer_from(args.str("jammer", "reactive"));
   if (!jammer.has_value()) return usage();
   cfg.jammer = *jammer;
+  cfg.full_mndp = args.has("full-mndp");
+  if (args.has("field")) {
+    const double side = args.real("field", 0.0);
+    if (!(side > 0.0) || !std::isfinite(side)) throw BadFlagValue{"field", args.str("field", "")};
+    cfg.params.field_width = side;
+    cfg.params.field_height = side;
+  }
 
   std::shared_ptr<obs::JsonlFileSink> trace_sink;
   if (args.has("trace-out")) {
@@ -265,6 +278,10 @@ int cmd_simulate(const Args& args) {
               r.latency_dndp.mean(), r.latency_mndp.mean(), r.latency_jrsnd.mean());
   std::printf("degree g : %.2f    compromised codes: %.0f\n", r.degree.mean(),
               r.compromised_codes.mean());
+  if (cfg.full_mndp) {
+    std::printf("M-NDP    : %.1f signature verifications per run\n",
+                r.signature_verifications.mean());
+  }
 
   if (want_profile) {
     obs::prof::profiler_stop();
@@ -526,7 +543,8 @@ int cmd_provision(const Args& args) {
 /// Space-separated flag lists, combined per subcommand below.
 constexpr std::string_view kParamFlags = "n m l q z nu mu runs";
 constexpr std::string_view kSimulateFlags =
-    "seed jammer trace-out trace-wall metrics flight-dump profile-out profile-hz";
+    "seed jammer full-mndp field trace-out trace-wall metrics flight-dump profile-out "
+    "profile-hz";
 
 struct Command {
   std::string_view name;
@@ -543,10 +561,15 @@ constexpr Command kCommands[] = {
     {"chaos", cmd_chaos, {kParamFlags, "smoke seed jammer retx plan drops json"}},
 };
 
-bool reads_flag(const Command& command, const std::string& flag) {
-  return std::any_of(std::begin(command.flags), std::end(command.flags), [&](auto list) {
-    return (" " + std::string(list) + " ").find(" " + flag + " ") != std::string::npos;
-  });
+bool reads_flag(const Command& command, std::string_view flag) {
+  for (std::string_view list : command.flags) {
+    while (!list.empty()) {
+      const std::size_t end = std::min(list.find(' '), list.size());
+      if (list.substr(0, end) == flag) return true;
+      list.remove_prefix(std::min(end + 1, list.size()));
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -559,12 +582,8 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) == 0) {
       // "--flag value" when a non-flag token follows, else boolean "--flag".
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        args.flags[arg + 2] = argv[i + 1];
-        ++i;
-      } else {
-        args.flags[arg + 2] = "1";
-      }
+      const bool has_value = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+      args.flags[arg + 2] = std::string(has_value ? argv[++i] : "1");
     } else {
       args.positionals.emplace_back(arg);
     }
