@@ -33,6 +33,10 @@ CpuFeatures probe() noexcept {
   std::uint32_t ebx = 0;
   std::uint32_t ecx = 0;
   std::uint32_t edx = 0;
+  // __get_cpuid checks the extended leaf exists before reading it.
+  if (__get_cpuid(0x80000007, &eax, &ebx, &ecx, &edx) != 0) {
+    f.invariant_tsc = (edx & (1U << 8)) != 0;
+  }
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return f;
   const bool osxsave = (ecx & (1U << 27)) != 0;
   const bool cpu_sse41 = (ecx & (1U << 19)) != 0;

@@ -15,6 +15,9 @@
 // ZMM state makes the AVX-512 bits in CPUID meaningless, so both must agree
 // before a vector backend is reported usable. SHA-NI touches only XMM
 // registers, which every x86-64 OS saves, so its bit needs no XCR0 check.
+//
+// The same probe reports the invariant TSC that obs::clock_ns() reads
+// (obs/clock.hpp) instead of the monotonic clock.
 #pragma once
 
 #include <atomic>
@@ -27,6 +30,8 @@ struct CpuFeatures {
   bool avx512_vpopcntdq = false;  ///< AVX-512F + VPOPCNTDQ usable (+ OS ZMM state)
   bool neon = false;              ///< Advanced SIMD (always true on aarch64)
   bool sha = false;               ///< SHA extensions + SSE4.1 (XMM state only)
+  bool invariant_tsc = false;     ///< TSC ticks at a constant rate in every
+                                  ///< C/P-state (CPUID 0x80000007 EDX[8])
 };
 
 /// The probed feature set, resolved once per process. Never throws; on

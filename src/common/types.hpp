@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <functional>
 #include <limits>
 
 namespace jrsnd {
@@ -81,4 +82,19 @@ class TimePoint {
 
 constexpr TimePoint kSimStart{0.0};
 
+/// Id-keyed state lives in sorted vectors, never in hash tables: one table
+/// type. The standard library enables std::hash for every enum, so the two
+/// id types get disabled specializations, and an
+/// std::unordered_map<NodeId, T> fails to compile.
+struct DisabledIdHash {
+  DisabledIdHash() = delete;
+  DisabledIdHash(const DisabledIdHash&) = delete;
+  DisabledIdHash& operator=(const DisabledIdHash&) = delete;
+};
+
 }  // namespace jrsnd
+
+template <>
+struct std::hash<jrsnd::NodeId> : jrsnd::DisabledIdHash {};
+template <>
+struct std::hash<jrsnd::CodeId> : jrsnd::DisabledIdHash {};

@@ -93,8 +93,10 @@ void compress_scalar(std::array<std::uint32_t, 8>& state, const std::uint8_t* bl
 /// on the state split as {A,B,E,F} / {C,D,G,H}; each 16-byte step feeds it
 /// four schedule words plus constants, and msg1/msg2 extend the schedule
 /// four words at a time from the rolling window m[0..3].
-__attribute__((target("sha,sse4.1"))) void compress_sha_ni(std::array<std::uint32_t, 8>& state,
-                                                          const std::uint8_t* block) noexcept {
+/// 64-byte aligned so its placement does not move with unrelated code
+/// (see compress_x8_avx2).
+__attribute__((target("sha,sse4.1"), aligned(64))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
   // Byte swap within each dword: the block is big-endian.
   const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
   const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data()));

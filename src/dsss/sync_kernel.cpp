@@ -75,11 +75,12 @@ __attribute__((target("avx2"), always_inline)) inline __m256i popcnt_epi64_avx2(
   return _mm256_sad_epu8(per_byte, _mm256_setzero_si256());
 }
 
-__attribute__((target("avx2"))) void batch_hamming_avx2(const std::uint64_t* rows,
-                                                        std::size_t lanes, std::size_t nw,
-                                                        const std::uint64_t* buf,
-                                                        std::uint64_t w0, std::uint64_t wl,
-                                                        std::uint64_t* acc) noexcept {
+// The batched kernels are 64-byte aligned so where their loops fall against
+// fetch-block boundaries does not shift with unrelated code linked before
+// them (as the SHA-256 kernels are).
+__attribute__((target("avx2"), aligned(64))) void batch_hamming_avx2(
+    const std::uint64_t* rows, std::size_t lanes, std::size_t nw, const std::uint64_t* buf,
+    std::uint64_t w0, std::uint64_t wl, std::uint64_t* acc) noexcept {
   const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
                                        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i low = _mm256_set1_epi8(0x0f);
@@ -128,7 +129,7 @@ xor_popcnt_avx512(const std::uint64_t* row, __m512i w) noexcept {
   return _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(row), w));
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void batch_hamming_avx512(
+__attribute__((target("avx512f,avx512vpopcntdq"), aligned(64))) void batch_hamming_avx512(
     const std::uint64_t* rows, std::size_t lanes, std::size_t nw, const std::uint64_t* buf,
     std::uint64_t w0, std::uint64_t wl, std::uint64_t* acc) noexcept {
   std::size_t c = 0;

@@ -6,9 +6,13 @@
 
 namespace jrsnd::obs {
 
-namespace {
+namespace detail {
 
 std::atomic<bool> g_tracing_enabled{false};
+
+}  // namespace detail
+
+namespace {
 
 thread_local double t_sim_time = 0.0;
 thread_local bool t_sim_time_active = false;
@@ -43,10 +47,8 @@ const FieldValue* TraceEvent::field(std::string_view key) const noexcept {
   return nullptr;
 }
 
-bool tracing_enabled() noexcept { return g_tracing_enabled.load(std::memory_order_relaxed); }
-
 void set_tracing_enabled(bool enabled) noexcept {
-  g_tracing_enabled.store(enabled, std::memory_order_relaxed);
+  detail::g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 void EventLog::attach(std::shared_ptr<EventSink> sink) {

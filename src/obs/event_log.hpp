@@ -65,8 +65,14 @@ class EventSink {
   virtual void flush() {}
 };
 
+namespace detail {
+extern std::atomic<bool> g_tracing_enabled;
+}  // namespace detail
+
 /// Process-wide structured trace switch (independent of metrics_enabled).
-[[nodiscard]] bool tracing_enabled() noexcept;
+[[nodiscard]] inline bool tracing_enabled() noexcept {
+  return detail::g_tracing_enabled.load(std::memory_order_relaxed);
+}
 void set_tracing_enabled(bool enabled) noexcept;
 
 class EventLog {

@@ -19,9 +19,14 @@
 
 namespace jrsnd::obs {
 
-namespace {
+namespace detail {
 
 std::atomic<bool> g_flight_enabled{true};
+
+}  // namespace detail
+
+namespace {
+
 std::atomic<std::size_t> g_capacity_override{0};
 
 /// One thread's ring. Lives forever in the global intrusive list below;
@@ -104,10 +109,8 @@ const char* flight_kind_name(FlightKind kind) noexcept {
 
 }  // namespace
 
-bool flight_enabled() noexcept { return g_flight_enabled.load(std::memory_order_relaxed); }
-
 void set_flight_enabled(bool enabled) noexcept {
-  g_flight_enabled.store(enabled, std::memory_order_relaxed);
+  detail::g_flight_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 std::optional<std::size_t> parse_flight_capacity(std::string_view text) noexcept {

@@ -19,6 +19,7 @@
 //     SIGABRT / SIGBUS and std::terminate with an async-signal-safe writer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,9 +46,16 @@ struct FlightRecord {
   LossStage loss = LossStage::None;
 };
 
+namespace detail {
+extern std::atomic<bool> g_flight_enabled;
+}  // namespace detail
+
 /// Recording switch, default ON (the recorder exists for the runs nobody
-/// planned to debug). Benches flip it off to measure its cost.
-[[nodiscard]] bool flight_enabled() noexcept;
+/// planned to debug). Benches flip it off to measure its cost. One inline
+/// relaxed load.
+[[nodiscard]] inline bool flight_enabled() noexcept {
+  return detail::g_flight_enabled.load(std::memory_order_relaxed);
+}
 void set_flight_enabled(bool enabled) noexcept;
 
 /// Per-thread ring capacity in records. Read from JRSND_FLIGHT_CAPACITY at

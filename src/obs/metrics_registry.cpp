@@ -10,20 +10,21 @@
 
 namespace jrsnd::obs {
 
-namespace {
+namespace detail {
 
 std::atomic<bool> g_metrics_enabled{false};
-
-// Generation 0 is reserved as the macros' "never resolved" sentinel.
 std::atomic<std::uint64_t> g_registry_generation{1};
+
+}  // namespace detail
+
+namespace {
+
 thread_local MetricsRegistry* t_registry_override = nullptr;
 
 }  // namespace
 
-bool metrics_enabled() noexcept { return g_metrics_enabled.load(std::memory_order_relaxed); }
-
 void set_metrics_enabled(bool enabled) noexcept {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
+  detail::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 void Gauge::add(double delta) noexcept {
@@ -167,22 +168,18 @@ MetricsRegistry& active_registry() {
   return t_registry_override != nullptr ? *t_registry_override : registry();
 }
 
-std::uint64_t registry_generation() noexcept {
-  return g_registry_generation.load(std::memory_order_relaxed);
-}
-
 ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry* scratch)
     : previous_(t_registry_override), installed_(scratch != nullptr) {
   if (installed_) {
     t_registry_override = scratch;
-    g_registry_generation.fetch_add(1, std::memory_order_relaxed);
+    detail::g_registry_generation.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 ScopedMetricsRegistry::~ScopedMetricsRegistry() {
   if (installed_) {
     t_registry_override = previous_;
-    g_registry_generation.fetch_add(1, std::memory_order_relaxed);
+    detail::g_registry_generation.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -3,7 +3,8 @@
 // Design constraints (DESIGN.md §observability):
 //   * Hot-path cheap. Updates are relaxed atomics on pre-resolved handles;
 //     every instrumentation macro first checks one process-wide enabled flag,
-//     so a disabled build pays a single relaxed load per site.
+//     an inline load of a detail:: atomic, so a disabled site pays a single
+//     relaxed load and no call.
 //   * Multi-seed friendly. A run snapshots the registry into plain data
 //     (MetricsSnapshot), which another registry can absorb: counters add,
 //     gauges keep the high-water mark.
@@ -26,9 +27,19 @@
 
 namespace jrsnd::obs {
 
+namespace detail {
+// The switches behind the inline reads below; written only through
+// set_metrics_enabled and ScopedMetricsRegistry.
+extern std::atomic<bool> g_metrics_enabled;
+// Generation 0 is reserved as the macros' "never resolved" sentinel.
+extern std::atomic<std::uint64_t> g_registry_generation;
+}  // namespace detail
+
 /// Process-wide collection switch; updates are dropped while false.
 /// Default: disabled (zero overhead for benches and figure runs).
-[[nodiscard]] bool metrics_enabled() noexcept;
+[[nodiscard]] inline bool metrics_enabled() noexcept {
+  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
+}
 void set_metrics_enabled(bool enabled) noexcept;
 
 /// Monotonically increasing event count.
@@ -128,7 +139,9 @@ class MetricsRegistry {
 /// registry override. Instrumentation macros cache resolved metric handles
 /// per thread and re-resolve only when this changes, so the steady-state
 /// hot-path cost stays one relaxed load + one compare per site.
-[[nodiscard]] std::uint64_t registry_generation() noexcept;
+[[nodiscard]] inline std::uint64_t registry_generation() noexcept {
+  return detail::g_registry_generation.load(std::memory_order_relaxed);
+}
 
 /// RAII thread-local registry override. While alive, every instrumentation
 /// macro on this thread records into `scratch` instead of the global

@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <string>
 
 #include "common/logging.hpp"
+#include "obs/clock.hpp"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -17,9 +17,14 @@
 
 namespace jrsnd::obs::prof {
 
-namespace {
+namespace detail {
 
 std::atomic<bool> g_prof_enabled{false};
+
+}  // namespace detail
+
+namespace {
+
 // 0 = unresolved; otherwise 1 + ProfBackend value so kOff is representable.
 std::atomic<int> g_backend_request{0};
 
@@ -50,17 +55,6 @@ std::uint64_t read_counter(int fd) noexcept {
   return value;
 }
 #endif
-
-std::uint64_t thread_cpu_ns() noexcept {
-  timespec ts{};
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-#else
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0) return 0;
-#endif
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
 
 /// Probe once whether hardware counters open at all on this host.
 bool perf_event_available() {
@@ -128,10 +122,8 @@ void set_prof_backend(ProfBackend backend) {
   publish_backend_gauge(resolve_backend());
 }
 
-bool prof_enabled() noexcept { return g_prof_enabled.load(std::memory_order_relaxed); }
-
 void set_prof_enabled(bool enabled) {
-  g_prof_enabled.store(enabled, std::memory_order_relaxed);
+  detail::g_prof_enabled.store(enabled, std::memory_order_relaxed);
   if (enabled) (void)prof_backend();  // resolve + publish the gauge up front
 }
 
@@ -206,7 +198,7 @@ CounterTotals PerfCounterSet::read() const noexcept {
 #endif
       return totals;
     case ProfBackend::kClockFallback:
-      totals.task_clock_ns = thread_cpu_ns();
+      totals.task_clock_ns = clock_ns();
       return totals;
   }
   return totals;
@@ -242,17 +234,14 @@ void resolve_region_metrics(std::string_view name, RegionMetrics& cache) {
   cache.generation = now;
 }
 
-PerfRegion::PerfRegion(const char* name, RegionMetrics& cache) noexcept
-    : name_(name), cache_(cache) {
-  if (!prof_enabled()) return;
+void PerfRegion::arm() noexcept {
   const PerfCounterSet& set = PerfCounterSet::this_thread();
   if (set.backend() == ProfBackend::kOff) return;
   armed_ = true;
   start_ = set.read();
 }
 
-PerfRegion::~PerfRegion() {
-  if (!armed_) return;
+void PerfRegion::record() noexcept {
   const CounterTotals end = PerfCounterSet::this_thread().read();
   resolve_region_metrics(name_, cache_);
   cache_.count->inc(1);

@@ -12,20 +12,25 @@
 // set_prof_backend):
 //   * kPerfEvent    — real hardware counters. Requires a PMU and a
 //                     perf_event_paranoid level that admits self-profiling.
-//   * kClockFallback — clock_gettime(CLOCK_THREAD_CPUTIME_ID). Only
-//                     task_clock_ns is measured; regions record no cycle,
-//                     instruction or miss counters at all, so nothing
-//                     unmeasured reads as 0. Containers, VMs without vPMU,
-//                     and non-Linux land here.
+//   * kClockFallback — the process clock, obs::clock_ns() (obs/clock.hpp:
+//                     a calibrated TSC read, or the monotonic clock). Only
+//                     task_clock_ns is measured, and it is the region's
+//                     elapsed time on its thread — time the thread spent
+//                     descheduled inside the region counts too. Regions
+//                     record no cycle, instruction or miss counters at all,
+//                     so nothing unmeasured reads as 0. Containers, VMs
+//                     without vPMU, and non-Linux land here.
 // Every API below stays callable under either backend — callers never need
 // to know which one is live; the `prof.backend` gauge (2 = perf_event,
 // 1 = clock fallback, 0 = off) says which numbers mean what.
 //
 // Profiling is OFF by default: a disabled JRSND_PERF_REGION site costs one
-// relaxed atomic load, and the transmit hot path stays zero-allocation (the
-// perf_alloc audit covers an instrumented path).
+// inline relaxed atomic load, and the transmit hot path stays
+// zero-allocation (the perf_alloc audit covers an instrumented path). An
+// armed region under the clock fallback costs two clock_ns() reads.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -54,14 +59,21 @@ enum class ProfBackend : std::uint8_t { kOff = 0, kClockFallback = 1, kPerfEvent
 /// `prof.backend` gauge. Only affects PerfCounterSets created afterwards.
 void set_prof_backend(ProfBackend backend);
 
+namespace detail {
+extern std::atomic<bool> g_prof_enabled;
+}  // namespace detail
+
 /// Region-collection switch, default off (same contract as metrics_enabled:
-/// one relaxed load per disabled site).
-[[nodiscard]] bool prof_enabled() noexcept;
+/// one inline relaxed load per disabled site).
+[[nodiscard]] inline bool prof_enabled() noexcept {
+  return detail::g_prof_enabled.load(std::memory_order_relaxed);
+}
 void set_prof_enabled(bool enabled);
 
 /// Accumulated counter values over a measured interval. With the clock
-/// fallback only task_clock_ns is measured: the PMU fields stay 0 and must
-/// not be read as "zero misses" (check the set's backend()).
+/// fallback only task_clock_ns is measured, as elapsed (not CPU) time: the
+/// PMU fields stay 0 and must not be read as "zero misses" (check the set's
+/// backend()).
 struct CounterTotals {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
@@ -137,11 +149,15 @@ void resolve_region_metrics(std::string_view name, RegionMetrics& cache);
 
 /// RAII scoped counter region. Nests like Span; attribution is inclusive
 /// (a nested region's cycles also count toward its enclosing regions).
-/// Disarmed (single relaxed load, no syscalls) unless prof_enabled().
+/// Disarmed (a single inline relaxed load, no call) unless prof_enabled().
 class PerfRegion {
  public:
-  PerfRegion(const char* name, RegionMetrics& cache) noexcept;
-  ~PerfRegion();
+  PerfRegion(const char* name, RegionMetrics& cache) noexcept : name_(name), cache_(cache) {
+    if (prof_enabled()) arm();
+  }
+  ~PerfRegion() {
+    if (armed_) record();
+  }
 
   PerfRegion(const PerfRegion&) = delete;
   PerfRegion& operator=(const PerfRegion&) = delete;
@@ -149,6 +165,9 @@ class PerfRegion {
   [[nodiscard]] bool armed() const noexcept { return armed_; }
 
  private:
+  void arm() noexcept;
+  void record() noexcept;
+
   const char* name_;
   RegionMetrics& cache_;
   CounterTotals start_{};

@@ -1,12 +1,18 @@
 #include "obs/span.hpp"
 
 #include <atomic>
-#include <chrono>
 
+#include "obs/clock.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace jrsnd::obs {
+
+namespace detail {
+
+std::atomic<bool> g_span_wall{false};
+
+}  // namespace detail
 
 namespace {
 
@@ -22,7 +28,6 @@ struct TraceState {
 
 thread_local TraceState t_trace;
 thread_local LossStage t_loss = LossStage::None;
-std::atomic<bool> g_span_wall{false};
 
 /// The wall-clock reading a span record needs now: one read shared by the
 /// flight record and `wall_us`, none when both are off.
@@ -32,10 +37,7 @@ double span_wall_now() noexcept {
 
 }  // namespace
 
-double wall_seconds() noexcept {
-  static const std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+double wall_seconds() noexcept { return static_cast<double>(clock_ns()) * 1e-9; }
 
 const char* loss_stage_name(LossStage stage) noexcept {
   const auto idx = static_cast<std::uint8_t>(stage);
@@ -54,10 +56,8 @@ LossStage peek_loss_reason() noexcept { return t_loss; }
 
 SpanContext current_span() noexcept { return t_trace.current; }
 
-bool span_wall_clock_enabled() noexcept { return g_span_wall.load(std::memory_order_relaxed); }
-
 void set_span_wall_clock(bool enabled) noexcept {
-  g_span_wall.store(enabled, std::memory_order_relaxed);
+  detail::g_span_wall.store(enabled, std::memory_order_relaxed);
 }
 
 std::uint64_t derive_trace_id(std::uint64_t salt, std::uint64_t a, std::uint64_t b,

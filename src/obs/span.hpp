@@ -21,6 +21,7 @@
 // off by default for exactly this reason).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace jrsnd::obs {
@@ -73,12 +74,18 @@ struct SpanContext {
 /// wall time is nondeterministic and would break the serial-vs-parallel
 /// byte-identity of traces. Flight-recorder records always carry wall time
 /// (they never leave the process unless a postmortem dumps them).
-[[nodiscard]] bool span_wall_clock_enabled() noexcept;
+namespace detail {
+extern std::atomic<bool> g_span_wall;
+}  // namespace detail
+
+[[nodiscard]] inline bool span_wall_clock_enabled() noexcept {
+  return detail::g_span_wall.load(std::memory_order_relaxed);
+}
 void set_span_wall_clock(bool enabled) noexcept;
 
-/// Seconds on the steady clock since the process's first call. The one wall
-/// origin shared by span records and flight notes, so records from both
-/// order correctly in one dump.
+/// Seconds on the process clock (obs/clock.hpp) since its first read. The
+/// one wall origin shared by span records, flight notes and profiling
+/// regions, so records from all three order correctly in one dump.
 [[nodiscard]] double wall_seconds() noexcept;
 
 /// Deterministic trace-id mix (splitmix64 over the xor-folded inputs) —
