@@ -4,8 +4,10 @@
 
 #include <stdexcept>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/ibc.hpp"
+#include "crypto/sha256.hpp"
 
 namespace jrsnd::crypto {
 namespace {
@@ -91,6 +93,42 @@ TEST(SessionCode, OutputIsBalanced) {
   const double ones = static_cast<double>(code.popcount()) / 4096.0;
   EXPECT_GT(ones, 0.45);
   EXPECT_LT(ones, 0.55);
+}
+
+/// One SHA-256 over the codes both overloads derive for code lengths
+/// {31, 64, 512, 1000} (a partial byte, one word, the paper's N, a partial
+/// word) and nonce lengths {1, 20, 64, 100} (one to two words), each code
+/// fed as its length and its packed bytes.
+std::string derived_codes_fold() {
+  Rng rng(29);
+  Sha256 fold;
+  const auto absorb = [&](const BitVector& code) {
+    const std::uint64_t size = code.size();
+    fold.update(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(&size),
+                                              sizeof size));
+    fold.update(code.to_bytes());
+  };
+  for (const std::size_t nonce_bits : {1u, 20u, 64u, 100u}) {
+    for (const std::size_t chips : {31u, 64u, 512u, 1000u}) {
+      SymmetricKey key;
+      for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
+      const BitVector na = nonce_from(rng, nonce_bits);
+      const BitVector nb = nonce_from(rng, nonce_bits);
+      absorb(derive_session_code(key, na, nb, chips));
+      absorb(derive_session_code(HmacKey(key), nb, na, chips));
+    }
+  }
+  return to_hex(fold.finalize());
+}
+
+// Recorded from the library before the derivation streamed its info string
+// and wrote its output words in place; any change to the bits it derives
+// fails here.
+constexpr const char* kDerivedCodesFold =
+    "1d48b211315e580f42b2e30d5939383300cd35bb295214007fe226bbcac41b11";
+
+TEST(SessionCode, DerivedCodesAreUnchanged) {
+  EXPECT_EQ(derived_codes_fold(), kDerivedCodesFold);
 }
 
 }  // namespace
