@@ -59,8 +59,9 @@ bool make_chip_jam_into(const dsss::SpreadCode& code, std::size_t victim_start,
 
   // Jammer payload: random bits spread with the victim's code, chip-synced
   // with the victim's covered bits.
-  out.payload.clear();
-  for (std::size_t i = 0; i < covered_bits; ++i) out.payload.push_back(rng.bernoulli(0.5));
+  out.payload.assign_words(covered_bits, [&](std::span<std::uint64_t> words) {
+    rng.fill_coins(words, covered_bits);
+  });
   dsss::spread_into(out.payload, code, out.flipped, out.chips);
   out.start_chip = victim_start + first_bit * code.length();
   return true;

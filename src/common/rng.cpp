@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -59,6 +60,16 @@ bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
+}
+
+void Rng::fill_coins(std::span<std::uint64_t> words, std::size_t bits) noexcept {
+  assert(words.size() * 64 >= bits);
+  for (std::size_t w = 0; w * 64 < bits; ++w) {
+    const std::size_t take = std::min<std::size_t>(64, bits - w * 64);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < take; ++i) word = (word << 1) | (~next() >> 63);
+    words[w] = word << (64 - take);
+  }
 }
 
 double Rng::exponential(double rate) noexcept {

@@ -64,6 +64,15 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
+  /// `bits` fair coins packed into `words`, MSB-first within each word as
+  /// BitVector lays them out: coin i is 1 when the i-th next() has its top
+  /// bit clear. That is exactly bernoulli(0.5) — uniform01() is below 0.5
+  /// iff bit 63 of next() is 0 — so the coins and the stream left behind
+  /// are those of `bits` bernoulli(0.5) draws in order. Bits past `bits` in
+  /// the last word written are zero; later words are untouched.
+  /// Precondition: words.size() * 64 >= bits.
+  void fill_coins(std::span<std::uint64_t> words, std::size_t bits) noexcept;
+
   /// Exponentially distributed value with the given rate (mean 1/rate).
   double exponential(double rate) noexcept;
 

@@ -15,14 +15,14 @@ void AbstractPhy::begin_subsession(NodeId /*a*/, NodeId /*b*/, CodeId code) {
   followups_jammed_ = jammer_.jams(code, adversary::MessageClass::Followup, rng_);
 }
 
-std::optional<BitVector> AbstractPhy::transmit(NodeId from, NodeId to, TxCode code, TxClass cls,
-                                               const BitVector& payload) {
+bool AbstractPhy::transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
+                                const BitVector& payload, BitVector& out) {
   JRSND_COUNT("phy.tx.total");
   if (!topology_.are_neighbors(from, to)) {
     ++out_of_range_;
     JRSND_COUNT("phy.tx.out_of_range");
     obs::set_loss_reason(obs::LossStage::OutOfRange);
-    return std::nullopt;
+    return false;
   }
 
   bool is_jammed = false;
@@ -53,11 +53,12 @@ std::optional<BitVector> AbstractPhy::transmit(NodeId from, NodeId to, TxCode co
     ++jammed_;
     JRSND_COUNT("phy.tx.jammed");
     obs::set_loss_reason(obs::LossStage::Jammed);
-    return std::nullopt;
+    return false;
   }
   ++delivered_;
   JRSND_COUNT("phy.tx.delivered");
-  return payload;
+  out = payload;
+  return true;
 }
 
 }  // namespace jrsnd::core

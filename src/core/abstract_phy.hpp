@@ -25,7 +25,13 @@ class AbstractPhy final : public PhyModel {
   void begin_subsession(NodeId a, NodeId b, CodeId code) override;
 
   [[nodiscard]] std::optional<BitVector> transmit(NodeId from, NodeId to, TxCode code,
-                                                  TxClass cls, const BitVector& payload) override;
+                                                  TxClass cls, const BitVector& payload) override {
+    return into_optional(from, to, code, cls, payload);
+  }
+
+  /// Delivery copy-assigns `payload` into `out`, reusing its storage.
+  [[nodiscard]] bool transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
+                                   const BitVector& payload, BitVector& out) override;
 
   /// Delivery counters (diagnostics for tests/benches).
   [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }

@@ -22,13 +22,6 @@ void ChipPhy::begin_subsession(NodeId /*a*/, NodeId /*b*/, CodeId code) {
   followups_jammed_ = jammer_.jams(code, adversary::MessageClass::Followup, rng_);
 }
 
-std::optional<BitVector> ChipPhy::transmit(NodeId from, NodeId to, TxCode code, TxClass cls,
-                                           const BitVector& payload) {
-  BitVector out;
-  if (!transmit_into(from, to, code, cls, payload, out)) return std::nullopt;
-  return out;
-}
-
 bool ChipPhy::transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
                             const BitVector& payload, BitVector& out) {
   obs::Span span("phy.transmit");

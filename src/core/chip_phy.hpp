@@ -57,14 +57,14 @@ class ChipPhy final : public PhyModel {
   void begin_subsession(NodeId a, NodeId b, CodeId code) override;
 
   [[nodiscard]] std::optional<BitVector> transmit(NodeId from, NodeId to, TxCode code,
-                                                  TxClass cls, const BitVector& payload) override;
+                                                  TxClass cls, const BitVector& payload) override {
+    return into_optional(from, to, code, cls, payload);
+  }
 
-  /// transmit() into a caller-owned payload buffer: returns whether the
-  /// receiver recovered the message, writing the decoded payload into `out`
-  /// on success. Identical results and identical rng draws to transmit();
-  /// this is the allocation-free form (steady state, jammed or not).
+  /// Writes the decoded payload into `out` on success; allocation-free in
+  /// the steady state, jammed or not.
   [[nodiscard]] bool transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
-                                   const BitVector& payload, BitVector& out);
+                                   const BitVector& payload, BitVector& out) override;
 
   /// Jam profile when the jammer strikes: it identifies the code during the
   /// first `start` fraction of the message (paper: 1/(1+mu)) and jams the

@@ -9,6 +9,24 @@
 
 namespace jrsnd::core {
 
+std::span<CodeId> SharedCodes::intersect(std::span<const CodeId> a, std::span<const CodeId> b) {
+  if (a.empty() || b.empty()) return {};
+  // Both lists ascend, so their last ids bound the bitset.
+  const std::size_t top = std::max(raw(a.back()), raw(b.back()));
+  if (marks_.size() <= top / 64) marks_.resize(top / 64 + 1, 0);
+  for (const CodeId c : a) marks_[raw(c) / 64] |= std::uint64_t{1} << (raw(c) % 64);
+  // Every code of b is written; the count advances only past marked ones,
+  // so there is no data-dependent branch to mispredict.
+  if (shared_.size() < b.size()) shared_.resize(b.size());
+  std::size_t count = 0;
+  for (const CodeId c : b) {
+    shared_[count] = c;
+    count += (marks_[raw(c) / 64] >> (raw(c) % 64)) & 1;
+  }
+  for (const CodeId c : a) marks_[raw(c) / 64] = 0;  // only a's bits were set
+  return {shared_.data(), count};
+}
+
 DndpEngine::DndpEngine(const Params& params, PhyModel& phy, bool redundancy,
                        std::uint64_t retry_seed, const HandshakeClock* clock)
     : params_(params),
@@ -20,17 +38,16 @@ DndpEngine::DndpEngine(const Params& params, PhyModel& phy, bool redundancy,
       clock_(clock),
       trace_salt_(retry_seed) {}
 
-std::optional<BitVector> DndpEngine::transmit_with_retry(
-    HandshakeStateMachine& hs, NodeId a, NodeId b, CodeId code, NodeId from,
-    NodeId to, const TxCode& tx, TxClass cls, const BitVector& payload) {
+bool DndpEngine::transmit_with_retry(HandshakeStateMachine& hs, NodeId a, NodeId b, NodeId from,
+                                     NodeId to, const TxCode& tx, TxClass cls,
+                                     const BitVector& payload) {
   hs.on_send();
   subsession_bits_ += payload.size();
-  auto rx = phy_.transmit(from, to, tx, cls, payload);
-  if (rx) {
+  if (phy_.transmit_into(from, to, tx, cls, payload, rx_)) {
     hs.on_delivered();
-    return rx;
+    return true;
   }
-  if (!params_.retry.enabled()) return std::nullopt;
+  if (!params_.retry.enabled()) return false;
   while (true) {
     JRSND_COUNT("dndp.timeout.expired");
     const auto backoff = hs.on_timeout();
@@ -41,32 +58,33 @@ std::optional<BitVector> DndpEngine::transmit_with_retry(
       // into a dead node is a crash loss, not a timing one.
       const obs::LossStage last = obs::take_loss_reason();
       obs::set_loss_reason(last == obs::LossStage::Crash ? last : obs::LossStage::Timeout);
-      return std::nullopt;
+      return false;
     }
     JRSND_COUNT("dndp.retx.attempts");
     // Re-arm the sub-session's jamming fate: a retransmission after backoff
     // is a fresh radio event, not a replay of the already-drawn loss.
-    phy_.begin_subsession(a, b, code);
+    phy_.begin_subsession(a, b, tx.id);
     hs.on_send();
     subsession_bits_ += payload.size();
-    rx = phy_.transmit(from, to, tx, cls, payload);
-    if (rx) {
+    if (phy_.transmit_into(from, to, tx, cls, payload, rx_)) {
       JRSND_COUNT("dndp.retx.recovered");
       hs.on_delivered();
-      return rx;
+      return true;
     }
   }
 }
 
-bool DndpEngine::run_subsession(NodeState& a, NodeState& b, CodeId code, PairState& pair,
+bool DndpEngine::run_subsession(NodeState& a, NodeState& b, const TxCode& tx,
                                 HandshakeStateMachine& hs, DndpResult& result) {
-  const TxCode tx{code, &a.code_pattern(code)};
+  const CodeId code = tx.id;
+  PairState& pair = pair_;
 
   // 2. B -> A: {CONFIRM, ID_B}_{C_i}.
-  const auto confirm_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(), a.id(), tx,
-                                              TxClass::Confirm, pair.confirm);
-  if (!confirm_rx) return false;
-  const auto confirm_decoded = ConfirmMessage::decode(*confirm_rx, wire_);
+  if (!transmit_with_retry(hs, a.id(), b.id(), b.id(), a.id(), tx, TxClass::Confirm,
+                           pair.confirm)) {
+    return false;
+  }
+  const auto confirm_decoded = ConfirmMessage::decode(rx_, wire_);
   if (!confirm_decoded) {
     result.mac_failure = true;  // malformed after successful delivery: tampering
     obs::set_loss_reason(obs::LossStage::Corrupt);
@@ -76,23 +94,24 @@ bool DndpEngine::run_subsession(NodeState& a, NodeState& b, CodeId code, PairSta
   // 3. A -> B: {ID_A, n_A, f_{K_AB}(ID_A | n_A)}_{C_i}, keyed by A's own
   // derivation for the ID it decoded from the CONFIRM.
   const crypto::PinnedKey& key_a = derive_end_key(a_key_, a.key(), confirm_decoded->sender);
-  if (!pair.auth1 || pair.auth1_key != key_a.cache_key) {
-    pair.auth1 = AuthMessage::make(a.id(), pair.nonce_a, key_a.key.schedule, wire_).encode(wire_);
+  if (pair.auth1_key != key_a.cache_key) {
+    AuthMessage::make_into(a.id(), pair.nonce_a, key_a.key.schedule, wire_, pair.auth1);
     pair.auth1_key = key_a.cache_key;
   }
-  const auto auth1_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(), b.id(), tx,
-                                            TxClass::Auth, *pair.auth1);
-  if (!auth1_rx) return false;
+  if (!transmit_with_retry(hs, a.id(), b.id(), a.id(), b.id(), tx, TxClass::Auth, pair.auth1)) {
+    return false;
+  }
 
   // B derives its own key for the sender AUTH1 claims and verifies through
   // the staged early-reject pipeline (length -> format -> code -> MAC): equal
   // MACs prove A holds the key the authority issued for ID_A (mutual
   // authentication, paper §V-B). Only a MAC-stage reject is attributed to
   // tampering; a frame that fails the cheap stages is a decode failure.
-  const std::optional<std::uint32_t> claimed = verifier_.queue().claimed_sender(*auth1_rx);
+  const std::optional<std::uint32_t> claimed = verifier_.queue().claimed_sender(rx_);
   const crypto::PinnedKey* key_b =
       claimed ? &derive_end_key(b_key_, b.key(), node_id(*claimed)) : nullptr;
-  const AuthVerdict auth1_v = verifier_.verify_auth(*auth1_rx, code, code, b.key(), key_b);
+  AuthVerdict& auth1_v = pair.auth1_verdict;
+  verifier_.verify_auth(rx_, code, code, b.key(), key_b, auth1_v);
   if (!auth1_v.accepted()) {
     if (auth1_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
@@ -101,14 +120,15 @@ bool DndpEngine::run_subsession(NodeState& a, NodeState& b, CodeId code, PairSta
 
   // 4. B -> A: {ID_B, n_B, f_{K_BA}(ID_B | n_B)}_{C_i}, under the key AUTH1
   // verified under (an accepted frame parsed, so key_b is set).
-  if (!pair.auth2 || pair.auth2_key != key_b->cache_key) {
-    pair.auth2 = AuthMessage::make(b.id(), pair.nonce_b, key_b->key.schedule, wire_).encode(wire_);
+  if (pair.auth2_key != key_b->cache_key) {
+    AuthMessage::make_into(b.id(), pair.nonce_b, key_b->key.schedule, wire_, pair.auth2);
     pair.auth2_key = key_b->cache_key;
   }
-  const auto auth2_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(), a.id(), tx,
-                                            TxClass::Auth, *pair.auth2);
-  if (!auth2_rx) return false;
-  const AuthVerdict auth2_v = verifier_.verify_auth(*auth2_rx, code, code, a.key(), &key_a);
+  if (!transmit_with_retry(hs, a.id(), b.id(), b.id(), a.id(), tx, TxClass::Auth, pair.auth2)) {
+    return false;
+  }
+  AuthVerdict& auth2_v = pair.auth2_verdict;
+  verifier_.verify_auth(rx_, code, code, a.key(), &key_a, auth2_v);
   if (!auth2_v.accepted()) {
     if (auth2_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
@@ -139,13 +159,9 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   root.with_u64("b", raw(b.id()));
   (void)obs::take_loss_reason();  // start the attempt with a clean channel
 
-  const std::vector<CodeId>& usable_a = a.usable_codes();
-  const std::vector<CodeId>& usable_b = b.usable_codes();
-  shared_.clear();
-  std::set_intersection(usable_a.begin(), usable_a.end(), usable_b.begin(), usable_b.end(),
-                        std::back_inserter(shared_));
-  result.shared_codes = static_cast<std::uint32_t>(shared_.size());
-  if (shared_.empty()) {
+  const std::span<CodeId> shared = shared_.intersect(a.usable_codes(), b.usable_codes());
+  result.shared_codes = static_cast<std::uint32_t>(shared.size());
+  if (shared.empty()) {
     JRSND_COUNT("dndp.no_shared_code");
     JRSND_COUNT("dndp.failed");
     root.set_ok(false);
@@ -155,16 +171,19 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
 
   // Session nonces are drawn once; all sub-sessions establish the same
   // session code (paper's redundancy design).
-  PairState pair;
-  pair.nonce_a = a.make_nonce(params_.l_n);
-  pair.nonce_b = b.make_nonce(params_.l_n);
-  pair.hello = HelloMessage{a.id()}.encode(wire_);
-  pair.confirm = ConfirmMessage{b.id()}.encode(wire_);
+  PairState& pair = pair_;
+  a.make_nonce_into(params_.l_n, pair.nonce_a);
+  b.make_nonce_into(params_.l_n, pair.nonce_b);
+  HelloMessage{a.id()}.encode_into(pair.hello, wire_);
+  ConfirmMessage{b.id()}.encode_into(pair.confirm, wire_);
+  pair.auth1_key.reset();
+  pair.auth2_key.reset();
+  pair.winner.reset();
 
   // The naive (non-redundant) variant lets B pick one random code among the
   // HELLOs it received; iterating a random permutation and stopping at the
   // first delivered HELLO selects uniformly among them.
-  if (!redundancy_) b.rng().shuffle(std::span<CodeId>(shared_));
+  if (!redundancy_) b.rng().shuffle(shared);
 
   // The retry discipline measures timeouts on the initiator's local clock;
   // with no fault layer attached every clock runs at the nominal rate.
@@ -173,7 +192,7 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   std::uint32_t attempted = 0;
   obs::LossStage last_loss = obs::LossStage::None;
   Duration elapsed_total{0.0};
-  for (const CodeId code : shared_) {
+  for (const CodeId code : shared) {
     JRSND_COUNT("dndp.subsessions.started");
     ++attempted;
     phy_.begin_subsession(a.id(), b.id(), code);
@@ -187,16 +206,15 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
     // 1. A -> *: {HELLO, ID_A}_{C_i}. (The broadcast also uses A's other
     // codes; only shared ones can reach B, so we model those.)
     const TxCode tx{code, &a.code_pattern(code)};
-    const auto hello_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(), b.id(), tx,
-                                              TxClass::Hello, pair.hello);
     std::optional<HelloMessage> hello_decoded;
-    if (hello_rx) {
-      hello_decoded = HelloMessage::decode(*hello_rx, wire_);
+    if (transmit_with_retry(hs, a.id(), b.id(), a.id(), b.id(), tx, TxClass::Hello,
+                            pair.hello)) {
+      hello_decoded = HelloMessage::decode(rx_, wire_);
       if (!hello_decoded) obs::set_loss_reason(obs::LossStage::Corrupt);
     }
     if (hello_decoded) {
       ++result.hellos_delivered;
-      if (run_subsession(a, b, code, pair, hs, result)) {
+      if (run_subsession(a, b, tx, hs, result)) {
         ++result.subsessions_completed;
         sub_ok = true;
         if (!result.winning_code) result.winning_code = code;

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/handshake.hpp"
@@ -44,6 +45,22 @@ struct DndpResult {
   std::uint32_t timeouts = 0;         ///< attempt timeouts that expired
 };
 
+/// The ascending intersection of two ascending pool-code lists, through a
+/// bitset over code ids the instance owns: mark a's codes, probe b's in
+/// order with a branch-free append, then clear a's marks. The result is
+/// std::set_intersection's, element for element. Allocation-free once the
+/// bitset covers the largest id seen and the result has held |b| codes.
+class SharedCodes {
+ public:
+  /// Codes in both `a` and `b`, ascending; valid until the next call.
+  [[nodiscard]] std::span<CodeId> intersect(std::span<const CodeId> a,
+                                            std::span<const CodeId> b);
+
+ private:
+  std::vector<std::uint64_t> marks_;  ///< bit c set while c is one of a's codes
+  std::vector<CodeId> shared_;
+};
+
 class DndpEngine {
  public:
   /// `redundancy` mirrors the paper's x-fold sub-session design; disabling
@@ -62,38 +79,42 @@ class DndpEngine {
   DndpResult run(NodeState& a, NodeState& b);
 
  private:
-  /// Per-pair values every sub-session shares. The nonces are drawn once per
-  /// pair, so each frame below is a pure function of its sender, nonce and
-  /// key: it is encoded on first use and re-encoded only if the key the
-  /// sending end holds changes (tagged by that key's cache key).
+  /// Per-pair values every sub-session shares, reused across pairs. The
+  /// nonces are drawn once per pair, so each frame below is a pure function
+  /// of its sender, nonce and key: it is encoded on first use and re-encoded
+  /// only if the key the sending end holds changes (tagged by that key's
+  /// cache key; unset at the start of each pair).
   struct PairState {
     BitVector nonce_a;
     BitVector nonce_b;
     BitVector hello;
     BitVector confirm;
-    std::optional<BitVector> auth1;  ///< A's AUTH, under A's key context
-    std::uint64_t auth1_key = 0;
-    std::optional<BitVector> auth2;  ///< B's AUTH, under B's key context
-    std::uint64_t auth2_key = 0;
+    BitVector auth1;  ///< A's AUTH, under A's key context
+    std::optional<std::uint64_t> auth1_key;
+    BitVector auth2;  ///< B's AUTH, under B's key context
+    std::optional<std::uint64_t> auth2_key;
+    AuthVerdict auth1_verdict;  ///< B's verdict on A's AUTH
+    AuthVerdict auth2_verdict;  ///< A's verdict on B's AUTH
     /// What the first complete sub-session establishes (K_AB, C_AB).
     std::optional<LogicalNeighbor> winner;
   };
 
-  /// Executes messages 2-4 of one sub-session on code `code`; returns false
-  /// if any message is lost or rejected. The first sub-session to complete
-  /// derives the session code into `pair.winner`.
-  [[nodiscard]] bool run_subsession(NodeState& a, NodeState& b, CodeId code, PairState& pair,
+  /// Executes messages 2-4 of one sub-session on `tx`; returns false if any
+  /// message is lost or rejected. The first sub-session to complete derives
+  /// the session code into `pair_.winner`.
+  [[nodiscard]] bool run_subsession(NodeState& a, NodeState& b, const TxCode& tx,
                                     HandshakeStateMachine& hs, DndpResult& result);
 
   /// One handshake message with the retry discipline: on transmission loss,
   /// waits out the stage timeout, re-arms the sub-session's jamming fate
   /// (each retransmission is a fresh radio event), and retransmits until
   /// delivery or budget exhaustion. With retries disabled this is exactly
-  /// one `phy_.transmit` — no extra draws, no extra counters. Every
-  /// transmission adds its frame's bits to `subsession_bits_`.
-  [[nodiscard]] std::optional<BitVector> transmit_with_retry(
-      HandshakeStateMachine& hs, NodeId a, NodeId b, CodeId code, NodeId from,
-      NodeId to, const TxCode& tx, TxClass cls, const BitVector& payload);
+  /// one `phy_.transmit_into` — no extra draws, no extra counters. Every
+  /// transmission adds its frame's bits to `subsession_bits_`. A delivered
+  /// frame lands in `rx_`.
+  [[nodiscard]] bool transmit_with_retry(HandshakeStateMachine& hs, NodeId a, NodeId b,
+                                         NodeId from, NodeId to, const TxCode& tx, TxClass cls,
+                                         const BitVector& payload);
 
   const Params& params_;
   WireConfig wire_;
@@ -108,7 +129,9 @@ class DndpEngine {
   /// Like the verifier's peer cache, they assume one IBC authority.
   std::optional<crypto::PinnedKey> a_key_;
   std::optional<crypto::PinnedKey> b_key_;
-  std::vector<CodeId> shared_;  ///< usable-code intersection, reused across pairs
+  SharedCodes shared_;  ///< usable-code intersection, reused across pairs
+  PairState pair_;
+  BitVector rx_;  ///< the frame last delivered; each is consumed before the next send
   PhyModel& phy_;
   bool redundancy_;
   Rng retry_rng_;

@@ -141,21 +141,29 @@ AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_
                                            CodeId expected_code,
                                            const crypto::IbcPrivateKey& receiver,
                                            const crypto::PinnedKey* pinned) {
+  AuthVerdict verdict;
+  verify_auth(frame, frame_code, expected_code, receiver, pinned, verdict);
+  return verdict;
+}
+
+void HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_code,
+                                    CodeId expected_code, const crypto::IbcPrivateKey& receiver,
+                                    const crypto::PinnedKey* pinned, AuthVerdict& out) {
   JRSND_PERF_REGION("dndp.verify");
   source_.receiver = &receiver;
   const crypto::VerifyResult result =
       queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_, pinned);
-  AuthVerdict verdict;
-  verdict.stage = result.stage;
-  if (result.stage != crypto::VerifyStage::RejectLength &&
-      result.stage != crypto::VerifyStage::RejectFormat) {
-    verdict.sender = node_id(result.sender);
-  }
+  out.stage = result.stage;
+  out.sender = result.stage != crypto::VerifyStage::RejectLength &&
+                       result.stage != crypto::VerifyStage::RejectFormat
+                   ? node_id(result.sender)
+                   : kInvalidNode;
+  out.nonce.clear();
   if (result.stage == crypto::VerifyStage::Accept) {
+    // l_n <= 64 (VerifyWire), so the nonce is one field read.
     const crypto::VerifyWire& w = queue_.wire();
-    verdict.nonce = frame.slice(std::size_t{w.l_t} + w.l_id, w.l_n);
+    out.nonce.append_uint(frame.read_uint(std::size_t{w.l_t} + w.l_id, w.l_n), w.l_n);
   }
-  return verdict;
 }
 
 }  // namespace jrsnd::core

@@ -205,6 +205,13 @@ class HandshakeVerifier {
                                         const crypto::IbcPrivateKey& receiver,
                                         const crypto::PinnedKey* pinned = nullptr);
 
+  /// verify_auth() into a caller-owned verdict: every field is set, and the
+  /// nonce reuses `out.nonce`'s storage, so a warm verdict makes the call
+  /// allocation-free on the accept path too.
+  void verify_auth(const BitVector& frame, CodeId frame_code, CodeId expected_code,
+                   const crypto::IbcPrivateKey& receiver, const crypto::PinnedKey* pinned,
+                   AuthVerdict& out);
+
   [[nodiscard]] const crypto::VerifyQueue& queue() const noexcept { return queue_; }
 
  private:

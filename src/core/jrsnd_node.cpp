@@ -34,9 +34,13 @@ const dsss::SpreadCode& NodeState::code_pattern(CodeId code) const {
 }
 
 BitVector NodeState::make_nonce(std::uint32_t bits) {
-  BitVector nonce(bits);
-  for (std::uint32_t i = 0; i < bits; ++i) nonce.set(i, rng_.bernoulli(0.5));
+  BitVector nonce;
+  make_nonce_into(bits, nonce);
   return nonce;
+}
+
+void NodeState::make_nonce_into(std::uint32_t bits, BitVector& out) {
+  out.assign_words(bits, [&](std::span<std::uint64_t> words) { rng_.fill_coins(words, bits); });
 }
 
 void NodeState::add_logical_neighbor(NodeId peer, LogicalNeighbor info) {

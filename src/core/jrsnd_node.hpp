@@ -62,6 +62,8 @@ class NodeState {
 
   /// Fresh l_n-bit random nonce.
   [[nodiscard]] BitVector make_nonce(std::uint32_t bits);
+  /// make_nonce() into `out`, reusing its storage: the same bits and draws.
+  void make_nonce_into(std::uint32_t bits, BitVector& out);
 
   /// Per-node deterministic randomness stream.
   [[nodiscard]] Rng& rng() noexcept { return rng_; }

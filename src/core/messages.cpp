@@ -1,6 +1,7 @@
 #include "core/messages.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -137,9 +138,14 @@ BitVector truncate_digest(const crypto::Sha256Digest& digest, std::uint32_t bits
 
 BitVector HelloMessage::encode(const WireConfig& cfg) const {
   BitVector bv;
-  append_type(bv, MessageType::Hello, cfg);
-  append_id(bv, sender, cfg);
+  encode_into(bv, cfg);
   return bv;
+}
+
+void HelloMessage::encode_into(BitVector& out, const WireConfig& cfg) const {
+  out.clear();
+  append_type(out, MessageType::Hello, cfg);
+  append_id(out, sender, cfg);
 }
 
 std::optional<HelloMessage> HelloMessage::decode(const BitVector& bits, const WireConfig& cfg) {
@@ -157,9 +163,14 @@ std::optional<HelloMessage> HelloMessage::decode(const BitVector& bits, const Wi
 
 BitVector ConfirmMessage::encode(const WireConfig& cfg) const {
   BitVector bv;
-  append_type(bv, MessageType::Confirm, cfg);
-  append_id(bv, sender, cfg);
+  encode_into(bv, cfg);
   return bv;
+}
+
+void ConfirmMessage::encode_into(BitVector& out, const WireConfig& cfg) const {
+  out.clear();
+  append_type(out, MessageType::Confirm, cfg);
+  append_id(out, sender, cfg);
 }
 
 std::optional<ConfirmMessage> ConfirmMessage::decode(const BitVector& bits,
@@ -176,18 +187,47 @@ std::optional<ConfirmMessage> ConfirmMessage::decode(const BitVector& bits,
 
 // --- AuthMessage ------------------------------------------------------------
 
-std::vector<std::uint8_t> AuthMessage::mac_input(NodeId sender, const BitVector& nonce) {
-  BitVector bv;
-  bv.append_uint(raw(sender), 32);
-  bv.append(nonce);
-  return bv.to_bytes();
+namespace {
+
+/// f_K(ID | n): the sender as a 32-bit big-endian field, then the nonce bits
+/// MSB-first, zero-padded to a byte, streamed into K's inner midstate a
+/// word at a time from a stack buffer.
+crypto::Sha256Digest auth_mac(NodeId sender, const BitVector& nonce, const crypto::HmacKey& key) {
+  crypto::Sha256 ctx = key.inner_context();
+  std::array<std::uint8_t, 8> chunk;
+  const std::uint64_t id = std::uint64_t{raw(sender)} << 32;
+  for (std::size_t b = 0; b < 4; ++b) chunk[b] = static_cast<std::uint8_t>(id >> (56 - 8 * b));
+  ctx.update(std::span<const std::uint8_t>(chunk.data(), 4));
+  std::size_t bytes_left = (nonce.size() + 7) / 8;
+  for (const std::uint64_t word : nonce.words()) {
+    const std::size_t take = std::min<std::size_t>(8, bytes_left);
+    for (std::size_t b = 0; b < take; ++b) {
+      chunk[b] = static_cast<std::uint8_t>(word >> (56 - 8 * b));
+    }
+    ctx.update(std::span<const std::uint8_t>(chunk.data(), take));
+    bytes_left -= take;
+  }
+  return key.finish(ctx);
 }
+
+/// The one AUTH encoder: type, ID, nonce, then the MAC at the l_mac width.
+void append_auth(BitVector& out, NodeId sender, const BitVector& nonce,
+                 const crypto::Sha256Digest& mac, const WireConfig& cfg) {
+  assert(nonce.size() == cfg.l_n);
+  out.clear();
+  append_type(out, MessageType::Auth, cfg);
+  append_id(out, sender, cfg);
+  out.append(nonce);
+  append_tag(out, mac, cfg.l_mac);
+}
+
+}  // namespace
 
 AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::HmacKey& key,
                               const WireConfig& /*cfg*/) {
   AuthMessage msg;
   msg.sender = sender;
-  msg.mac = key.mac(mac_input(sender, nonce));
+  msg.mac = auth_mac(sender, nonce, key);
   msg.nonce = std::move(nonce);
   return msg;
 }
@@ -197,19 +237,20 @@ AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::Symm
   return make(sender, std::move(nonce), crypto::HmacKey(key), cfg);
 }
 
+void AuthMessage::make_into(NodeId sender, const BitVector& nonce, const crypto::HmacKey& key,
+                            const WireConfig& cfg, BitVector& out) {
+  append_auth(out, sender, nonce, auth_mac(sender, nonce, key), cfg);
+}
+
 bool AuthMessage::verify(const crypto::SymmetricKey& key, const WireConfig& cfg) const {
-  const crypto::Sha256Digest expected = crypto::compute_mac(key, mac_input(sender, nonce));
+  const crypto::Sha256Digest expected = auth_mac(sender, nonce, crypto::HmacKey(key));
   // Compare over the wire width (the receiver only ever saw l_mac bits).
   return truncate_digest(expected, cfg.l_mac) == truncate_digest(mac, cfg.l_mac);
 }
 
 BitVector AuthMessage::encode(const WireConfig& cfg) const {
-  assert(nonce.size() == cfg.l_n);
   BitVector bv;
-  append_type(bv, MessageType::Auth, cfg);
-  append_id(bv, sender, cfg);
-  bv.append(nonce);
-  append_tag(bv, mac, cfg.l_mac);
+  append_auth(bv, sender, nonce, mac, cfg);
   return bv;
 }
 

@@ -51,6 +51,8 @@ struct HelloMessage {
   NodeId sender = kInvalidNode;
 
   [[nodiscard]] BitVector encode(const WireConfig& cfg) const;
+  /// encode() into `out` (cleared first), reusing its storage.
+  void encode_into(BitVector& out, const WireConfig& cfg) const;
   [[nodiscard]] static std::optional<HelloMessage> decode(const BitVector& bits,
                                                           const WireConfig& cfg);
   [[nodiscard]] static std::size_t payload_bits(const WireConfig& cfg) {
@@ -63,6 +65,8 @@ struct ConfirmMessage {
   NodeId sender = kInvalidNode;
 
   [[nodiscard]] BitVector encode(const WireConfig& cfg) const;
+  /// encode() into `out` (cleared first), reusing its storage.
+  void encode_into(BitVector& out, const WireConfig& cfg) const;
   [[nodiscard]] static std::optional<ConfirmMessage> decode(const BitVector& bits,
                                                             const WireConfig& cfg);
   [[nodiscard]] static std::size_t payload_bits(const WireConfig& cfg) {
@@ -85,6 +89,12 @@ struct AuthMessage {
   [[nodiscard]] static AuthMessage make(NodeId sender, BitVector nonce,
                                         const crypto::SymmetricKey& key, const WireConfig& cfg);
 
+  /// The frame make(sender, nonce, key, cfg).encode(cfg) returns, written
+  /// into `out` (cleared first) without building the message: the MAC
+  /// input is streamed from the stack, and `out`'s storage is reused.
+  static void make_into(NodeId sender, const BitVector& nonce, const crypto::HmacKey& key,
+                        const WireConfig& cfg, BitVector& out);
+
   /// Recomputes the MAC under `key` and compares with the received one
   /// (over the l_mac wire bits).
   [[nodiscard]] bool verify(const crypto::SymmetricKey& key, const WireConfig& cfg) const;
@@ -95,10 +105,6 @@ struct AuthMessage {
   [[nodiscard]] static std::size_t payload_bits(const WireConfig& cfg) {
     return cfg.l_t + cfg.l_id + cfg.l_n + cfg.l_mac;
   }
-
- private:
-  [[nodiscard]] static std::vector<std::uint8_t> mac_input(NodeId sender,
-                                                           const BitVector& nonce);
 };
 
 // --- M-NDP messages --------------------------------------------------------

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "common/bit_vector.hpp"
 #include "common/types.hpp"
@@ -55,6 +56,36 @@ class PhyModel {
   [[nodiscard]] virtual std::optional<BitVector> transmit(NodeId from, NodeId to, TxCode code,
                                                           TxClass cls,
                                                           const BitVector& payload) = 0;
+
+  /// The second entry point: transmit() into a caller-owned buffer, which
+  /// the D-NDP engine reuses for every frame it receives. Returns whether
+  /// the message was delivered; on delivery `out` holds exactly the bits
+  /// transmit() would have returned, otherwise `out` is unspecified. A
+  /// PHY's two entry points make the same decisions and the same Rng draws.
+  ///
+  /// The default forwards to transmit() and moves its result into `out`, so
+  /// a PHY that overrides only transmit() keeps working: FaultyPhy, whose
+  /// faults rewrite an owned copy, the decorators of bench/e2e, and test
+  /// doubles. AbstractPhy, ChipPhy and TracingPhy implement this one and
+  /// make transmit() a one-line wrapper over it (into_optional), so a warm
+  /// `out` costs them no allocation. The two entry points collapse into
+  /// this one once the bench's decorators move onto it.
+  [[nodiscard]] virtual bool transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
+                                           const BitVector& payload, BitVector& out) {
+    std::optional<BitVector> rx = transmit(from, to, code, cls, payload);
+    if (!rx) return false;
+    out = std::move(*rx);
+    return true;
+  }
+
+ protected:
+  /// transmit() over transmit_into(): the wrapper library PHYs use.
+  [[nodiscard]] std::optional<BitVector> into_optional(NodeId from, NodeId to, TxCode code,
+                                                       TxClass cls, const BitVector& payload) {
+    BitVector out;
+    if (!transmit_into(from, to, code, cls, payload, out)) return std::nullopt;
+    return out;
+  }
 };
 
 }  // namespace jrsnd::core

@@ -20,13 +20,13 @@ const char* tx_class_name(TxClass cls) noexcept {
   return "?";
 }
 
-std::optional<BitVector> TracingPhy::transmit(NodeId from, NodeId to, TxCode code, TxClass cls,
-                                              const BitVector& payload) {
-  auto result = inner_.transmit(from, to, code, cls, payload);
+bool TracingPhy::transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
+                               const BitVector& payload, BitVector& out) {
+  const bool delivered = inner_.transmit_into(from, to, code, cls, payload, out);
   const obs::SpanContext span = obs::current_span();
-  records_.push_back(TxRecord{from, to, code.id, cls, payload.size(), result.has_value(),
-                              now_.seconds(), next_seq_++, span.trace_id, span.span_id});
-  return result;
+  records_.push_back(TxRecord{from, to, code.id, cls, payload.size(), delivered, now_.seconds(),
+                              next_seq_++, span.trace_id, span.span_id});
+  return delivered;
 }
 
 std::vector<TxRecord> TracingPhy::by_class(TxClass cls) const {

@@ -46,7 +46,13 @@ class TracingPhy final : public PhyModel {
 
   [[nodiscard]] std::optional<BitVector> transmit(NodeId from, NodeId to, TxCode code,
                                                   TxClass cls,
-                                                  const BitVector& payload) override;
+                                                  const BitVector& payload) override {
+    return into_optional(from, to, code, cls, payload);
+  }
+
+  /// Forwards to the inner PHY's transmit_into and records the outcome.
+  [[nodiscard]] bool transmit_into(NodeId from, NodeId to, TxCode code, TxClass cls,
+                                   const BitVector& payload, BitVector& out) override;
 
   [[nodiscard]] const std::vector<TxRecord>& records() const noexcept { return records_; }
   void clear() noexcept { records_.clear(); }

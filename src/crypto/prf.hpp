@@ -41,6 +41,14 @@ using SymmetricKey = Sha256Digest;
 [[nodiscard]] BitVector derive_bits(const HmacKey& key, const std::string& info,
                                     std::size_t bit_count);
 
+/// derive_bits() with the info already absorbed: `info` is
+/// key.inner_context() after update()s with the info bytes, so a caller can
+/// stream an info string it never builds. Each block HMAC(info || counter)
+/// is written straight into the result's words; the result's storage is
+/// the only allocation.
+[[nodiscard]] BitVector derive_bits(const HmacKey& key, const Sha256& info,
+                                    std::size_t bit_count);
+
 /// Derives a fresh 32-byte key: HMAC(key, label).
 [[nodiscard]] SymmetricKey derive_key(const SymmetricKey& key, const std::string& label) noexcept;
 

@@ -10,7 +10,7 @@ namespace jrsnd::crypto {
 
 namespace {
 
-/// MAC input layout shared with AuthMessage::mac_input: the sender ID as a
+/// MAC input layout shared with auth_mac (core/messages.cpp): the sender ID as a
 /// 32-bit big-endian field, then the l_n nonce bits, MSB-first, zero-padded
 /// to a byte boundary. 32 + 64 nonce bits is the ceiling -> 12 bytes.
 constexpr std::size_t kMaxMacInputBytes = 12;
@@ -98,22 +98,16 @@ bool VerifyQueue::mac_matches(const BitVector& frame, std::uint32_t sender,
 bool VerifyQueue::wire_mac_equals(const BitVector& frame,
                                   const Sha256Digest& expected) const noexcept {
   // Compare the first l_mac bits of the expected digest against the l_mac
-  // wire bits, in place: full bytes, then a masked tail. Constant-time
-  // OR-accumulate, mirroring digest_equal.
+  // wire bits, in place, 64 bits at a time: each digest word is loaded
+  // big-endian and right-aligned to the width read from the wire.
+  // Constant-time OR-accumulate, mirroring digest_equal.
   const std::size_t mac_off = std::size_t{wire_.l_t} + wire_.l_id + wire_.l_n;
-  const std::size_t full_bytes = wire_.l_mac / 8;
-  const std::size_t tail_bits = wire_.l_mac % 8;
-  std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < full_bytes; ++i) {
-    const auto wire_byte =
-        static_cast<std::uint8_t>(frame.read_uint(mac_off + 8 * i, 8));
-    diff = static_cast<std::uint8_t>(diff | (wire_byte ^ expected[i]));
-  }
-  if (tail_bits != 0) {
-    const auto wire_tail = static_cast<std::uint8_t>(
-        frame.read_uint(mac_off + 8 * full_bytes, tail_bits) << (8 - tail_bits));
-    const auto mask = static_cast<std::uint8_t>(0xFFu << (8 - tail_bits));
-    diff = static_cast<std::uint8_t>(diff | (wire_tail ^ (expected[full_bytes] & mask)));
+  std::uint64_t diff = 0;
+  for (std::size_t bit = 0; bit < wire_.l_mac; bit += 64) {
+    const std::size_t width = std::min<std::size_t>(64, wire_.l_mac - bit);
+    std::uint64_t digest_word = 0;
+    for (std::size_t b = 0; b < 8; ++b) digest_word = (digest_word << 8) | expected[bit / 8 + b];
+    diff |= frame.read_uint(mac_off + bit, width) ^ (digest_word >> (64 - width));
   }
   return diff == 0;
 }

@@ -175,7 +175,7 @@ class VerifyQueue {
                                  const HmacKey& schedule) const noexcept;
 
   /// Compares the first l_mac bits of `expected` against the wire MAC field,
-  /// in place (constant-time OR-accumulate).
+  /// in place, a word at a time (constant-time OR-accumulate).
   [[nodiscard]] bool wire_mac_equals(const BitVector& frame,
                                      const Sha256Digest& expected) const noexcept;
 

@@ -16,8 +16,9 @@ void SpreadCode::assign(const BitVector& chips) {
 }
 
 SpreadCode SpreadCode::random(Rng& rng, std::size_t length, CodeId id) {
-  BitVector chips(length);
-  for (std::size_t i = 0; i < length; ++i) chips.set(i, rng.bernoulli(0.5));
+  BitVector chips;
+  chips.assign_words(length,
+                     [&](std::span<std::uint64_t> words) { rng.fill_coins(words, length); });
   return SpreadCode(std::move(chips), id);
 }
 

@@ -102,6 +102,33 @@ TEST(Rng, BernoulliFrequencyMatchesP) {
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.3, 0.01);
 }
 
+TEST(Rng, FillCoinsIsPerBitBernoulliHalf) {
+  // Every length 1-200 (each word boundary and partial word up to four
+  // words), plus 512 and 1024, under several seeds: the same coins and the
+  // same state afterwards as one bernoulli(0.5) per bit, MSB-first.
+  std::vector<std::size_t> lengths(200);
+  for (std::size_t i = 0; i < lengths.size(); ++i) lengths[i] = i + 1;
+  lengths.push_back(512);
+  lengths.push_back(1024);
+  for (const std::uint64_t seed : {0ULL, 1ULL, 7ULL, 0xdeadbeefULL}) {
+    Rng fast(seed);
+    Rng slow(seed);
+    for (const std::size_t bits : lengths) {
+      std::vector<std::uint64_t> words((bits + 63) / 64 + 1, ~std::uint64_t{0});
+      fast.fill_coins(words, bits);
+      std::vector<std::uint64_t> expected((bits + 63) / 64, 0);
+      for (std::size_t i = 0; i < bits; ++i) {
+        if (slow.bernoulli(0.5)) expected[i / 64] |= std::uint64_t{1} << (63 - i % 64);
+      }
+      for (std::size_t w = 0; w < expected.size(); ++w) {
+        ASSERT_EQ(words[w], expected[w]) << "seed " << seed << " bits " << bits << " word " << w;
+      }
+      EXPECT_EQ(words.back(), ~std::uint64_t{0}) << "wrote past the last coin's word";
+      ASSERT_EQ(fast.next(), slow.next()) << "seed " << seed << " bits " << bits;
+    }
+  }
+}
+
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng r(23);
   constexpr int kDraws = 100000;

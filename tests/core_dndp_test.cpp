@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -72,6 +74,69 @@ struct SmallWorld {
     return {kInvalidNode, kInvalidNode};
   }
 };
+
+/// k distinct ids from [0, pool), ascending.
+std::vector<CodeId> ascending_codes(Rng& rng, std::uint32_t pool, std::uint32_t k) {
+  std::vector<CodeId> out;
+  for (const std::uint32_t c : rng.sample_without_replacement(pool, k)) out.push_back(code_id(c));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_intersection_matches(SharedCodes& shared, const std::vector<CodeId>& a,
+                                 const std::vector<CodeId>& b) {
+  std::vector<CodeId> expected;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(expected));
+  const std::span<CodeId> got = shared.intersect(a, b);
+  EXPECT_EQ(std::vector<CodeId>(got.begin(), got.end()), expected);
+}
+
+TEST(SharedCodes, MatchesSetIntersectionOnRandomLists) {
+  // One instance across every case, so each also checks that the previous
+  // call left no mark behind.
+  SharedCodes shared;
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto pool = static_cast<std::uint32_t>(1 + rng.uniform(5000));
+    const auto ka = static_cast<std::uint32_t>(rng.uniform(std::min<std::uint32_t>(pool, 120) + 1));
+    const auto kb = static_cast<std::uint32_t>(rng.uniform(std::min<std::uint32_t>(pool, 120) + 1));
+    const std::vector<CodeId> a = ascending_codes(rng, pool, ka);
+    const std::vector<CodeId> b = ascending_codes(rng, pool, kb);
+    expect_intersection_matches(shared, a, b);
+    expect_intersection_matches(shared, b, a);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(SharedCodes, MatchesSetIntersectionOnEdgeCases) {
+  SharedCodes shared;
+  const std::vector<CodeId> none;
+  const std::vector<CodeId> low = {code_id(0), code_id(1), code_id(63), code_id(64)};
+  const std::vector<CodeId> high = {code_id(65), code_id(127), code_id(128), code_id(4999)};
+  // An id far past the other lists' ids: the bitset grows in mid-sequence.
+  const std::vector<CodeId> top = {code_id(0), code_id(64), code_id(4999), code_id(1u << 20)};
+  expect_intersection_matches(shared, none, none);
+  expect_intersection_matches(shared, none, low);
+  expect_intersection_matches(shared, low, none);
+  expect_intersection_matches(shared, low, high);  // disjoint
+  expect_intersection_matches(shared, high, low);
+  expect_intersection_matches(shared, low, low);  // identical
+  expect_intersection_matches(shared, high, high);
+  expect_intersection_matches(shared, top, low);
+  expect_intersection_matches(shared, top, high);
+  expect_intersection_matches(shared, top, top);
+  expect_intersection_matches(shared, low, top);
+}
+
+TEST(SharedCodes, CoversTheHighestPoolIdOfAWorld) {
+  // The last id of a real pool: n = 20, m = 6, l = 10 gives 12 codes.
+  SharedCodes shared;
+  const std::uint32_t pool = SmallWorld::make_params().pool_size();
+  const std::vector<CodeId> a = {code_id(0), code_id(pool - 1)};
+  const std::vector<CodeId> b = {code_id(pool - 2), code_id(pool - 1)};
+  expect_intersection_matches(shared, a, b);
+  expect_intersection_matches(shared, b, a);
+}
 
 TEST(Dndp, CleanChannelDiscoversSharingPair) {
   SmallWorld w(1);

@@ -194,5 +194,34 @@ TEST(VerifyQueueFuzz, FaultyPhyCorruptedFloodNeverCrashesOrDiverges) {
   EXPECT_GT(totals.truncated, 0u);
 }
 
+TEST(VerifyQueueFuzz, WordWiseMacCompareMatchesByteWiseReferenceAtEveryWidth) {
+  // The MAC stage compares the wire tag 64 bits at a time. At tag widths
+  // below, at and across word boundaries (7, 8, 61, 64, 160, 256 bits), an
+  // honest frame and each of its single-bit tag flips get the byte-wise
+  // reference's verdict on both the one-frame and the batched path, and
+  // every flip is a MAC reject.
+  for (const std::uint32_t l_mac : {7u, 8u, 61u, 64u, 160u, 256u}) {
+    core::WireConfig wire;
+    wire.l_mac = l_mac;
+    adversary::HandshakeFloodSource source(wire, /*authority_seed=*/5, /*peer_count=*/8,
+                                           /*rng_seed=*/l_mac);
+    VerifyQueue queue(source.verify_wire());
+    const std::size_t mac_off = std::size_t{wire.l_t} + wire.l_id + wire.l_n;
+    for (const adversary::FloodFrame& honest : source.make_batch(3, /*ratio=*/0)) {
+      ASSERT_EQ(honest.bits.size(), mac_off + l_mac);
+      for (std::size_t flip = 0; flip <= l_mac; ++flip) {
+        BitVector frame = honest.bits;
+        if (flip < l_mac) frame.flip(mac_off + flip);  // flip == l_mac: unflipped
+        const VerifyStage expected = flip < l_mac ? VerifyStage::RejectMac : VerifyStage::Accept;
+        ASSERT_EQ(both_paths(queue, source, frame, source.expected_code()), expected)
+            << "l_mac " << l_mac << " flip " << flip;
+        const VerifyResult now = queue.verify_now(frame, source.expected_code(),
+                                                  source.expected_code(), source.key_source());
+        ASSERT_EQ(now.stage, expected) << "l_mac " << l_mac << " flip " << flip;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace jrsnd::crypto

@@ -308,7 +308,8 @@ TEST(DndpHotPath, WarmRunAllocatesNothingForTheCodeSet) {
   CodeSetWorld w;
   DropAllPhy phy;
   core::DndpEngine engine(w.params, phy);
-  // Warm-up: grows the engine's intersection scratch to the shared-set size.
+  // Warm-up: grows the engine's intersection scratch to the shared-set size
+  // and its per-pair buffers (nonces, HELLO, CONFIRM) to their frame sizes.
   ASSERT_EQ(engine.run(w.nodes[0], w.nodes[2]).shared_codes, 3u);
   ASSERT_EQ(engine.run(w.nodes[0], w.nodes[1]).shared_codes, 0u);
 
@@ -318,17 +319,86 @@ TEST(DndpHotPath, WarmRunAllocatesNothingForTheCodeSet) {
   EXPECT_EQ(oracle::allocation_count() - before, 0u)
       << "a run with an empty intersection allocated";
 
-  // A pair sharing three codes allocates only its per-pair values — the two
-  // nonces and the HELLO and CONFIRM frames — and nothing for the code set
-  // or any of its three sub-sessions.
+  // A pair sharing three codes draws its nonces and encodes its HELLO and
+  // CONFIRM into the engine's reused buffers: nothing allocates for the
+  // code set, the per-pair values or any of its three sub-sessions.
   before = oracle::allocation_count();
   for (int i = 0; i < 100; ++i) {
     const core::DndpResult r = engine.run(w.nodes[0], w.nodes[2]);
     ASSERT_EQ(r.shared_codes, 3u);
     ASSERT_FALSE(r.discovered);
   }
-  EXPECT_EQ(oracle::allocation_count() - before, 100u * 4u)
-      << "a warm run allocated beyond its per-pair nonces and frames";
+  EXPECT_EQ(oracle::allocation_count() - before, 0u)
+      << "a warm run that delivers nothing allocated";
+}
+
+/// Delivers every frame into the receiver's buffer by copy-assignment (no
+/// allocation once that buffer is warm); with `flip_auth_mac` it flips the
+/// last bit of every AUTH frame, which is a MAC bit.
+class LoopbackIntoPhy final : public core::PhyModel {
+ public:
+  explicit LoopbackIntoPhy(bool flip_auth_mac = false) : flip_auth_mac_(flip_auth_mac) {}
+
+  void begin_subsession(NodeId, NodeId, CodeId) override {}
+  std::optional<BitVector> transmit(NodeId from, NodeId to, core::TxCode code,
+                                    core::TxClass cls, const BitVector& payload) override {
+    return into_optional(from, to, code, cls, payload);
+  }
+  bool transmit_into(NodeId, NodeId, core::TxCode, core::TxClass cls, const BitVector& payload,
+                     BitVector& out) override {
+    out = payload;
+    if (flip_auth_mac_ && cls == core::TxClass::Auth) out.flip(out.size() - 1);
+    return true;
+  }
+
+ private:
+  bool flip_auth_mac_;
+};
+
+TEST(DndpHotPath, WarmDiscoveryAllocatesOnlyTheStoredSessionCode) {
+  CodeSetWorld w;
+  LoopbackIntoPhy phy;
+  core::DndpEngine engine(w.params, phy);
+  // Warm-up: every buffer, both key slots, and both nodes' neighbor entries.
+  ASSERT_TRUE(engine.run(w.nodes[0], w.nodes[2]).discovered);
+
+  // Each rediscovery replaces the pair's neighbor entries in place. Its
+  // allocations are the session code the derivation returns (moved into
+  // the responder's entry) and the initiator's copy of it — nothing for
+  // frames, verification or the three sub-sessions.
+  const std::uint64_t before = oracle::allocation_count();
+  for (int i = 0; i < 100; ++i) {
+    const core::DndpResult r = engine.run(w.nodes[0], w.nodes[2]);
+    ASSERT_TRUE(r.discovered);
+    ASSERT_EQ(r.subsessions_completed, 3u);
+  }
+  EXPECT_EQ(oracle::allocation_count() - before, 100u * 2u)
+      << "a warm discovery allocated beyond its stored session code";
+  const core::LogicalNeighbor* at_a = w.nodes[0].neighbor(node_id(2));
+  const core::LogicalNeighbor* at_b = w.nodes[2].neighbor(node_id(0));
+  ASSERT_NE(at_a, nullptr);
+  ASSERT_NE(at_b, nullptr);
+  EXPECT_EQ(at_a->session_code, at_b->session_code);
+  EXPECT_EQ(at_a->session_code.size(), w.params.N);
+}
+
+TEST(DndpHotPath, WarmMacRejectedPairAllocatesNothing) {
+  CodeSetWorld w;
+  LoopbackIntoPhy phy(/*flip_auth_mac=*/true);
+  core::DndpEngine engine(w.params, phy);
+  const core::DndpResult warm = engine.run(w.nodes[0], w.nodes[2]);
+  ASSERT_FALSE(warm.discovered);
+  ASSERT_TRUE(warm.mac_failure);
+
+  const std::uint64_t before = oracle::allocation_count();
+  for (int i = 0; i < 100; ++i) {
+    const core::DndpResult r = engine.run(w.nodes[0], w.nodes[2]);
+    ASSERT_EQ(r.hellos_delivered, 3u);
+    ASSERT_TRUE(r.mac_failure);
+    ASSERT_FALSE(r.discovered);
+  }
+  EXPECT_EQ(oracle::allocation_count() - before, 0u)
+      << "a warm pair whose AUTH fails its MAC allocated";
 }
 
 /// Delivers every frame verbatim except the M-NDP completion HELLO, so

@@ -5,7 +5,7 @@
 //                                                      reader (strict: exits 2
 //                                                      on a malformed line)
 //   jrsnd simulate  [--n --m --l --q --nu --runs --seed --jammer]
-//                   [--full-mndp] [--field METRES]
+//                   [--full-mndp] [--field METRES] [--mndp-rounds N]
 //                   [--trace-out FILE] [--trace-wall] [--metrics]
 //                   [--flight-dump FILE]
 //                   [--profile-out FILE] [--profile-hz N]
@@ -92,6 +92,8 @@ int usage() {
                "                                request/response chains) instead of\n"
                "                                the logical-graph closure\n"
                "            --field METRES      square field side (default 5000)\n"
+               "            --mndp-rounds N     logical-graph closure rounds (default 1;\n"
+               "                                --full-mndp runs one engine round)\n"
                "            --trace-out FILE    write a JSONL event trace\n"
                "            --trace-wall        add wall_us to span.end events\n"
                "            --metrics           print the metrics table afterwards\n"
@@ -225,6 +227,8 @@ int cmd_simulate(const Args& args) {
     cfg.params.field_width = side;
     cfg.params.field_height = side;
   }
+  cfg.mndp_rounds = args.u32("mndp-rounds", cfg.mndp_rounds);
+  if (cfg.mndp_rounds == 0) throw BadFlagValue{"mndp-rounds", args.str("mndp-rounds", "")};
 
   std::shared_ptr<obs::JsonlFileSink> trace_sink;
   if (args.has("trace-out")) {
@@ -267,9 +271,13 @@ int cmd_simulate(const Args& args) {
     run_chip_calibration(cfg.base_seed);
   }
 
-  std::printf("config: %s, jammer=%s, seed=%llu\n", cfg.params.summary().c_str(),
+  std::printf("config: %s, jammer=%s, seed=%llu", cfg.params.summary().c_str(),
               core::jammer_name(cfg.jammer),
               static_cast<unsigned long long>(cfg.base_seed));
+  // Named only when it differs from the default, so default runs print the
+  // config line they always have.
+  if (cfg.mndp_rounds != 1) std::printf(", mndp_rounds=%u", cfg.mndp_rounds);
+  std::printf("\n");
   const core::PointResult r = core::DiscoverySimulator(cfg).run_all();
   std::printf("P_dndp   : %.4f +- %.4f\n", r.p_dndp.mean(), r.p_dndp.ci95());
   std::printf("P_mndp   : %.4f +- %.4f (standalone)\n", r.p_mndp.mean(), r.p_mndp.ci95());
@@ -543,8 +551,8 @@ int cmd_provision(const Args& args) {
 /// Space-separated flag lists, combined per subcommand below.
 constexpr std::string_view kParamFlags = "n m l q z nu mu runs";
 constexpr std::string_view kSimulateFlags =
-    "seed jammer full-mndp field trace-out trace-wall metrics flight-dump profile-out "
-    "profile-hz";
+    "seed jammer full-mndp field mndp-rounds trace-out trace-wall metrics flight-dump "
+    "profile-out profile-hz";
 
 struct Command {
   std::string_view name;
