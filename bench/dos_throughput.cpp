@@ -17,7 +17,14 @@
 //      binary, like tests/perf_alloc_test).
 //  [3] Throughput: handshake verifications per second, one-shot vs batched,
 //      at attacker:honest ratios 1:1, 10:1, and 100:1. A full run exits
-//      nonzero below 5x at 10:1.
+//      nonzero below 5x at 10:1. "Batched" is VerifyQueue::drain: the
+//      allocation-free cheap stages first over the whole batch, then each
+//      survivor's single-frame MAC under a per-peer key schedule cached
+//      across batches. "One-shot" is oracle::verify_one_shot, which decodes
+//      every frame and derives a fresh pairwise key and raw HMAC per frame.
+//      Both hash on the same single-stream SHA-256 backend, so the ratio
+//      measures the pipeline's ordering and caching, not a SIMD kernel; on
+//      hosts with SHA-NI it reads below 5x (docs/robustness.md).
 //
 // Writes its results (bench_util.hpp, write_results) to dos_throughput.json,
 // path overridable as argv[1]; scripts/check_perf.py judges them against the

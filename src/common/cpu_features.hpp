@@ -1,14 +1,12 @@
 // Runtime CPU feature probe and the process-wide SIMD dispatch level.
 //
-// Three kernels dispatch on it: the batched sync correlator
-// (dsss/sync_kernel.hpp: AVX-512/VPOPCNTDQ, AVX2, NEON or scalar popcount),
-// the 8-lane SHA-256 behind the AUTH MAC check (crypto/sha256_multi.hpp:
-// AVX2 or scalar lanes), and the single-stream SHA-256 compression under
-// every MAC, PRF and signature (crypto/sha256.hpp: SHA-NI when the CPU has
-// it and the level is not scalar, the scalar body otherwise). All three read
-// the one level resolved here, so a single JRSND_SIMD override or
-// set_simd_backend() call moves them together, and one `simd.backend` gauge
-// says where they run.
+// Two kernels dispatch on it: the batched sync correlator
+// (dsss/sync_kernel.hpp: AVX-512/VPOPCNTDQ, AVX2, NEON or scalar popcount)
+// and the SHA-256 compression under every MAC, PRF and signature
+// (crypto/sha256.hpp: SHA-NI when the CPU has it and the level is not
+// scalar, the scalar body otherwise). Both read the one level resolved here,
+// so a single JRSND_SIMD override or set_simd_backend() call moves them
+// together, and one `simd.backend` gauge says where they run.
 //
 // The probe checks both the CPU capability bits (CPUID leaf 7) and the OS
 // context-save support (OSXSAVE + XCR0): a kernel that does not preserve

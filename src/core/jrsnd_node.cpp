@@ -1,7 +1,7 @@
 #include "core/jrsnd_node.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cassert>
 
 namespace jrsnd::core {
 
@@ -27,9 +27,7 @@ std::vector<NodeState> issue_nodes(const predist::CodePoolAuthority& authority,
 }
 
 const dsss::SpreadCode& NodeState::code_pattern(CodeId code) const {
-  if (!std::binary_search(all_codes().begin(), all_codes().end(), code)) {
-    throw std::invalid_argument("NodeState::code_pattern: code not held");
-  }
+  assert(std::binary_search(all_codes().begin(), all_codes().end(), code));
   return authority_->code(code);
 }
 

@@ -52,7 +52,8 @@ class NodeState {
     return revocation_.held_codes();
   }
 
-  /// Chip pattern of a held pool code.
+  /// Chip pattern of a held pool code. Every caller passes a code from this
+  /// node's own usable list, so holding it is asserted, not re-checked.
   [[nodiscard]] const dsss::SpreadCode& code_pattern(CodeId code) const;
 
   [[nodiscard]] predist::RevocationState& revocation() noexcept { return revocation_; }

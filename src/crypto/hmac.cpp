@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
-#include <cstring>
 
 #include "obs/metrics_registry.hpp"
 
@@ -79,57 +77,6 @@ Sha256Digest HmacKey::finish(Sha256& inner_ctx) const noexcept {
   Sha256 outer_ctx = outer_;
   outer_ctx.update(inner_digest);
   return outer_ctx.finalize();
-}
-
-void HmacKey::mac_x8(const HmacKey* const keys[kSha256Lanes],
-                     const std::uint8_t* const msgs[kSha256Lanes],
-                     const std::size_t lens[kSha256Lanes],
-                     Sha256Digest out[kSha256Lanes]) noexcept {
-  std::array<std::uint32_t, 8> states[kSha256Lanes];
-  std::uint8_t blocks[kSha256Lanes][64];
-
-  // Inner hash: midstate (key ^ ipad already absorbed, 64 bytes) plus one
-  // padded message block of (64 + len) * 8 total bits.
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    assert(lens[l] <= kMaxSingleBlockMessage);
-    states[l] = keys[l]->inner_.chaining_state();
-    std::memset(blocks[l], 0, sizeof(blocks[l]));
-    std::memcpy(blocks[l], msgs[l], lens[l]);
-    blocks[l][lens[l]] = 0x80;
-    const std::uint64_t bits = (64 + lens[l]) * 8;
-    for (int i = 0; i < 8; ++i) {
-      blocks[l][56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    }
-  }
-  sha256_compress_x8(states, blocks);
-
-  // Outer hash: midstate (key ^ opad) plus the 32-byte inner digest padded
-  // to one block, total length (64 + 32) * 8 = 768 bits.
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    std::memset(blocks[l], 0, sizeof(blocks[l]));
-    for (int i = 0; i < 8; ++i) {
-      const std::uint32_t v = states[l][static_cast<std::size_t>(i)];
-      blocks[l][4 * i + 0] = static_cast<std::uint8_t>(v >> 24);
-      blocks[l][4 * i + 1] = static_cast<std::uint8_t>(v >> 16);
-      blocks[l][4 * i + 2] = static_cast<std::uint8_t>(v >> 8);
-      blocks[l][4 * i + 3] = static_cast<std::uint8_t>(v);
-    }
-    blocks[l][32] = 0x80;
-    blocks[l][62] = 0x03;  // 768 = 0x0300
-    states[l] = keys[l]->outer_.chaining_state();
-  }
-  sha256_compress_x8(states, blocks);
-
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    for (int i = 0; i < 8; ++i) {
-      const std::uint32_t v = states[l][static_cast<std::size_t>(i)];
-      out[l][static_cast<std::size_t>(4 * i + 0)] = static_cast<std::uint8_t>(v >> 24);
-      out[l][static_cast<std::size_t>(4 * i + 1)] = static_cast<std::uint8_t>(v >> 16);
-      out[l][static_cast<std::size_t>(4 * i + 2)] = static_cast<std::uint8_t>(v >> 8);
-      out[l][static_cast<std::size_t>(4 * i + 3)] = static_cast<std::uint8_t>(v);
-    }
-  }
-  JRSND_COUNT_N("crypto.hmac.midstate.hits", kSha256Lanes);
 }
 
 Sha256Digest hmac_sha256(std::span<const std::uint8_t> key, const std::string& message) noexcept {

@@ -18,13 +18,8 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "crypto/sha256_multi.hpp"
 
 namespace jrsnd::crypto {
-
-/// Longest message the single-block multi-buffer MAC path accepts: message,
-/// the 0x80 pad byte, and the 8-byte length must fit one 64-byte block.
-inline constexpr std::size_t kMaxSingleBlockMessage = 55;
 
 /// Computes HMAC-SHA-256(key, message).
 [[nodiscard]] Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,
@@ -52,18 +47,6 @@ class HmacKey {
   /// update() it with each part, then finish() — no concatenation buffer.
   [[nodiscard]] Sha256 inner_context() const noexcept { return inner_; }
   [[nodiscard]] Sha256Digest finish(Sha256& inner_ctx) const noexcept;
-
-  /// Eight MACs in one multi-buffer SHA-256 pass: out[l] = keys[l]->mac(
-  /// {msgs[l], lens[l]}) for every lane (keys may repeat across lanes).
-  /// Requires lens[l] <= kMaxSingleBlockMessage so each inner hash is the
-  /// cached midstate plus exactly one compression; runs two
-  /// sha256_compress_x8 calls total and is byte-identical to mac() per lane
-  /// on every backend. This is the flood-batch MAC stage of
-  /// crypto::VerifyQueue.
-  static void mac_x8(const HmacKey* const keys[kSha256Lanes],
-                     const std::uint8_t* const msgs[kSha256Lanes],
-                     const std::size_t lens[kSha256Lanes],
-                     Sha256Digest out[kSha256Lanes]) noexcept;
 
  private:
   Sha256 inner_;  ///< state after absorbing key ^ ipad

@@ -93,8 +93,9 @@ void compress_scalar(std::array<std::uint32_t, 8>& state, const std::uint8_t* bl
 /// on the state split as {A,B,E,F} / {C,D,G,H}; each 16-byte step feeds it
 /// four schedule words plus constants, and msg1/msg2 extend the schedule
 /// four words at a time from the rolling window m[0..3].
-/// 64-byte aligned so its placement does not move with unrelated code
-/// (see compress_x8_avx2).
+/// 64-byte aligned: where the fully unrolled rounds fall against fetch-block
+/// boundaries otherwise shifts with every change to unrelated code linked
+/// before it (such a 16-byte move once cost the auth_flood bench 6-7%).
 __attribute__((target("sha,sse4.1"), aligned(64))) void compress_sha_ni(
     std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
   // Byte swap within each dword: the block is big-endian.

@@ -10,7 +10,9 @@
 // SIMD level (common/cpu_features.hpp) is not scalar, and the portable
 // scalar body otherwise — so JRSND_SIMD=scalar or
 // set_simd_backend(kScalar) forces the scalar body at once. Both compute the
-// identical function; digests do not depend on the backend.
+// identical function; digests do not depend on the backend. This is the one
+// hash path: every MAC, the batched VerifyQueue::drain included, runs one
+// message at a time through it.
 #pragma once
 
 #include <array>
@@ -37,9 +39,8 @@ enum class Sha256Backend : std::uint8_t { kScalar = 0, kShaNi = 1 };
 [[nodiscard]] Sha256Backend sha256_backend();
 
 /// One FIPS 180-4 compression: folds a single 64-byte block into `state`.
-/// The low-level primitive Sha256 runs per block — exposed so the multi-
-/// buffer lanes (crypto/sha256_multi.hpp) share the exact reference
-/// compression on their scalar backend.
+/// The low-level primitive Sha256 runs per block, exposed so tests can chain
+/// raw compressions on both backends.
 void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept;
 
 /// Incremental SHA-256 context.
@@ -57,13 +58,6 @@ class Sha256 {
 
   /// Returns the context to its initial state.
   void reset() noexcept;
-
-  /// The raw chaining value. A resumable midstate only when the absorbed
-  /// length is a multiple of 64 bytes (internal buffer empty) — the hook the
-  /// HMAC multi-buffer path uses to seed its lanes from cached midstates.
-  [[nodiscard]] const std::array<std::uint32_t, 8>& chaining_state() const noexcept {
-    return state_;
-  }
 
   /// One-shot convenience.
   [[nodiscard]] static Sha256Digest hash(std::span<const std::uint8_t> data) noexcept;

@@ -64,6 +64,16 @@ void VerifyQueue::push(const BitVector& frame, std::uint32_t frame_code,
   pending_.push_back(Pending{&frame, frame_code, expected_code});
 }
 
+void VerifyQueue::DrainCounts::publish() const {
+  JRSND_COUNT_N("crypto.reject.length", length);
+  JRSND_COUNT_N("crypto.reject.format", format);
+  JRSND_COUNT_N("crypto.reject.code", code);
+  JRSND_COUNT_N("crypto.reject.mac", mac);
+  JRSND_COUNT_N("crypto.verify.accepted", accepted);
+  JRSND_COUNT_N("crypto.verify.peer_cache.hits", cache_hits);
+  JRSND_COUNT_N("crypto.verify.peer_cache.misses", cache_misses);
+}
+
 bool VerifyQueue::cheap_stages(const Pending& p, VerifyResult& out,
                                DrainCounts& counts) const noexcept {
   const BitVector& frame = *p.frame;
@@ -86,13 +96,20 @@ bool VerifyQueue::cheap_stages(const Pending& p, VerifyResult& out,
   return true;  // survived the cheap stages; MAC decides
 }
 
-bool VerifyQueue::mac_matches(const BitVector& frame, std::uint32_t sender,
-                              const HmacKey& schedule) const noexcept {
+void VerifyQueue::mac_stage(const BitVector& frame, const PairKey& entry, VerifyResult& result,
+                            DrainCounts& counts) const noexcept {
   std::array<std::uint8_t, kMaxMacInputBytes> input;
-  const std::size_t input_len = build_mac_input(wire_, frame, sender, input);
+  const std::size_t input_len = build_mac_input(wire_, frame, result.sender, input);
   const Sha256Digest expected =
-      schedule.mac(std::span<const std::uint8_t>(input.data(), input_len));
-  return wire_mac_equals(frame, expected);
+      entry.schedule.mac(std::span<const std::uint8_t>(input.data(), input_len));
+  if (wire_mac_equals(frame, expected)) {
+    result.stage = VerifyStage::Accept;
+    result.key = entry.raw;
+    ++counts.accepted;
+  } else {
+    result.stage = VerifyStage::RejectMac;
+    ++counts.mac;
+  }
 }
 
 bool VerifyQueue::wire_mac_equals(const BitVector& frame,
@@ -139,7 +156,6 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     VerifyResult result;
     if (cheap_stages(pending_[i], result, counts)) {
-      result.stage = VerifyStage::RejectMac;  // provisional until the MAC passes
       mac_scratch_.push_back(MacWork{source.cache_key(result.sender),
                                      static_cast<std::uint32_t>(i)});
     }
@@ -155,43 +171,8 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
                                                 : a.index < b.index;
             });
 
-  // MAC-stage lanes: survivors accumulate (across group boundaries) until
-  // eight are pending, then one HmacKey::mac_x8 call settles all eight.
-  // Leftovers fall back to the scalar midstate path — same digests.
-  const HmacKey* lane_keys[kSha256Lanes];
-  const PairKey* lane_entries[kSha256Lanes];
-  std::uint32_t lane_frame[kSha256Lanes];
-  std::array<std::uint8_t, kMaxMacInputBytes> lane_msgs[kSha256Lanes];
-  std::size_t lane_lens[kSha256Lanes];
-  std::size_t lanes = 0;
-
-  const auto settle = [&](std::size_t lane, const Sha256Digest& digest) {
-    VerifyResult& result = out[lane_frame[lane]];
-    if (wire_mac_equals(*pending_[lane_frame[lane]].frame, digest)) {
-      result.stage = VerifyStage::Accept;
-      result.key = lane_entries[lane]->raw;
-      ++counts.accepted;
-    } else {
-      ++counts.mac;
-    }
-  };
-  const auto flush_lanes = [&]() {
-    if (lanes == kSha256Lanes) {
-      const std::uint8_t* msg_ptrs[kSha256Lanes];
-      for (std::size_t l = 0; l < kSha256Lanes; ++l) msg_ptrs[l] = lane_msgs[l].data();
-      Sha256Digest digests[kSha256Lanes];
-      HmacKey::mac_x8(lane_keys, msg_ptrs, lane_lens, digests);
-      for (std::size_t l = 0; l < kSha256Lanes; ++l) settle(l, digests[l]);
-    } else {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const Sha256Digest digest = lane_keys[l]->mac(
-            std::span<const std::uint8_t>(lane_msgs[l].data(), lane_lens[l]));
-        settle(l, digest);
-      }
-    }
-    lanes = 0;
-  };
-
+  // Stage 4, one group per peer: each survivor goes through the same
+  // single-frame MAC stage as verify_now, under its group's schedule.
   std::size_t g = 0;
   while (g < mac_scratch_.size()) {
     const std::uint64_t group_key = mac_scratch_[g].cache_key;
@@ -199,30 +180,13 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
     const PairKey& entry = resolve_key(group_key, group_sender, source, counts);
     for (; g < mac_scratch_.size() && mac_scratch_[g].cache_key == group_key; ++g) {
       const std::uint32_t idx = mac_scratch_[g].index;
-      lane_entries[lanes] = &entry;
-      lane_keys[lanes] = &entry.schedule;
-      lane_frame[lanes] = idx;
-      lane_lens[lanes] =
-          build_mac_input(wire_, *pending_[idx].frame, out[idx].sender, lane_msgs[lanes]);
-      if (++lanes == kSha256Lanes) flush_lanes();
+      mac_stage(*pending_[idx].frame, entry, out[idx], counts);
     }
-    // A resolve past the cache cap parks the schedule in the single
-    // overflow_ slot, which the *next* past-cap miss reuses — settle any
-    // lane still pointing at it before that can happen. Map-resident
-    // entries are stable (node-based unordered_map) and can span groups.
-    if (&entry == &overflow_) flush_lanes();
   }
-  flush_lanes();
 
   JRSND_COUNT_N("crypto.verify.frames", pending_.size());
   JRSND_COUNT("crypto.verify.batches");
-  JRSND_COUNT_N("crypto.reject.length", counts.length);
-  JRSND_COUNT_N("crypto.reject.format", counts.format);
-  JRSND_COUNT_N("crypto.reject.code", counts.code);
-  JRSND_COUNT_N("crypto.reject.mac", counts.mac);
-  JRSND_COUNT_N("crypto.verify.accepted", counts.accepted);
-  JRSND_COUNT_N("crypto.verify.peer_cache.hits", counts.cache_hits);
-  JRSND_COUNT_N("crypto.verify.peer_cache.misses", counts.cache_misses);
+  counts.publish();
 
   pending_.clear();
   return counts.accepted;
@@ -239,23 +203,10 @@ VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame
     const PairKey& entry = pinned != nullptr && pinned->cache_key == cache_key
                                ? pinned->key
                                : resolve_key(cache_key, result.sender, source, counts);
-    if (mac_matches(frame, result.sender, entry.schedule)) {
-      result.stage = VerifyStage::Accept;
-      result.key = entry.raw;
-      ++counts.accepted;
-    } else {
-      result.stage = VerifyStage::RejectMac;
-      ++counts.mac;
-    }
+    mac_stage(frame, entry, result, counts);
   }
   JRSND_COUNT("crypto.verify.frames");
-  JRSND_COUNT_N("crypto.reject.length", counts.length);
-  JRSND_COUNT_N("crypto.reject.format", counts.format);
-  JRSND_COUNT_N("crypto.reject.code", counts.code);
-  JRSND_COUNT_N("crypto.reject.mac", counts.mac);
-  JRSND_COUNT_N("crypto.verify.accepted", counts.accepted);
-  JRSND_COUNT_N("crypto.verify.peer_cache.hits", counts.cache_hits);
-  JRSND_COUNT_N("crypto.verify.peer_cache.misses", counts.cache_misses);
+  counts.publish();
   return result;
 }
 

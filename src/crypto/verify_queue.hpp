@@ -16,10 +16,9 @@
 // Stages 1-3 touch no crypto and allocate nothing; stage 4 reuses a per-peer
 // HmacKey schedule cached across batches, assembles the MAC input in a fixed
 // on-stack buffer, and compares against the wire bits in place (constant-time
-// OR-accumulate). drain() additionally runs the MAC stage eight frames at a
-// time through the multi-buffer SHA-256 lanes (crypto/sha256_multi.hpp) —
-// independent-message parallelism only a batch can expose; the one-at-a-time
-// path never has more than one compression in flight.
+// OR-accumulate). drain() orders the batch so the cheap stages run first
+// over every frame and each peer's schedule is resolved once per batch;
+// each survivor's MAC is then the same single-frame check verify_now runs.
 // The decision — and the per-stage crypto.reject.* counters —
 // are bit-identical to oracle::verify_one_shot (tests/oracle), the
 // historical decode-then-verify reference, which bench/dos_throughput
@@ -163,6 +162,10 @@ class VerifyQueue {
     std::uint64_t accepted = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
+
+    /// Adds these tallies to the crypto.reject.*, crypto.verify.accepted
+    /// and crypto.verify.peer_cache.* counters.
+    void publish() const;
   };
 
   /// Stages 1-3. Returns true when the frame must go to the MAC stage, in
@@ -170,9 +173,12 @@ class VerifyQueue {
   [[nodiscard]] bool cheap_stages(const Pending& p, VerifyResult& out,
                                   DrainCounts& counts) const noexcept;
 
-  /// Stage 4 for one frame under an already-resolved schedule.
-  [[nodiscard]] bool mac_matches(const BitVector& frame, std::uint32_t sender,
-                                 const HmacKey& schedule) const noexcept;
+  /// Stage 4 for one frame under an already-resolved key: recomputes
+  /// f_K(ID | n), compares it with the wire MAC, sets `out`'s verdict (Accept
+  /// with the key, or RejectMac) and counts it. drain and verify_now both
+  /// settle every MAC-stage survivor here.
+  void mac_stage(const BitVector& frame, const PairKey& entry, VerifyResult& out,
+                 DrainCounts& counts) const noexcept;
 
   /// Compares the first l_mac bits of `expected` against the wire MAC field,
   /// in place, a word at a time (constant-time OR-accumulate).

@@ -7,7 +7,7 @@ namespace jrsnd::ecc {
 GF256::Tables::Tables() noexcept {
   // Build alpha^i for i in [0, 255); duplicate the table so exp(i + j) for
   // i, j < 255 never needs a modulo.
-  std::uint16_t x = 1;
+  unsigned x = 1;  // stays below 0x200: reduced after every shift
   log_table[0] = -1;  // log(0) is undefined
   for (int i = 0; i < kGroupOrder; ++i) {
     exp_table[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(x);

@@ -1,24 +1,26 @@
 // Property tests for the batched handshake-verification pipeline: the
 // batched drain must be bit-identical — verdicts, senders, accepted keys,
 // and every per-stage decision counter — to verify_one_shot, the historical
-// one-at-a-time reference, on any flood mix. Plus: the multi-buffer SHA-256
-// lanes against the scalar compression, MAC-stage amortization invariants,
-// and thread-count invariance of the whole pipeline (the VerifyQueue*
-// suites below also run under TSan in CI).
+// one-at-a-time reference, on any flood mix, and to verify_now past the
+// peer-cache cap. Plus: MAC-stage amortization invariants, the shared SIMD
+// level, and thread-count invariance of the whole pipeline (the
+// VerifyQueue* suites below also run under TSan in CI).
 #include "crypto/verify_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "adversary/dos_attacker.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/handshake.hpp"
 #include "core/messages.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/sha256_multi.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/metrics_registry.hpp"
 #include "oracle/crypto_reference.hpp"
 
@@ -191,111 +193,124 @@ TEST(VerifyQueueProperty, PeerCacheAmortizesKeySchedules) {
   EXPECT_EQ(queue.cached_peers(), 8u);
 }
 
-TEST(VerifyQueueSimd, CompressX8MatchesScalarPerLane) {
-  // The multi-buffer compression must equal crypto::sha256_compress lane by
-  // lane on random states and blocks, on whichever backend dispatch picked.
-  Rng rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::array<std::uint32_t, 8> states[kSha256Lanes];
-    std::uint8_t blocks[kSha256Lanes][64];
-    std::array<std::uint32_t, 8> reference[kSha256Lanes];
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      for (auto& word : states[l]) word = static_cast<std::uint32_t>(rng.next());
-      for (auto& byte : blocks[l]) byte = static_cast<std::uint8_t>(rng.uniform(256));
-      reference[l] = states[l];
-      sha256_compress(reference[l], blocks[l]);
-    }
-    sha256_compress_x8(states, blocks);
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      EXPECT_EQ(states[l], reference[l]) << "trial " << trial << " lane " << l;
-    }
-  }
-}
-
-TEST(VerifyQueueSimd, Avx2BackendMatchesForcedScalar) {
-  if (!simd_backend_supported(SimdBackend::kAvx2)) {
-    GTEST_SKIP() << "no AVX2 on this host";
-  }
-  const SimdBackend previous = simd_backend();
-  Rng rng(32);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::array<std::uint32_t, 8> avx_states[kSha256Lanes];
-    std::array<std::uint32_t, 8> scalar_states[kSha256Lanes];
-    std::uint8_t blocks[kSha256Lanes][64];
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      for (auto& word : avx_states[l]) word = static_cast<std::uint32_t>(rng.next());
-      for (auto& byte : blocks[l]) byte = static_cast<std::uint8_t>(rng.uniform(256));
-      scalar_states[l] = avx_states[l];
-    }
-    ASSERT_EQ(set_simd_backend(SimdBackend::kAvx2), SimdBackend::kAvx2);
-    ASSERT_EQ(hash_backend(), HashBackend::kAvx2);
-    sha256_compress_x8(avx_states, blocks);
-    ASSERT_EQ(set_simd_backend(SimdBackend::kScalar), SimdBackend::kScalar);
-    ASSERT_EQ(hash_backend(), HashBackend::kScalar);
-    sha256_compress_x8(scalar_states, blocks);
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      EXPECT_EQ(avx_states[l], scalar_states[l]) << "trial " << trial << " lane " << l;
-    }
-  }
-  set_simd_backend(previous);
-}
-
 // One SIMD level governs both kernels: forcing it to scalar must move the
-// hash lanes too (not only the sync correlator), publish the shared gauge
-// even with metrics off, and leave the digests on the per-lane reference.
+// MAC stage's SHA-256 too (not only the sync correlator), publish the shared
+// gauge even with metrics off, and leave the verdicts unchanged.
 TEST(VerifyQueueSimd, ForcedScalarLevelReachesHashLanes) {
   const SimdBackend previous = simd_backend();
   obs::set_metrics_enabled(false);
   ASSERT_EQ(set_simd_backend(SimdBackend::kScalar), SimdBackend::kScalar);
-  EXPECT_EQ(hash_backend(), HashBackend::kScalar);
+  EXPECT_EQ(sha256_backend(), Sha256Backend::kScalar);
   EXPECT_EQ(obs::registry().gauge("simd.backend").value(),
             static_cast<double>(SimdBackend::kScalar));
 
-  Rng rng(33);
-  std::array<std::uint32_t, 8> states[kSha256Lanes];
-  std::array<std::uint32_t, 8> reference[kSha256Lanes];
-  std::uint8_t blocks[kSha256Lanes][64];
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-    for (auto& word : states[l]) word = static_cast<std::uint32_t>(rng.next());
-    for (auto& byte : blocks[l]) byte = static_cast<std::uint8_t>(rng.uniform(256));
-    reference[l] = states[l];
-    sha256_compress(reference[l], blocks[l]);
+  auto source = make_source(33);
+  const auto flood = source.make_batch(40, 3);
+  VerifyQueue queue(source.verify_wire());
+  std::vector<VerifyResult> out;
+  for (const auto& frame : flood) {
+    queue.push(frame.bits, frame.frame_code, source.expected_code());
   }
-  sha256_compress_x8(states, blocks);
-  for (std::size_t l = 0; l < kSha256Lanes; ++l) EXPECT_EQ(states[l], reference[l]) << l;
+  queue.drain(source.key_source(), out);
+  for (std::size_t i = 0; i < flood.size(); ++i) {
+    EXPECT_EQ(out[i].stage, flood[i].expected_stage) << i;
+  }
 
   set_simd_backend(previous);
 }
 
-TEST(VerifyQueueSimd, MacX8MatchesScalarMac) {
-  // Eight-lane HMAC vs per-lane HmacKey::mac on every admissible message
-  // length, repeated keys across lanes included.
-  Rng rng(33);
-  std::vector<HmacKey> keys;
-  for (int k = 0; k < 5; ++k) {
-    std::array<std::uint8_t, 32> raw;
-    for (auto& byte : raw) byte = static_cast<std::uint8_t>(rng.uniform(256));
-    keys.emplace_back(std::span<const std::uint8_t>(raw.data(), raw.size()));
+/// Pairwise keys for `sender` IDs 1..n without an IBC authority: each
+/// sender is its own cache key, its key the hash of its ID.
+class PerSenderKeys : public KeySource {
+ public:
+  [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override {
+    return sender;
   }
-  for (std::size_t base_len = 0; base_len <= kMaxSingleBlockMessage; ++base_len) {
-    const HmacKey* lane_keys[kSha256Lanes];
-    std::uint8_t msgs[kSha256Lanes][kMaxSingleBlockMessage];
-    const std::uint8_t* msg_ptrs[kSha256Lanes];
-    std::size_t lens[kSha256Lanes];
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      lane_keys[l] = &keys[(base_len + l) % keys.size()];
-      lens[l] = (base_len + l) % (kMaxSingleBlockMessage + 1);
-      for (std::size_t i = 0; i < lens[l]; ++i) {
-        msgs[l][i] = static_cast<std::uint8_t>(rng.uniform(256));
-      }
-      msg_ptrs[l] = msgs[l];
+  [[nodiscard]] SymmetricKey key_for(std::uint32_t sender) const override {
+    return Sha256::hash("peer " + std::to_string(sender));
+  }
+};
+
+TEST(VerifyQueueProperty, OverflowSlotReusedWithinOneDrainMatchesVerifyNow) {
+  // One drain whose MAC-stage survivors come from more distinct peers than
+  // the cache holds: every group past the cap resolves into the single
+  // overflow slot, reusing it inside the batch. Verdicts, senders, keys and
+  // every crypto.* counter must equal verify_now's, frame by frame.
+  const core::WireConfig wire{};
+  const VerifyWire vw = core::verify_wire_from(wire);
+  const PerSenderKeys keys;
+  constexpr std::uint32_t kExpectedCode = 7;
+  const std::uint32_t peers = static_cast<std::uint32_t>(VerifyQueue::kMaxCachedPeers) + 300;
+
+  // One MAC-stage frame per peer (every third with a flipped MAC bit), in a
+  // shuffled order so the drain's sort by cache key reorders them; every
+  // fifth peer also sends a copy on a wrong code, a cheap reject.
+  std::vector<std::uint32_t> order(peers);
+  for (std::uint32_t p = 0; p < peers; ++p) order[p] = p + 1;
+  Rng rng(34);
+  rng.shuffle(std::span<std::uint32_t>(order));
+  std::vector<BitVector> frames;
+  std::vector<std::uint32_t> codes;
+  for (const std::uint32_t sender : order) {
+    BitVector nonce(wire.l_n);
+    for (std::size_t b = 0; b < wire.l_n; ++b) nonce.set(b, rng.bernoulli(0.5));
+    BitVector frame =
+        core::AuthMessage::make(node_id(sender), nonce, keys.key_for(sender), wire).encode(wire);
+    if (sender % 3 == 0) frame.flip(frame.size() - 1);
+    if (sender % 5 == 0) {
+      frames.push_back(frame);
+      codes.push_back(kExpectedCode + 1);
     }
-    Sha256Digest out[kSha256Lanes];
-    HmacKey::mac_x8(lane_keys, msg_ptrs, lens, out);
-    for (std::size_t l = 0; l < kSha256Lanes; ++l) {
-      const Sha256Digest expected =
-          lane_keys[l]->mac(std::span<const std::uint8_t>(msgs[l], lens[l]));
-      EXPECT_EQ(out[l], expected) << "base_len=" << base_len << " lane=" << l;
+    frames.push_back(std::move(frame));
+    codes.push_back(kExpectedCode);
+  }
+
+  obs::set_metrics_enabled(true);
+  VerifyQueue batched_queue(vw);  // outside the registries: ctor builds a midstate
+  VerifyQueue single_queue(vw);
+  obs::MetricsRegistry batched_registry, single_registry;
+  std::vector<VerifyResult> batched;
+  {
+    obs::ScopedMetricsRegistry scoped(&batched_registry);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      batched_queue.push(frames[i], codes[i], kExpectedCode);
+    }
+    batched_queue.drain(keys, batched);
+  }
+  std::vector<VerifyResult> single;
+  {
+    obs::ScopedMetricsRegistry scoped(&single_registry);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      single.push_back(single_queue.verify_now(frames[i], codes[i], kExpectedCode, keys));
+    }
+  }
+  EXPECT_EQ(batched_queue.cached_peers(), VerifyQueue::kMaxCachedPeers);
+  EXPECT_EQ(single_queue.cached_peers(), VerifyQueue::kMaxCachedPeers);
+
+  ASSERT_EQ(batched.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::uint32_t sender = batched[i].sender;
+    const VerifyStage want = codes[i] != kExpectedCode ? VerifyStage::RejectCode
+                             : sender % 3 == 0         ? VerifyStage::RejectMac
+                                                       : VerifyStage::Accept;
+    EXPECT_EQ(batched[i].stage, want) << i;
+    EXPECT_EQ(batched[i].stage, single[i].stage) << i;
+    EXPECT_EQ(sender, single[i].sender) << i;
+    EXPECT_EQ(batched[i].key, single[i].key) << i;
+    if (want == VerifyStage::Accept) {
+      EXPECT_EQ(batched[i].key, keys.key_for(sender)) << i;
+    }
+  }
+
+  const obs::MetricsSnapshot a = batched_registry.snapshot();
+  const obs::MetricsSnapshot b = single_registry.snapshot();
+  EXPECT_EQ(counter_value(a, "crypto.verify.peer_cache.misses"), peers);
+  EXPECT_EQ(counter_value(a, "crypto.hmac.midstate.hits"), peers);
+  for (const auto* snapshot : {&a, &b}) {
+    for (const auto& sample : snapshot->counters) {
+      if (sample.name.rfind("crypto.", 0) != 0 || sample.name == "crypto.verify.batches") continue;
+      EXPECT_EQ(counter_value(a, sample.name.c_str()), counter_value(b, sample.name.c_str()))
+          << sample.name;
     }
   }
 }
