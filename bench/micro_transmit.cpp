@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
   // --- [5] observability overhead on the transmit hot path -----------------
   // The span + flight-recorder instrumentation rides inside transmit_into;
   // flipping the recorder off isolates its steady-state cost. Budget: the
-  // always-on planes (flight ring + span bookkeeping, JSONL tracing off)
+  // armed planes (flight ring + span bookkeeping, JSONL tracing off)
   // must stay under 5% of the committed transmit baseline.
   // One back-to-back off/on pair swings -12%..+20% on a shared host, so the
   // overhead is the median of interleaved pairs, alternating which side runs
@@ -383,7 +383,7 @@ int main(int argc, char** argv) {
     on_windows.push_back(on);
     overhead_pcts.push_back(100.0 * (on - off) / off);
   }
-  obs::set_flight_enabled(true);
+  obs::set_flight_enabled(false);  // unarmed again: no dump path is set
   const double obs_off_secs = median(off_windows);
   const double obs_on_secs = median(on_windows);
   const double obs_overhead_pct = median(overhead_pcts);

@@ -21,6 +21,10 @@ CompromiseModel::CompromiseModel(const predist::CodeAssignment& assignment, std:
   std::sort(compromised_codes_.begin(), compromised_codes_.end());
   compromised_codes_.erase(std::unique(compromised_codes_.begin(), compromised_codes_.end()),
                            compromised_codes_.end());
+  if (!compromised_codes_.empty()) code_bits_.assign(raw(compromised_codes_.back()) / 64 + 1, 0);
+  for (const CodeId code : compromised_codes_) {
+    code_bits_[raw(code) / 64] |= std::uint64_t{1} << (raw(code) % 64);
+  }
 }
 
 }  // namespace jrsnd::adversary

@@ -25,8 +25,11 @@ class CompromiseModel {
   [[nodiscard]] bool is_node_compromised(NodeId node) const {
     return std::binary_search(compromised_nodes_.begin(), compromised_nodes_.end(), node);
   }
-  [[nodiscard]] bool is_code_compromised(CodeId code) const {
-    return std::binary_search(compromised_codes_.begin(), compromised_codes_.end(), code);
+  /// One bit read; false for any id past the largest compromised one,
+  /// kInvalidCode included.
+  [[nodiscard]] bool is_code_compromised(CodeId code) const noexcept {
+    const std::size_t word = raw(code) / 64;
+    return word < code_bits_.size() && ((code_bits_[word] >> (raw(code) % 64)) & 1) != 0;
   }
 
   [[nodiscard]] std::size_t compromised_node_count() const noexcept {
@@ -44,6 +47,7 @@ class CompromiseModel {
  private:
   std::vector<NodeId> compromised_nodes_;  ///< ascending
   std::vector<CodeId> compromised_codes_;  ///< ascending, unique
+  std::vector<std::uint64_t> code_bits_;   ///< bit c set iff code c is compromised
 };
 
 }  // namespace jrsnd::adversary

@@ -23,9 +23,10 @@ RandomJammer::RandomJammer(const CompromiseModel& compromise, const JammerParams
 }
 
 bool RandomJammer::jams(CodeId code, MessageClass cls, Rng& rng) const {
-  // Session codes (not in the pool) and non-compromised codes are safe:
-  // guessing an N-bit code is infeasible for a computationally bounded J.
-  if (code == kInvalidCode || !compromise_.is_code_compromised(code)) return false;
+  // Session codes (kInvalidCode, not in the pool) and non-compromised codes
+  // are safe: guessing an N-bit code is infeasible for a computationally
+  // bounded J.
+  if (!compromise_.is_code_compromised(code)) return false;
   switch (cls) {
     case MessageClass::Hello:
       return rng.bernoulli(beta_);
@@ -42,7 +43,7 @@ ReactiveJammer::ReactiveJammer(const CompromiseModel& compromise, const JammerPa
     : compromise_(compromise), ident_prob_(clamp01(identification_probability)) {}
 
 bool ReactiveJammer::jams(CodeId code, MessageClass /*cls*/, Rng& rng) const {
-  if (code == kInvalidCode || !compromise_.is_code_compromised(code)) return false;
+  if (!compromise_.is_code_compromised(code)) return false;
   return rng.bernoulli(ident_prob_);
 }
 

@@ -105,7 +105,7 @@ class IntelligentJammer final : public Jammer {
 
   [[nodiscard]] bool jams(CodeId code, MessageClass cls, Rng& /*rng*/) const override {
     if (cls != MessageClass::Followup) return false;
-    return code != kInvalidCode && compromise_.is_code_compromised(code);
+    return compromise_.is_code_compromised(code);
   }
   [[nodiscard]] const char* name() const noexcept override { return "intelligent"; }
 

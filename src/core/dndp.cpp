@@ -5,6 +5,7 @@
 #include "crypto/session_code.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/prof/perf_counters.hpp"
 #include "obs/span.hpp"
 
 namespace jrsnd::core {
@@ -110,8 +111,8 @@ bool DndpEngine::run_subsession(NodeState& a, NodeState& b, const TxCode& tx,
   const std::optional<std::uint32_t> claimed = verifier_.queue().claimed_sender(rx_);
   const crypto::PinnedKey* key_b =
       claimed ? &derive_end_key(b_key_, b.key(), node_id(*claimed)) : nullptr;
-  AuthVerdict& auth1_v = pair.auth1_verdict;
-  verifier_.verify_auth(rx_, code, code, b.key(), key_b, auth1_v);
+  verifier_.settle_auth(rx_, code, b.key(), key_b, pair.auth1_rx, pair.verify_counts);
+  const AuthVerdict& auth1_v = pair.auth1_rx.verdict;
   if (!auth1_v.accepted()) {
     if (auth1_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
@@ -127,8 +128,8 @@ bool DndpEngine::run_subsession(NodeState& a, NodeState& b, const TxCode& tx,
   if (!transmit_with_retry(hs, a.id(), b.id(), b.id(), a.id(), tx, TxClass::Auth, pair.auth2)) {
     return false;
   }
-  AuthVerdict& auth2_v = pair.auth2_verdict;
-  verifier_.verify_auth(rx_, code, code, a.key(), &key_a, auth2_v);
+  verifier_.settle_auth(rx_, code, a.key(), &key_a, pair.auth2_rx, pair.verify_counts);
+  const AuthVerdict& auth2_v = pair.auth2_rx.verdict;
   if (!auth2_v.accepted()) {
     if (auth2_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
@@ -178,6 +179,9 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   ConfirmMessage{b.id()}.encode_into(pair.confirm, wire_);
   pair.auth1_key.reset();
   pair.auth2_key.reset();
+  pair.auth1_rx.key.reset();
+  pair.auth2_rx.key.reset();
+  pair.verify_counts = {};
   pair.winner.reset();
 
   // The naive (non-redundant) variant lets B pick one random code among the
@@ -192,6 +196,8 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   std::uint32_t attempted = 0;
   obs::LossStage last_loss = obs::LossStage::None;
   Duration elapsed_total{0.0};
+  // One region per pair over all its sub-sessions, not one per AUTH frame.
+  JRSND_PERF_REGION("dndp.verify");
   for (const CodeId code : shared) {
     JRSND_COUNT("dndp.subsessions.started");
     ++attempted;
@@ -263,6 +269,7 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   JRSND_COUNT_N("dndp.subsessions.completed", result.subsessions_completed);
   JRSND_COUNT_N("dndp.subsessions.failed", attempted - result.subsessions_completed);
   if (result.mac_failure) JRSND_COUNT("dndp.mac_failures");
+  if (pair.verify_counts.frames() > 0) pair.verify_counts.publish();
   if (obs::tracing_enabled()) {
     auto event =
         obs::TraceEvent("dndp.pair",

@@ -17,8 +17,10 @@
 // fails only if every sub-session fails. The engine executes the real
 // cryptography — nonces, MAC computation/verification, session-code
 // derivation — over whichever PhyModel it is given, once per pair and end
-// rather than once per sub-session: every delivered AUTH frame is still
-// verified in full.
+// rather than once per sub-session. Every delivered AUTH frame is settled
+// and counted; one that repeats, bit for bit and under the same key, the
+// frame that direction last verified reuses that verdict instead of
+// recomputing its MAC.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +85,9 @@ class DndpEngine {
   /// nonces are drawn once per pair, so each frame below is a pure function
   /// of its sender, nonce and key: it is encoded on first use and re-encoded
   /// only if the key the sending end holds changes (tagged by that key's
-  /// cache key; unset at the start of each pair).
+  /// cache key; unset at the start of each pair). On the receiving side a
+  /// later sub-session's delivered AUTH frame that equals the last one
+  /// settled, under the same pinned key, reuses its verdict.
   struct PairState {
     BitVector nonce_a;
     BitVector nonce_b;
@@ -93,8 +97,10 @@ class DndpEngine {
     std::optional<std::uint64_t> auth1_key;
     BitVector auth2;  ///< B's AUTH, under B's key context
     std::optional<std::uint64_t> auth2_key;
-    AuthVerdict auth1_verdict;  ///< B's verdict on A's AUTH
-    AuthVerdict auth2_verdict;  ///< A's verdict on B's AUTH
+    SettledAuth auth1_rx;  ///< B's verdict on A's AUTH
+    SettledAuth auth2_rx;  ///< A's verdict on B's AUTH
+    /// Every AUTH frame the pair settled, published once when it ends.
+    crypto::VerifyQueue::DrainCounts verify_counts;
     /// What the first complete sub-session establishes (K_AB, C_AB).
     std::optional<LogicalNeighbor> winner;
   };

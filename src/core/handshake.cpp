@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/prof/perf_counters.hpp"
 
 namespace jrsnd::core {
 
@@ -142,17 +141,40 @@ AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_
                                            const crypto::IbcPrivateKey& receiver,
                                            const crypto::PinnedKey* pinned) {
   AuthVerdict verdict;
-  verify_auth(frame, frame_code, expected_code, receiver, pinned, verdict);
+  crypto::VerifyQueue::DrainCounts counts;
+  check(frame, frame_code, expected_code, receiver, pinned, verdict, counts);
+  counts.publish();
   return verdict;
 }
 
-void HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_code,
-                                    CodeId expected_code, const crypto::IbcPrivateKey& receiver,
-                                    const crypto::PinnedKey* pinned, AuthVerdict& out) {
-  JRSND_PERF_REGION("dndp.verify");
+void HandshakeVerifier::settle_auth(const BitVector& frame, CodeId code,
+                                    const crypto::IbcPrivateKey& receiver,
+                                    const crypto::PinnedKey* pinned, SettledAuth& settled,
+                                    crypto::VerifyQueue::DrainCounts& counts) {
+  if (pinned != nullptr && settled.key == pinned->cache_key && settled.frame == frame) {
+    counts.tally(settled.verdict.stage);
+    return;
+  }
+  check(frame, code, code, receiver, pinned, settled.verdict, counts);
+  // Only a MAC checked under `pinned` is a function of the bits and that
+  // key alone; a frame that resolved through the peer cache is not kept.
+  const AuthVerdict& v = settled.verdict;
+  if (pinned != nullptr && (v.accepted() || v.mac_rejected()) &&
+      source_.cache_key(raw(v.sender)) == pinned->cache_key) {
+    settled.frame = frame;
+    settled.key = pinned->cache_key;
+  } else {
+    settled.key.reset();
+  }
+}
+
+void HandshakeVerifier::check(const BitVector& frame, CodeId frame_code, CodeId expected_code,
+                              const crypto::IbcPrivateKey& receiver,
+                              const crypto::PinnedKey* pinned, AuthVerdict& out,
+                              crypto::VerifyQueue::DrainCounts& counts) {
   source_.receiver = &receiver;
   const crypto::VerifyResult result =
-      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_, pinned);
+      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_, pinned, counts);
   out.stage = result.stage;
   out.sender = result.stage != crypto::VerifyStage::RejectLength &&
                        result.stage != crypto::VerifyStage::RejectFormat

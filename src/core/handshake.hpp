@@ -155,6 +155,15 @@ struct AuthVerdict {
   }
 };
 
+/// What one AUTH direction of a D-NDP pair has settled: the delivered frame
+/// last verified in full under the receiving end's pinned key, that key's
+/// cache id, and the verdict reached on those bits.
+struct SettledAuth {
+  BitVector frame;
+  std::optional<std::uint64_t> key;  ///< unset: nothing kept (each pair starts so)
+  AuthVerdict verdict;
+};
+
 /// The crypto::VerifyQueue view of `wire`'s AUTH frame layout.
 [[nodiscard]] crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept;
 
@@ -205,16 +214,28 @@ class HandshakeVerifier {
                                         const crypto::IbcPrivateKey& receiver,
                                         const crypto::PinnedKey* pinned = nullptr);
 
-  /// verify_auth() into a caller-owned verdict: every field is set, and the
-  /// nonce reuses `out.nonce`'s storage, so a warm verdict makes the call
-  /// allocation-free on the accept path too.
-  void verify_auth(const BitVector& frame, CodeId frame_code, CodeId expected_code,
-                   const crypto::IbcPrivateKey& receiver, const crypto::PinnedKey* pinned,
-                   AuthVerdict& out);
+  /// Settles one delivered D-NDP AUTH frame (received on the code it was
+  /// sent on) into `settled.verdict`, tallying its stage into `counts`
+  /// without publishing. A frame equal bit for bit to `settled.frame` under
+  /// the same `pinned` key reuses the kept verdict: the check is a pure
+  /// function of the bits and that key. Any other frame, or no pinned key,
+  /// is verified in full; its verdict is kept when its MAC was checked
+  /// under `pinned`, and otherwise nothing is kept.
+  void settle_auth(const BitVector& frame, CodeId code, const crypto::IbcPrivateKey& receiver,
+                   const crypto::PinnedKey* pinned, SettledAuth& settled,
+                   crypto::VerifyQueue::DrainCounts& counts);
 
   [[nodiscard]] const crypto::VerifyQueue& queue() const noexcept { return queue_; }
 
  private:
+  /// verify_auth() into a caller-owned verdict, tallying into `counts`
+  /// instead of publishing. Every field of `out` is set, and the nonce
+  /// reuses `out.nonce`'s storage, so a warm verdict makes the call
+  /// allocation-free on the accept path too.
+  void check(const BitVector& frame, CodeId frame_code, CodeId expected_code,
+             const crypto::IbcPrivateKey& receiver, const crypto::PinnedKey* pinned,
+             AuthVerdict& out, crypto::VerifyQueue::DrainCounts& counts);
+
   crypto::VerifyQueue queue_;
   IbcPairKeySource source_;
 };

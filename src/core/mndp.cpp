@@ -24,12 +24,10 @@ MndpEngine::MndpEngine(const Params& params, PhyModel& phy, const sim::Topology&
       resp_body_(wire_),
       pattern_(BitVector(params.N)) {}  // a placeholder until the first unicast
 
-std::optional<BitVector> MndpEngine::transmit_with_retry(NodeId from, NodeId to,
-                                                         const TxCode& code, TxClass cls,
-                                                         const BitVector& payload,
-                                                         MndpStats& stats) {
-  auto rx = phy_.transmit(from, to, code, cls, payload);
-  if (rx || !params_.retry.enabled()) return rx;
+bool MndpEngine::transmit_with_retry(NodeId from, NodeId to, const TxCode& code, TxClass cls,
+                                     const BitVector& payload, BitVector& out, MndpStats& stats) {
+  if (phy_.transmit_into(from, to, code, cls, payload, out)) return true;
+  if (!params_.retry.enabled()) return false;
   RetryState retry(params_.retry, retry_rng_);
   retry.on_send();  // the first, already-failed attempt
   while (true) {
@@ -38,27 +36,36 @@ std::optional<BitVector> MndpEngine::transmit_with_retry(NodeId from, NodeId to,
     const auto backoff = retry.on_timeout();
     if (!backoff) {
       JRSND_COUNT("mndp.timeout.exhausted");
-      return std::nullopt;
+      return false;
     }
     ++stats.retransmissions;
     JRSND_COUNT("mndp.retx.attempts");
     retry.on_send();
-    rx = phy_.transmit(from, to, code, cls, payload);
-    if (rx) {
+    if (phy_.transmit_into(from, to, code, cls, payload, out)) {
       JRSND_COUNT("mndp.retx.recovered");
-      return rx;
+      return true;
     }
   }
 }
 
-std::optional<BitVector> MndpEngine::session_unicast(NodeState& from, NodeState& to,
-                                                     const BitVector& payload, TxClass cls,
-                                                     MndpStats& stats) {
+bool MndpEngine::session_unicast(NodeState& from, NodeState& to, const BitVector& payload,
+                                 TxClass cls, BitVector& out, MndpStats& stats) {
   const LogicalNeighbor* link = from.neighbor(to.id());
-  if (link == nullptr) return std::nullopt;
+  if (link == nullptr) return false;
   pattern_.assign(link->session_code);
   return transmit_with_retry(from.id(), to.id(), TxCode{kInvalidCode, &pattern_}, cls, payload,
-                             stats);
+                             out, stats);
+}
+
+void MndpEngine::send_request(NodeState& from, NodeState& to, MndpStats& stats) {
+  ++stats.requests_sent;
+  if (queued_ == queue_.size()) queue_.emplace_back();
+  PendingRequest& slot = queue_[queued_];
+  if (session_unicast(from, to, req_tx_, TxClass::SessionUnicast, slot.bits, stats)) {
+    slot.holder = to.id();
+    slot.arrived_from = from.id();
+    ++queued_;
+  }
 }
 
 const crypto::SignerKey& MndpEngine::signer(NodeId id) {
@@ -126,17 +133,12 @@ MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes)
 
   seen_[raw(initiator.id())].push_back(req.key());
 
-  queue_.clear();
+  queued_ = 0;
   req.encode_into(req_tx_, wire_);
-  for (const NodeId peer : req.source_neighbors) {
-    ++stats.requests_sent;
-    NodeState& target = nodes[raw(peer)];
-    auto rx = session_unicast(initiator, target, req_tx_, TxClass::SessionUnicast, stats);
-    if (rx) queue_.push_back(PendingRequest{peer, initiator.id(), std::move(*rx)});
-  }
+  for (const NodeId peer : req.source_neighbors) send_request(initiator, nodes[raw(peer)], stats);
 
   // Copies are appended while the FIFO is walked, so index it afresh.
-  for (std::size_t at = 0; at < queue_.size(); ++at) process_request(at, nodes, stats);
+  for (std::size_t at = 0; at < queued_; ++at) process_request(at, nodes, stats);
 
   JRSND_COUNT("mndp.initiations");
   JRSND_COUNT_N("mndp.requests_sent", stats.requests_sent);
@@ -161,8 +163,10 @@ MndpStats MndpEngine::initiate(NodeState& initiator, std::span<NodeState> nodes)
 }
 
 void MndpEngine::process_request(std::size_t at, std::span<NodeState> nodes, MndpStats& stats) {
-  // Take the copy's bits: forwarding below may grow (and move) queue_.
-  const PendingRequest item = std::move(queue_[at]);
+  // Forwarding below may grow (and move) queue_, so copy the slot's ids;
+  // its bits are read only here, before any forward.
+  const PendingRequest& item = queue_[at];
+  const NodeId arrived_from = item.arrived_from;
   NodeState& holder = nodes[raw(item.holder)];
 
   // Dedup on the wire key before decoding; the key is remembered only once
@@ -188,8 +192,7 @@ void MndpEngine::process_request(std::size_t at, std::span<NodeState> nodes, Mnd
   }
   // Path legitimacy: the claimed lists chain from the source to us, and the
   // delivering node really is our logical neighbor (C in L_A AND L_B).
-  if (!path_is_legitimate(req, holder.id(), item.arrived_from) ||
-      !holder.knows(item.arrived_from)) {
+  if (!path_is_legitimate(req, holder.id(), arrived_from) || !holder.knows(arrived_from)) {
     ++stats.requests_dropped;
     return;
   }
@@ -199,7 +202,7 @@ void MndpEngine::process_request(std::size_t at, std::span<NodeState> nodes, Mnd
     const bool physically_adjacent = topology_.are_neighbors(holder.id(), req.source);
     if (!gps_filter_ || physically_adjacent) {
       if (!physically_adjacent) ++stats.false_positive_responses;
-      respond(holder, req, item.arrived_from, nodes, stats);
+      respond(holder, req, arrived_from, nodes, stats);
     }
   }
 
@@ -224,11 +227,7 @@ void MndpEngine::process_request(std::size_t at, std::span<NodeState> nodes, Mnd
   sign_hop(holder, body, req.hops, stats);
   req.encode_into(req_tx_, wire_);
   for (const NodeId next : holder.logical_neighbors()) {
-    if (covered(next)) continue;
-    ++stats.requests_sent;
-    NodeState& target = nodes[raw(next)];
-    auto rx = session_unicast(holder, target, req_tx_, TxClass::SessionUnicast, stats);
-    if (rx) queue_.push_back(PendingRequest{next, holder.id(), std::move(*rx)});
+    if (!covered(next)) send_request(holder, nodes[raw(next)], stats);
   }
 }
 
@@ -264,9 +263,10 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
         leg < req.hops.size() ? req.hops[req.hops.size() - 1 - leg].id : req.source;
     NodeState& next = nodes[raw(next_id)];
     resp.encode_into(resp_tx_, wire_);
-    const auto rx = session_unicast(*carrier, next, resp_tx_, TxClass::SessionUnicast, stats);
-    if (!rx) return;  // reverse link lost (e.g. mobility); response dies
-    if (!MndpResponse::decode_into(*rx, wire_, resp)) return;
+    if (!session_unicast(*carrier, next, resp_tx_, TxClass::SessionUnicast, rx_, stats)) {
+      return;  // reverse link lost (e.g. mobility); response dies
+    }
+    if (!MndpResponse::decode_into(rx_, wire_, resp)) return;
 
     resp_body_.assign(resp);
     if (!verify_chain(resp_body_, resp.responder, resp.responder_signature, resp.hops, stats)) {
@@ -299,16 +299,18 @@ void MndpEngine::respond(NodeState& responder, const MndpRequest& req, NodeId re
   const TxCode session_tx{kInvalidCode, &pattern_};
 
   const HelloMessage hello{responder.id()};
-  const auto hello_rx = transmit_with_retry(responder.id(), source.id(), session_tx,
-                                            TxClass::SessionHello, hello.encode(wire_), stats);
-  if (!hello_rx || !HelloMessage::decode(*hello_rx, wire_)) return;
+  if (!transmit_with_retry(responder.id(), source.id(), session_tx, TxClass::SessionHello,
+                           hello.encode(wire_), rx_, stats) ||
+      !HelloMessage::decode(rx_, wire_)) {
+    return;
+  }
 
   // A accepts B and confirms; on receipt B accepts A.
   source.add_logical_neighbor(responder.id(), LogicalNeighbor{key_ab, session_ab, true});
   const ConfirmMessage confirm{source.id()};
-  const auto confirm_rx = transmit_with_retry(source.id(), responder.id(), session_tx,
-                                              TxClass::SessionConfirm, confirm.encode(wire_), stats);
-  if (confirm_rx && ConfirmMessage::decode(*confirm_rx, wire_)) {
+  if (transmit_with_retry(source.id(), responder.id(), session_tx, TxClass::SessionConfirm,
+                          confirm.encode(wire_), rx_, stats) &&
+      ConfirmMessage::decode(rx_, wire_)) {
     responder.add_logical_neighbor(source.id(), LogicalNeighbor{key_ba, session_ba, true});
     ++stats.discoveries;
   }

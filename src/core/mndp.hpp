@@ -31,14 +31,16 @@
 //     and every signature in the chain hashes a bit prefix of those bytes;
 //     a forwarder appends its block to the body it just verified and signs
 //     the new prefix;
-//   * a request copy is queued as the bits it arrived as; its (source,
-//     nonce) key is read from the wire header, and only a copy new to its
-//     holder is decoded (most copies of a flood are duplicates);
+//   * a request copy is queued as the bits it arrived as, received straight
+//     into a FIFO slot that keeps its storage across initiations; its
+//     (source, nonce) key is read from the wire header, and only a copy new
+//     to its holder is decoded (most copies of a flood are duplicates);
 //   * message handling runs in engine-owned scratch: one decoded message,
 //     one SignedBody and one transmit buffer for requests and another set
 //     for responses (respond() runs while the request's set is live), plus
-//     one spread-code pattern and the request FIFO, so a warm engine's
-//     codecs, bodies and session unicasts do not allocate;
+//     one receive buffer, one spread-code pattern and the request FIFO, so
+//     a warm engine's codecs, bodies, session unicasts and deliveries do
+//     not allocate;
 //   * neighbor lists are read by reference (NodeState keeps L sorted).
 #pragma once
 
@@ -134,20 +136,24 @@ class MndpEngine {
   void respond(NodeState& responder, const MndpRequest& req, NodeId reverse_next,
                std::span<NodeState> nodes, MndpStats& stats);
 
-  /// Unicast over an established session link; returns the received bits.
-  /// Applies the drop-tolerant retry budget when `params.retry` is enabled.
-  /// The link's session code is spread through pattern_.
-  [[nodiscard]] std::optional<BitVector> session_unicast(NodeState& from, NodeState& to,
-                                                         const BitVector& payload, TxClass cls,
-                                                         MndpStats& stats);
+  /// Unicast over an established session link; on delivery `out` holds
+  /// the received bits. Applies the drop-tolerant retry budget when
+  /// `params.retry` is enabled. The link's session code is spread through
+  /// pattern_.
+  [[nodiscard]] bool session_unicast(NodeState& from, NodeState& to, const BitVector& payload,
+                                     TxClass cls, BitVector& out, MndpStats& stats);
 
-  /// One transmission with the retry budget. Session-class transmissions
-  /// draw a fresh jamming fate per message, so a retransmission needs no
-  /// re-arm. With retries disabled this is exactly one `phy_.transmit`.
-  [[nodiscard]] std::optional<BitVector> transmit_with_retry(NodeId from, NodeId to,
-                                                             const TxCode& code, TxClass cls,
-                                                             const BitVector& payload,
-                                                             MndpStats& stats);
+  /// Unicasts req_tx_ from `from` to `to`; a delivered copy lands in the
+  /// next queue_ slot, in that slot's storage, and is queued for `to`.
+  void send_request(NodeState& from, NodeState& to, MndpStats& stats);
+
+  /// One transmission into `out` with the retry budget. Session-class
+  /// transmissions draw a fresh jamming fate per message, so a
+  /// retransmission needs no re-arm. With retries disabled this is exactly
+  /// one `phy_.transmit_into`.
+  [[nodiscard]] bool transmit_with_retry(NodeId from, NodeId to, const TxCode& code,
+                                         TxClass cls, const BitVector& payload, BitVector& out,
+                                         MndpStats& stats);
 
   const Params& params_;
   WireConfig wire_;
@@ -176,7 +182,11 @@ class MndpEngine {
   SignedBody resp_body_;
   BitVector resp_tx_;
   dsss::SpreadCode pattern_;  ///< chips of the session-code transmission in flight
-  std::vector<PendingRequest> queue_;  ///< this initiation's FIFO, in arrival order
+  BitVector rx_;  ///< a delivered response or completion frame, consumed before the next send
+  /// This initiation's FIFO, in arrival order: its first queued_ slots. Slots
+  /// past it keep their storage for the next copies to land in.
+  std::vector<PendingRequest> queue_;
+  std::size_t queued_ = 0;
 };
 
 }  // namespace jrsnd::core

@@ -64,12 +64,19 @@ void VerifyQueue::push(const BitVector& frame, std::uint32_t frame_code,
   pending_.push_back(Pending{&frame, frame_code, expected_code});
 }
 
+std::uint64_t VerifyQueue::DrainCounts::frames() const noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : stages) total += n;
+  return total;
+}
+
 void VerifyQueue::DrainCounts::publish() const {
-  JRSND_COUNT_N("crypto.reject.length", length);
-  JRSND_COUNT_N("crypto.reject.format", format);
-  JRSND_COUNT_N("crypto.reject.code", code);
-  JRSND_COUNT_N("crypto.reject.mac", mac);
-  JRSND_COUNT_N("crypto.verify.accepted", accepted);
+  JRSND_COUNT_N("crypto.verify.frames", frames());
+  JRSND_COUNT_N("crypto.reject.length", at(VerifyStage::RejectLength));
+  JRSND_COUNT_N("crypto.reject.format", at(VerifyStage::RejectFormat));
+  JRSND_COUNT_N("crypto.reject.code", at(VerifyStage::RejectCode));
+  JRSND_COUNT_N("crypto.reject.mac", at(VerifyStage::RejectMac));
+  JRSND_COUNT_N("crypto.verify.accepted", at(VerifyStage::Accept));
   JRSND_COUNT_N("crypto.verify.peer_cache.hits", cache_hits);
   JRSND_COUNT_N("crypto.verify.peer_cache.misses", cache_misses);
 }
@@ -79,18 +86,18 @@ bool VerifyQueue::cheap_stages(const Pending& p, VerifyResult& out,
   const BitVector& frame = *p.frame;
   if (frame.size() != wire_.frame_bits()) {
     out.stage = VerifyStage::RejectLength;
-    ++counts.length;
+    counts.tally(out.stage);
     return false;
   }
   if (frame.read_uint(0, wire_.l_t) != wire_.auth_type) {
     out.stage = VerifyStage::RejectFormat;
-    ++counts.format;
+    counts.tally(out.stage);
     return false;
   }
   out.sender = static_cast<std::uint32_t>(frame.read_uint(wire_.l_t, wire_.l_id));
   if (p.frame_code != p.expected_code) {
     out.stage = VerifyStage::RejectCode;
-    ++counts.code;
+    counts.tally(out.stage);
     return false;
   }
   return true;  // survived the cheap stages; MAC decides
@@ -105,11 +112,10 @@ void VerifyQueue::mac_stage(const BitVector& frame, const PairKey& entry, Verify
   if (wire_mac_equals(frame, expected)) {
     result.stage = VerifyStage::Accept;
     result.key = entry.raw;
-    ++counts.accepted;
   } else {
     result.stage = VerifyStage::RejectMac;
-    ++counts.mac;
   }
+  counts.tally(result.stage);
 }
 
 bool VerifyQueue::wire_mac_equals(const BitVector& frame,
@@ -184,18 +190,25 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
     }
   }
 
-  JRSND_COUNT_N("crypto.verify.frames", pending_.size());
   JRSND_COUNT("crypto.verify.batches");
   counts.publish();
 
   pending_.clear();
-  return counts.accepted;
+  return counts.at(VerifyStage::Accept);
 }
 
 VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame_code,
                                      std::uint32_t expected_code, const KeySource& source,
                                      const PinnedKey* pinned) {
   DrainCounts counts;
+  const VerifyResult result = verify_now(frame, frame_code, expected_code, source, pinned, counts);
+  counts.publish();
+  return result;
+}
+
+VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame_code,
+                                     std::uint32_t expected_code, const KeySource& source,
+                                     const PinnedKey* pinned, DrainCounts& counts) {
   VerifyResult result;
   const Pending p{&frame, frame_code, expected_code};
   if (cheap_stages(p, result, counts)) {
@@ -205,8 +218,6 @@ VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame
                                : resolve_key(cache_key, result.sender, source, counts);
     mac_stage(frame, entry, result, counts);
   }
-  JRSND_COUNT("crypto.verify.frames");
-  counts.publish();
   return result;
 }
 

@@ -25,6 +25,7 @@
 // proves in-binary before timing.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -100,6 +101,24 @@ struct PinnedKey {
 
 class VerifyQueue {
  public:
+  /// Per-stage tallies of settled frames: what drain() and verify_now()
+  /// publish as the crypto.verify.frames, crypto.verify.accepted,
+  /// crypto.reject.* and crypto.verify.peer_cache.* counters.
+  struct DrainCounts {
+    std::array<std::uint64_t, 5> stages{};  ///< frames settled at each VerifyStage
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
+
+    /// Counts one frame settled at `stage`.
+    void tally(VerifyStage stage) noexcept { ++stages[static_cast<std::size_t>(stage)]; }
+    [[nodiscard]] std::uint64_t frames() const noexcept;
+    [[nodiscard]] std::uint64_t at(VerifyStage stage) const noexcept {
+      return stages[static_cast<std::size_t>(stage)];
+    }
+    /// Adds these tallies to their counters, zeros included.
+    void publish() const;
+  };
+
   explicit VerifyQueue(const VerifyWire& wire);
 
   [[nodiscard]] const VerifyWire& wire() const noexcept { return wire_; }
@@ -130,6 +149,12 @@ class VerifyQueue {
                                         std::uint32_t expected_code, const KeySource& source,
                                         const PinnedKey* pinned = nullptr);
 
+  /// verify_now() that tallies into `counts` instead of publishing, for a
+  /// caller that publishes many frames' tallies at once.
+  [[nodiscard]] VerifyResult verify_now(const BitVector& frame, std::uint32_t frame_code,
+                                        std::uint32_t expected_code, const KeySource& source,
+                                        const PinnedKey* pinned, DrainCounts& counts);
+
   /// The sender ID a frame claims, read only when the frame has AUTH length
   /// and type tag (the stages that gate parsing it); counts nothing.
   [[nodiscard]] std::optional<std::uint32_t> claimed_sender(const BitVector& frame) const noexcept;
@@ -154,20 +179,6 @@ class VerifyQueue {
     std::uint64_t cache_key;
     std::uint32_t index;  ///< position in the drained batch / output vector
   };
-  struct DrainCounts {
-    std::uint64_t length = 0;
-    std::uint64_t format = 0;
-    std::uint64_t code = 0;
-    std::uint64_t mac = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-
-    /// Adds these tallies to the crypto.reject.*, crypto.verify.accepted
-    /// and crypto.verify.peer_cache.* counters.
-    void publish() const;
-  };
-
   /// Stages 1-3. Returns true when the frame must go to the MAC stage, in
   /// which case `out` carries the parsed sender.
   [[nodiscard]] bool cheap_stages(const Pending& p, VerifyResult& out,

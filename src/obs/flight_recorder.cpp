@@ -21,7 +21,7 @@ namespace jrsnd::obs {
 
 namespace detail {
 
-std::atomic<bool> g_flight_enabled{true};
+std::atomic<bool> g_flight_enabled{false};
 
 }  // namespace detail
 
@@ -194,6 +194,7 @@ void flight_reset() {
 void set_flight_dump_path(const std::string& path) {
   const std::lock_guard<std::mutex> lock(g_dump_path_mutex);
   std::snprintf(g_dump_path, sizeof(g_dump_path), "%s", path.c_str());
+  set_flight_enabled(!path.empty());
 }
 
 namespace {

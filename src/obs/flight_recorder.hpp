@@ -1,4 +1,5 @@
-// Always-on flight recorder (docs/observability.md).
+// Flight recorder (docs/observability.md), armed whenever a dump has
+// somewhere to go.
 //
 // Every thread that records gets a fixed-capacity ring of plain-data
 // FlightRecords. Pushing is the hot path: one thread-local load, a spinlock
@@ -50,12 +51,15 @@ namespace detail {
 extern std::atomic<bool> g_flight_enabled;
 }  // namespace detail
 
-/// Recording switch, default ON (the recorder exists for the runs nobody
-/// planned to debug). Benches flip it off to measure its cost. One inline
-/// relaxed load.
+/// Recording switch. It follows the dump destination: set_flight_dump_path
+/// with a non-empty path (which install_flight_crash_handler and
+/// `--flight-dump` go through) arms it, an empty one disarms it, so a run
+/// that cannot dump records nothing. One inline relaxed load.
 [[nodiscard]] inline bool flight_enabled() noexcept {
   return detail::g_flight_enabled.load(std::memory_order_relaxed);
 }
+/// Overrides the switch until the dump path is next set (tests, and
+/// benches that measure the recorder's cost).
 void set_flight_enabled(bool enabled) noexcept;
 
 /// Per-thread ring capacity in records. Read from JRSND_FLIGHT_CAPACITY at
@@ -83,6 +87,7 @@ void flight_reset();
 
 /// Destination of every dump: dump_flight_now(), crash events and the
 /// signal handlers. Empty (the default) disables them; at most 511 bytes.
+/// Arms recording exactly when `path` is non-empty.
 void set_flight_dump_path(const std::string& path);
 
 /// Dumps to the configured path now; false if no path or the open failed.

@@ -8,8 +8,9 @@
 // threading ids through every signature.
 //
 // Two recording planes, independently switched:
-//   * the flight recorder (obs/flight_recorder.hpp) — always on, per-thread
-//     fixed-capacity binary rings, zero heap allocation in steady state;
+//   * the flight recorder (obs/flight_recorder.hpp) — armed while a dump
+//     destination is set, per-thread fixed-capacity binary rings, zero heap
+//     allocation in steady state;
 //   * JSONL `span.begin` / `span.end` TraceEvents through the process event
 //     log — only when tracing_enabled(), sharing the trace schema every
 //     other event uses.

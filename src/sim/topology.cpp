@@ -245,40 +245,71 @@ bool LogicalGraph::reachable_within(NodeId a, NodeId b, std::size_t max_hops,
                                     bool exclude_direct) const {
   if (a == b) return true;
   assert(raw(a) < head_.size() && raw(b) < head_.size());
-  // Early-exit BFS bounded by max_hops; b is recognized on discovery rather
-  // than on dequeue, and with exclude_direct the a->b edge itself is skipped
-  // (b stays unmarked so an indirect route can still find it). Each search
-  // claims a fresh scratch epoch, so stale stamps need no O(n) reset.
+  // Meet in the middle: a path of at most max_hops edges has a node within
+  // ceil(max_hops/2) of a and floor(max_hops/2) of b. So stamp a's ball out
+  // to the first radius, then search b's ball out to the second for a
+  // stamped node; with exclude_direct the a-b edge is skipped from either
+  // end. Each query claims two fresh scratch epochs, one per ball, so stale
+  // stamps need no O(n) reset. b's search stops at the first node of a's
+  // ball, so no node ever needs both stamps.
   const std::size_t n = head_.size();
   if (seen_epoch_.size() != n) {
     seen_epoch_.assign(n, 0);
-    dist_.resize(n);
     epoch_ = 0;
   }
-  if (++epoch_ == 0) {
-    // u32 epoch wrapped: stale stamps could collide, so pay the one-off reset.
+  if (epoch_ > std::numeric_limits<std::uint32_t>::max() - 2) {
+    // The epochs would wrap and stale stamps could collide: pay the one-off reset.
     std::fill(seen_epoch_.begin(), seen_epoch_.end(), 0u);
-    epoch_ = 1;
+    epoch_ = 0;
   }
+  const std::uint32_t near_a = ++epoch_;
+  const std::uint32_t near_b = ++epoch_;
+
+  // a's ball. b is recognized on discovery and never stamped, so no path
+  // through b is grown.
   frontier_.clear();
-  seen_epoch_[raw(a)] = epoch_;
-  dist_[raw(a)] = 0;
+  seen_epoch_[raw(a)] = near_a;
   frontier_.push_back(a);
-  std::size_t next_up = 0;
-  while (next_up < frontier_.size()) {
-    const NodeId cur = frontier_[next_up++];
-    const std::size_t d = dist_[raw(cur)];
-    if (d == max_hops) continue;
-    for (std::uint32_t e = head_[raw(cur)]; e != kNoEdge; e = arena_[e].next) {
-      const NodeId next = arena_[e].to;
-      if (next == b) {
-        if (exclude_direct && cur == a) continue;  // skip the direct edge
-        return true;
+  std::size_t level = 0;
+  const std::size_t radius_a = max_hops - max_hops / 2;
+  for (std::size_t depth = 0; depth < radius_a && level < frontier_.size(); ++depth) {
+    const std::size_t level_end = frontier_.size();
+    for (; level < level_end; ++level) {
+      const NodeId cur = frontier_[level];
+      for (std::uint32_t e = head_[raw(cur)]; e != kNoEdge; e = arena_[e].next) {
+        const NodeId next = arena_[e].to;
+        if (next == b) {
+          if (exclude_direct && cur == a) continue;  // skip the direct edge
+          return true;
+        }
+        if (seen_epoch_[raw(next)] != near_a) {
+          seen_epoch_[raw(next)] = near_a;
+          frontier_.push_back(next);
+        }
       }
-      if (seen_epoch_[raw(next)] != epoch_) {
-        seen_epoch_[raw(next)] = epoch_;
-        dist_[raw(next)] = static_cast<std::uint32_t>(d + 1);
-        frontier_.push_back(next);
+    }
+  }
+
+  // b's ball, probing every node it reaches against a's stamps.
+  frontier_.clear();
+  seen_epoch_[raw(b)] = near_b;
+  frontier_.push_back(b);
+  level = 0;
+  for (std::size_t depth = 0; depth < max_hops / 2 && level < frontier_.size(); ++depth) {
+    const std::size_t level_end = frontier_.size();
+    for (; level < level_end; ++level) {
+      const NodeId cur = frontier_[level];
+      for (std::uint32_t e = head_[raw(cur)]; e != kNoEdge; e = arena_[e].next) {
+        const NodeId next = arena_[e].to;
+        const std::uint32_t stamp = seen_epoch_[raw(next)];
+        if (stamp == near_a) {
+          if (exclude_direct && cur == b && next == a) continue;  // the direct edge
+          return true;
+        }
+        if (stamp != near_b) {
+          seen_epoch_[raw(next)] = near_b;
+          frontier_.push_back(next);
+        }
       }
     }
   }

@@ -130,9 +130,9 @@ class Topology {
 ///
 /// Adjacency is arena-backed: per-node chains threaded through one flat
 /// half-edge slab, so add_edge never allocates per node. Reachability
-/// queries reuse epoch-stamped BFS scratch — repeated probes on a shared
-/// graph allocate nothing after the first — which also makes them unsafe to
-/// call concurrently on one instance.
+/// queries meet in the middle over epoch-stamped scratch — repeated probes
+/// on a shared graph allocate nothing after the first — which also makes
+/// them unsafe to call concurrently on one instance.
 class LogicalGraph {
  public:
   explicit LogicalGraph(std::size_t node_count);
@@ -162,10 +162,10 @@ class LogicalGraph {
   std::vector<HalfEdge> arena_;
   std::size_t edge_count_ = 0;
 
-  // Epoch-stamped BFS scratch: dist_[v] is valid iff seen_epoch_[v] equals
-  // the current epoch, so queries skip the O(n) reset entirely.
+  // Epoch-stamped search scratch: seen_epoch_[v] names the ball of the
+  // current query v lies in (one epoch per ball), so queries skip the O(n)
+  // reset entirely.
   mutable std::vector<std::uint32_t> seen_epoch_;
-  mutable std::vector<std::uint32_t> dist_;
   mutable std::vector<NodeId> frontier_;
   mutable std::uint32_t epoch_ = 0;
 };

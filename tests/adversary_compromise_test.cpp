@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/math_util.hpp"
 #include "predist/authority.hpp"
@@ -94,6 +96,29 @@ TEST(Compromise, DeterministicGivenRngState) {
   const CompromiseModel m2(authority.assignment(), 10, rng2);
   EXPECT_EQ(m1.compromised_nodes(), m2.compromised_nodes());
   EXPECT_EQ(m1.compromised_codes(), m2.compromised_codes());
+}
+
+// The bitset lookup must answer as a binary search over the sorted list
+// does: for every pool id, one id past the pool and kInvalidCode, from no
+// compromise through a full one.
+TEST(Compromise, CodeLookupMatchesBinarySearch) {
+  const auto authority = make_authority(8);
+  Rng rng(9);
+  for (const std::uint32_t q : {0u, 1u, 5u, 20u, 120u, 200u}) {
+    const CompromiseModel model(authority.assignment(), q, rng);
+    const std::vector<CodeId> codes = model.compromised_codes();
+    const auto pool = static_cast<std::uint32_t>(authority.pool_size());
+    std::vector<CodeId> probes;
+    for (std::uint32_t c = 0; c <= pool; ++c) probes.push_back(code_id(c));
+    probes.push_back(kInvalidCode);
+    for (const CodeId code : probes) {
+      EXPECT_EQ(model.is_code_compromised(code),
+                std::binary_search(codes.begin(), codes.end(), code))
+          << "q=" << q << " code=" << raw(code);
+    }
+    EXPECT_FALSE(model.is_code_compromised(code_id(pool)));
+    EXPECT_FALSE(model.is_code_compromised(kInvalidCode));
+  }
 }
 
 }  // namespace

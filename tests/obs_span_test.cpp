@@ -215,7 +215,17 @@ double number_field(const TraceEvent& ev, const char* key) {
   return -1.0;
 }
 
+/// Arms the recorder for a test that records without a dump destination
+/// (a dump path is what arms it in a run), and disarms it after.
+struct ArmedRecorder {
+  ArmedRecorder() { set_flight_enabled(true); }
+  ~ArmedRecorder() { set_flight_enabled(false); }
+  ArmedRecorder(const ArmedRecorder&) = delete;
+  ArmedRecorder& operator=(const ArmedRecorder&) = delete;
+};
+
 TEST(FlightRecorder, RingWrapsAtCapacityAndSurvivesThreadExit) {
+  const ArmedRecorder armed;
   set_flight_capacity(8);
   flight_reset();
   const std::uint64_t dropped_before = flight_records_dropped();
@@ -251,6 +261,7 @@ TEST(FlightRecorder, DisabledRecorderPushesNothing) {
 }
 
 TEST(FlightRecorder, SpanContextRidesOnNotes) {
+  const ArmedRecorder armed;
   flight_reset();
   {
     Span root("dndp.attempt", 77);
@@ -269,6 +280,7 @@ TEST(FlightRecorder, SpanContextRidesOnNotes) {
 }
 
 TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
+  const ArmedRecorder armed;
   flight_reset();
   flight_note("fd.note", 9);
   const std::string path = ::testing::TempDir() + "jrsnd_flight_fd.jsonl";
@@ -289,6 +301,7 @@ TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
 }
 
 TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
+  const ArmedRecorder armed;
   // Span records and notes are stamped against one wall origin, so a note
   // taken 10 ms after the first span sorts after every span record.
   flight_reset();
@@ -315,6 +328,7 @@ TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
 }
 
 TEST(FlightRecorder, DumpInterleavesRingsByWallClock) {
+  const ArmedRecorder armed;
   flight_reset();
   const auto record_on_main = [](std::uint64_t trace, double t) {
     const ScopedSimTime at(t);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "oracle/graph_reference.hpp"
 #include "sim/mobility.hpp"
 
 namespace jrsnd::sim {
@@ -181,6 +182,57 @@ TEST(LogicalGraph, RepeatedQueriesWithSharedScratchAreIdentical) {
       (void)g.reachable_within(source, node_id(v), 6, /*exclude_direct=*/v % 2 == 0);
     }
     EXPECT_EQ(probe(), first) << "round " << round;
+  }
+}
+
+// The meet-in-the-middle search must answer exactly as a plain BFS over
+// the whole graph does: every ordered pair (a == b included), nu = 0..6,
+// with and without the direct edge, on random graphs from sparse and
+// fragmented to dense.
+TEST(LogicalGraph, ReachableWithinMatchesPlainBfsReference) {
+  struct Shape {
+    std::uint32_t n;
+    std::uint32_t edges;
+  };
+  const Shape shapes[] = {{1, 0}, {2, 1}, {60, 45}, {300, 450}, {120, 480}, {40, 400}};
+  Rng rng(17);
+  for (const Shape& shape : shapes) {
+    LogicalGraph g(shape.n);
+    std::vector<std::vector<NodeId>> adjacency(shape.n);
+    for (std::uint32_t e = 0; e < shape.edges; ++e) {
+      const auto a = node_id(static_cast<std::uint32_t>(rng.uniform_int(0, shape.n - 1)));
+      const auto b = node_id(static_cast<std::uint32_t>(rng.uniform_int(0, shape.n - 1)));
+      if (a == b || g.has_edge(a, b)) continue;
+      g.add_edge(a, b);
+      adjacency[raw(a)].push_back(b);
+      adjacency[raw(b)].push_back(a);
+    }
+    std::size_t reached = 0;
+    std::size_t missed = 0;
+    for (std::uint32_t ia = 0; ia < shape.n; ++ia) {
+      const NodeId a = node_id(ia);
+      const std::vector<std::size_t> dist = oracle::hop_distances(adjacency, a, kInvalidNode);
+      for (std::uint32_t ib = 0; ib < shape.n; ++ib) {
+        const NodeId b = node_id(ib);
+        // Without the direct edge the distances differ only for a neighbor.
+        const std::vector<std::size_t> indirect =
+            g.has_edge(a, b) ? oracle::hop_distances(adjacency, a, b) : dist;
+        for (std::size_t nu = 0; nu <= 6; ++nu) {
+          const bool want = dist[ib] <= nu;
+          const bool want_indirect = ia == ib || indirect[ib] <= nu;
+          ASSERT_EQ(g.reachable_within(a, b, nu), want)
+              << "n=" << shape.n << " a=" << ia << " b=" << ib << " nu=" << nu;
+          ASSERT_EQ(g.reachable_within(a, b, nu, /*exclude_direct=*/true), want_indirect)
+              << "n=" << shape.n << " a=" << ia << " b=" << ib << " nu=" << nu
+              << " without the direct edge";
+          (want ? reached : missed) += 1;
+        }
+      }
+    }
+    if (shape.n > 2) {
+      EXPECT_GT(reached, 0u) << "n=" << shape.n;
+      EXPECT_GT(missed, 0u) << "n=" << shape.n;
+    }
   }
 }
 
