@@ -215,17 +215,22 @@ double number_field(const TraceEvent& ev, const char* key) {
   return -1.0;
 }
 
-/// Arms the recorder for a test that records without a dump destination
-/// (a dump path is what arms it in a run), and disarms it after.
-struct ArmedRecorder {
-  ArmedRecorder() { set_flight_enabled(true); }
-  ~ArmedRecorder() { set_flight_enabled(false); }
-  ArmedRecorder(const ArmedRecorder&) = delete;
-  ArmedRecorder& operator=(const ArmedRecorder&) = delete;
+/// Sets the recorder's arming for one test and restores what it found after.
+/// A test that records without a dump destination (a dump path is what arms
+/// it in a run) arms it through this.
+class FlightArming {
+ public:
+  explicit FlightArming(bool armed) : was_armed_(flight_enabled()) { set_flight_enabled(armed); }
+  ~FlightArming() { set_flight_enabled(was_armed_); }
+  FlightArming(const FlightArming&) = delete;
+  FlightArming& operator=(const FlightArming&) = delete;
+
+ private:
+  bool was_armed_;
 };
 
 TEST(FlightRecorder, RingWrapsAtCapacityAndSurvivesThreadExit) {
-  const ArmedRecorder armed;
+  const FlightArming armed(true);
   set_flight_capacity(8);
   flight_reset();
   const std::uint64_t dropped_before = flight_records_dropped();
@@ -252,16 +257,15 @@ TEST(FlightRecorder, RingWrapsAtCapacityAndSurvivesThreadExit) {
 
 TEST(FlightRecorder, DisabledRecorderPushesNothing) {
   flight_reset();
-  set_flight_enabled(false);
+  const FlightArming dark(false);
   const std::uint64_t before = flight_records_pushed();
   flight_note("dark.note", 1);
   { Span span("dark.span"); }
   EXPECT_EQ(flight_records_pushed(), before);
-  set_flight_enabled(true);
 }
 
 TEST(FlightRecorder, SpanContextRidesOnNotes) {
-  const ArmedRecorder armed;
+  const FlightArming armed(true);
   flight_reset();
   {
     Span root("dndp.attempt", 77);
@@ -280,7 +284,7 @@ TEST(FlightRecorder, SpanContextRidesOnNotes) {
 }
 
 TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
-  const ArmedRecorder armed;
+  const FlightArming armed(true);
   flight_reset();
   flight_note("fd.note", 9);
   const std::string path = ::testing::TempDir() + "jrsnd_flight_fd.jsonl";
@@ -301,7 +305,7 @@ TEST(FlightRecorder, DumpFdIsWritableWithoutLocks) {
 }
 
 TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
-  const ArmedRecorder armed;
+  const FlightArming armed(true);
   // Span records and notes are stamped against one wall origin, so a note
   // taken 10 ms after the first span sorts after every span record.
   flight_reset();
@@ -328,7 +332,7 @@ TEST(FlightRecorder, NoteRecordedAfterSpansDumpsLast) {
 }
 
 TEST(FlightRecorder, DumpInterleavesRingsByWallClock) {
-  const ArmedRecorder armed;
+  const FlightArming armed(true);
   flight_reset();
   const auto record_on_main = [](std::uint64_t trace, double t) {
     const ScopedSimTime at(t);

@@ -172,9 +172,10 @@ TEST(VerifyQueueHotPath, ZeroSteadyStateAllocationsOnRejectPath) {
 }
 
 TEST(ObsHotPath, ZeroSteadyStateAllocationsForSpansAndFlightRing) {
-  // The always-on observability path: spans (with the JSONL sink detached —
+  // The armed observability path: spans (with the JSONL sink detached —
   // tracing off is the production default) plus their flight-ring records
   // must never touch the heap once this thread's ring exists.
+  const bool was_armed = obs::flight_enabled();
   obs::set_flight_enabled(true);
   obs::flight_note("alloc.warmup", 1);  // acquire/create this thread's ring
   {
@@ -193,6 +194,7 @@ TEST(ObsHotPath, ZeroSteadyStateAllocationsForSpansAndFlightRing) {
     obs::flight_note("alloc.note", static_cast<std::uint64_t>(i));
   }
   const std::uint64_t after = oracle::allocation_count();
+  obs::set_flight_enabled(was_armed);
   EXPECT_EQ(after - before, 0u)
       << "span + flight-ring recording allocated on the steady-state path";
 }

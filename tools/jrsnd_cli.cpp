@@ -110,6 +110,8 @@ int usage() {
                "            --smoke             small fast configuration (CI)\n"
                "            --drops 0.05,0.1,.. drop intensities to sweep\n"
                "            --plan FILE         run one FaultPlan JSON instead of a sweep\n"
+               "            --flight-dump FILE  flight-recorder dump destination (the\n"
+               "                                plan's first crash window + fatal signals)\n"
                "            --json FILE         write the sweep results as JSON\n");
   return 2;
 }
@@ -405,6 +407,7 @@ int cmd_chaos(const Args& args) {
   cfg.jammer = *jammer;
 
   const std::uint32_t retx = args.u32("retx", 3);
+  if (args.has("flight-dump")) obs::install_flight_crash_handler(args.str("flight-dump", ""));
 
   if (args.has("plan")) {
     const std::string path = args.str("plan", "");
@@ -566,7 +569,7 @@ constexpr Command kCommands[] = {
     {"profile", cmd_profile, {kParamFlags, kSimulateFlags, "out hz"}},
     {"trace", cmd_trace, {"seed jsonl"}},
     {"provision", cmd_provision, {"node n m l chips seed"}},
-    {"chaos", cmd_chaos, {kParamFlags, "smoke seed jammer retx plan drops json"}},
+    {"chaos", cmd_chaos, {kParamFlags, "smoke seed jammer retx plan drops json flight-dump"}},
 };
 
 bool reads_flag(const Command& command, std::string_view flag) {
